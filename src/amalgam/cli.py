@@ -314,6 +314,11 @@ def _profile_from(args):
                                   unit_cube_partition(), times, grid)
 
 
+def _profile_health(prof) -> dict:
+    return {"converged": prof.converged,
+            "max_est_error": float(np.max(prof.est_error))}
+
+
 def _cmd_kernel_profile(args) -> int:
     outdir = _outdir(args)
     started = time.time()
@@ -327,7 +332,7 @@ def _cmd_kernel_profile(args) -> int:
          "est_error": list(prof.est_error)}, indent=2, default=float) + "\n")
     print(f"profile over {len(prof.times)} instants -> {outdir / 'results.csv'}"
           + ("" if prof.converged else "  [kernel flags: not fully converged]"))
-    finalize_manifest(manifest, started, extra={"converged": prof.converged})
+    finalize_manifest(manifest, started, extra=_profile_health(prof))
     return 0
 
 
@@ -348,7 +353,9 @@ def _cmd_fit_decay(args) -> int:
         ok = ok and status == "ok"
         print(f"{f.regime}-time: slope {f.slope:+.4f}  predicted "
               f"{f.predicted:+.4f}  |err| {f.abs_error:.4f}  [{status}]")
-    finalize_manifest(manifest, started, extra={"within_tolerance": ok})
+    finalize_manifest(manifest, started, extra={
+        "within_tolerance": ok, **_profile_health(prof),
+        "r_squared": {f.regime: f.r_squared for f in (small, large)}})
     return 0 if ok else CHECK_FAILED
 
 

@@ -124,8 +124,6 @@ def test_criterion_2_sigma0_oracle():
 # ---------------------------------------------------------------------------
 
 def _domination_constant(sigma: float, nx: int, nt: int) -> float:
-    # relaxed regularization ladder: the fitted constant only needs ~1e-3
-    # kernel accuracy, which cuts the node counts by an order of magnitude
     best = 0.0
     blocks = [
         (np.linspace(0.0, 4.0, nx), np.geomspace(0.05, 50.0, nt)),
@@ -133,7 +131,7 @@ def _domination_constant(sigma: float, nx: int, nt: int) -> float:
     ]
     for xs, ts in blocks:
         for t in ts:
-            ks = kernel_eval(1, sigma, float(t), xs, rho=5e-2, levels=4)
+            ks = kernel_eval(1, sigma, float(t), xs)
             ratio = np.abs(ks.values) / kernel_bound(1, 2.0 * sigma, float(t), xs)
             best = max(best, float(ratio.max()))
     return best

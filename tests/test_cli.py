@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -159,6 +160,12 @@ class TestCommands:
         assert code == 0
         out = capsys.readouterr().out
         assert "small-time" in out and "large-time" in out
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["converged"] is True
+        assert 0.0 < manifest["max_est_error"] < 1e-3
+        with open(tmp_path / "results.csv") as fh:
+            rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}
+        assert manifest["r_squared"] == rows
 
 
 class TestConsoleScript:

@@ -1,11 +1,13 @@
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma
 
 from amalgam.grid import GridSpec
 from amalgam.propagator import (
+    KERNEL_RTOL,
     kernel_amalgam_profile,
     kernel_bound,
     kernel_eval,
@@ -28,6 +30,31 @@ REFERENCE_VALUES = [
     (3, 1.2, 0.5, 0.7, 0.08493395792298788 - 0.03816297729257417j),
     (3, 1.4, 1.0, 0.0, 0.23801310190051947 - 0.0376975719344206j),
 ]
+
+
+def mp_kernel(n, sigma, t, x, dps=30):
+    """K_t(x) from its Kummer-function closed form in mpmath (test oracle)."""
+    with mp.workdps(dps):
+        a = mp.mpf(n) / 2 - mp.mpf(sigma)
+        b = mp.mpf(n) / 2
+        t = mp.mpf(t)
+        val = ((4 * mp.pi) ** (-b) * mp.gamma(a) / mp.gamma(b)
+               * mp.mpc(0, t) ** (-a) * mp.hyp1f1(a, b, mp.mpc(0, mp.mpf(x) ** 2 / (4 * t))))
+        return complex(val)
+
+
+def mp_errors(ks):
+    """Absolute errors of ks against mpmath, and the exact moduli."""
+    want = np.array([mp_kernel(ks.n, ks.gamma / 2, ks.t, x) for x in ks.xs])
+    return np.abs(ks.values - want), np.abs(want)
+
+
+def envelope(n, sigma, t, x):
+    """Ridge plus Riesz-tail moduli, the scale of the kernel's error bound."""
+    y1 = 1.0 + x ** 2 / (4.0 * abs(t))
+    tail = gamma(n / 2.0 - sigma) / gamma(sigma) if sigma > 0 else 0.0
+    return ((4.0 * np.pi) ** (-n / 2.0) * abs(t) ** (sigma - n / 2.0)
+            * (y1 ** -sigma + tail * y1 ** (sigma - n / 2.0)))
 
 
 class TestKernelEval:
@@ -77,28 +104,47 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             kernel_eval(1, 0.5, 1.0, [1.0])  # 2 sigma = 1 = n
 
-    def test_far_field_flagged(self):
-        # beyond the affordable accuracy domain the estimate must flag
-        with pytest.warns(UserWarning, match="not converged"):
-            ks = kernel_eval(1, 0.3, 0.02, np.linspace(0, 64, 9), x_acc=4.0)
-        assert not ks.converged.all()
-        assert ks.converged[0]  # core still accurate
+    def test_far_field_accurate(self):
+        # small t, large x: |x|^2/4t reaches 51200 on the stationary-phase ridge
+        ks = kernel_eval(1, 0.3, 0.02, np.linspace(0, 64, 9))
+        err, modulus = mp_errors(ks)
+        assert np.all(err <= KERNEL_RTOL * modulus)
+        assert ks.converged.all()
 
-    def test_explicit_schedule(self):
-        ks = kernel_eval(1, 0.0, 1.0, [0.5], schedule=[4e-3, 1e-3, 2.5e-4, 6.25e-5])
-        target = (4.0 * np.pi) ** -0.5
-        assert abs(abs(ks.values[0]) - target) < 1e-5 * target
-        assert ks.schedule[0] > ks.schedule[-1]
+    def test_sigma0_free_kernel_exact(self):
+        t, x = 1.0, 0.5
+        for n in (1, 2, 3):
+            ks = kernel_eval(n, 0.0, t, [x])
+            want = (4.0 * np.pi * 1j * t) ** (-n / 2.0) * np.exp(1j * x ** 2 / (4.0 * t))
+            assert abs(ks.values[0] - want) <= 1e-12 * abs(want)
+
+    @given(n=st.integers(1, 3), frac=st.floats(0.0, 1.0, exclude_max=True),
+           log_t=st.floats(-2.5, 2.0), sign=st.sampled_from([1.0, -1.0]),
+           y=st.floats(0.0, 2e6))
+    # worst case seen, 5.2e-8 of the envelope
+    @example(n=3, frac=0.3, log_t=0.0, sign=1.0, y=21.348)
+    # sigma = n/4 next to a zero of K_t: 1.4e-5 relative to |K_t|
+    @example(n=1, frac=0.5, log_t=0.0, sign=1.0, y=29.07268)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_mpmath_closed_form(self, n, frac, log_t, sign, y):
+        # |y| = |x|^2 / 4|t| up to 2e6; the bound is KERNEL_RTOL times the
+        # envelope, which tracks |K_t| except where K_t nearly vanishes
+        sigma = frac * n / 2.0
+        t = sign * 10.0 ** log_t
+        x = np.sqrt(4.0 * abs(t) * y)
+        ks = kernel_eval(n, sigma, t, [x])
+        bound = KERNEL_RTOL * envelope(n, sigma, t, x)
+        assert ks.est_error[0] == pytest.approx(bound, rel=1e-12)
+        assert mp_errors(ks)[0][0] <= bound
 
 
 class TestKernelOnGrid:
-    @pytest.mark.filterwarnings("ignore:kernel extrapolation")
     def test_matches_direct_eval(self):
         g = GridSpec(1, 64.0, 4096)
         for sigma, t in ((0.3, 0.37), (0.2, 5.0), (0.0, 1.0)):
             kg = kernel_on_grid(g, sigma, t)
             idx = np.array([0, 511, 2048, 2507, 4095])
-            kd = kernel_eval(1, sigma, t, np.abs(kg.xs[idx]), x_acc=kg.meta["x_acc"])
+            kd = kernel_eval(1, sigma, t, np.abs(kg.xs[idx]))
             assert np.max(np.abs(kg.values[idx] - kd.values)) < 1e-10
 
     def test_even_values_on_lattice(self):
@@ -203,7 +249,7 @@ class TestKernelAmalgamProfile:
         sigma, rt, r = 0.3, np.inf, 10.0
         times = np.array([2.0, 5.0, 10.0])
         prof = kernel_amalgam_profile(1, sigma, rt, r, unit_cube_partition(),
-                                      times, g, x_acc=8.0)
+                                      times, g)
         from amalgam.wiener import amalgam_norm
         from amalgam.grid import SampledField
         for tval, pval in zip(times, prof.values):
@@ -223,6 +269,24 @@ class TestKernelAmalgamProfile:
             brute = SampledField(g, (mild + add).reshape(g.shape))
             want = amalgam_norm(brute, np.inf, r / 2, unit_cube_partition()).value
             assert pval == pytest.approx(want, rel=1e-3)
+
+    @pytest.mark.parametrize("n,sigma,grid", [(2, 0.3, GridSpec(2, 16.0, 128)),
+                                              (3, 0.6, GridSpec(3, 4.0, 16))])
+    def test_multidimensional_lattice(self, n, sigma, grid):
+        # the 2-D case once asked for a 27 GiB outer product at t = 0.02
+        times = profile_times(0.02, 50.0, 8)
+        prof = kernel_amalgam_profile(n, sigma, "inf", 10, unit_cube_partition(),
+                                      times, grid)
+        assert np.all(np.isfinite(prof.values)) and np.all(prof.values > 0)
+        assert prof.converged
+        t = float(times[0])
+        kg = kernel_on_grid(grid, sigma, t)
+        assert kg.meta["nodes"] < kg.values.size  # one evaluation per radius
+        radii = grid.radii().ravel()
+        for i in (0, 5, 137, grid.npts ** n // 2, grid.npts ** n - 1):
+            want = mp_kernel(n, sigma, t, radii[i])
+            err = abs(kg.values[i] - want)
+            assert err <= KERNEL_RTOL * envelope(n, sigma, t, radii[i])
 
     def test_rejects_nonpositive_times(self):
         g = GridSpec(1, 8.0, 256)
