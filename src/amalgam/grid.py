@@ -21,6 +21,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -61,8 +62,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if self.length <= 0:
-            raise ValueError(f"box half-length must be positive, got {self.length}")
+        if not 0 < self.length < np.inf:
+            raise ValueError(f"box half-length must be positive and finite, got {self.length}")
         N = self.npts
         if N < 8 or (N & (N - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 8, got {N}")
@@ -334,17 +335,24 @@ def write_spacetime(stf: SpaceTimeField, path) -> None:
 
 
 def read_spacetime(path) -> SpaceTimeField:
-    with open(path, "rb") as fh:
-        n, length, npts, nslices = _HEADER.unpack(fh.read(_HEADER.size))
-        grid = GridSpec(n=int(n), length=float(length), npts=int(npts))
-        times = np.frombuffer(fh.read(8 * nslices), dtype="<f8").copy()
-        slices = []
-        count = grid.size
-        for _ in range(nslices):
-            inter = np.frombuffer(fh.read(16 * count), dtype="<f8")
-            vals = (inter[0::2] + 1j * inter[1::2]).reshape(grid.shape)
-            slices.append(SampledField(grid, vals))
-    return SpaceTimeField(grid, times, slices)
+    """Read a container; a bad header or byte count is a ValueError naming the file."""
+    data = Path(path).read_bytes()
+    try:
+        if len(data) < _HEADER.size:
+            raise ValueError(f"{len(data)} bytes, shorter than the {_HEADER.size}-byte header")
+        n, length, npts, nslices = _HEADER.unpack_from(data)
+        if n not in (1, 2, 3) or npts < 1 or nslices < 1:
+            raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
+        want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
+        if len(data) != want:
+            raise ValueError(f"{len(data)} bytes, but its header (n={n}, npts={npts}, "
+                             f"slices={nslices}) needs {want}")
+        grid = GridSpec(n=n, length=length, npts=npts)
+        flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
+        times, values = flat[:nslices], flat[nslices:].view("<c16")
+        return SpaceTimeField.from_values(grid, times, values.reshape((nslices,) + grid.shape))
+    except ValueError as exc:
+        raise ValueError(f"field container {path}: {exc}") from None
 
 
 def write_field(fld: SampledField, path, time: float = 0.0) -> None:

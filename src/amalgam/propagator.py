@@ -67,15 +67,12 @@ def _spectrum(fld: SampledField) -> np.ndarray:
     return transform(fld, "forward").values
 
 
-def _zero_mode_fraction(fld: SampledField) -> float:
-    g = fld.grid
-    spec = _spectrum(fld)
-    weight = (g.dxi / (2.0 * np.pi)) ** g.n
-    total = float(np.sum(np.abs(spec) ** 2) * weight)
+def _zero_mode_fraction(spec: np.ndarray) -> float:
+    """Share of the spectrum's l2 mass in the zero mode (0 for a zero spectrum)."""
+    total = float(np.sum(np.abs(spec) ** 2))
     if total == 0.0:
         return 0.0
-    zero = float(np.abs(spec[(0,) * g.n]) ** 2 * weight)
-    return zero / total
+    return float(np.abs(spec[(0,) * spec.ndim]) ** 2 / total)
 
 
 def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
@@ -98,7 +95,7 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
             w = np.where(xi > 0, xi ** (2.0 * sigma), 0.0)
     weight = (g.dxi / (2.0 * np.pi)) ** g.n
     value = float(np.sqrt(np.sum(w * np.abs(spec) ** 2) * weight))
-    zfrac = _zero_mode_fraction(fld) if sigma > 0 else 0.0
+    zfrac = _zero_mode_fraction(spec) if sigma > 0 else 0.0
     if sigma > 0 and zfrac >= ZERO_MODE_TOL:
         warnings.warn(
             f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; "

@@ -35,6 +35,7 @@ from .grid import (
 )
 from .propagator import (
     DecayProfile,
+    _zero_mode_fraction,
     adjoint_accumulate,
     evolve,
     evolve_series,
@@ -315,7 +316,7 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     denom = hsigma_norm(fld, float(tup.sigma)).value
     if denom == 0.0:
         raise ValueError("degenerate datum: zero smoothing norm (f = 0?)")
-    zfrac = _zero_mode_frac(fld)
+    zfrac = _zero_mode_fraction(transform(fld, "forward").values)
     if zfrac > 1e-8:
         raise ValueError(f"datum has zero-mode mass fraction {zfrac:.2e}; "
                          "use a zero-mode-free generator")
@@ -332,14 +333,6 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
               "weak_outer_time": weak, "label": fld.label,
               "grid": (fld.grid.n, fld.grid.length, fld.grid.npts)},
     )
-
-
-def _zero_mode_frac(fld: SampledField) -> float:
-    spec = transform(fld, "forward").values
-    total = float(np.sum(np.abs(spec) ** 2))
-    if total == 0:
-        return 0.0
-    return float(np.abs(spec[(0,) * fld.grid.n]) ** 2 / total)
 
 
 def frequency_ratio_sweep(grid: GridSpec, tup: expo.ExponentTuple,

@@ -17,7 +17,7 @@ Two window regimes are supported on purpose:
   the lattice and identities such as W(L^p, L^p) = L^p or the Holder
   pairing hold with constant exactly 1 (for unit cubes).
 
-Everything here is pure; translate loops use a fixed order.
+Everything here is pure; smooth-window sums visit window blocks in a fixed order.
 """
 
 from __future__ import annotations
@@ -145,14 +145,9 @@ def materialize_window(win: WindowSpec, grid: GridSpec) -> np.ndarray:
 
 
 def _block_view(values: np.ndarray, n: int, K: int, s: int) -> np.ndarray:
-    """Reshape an (N,)*n array into (K^n, s^n) exact partition blocks."""
-    shape = []
-    for _ in range(n):
-        shape.extend([K, s])
-    v = values.reshape(shape)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    v = np.transpose(v, order)
-    return v.reshape(K ** n, s ** n)
+    """View an (N,)*n array as (K,)*n + (s,)*n: block index, then offset in the block."""
+    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
+    return values.reshape((K, s) * n).transpose(order)
 
 
 def _inner_lp(blocks: np.ndarray, p: float, cell: float) -> np.ndarray:
@@ -175,33 +170,38 @@ def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> N
         raise ValueError("exponents must lie in [1, inf]")
     g = fld.grid
     s, K = _translate_shape(window, g)
+    meta = {"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
+            "step": window.step, "radius": window.radius,
+            "normalization": window.normalization}
     if window.is_partition:
         # cubes centered at the translate lattice k*a: [k*a - a/2, k*a + a/2);
         # rolling by s//2 aligns block boundaries with the cube edges
         rolled = np.roll(fld.values, (s // 2,) * g.n, axis=tuple(range(g.n)))
-        blocks = _block_view(rolled, g.n, K, s)
+        blocks = _block_view(rolled, g.n, K, s).reshape(K ** g.n, s ** g.n)
         local = _inner_lp(blocks, p, g.cell_volume)
     else:
-        phi = materialize_window(window, g)
-        locals_ = []
-        for flat in range(K ** g.n):
-            idx = np.unravel_index(flat, (K,) * g.n)
-            shifted = np.roll(phi, tuple(i * s for i in idx),
-                              axis=tuple(range(g.n)))
-            prod = np.abs(fld.values * shifted)
-            if np.isinf(p):
-                locals_.append(prod.max())
-            else:
-                locals_.append((np.sum(prod ** p) * g.cell_volume) ** (1.0 / p))
-        local = np.asarray(locals_)
+        # with x = (k + j) a + r (block k + j, offset r), sum_x |f|^p |phi(x - k a)|^p
+        # is sum_j sum_r F[k + j, r] Phi[j, r] exactly (F, Phi: block views of |f|^p,
+        # |phi|^p; max for p = inf), and only blocks j where phi is non-zero count
+        inf = np.isinf(p)
+        f, phi = np.abs(fld.values), materialize_window(window, g)
+        F = _block_view(f if inf else f ** p, g.n, K, s).reshape(K ** g.n, s ** g.n)
+        Phi = _block_view(phi if inf else phi ** p, g.n, K, s)
+        blocks = np.argwhere(Phi.any(axis=tuple(range(g.n, 2 * g.n))))
+        local = np.zeros((K,) * g.n)
+        for j in blocks:
+            w = Phi[tuple(j)].ravel()
+            part = (F * w).max(axis=1) if inf else F @ w
+            part = np.roll(part.reshape(local.shape), tuple(-j), axis=tuple(range(g.n)))
+            local = np.maximum(local, part) if inf else local + part
+        local = local if inf else (local * g.cell_volume) ** (1.0 / p)
+        meta["window_blocks"] = len(blocks)
     value = _outer_lq(local, q, window.step ** g.n)
     return NormResult(
         value=value,
         space="wiener-amalgam",
         exponents={"p": p, "q": q},
-        meta={"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
-              "step": window.step, "radius": window.radius,
-              "normalization": window.normalization},
+        meta=meta,
         est_error=0.0 if window.is_partition else None,
     )
 

@@ -132,6 +132,17 @@ class TestCommands:
                        "--input", str(tmp_path / "evolved.bin")], tmp_path)
         assert code == 0
 
+    def test_truncated_container_is_usage_error(self, tmp_path, capsys):
+        assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
+                       "--times", "0.2", "--save-field"], tmp_path) == 0
+        path = tmp_path / "evolved.bin"
+        path.write_bytes(path.read_bytes()[:-100])
+        capsys.readouterr()
+        code = invoke(["norm", "--kind", "lebesgue", "--input", str(path)], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+
     def test_suite_small(self, tmp_path, capsys):
         code = invoke(["suite", "--corpus-size", "8"], tmp_path)
         assert code == 0

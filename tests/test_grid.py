@@ -205,6 +205,42 @@ class TestSerialization:
         assert data[0::2] == pytest.approx(np.arange(8))
         assert data[1::2] == pytest.approx(np.arange(8))
 
+    def _container(self, tmp_path, rng):
+        g = make_grid(1, 1.0, 8)
+        stf = SpaceTimeField(g, np.array([0.0, 1.0]), [random_field(g, rng) for _ in range(2)])
+        path = tmp_path / "f.bin"
+        write_spacetime(stf, path)
+        return path
+
+    def test_trailing_bytes_rejected(self, tmp_path, rng):
+        path = self._container(tmp_path, rng)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(ValueError, match=f"{path.name}.*needs"):
+            read_spacetime(path)
+
+    def test_truncated_inside_slice_rejected(self, tmp_path, rng):
+        path = self._container(tmp_path, rng)
+        path.write_bytes(path.read_bytes()[:-20])
+        with pytest.raises(ValueError, match=f"{path.name}.*needs"):
+            read_spacetime(path)
+
+    @pytest.mark.parametrize("size", [0, 20, 40])
+    def test_zero_bytes_rejected(self, tmp_path, size):
+        # 0 and 20 bytes cannot hold the header; 40 zero bytes declare n = 0
+        path = tmp_path / "zero.bin"
+        path.write_bytes(bytes(size))
+        with pytest.raises(ValueError, match=path.name):
+            read_spacetime(path)
+
+    def test_bad_header_values_rejected(self, tmp_path, rng):
+        import struct
+        path = self._container(tmp_path, rng)
+        raw = path.read_bytes()
+        for header in ((4, 1.0, 8, 2), (1, 1.0, 0, 2), (1, 1.0, 8, 0), (1, float("nan"), 8, 2)):
+            path.write_bytes(struct.pack("<qdqq", *header) + raw[32:])
+            with pytest.raises(ValueError, match=path.name):
+                read_spacetime(path)
+
 
 class TestInvariantsAndChecks:
     def test_times_must_increase(self, grid1d, rng):

@@ -126,6 +126,51 @@ class TestAmalgamNorm:
         want = brute_force_amalgam(f, 3, 2, win)
         assert got == pytest.approx(want, rel=1e-10)
 
+    # grids with step-1 windows: s = 8, K = 8 (n = 1); s = 4, K = 8 (n = 2); s = 4, K = 4 (n = 3)
+    SMALL_GRIDS = {1: GridSpec(1, 4.0, 64), 2: GridSpec(2, 4.0, 32), 3: GridSpec(3, 2.0, 16)}
+    # the bump's radius exceeds the step, so it spans at least 3 blocks per
+    # axis; the cube's radius sits between lattice points so the open and
+    # half-open cube conventions select the same samples
+    SMOOTH_WINDOWS = {
+        "gaussian": WindowSpec("gaussian", radius=0.7, step=1.0),
+        "smooth-bump": WindowSpec("smooth-bump", radius=1.5, step=1.0),
+        "cube-indicator": WindowSpec("cube-indicator", radius=0.6, step=1.0),
+    }
+
+    @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
+    @pytest.mark.parametrize("kind", sorted(SMOOTH_WINDOWS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_smooth_window_matches_brute_force(self, n, kind, p):
+        g = self.SMALL_GRIDS[n]
+        win = self.SMOOTH_WINDOWS[kind]
+        rng = np.random.default_rng(n)
+        f = SampledField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        for q in (4, np.inf):
+            got = amalgam_norm(f, p, q, win)
+            assert got.value == pytest.approx(brute_force_amalgam(f, p, q, win), rel=1e-12)
+        if kind == "smooth-bump":
+            assert got.meta["window_blocks"] >= 3 ** n
+
+    @pytest.mark.parametrize("p", [2, np.inf])
+    @pytest.mark.parametrize("kind", ["gaussian", "smooth-bump"])
+    def test_single_translate_matches_brute_force(self, kind, p):
+        # step = 2L: one translate (K = 1), the window's only block is the torus
+        g = GridSpec(2, 2.0, 16)
+        win = WindowSpec(kind, radius=1.5, step=4.0)
+        f = band_limited_field(g, 11)
+        got = amalgam_norm(f, p, 3, win)
+        assert got.meta["window_blocks"] == 1
+        assert got.value == pytest.approx(brute_force_amalgam(f, p, 3, win), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_window_blocks_count(self, n):
+        # a radius-1 bump centered on a block corner touches 2 blocks per axis
+        g = GridSpec(n, 2.0, 16)
+        f = band_limited_field(g, 5)
+        win = WindowSpec("smooth-bump", radius=1.0, step=1.0)
+        metas = [amalgam_norm(f, p, 2, win).meta for p in (2, np.inf, 2)]
+        assert [m["window_blocks"] for m in metas] == [2 ** n] * 3
+
     def test_homogeneity(self, grid1d, rng):
         f = band_limited_field(grid1d, 9)
         lam = 3.7
