@@ -1,51 +1,37 @@
-"""Wiener amalgam norms, dispersive kernels, and exponent-region checks."""
+"""Wiener amalgam norms, dispersive kernels, and exponent-region checks.
+
+The public names below resolve on first access (PEP 562), so importing
+the package, or a numpy-free module such as ``amalgam.exponents``, does
+not import numpy or scipy.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .grid import (
-    GridSpec,
-    NormResult,
-    SampledField,
-    SpaceTimeField,
-    make_grid,
-    transform,
-    lebesgue_norm,
-    mixed_lebesgue_norm,
-)
-from .wiener import (
-    WindowSpec,
-    amalgam_norm,
-    holder_pairing,
-    inclusion_check,
-    interpolate_exponents,
-    spacetime_amalgam_norm,
-    unit_cube_partition,
-    weak_lorentz_norm,
-)
-from .propagator import (
-    DecayProfile,
-    KernelSamples,
-    adjoint_accumulate,
-    evolve,
-    evolve_series,
-    hsigma_norm,
-    kernel_amalgam_profile,
-    kernel_bound,
-    kernel_eval,
-    kernel_on_grid,
-    profile_times,
-)
-from .exponents import (
-    ExponentTuple,
-    RegionReport,
-    classical_sobolev_line,
-    is_schrodinger_admissible,
-    predicted_kernel_decay,
-    sample_region,
-    satisfies_cn2,
-    satisfies_corollary,
-    satisfies_prop_kernel,
-    satisfies_theorem,
-)
+_EXPORTS = {
+    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "make_grid",
+             "transform", "lebesgue_norm", "mixed_lebesgue_norm"),
+    "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "inclusion_check",
+               "interpolate_exponents", "spacetime_amalgam_norm", "unit_cube_partition",
+               "weak_lorentz_norm"),
+    "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve",
+                   "evolve_series", "hsigma_norm", "kernel_amalgam_profile", "kernel_bound",
+                   "kernel_eval", "kernel_on_grid", "profile_times"),
+    "exponents": ("ExponentTuple", "RegionReport", "classical_sobolev_line",
+                  "is_schrodinger_admissible", "predicted_kernel_decay", "sample_region",
+                  "satisfies_cn2", "satisfies_corollary", "satisfies_prop_kernel",
+                  "satisfies_theorem"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

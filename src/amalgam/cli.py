@@ -4,8 +4,9 @@ Exit codes: 0 success (a reject verdict is still a success), 1 when an
 asserted invariant fails, 2 on usage errors.  The token ``inf`` denotes
 infinity in every exponent flag; exponents parse as exact rationals
 (``10``, ``10/3``, ``0.3``).  A config file of ``key = value`` lines may
-supply any flag; explicit command-line flags override it.  The output
-directory comes from --out, else $AMALGAM_OUT, else ./amalgam-out.
+supply any flag (``key = true`` sets a flag that takes no value);
+explicit command-line flags override it.  The output directory comes
+from --out, else $AMALGAM_OUT, else ./amalgam-out.
 """
 
 from __future__ import annotations
@@ -17,26 +18,8 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import exponents as expo
-from . import verify
 from .extreal import as_extended, fmt, to_float
-from .grid import (
-    GridSpec,
-    SampledField,
-    lebesgue_norm,
-    read_field,
-    write_spacetime,
-)
-from .propagator import (
-    evolve_series,
-    hsigma_norm,
-    kernel_amalgam_profile,
-    profile_times,
-)
-from .verify import finalize_manifest, write_csv, write_manifest
-from .wiener import WindowSpec, amalgam_norm, unit_cube_partition
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -51,16 +34,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="amalgam", description=__doc__,
+def _build_parser() -> tuple:
+    """(the parser, its subcommand parsers by name)."""
+    p = _Parser(prog="amalgam", description=__doc__, allow_abbrev=False,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--config", help="key = value file supplying default flags")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, help_):
-        sp = sub.add_parser(name, help=help_)
+        sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         sp.add_argument("--out", help="output directory (default $AMALGAM_OUT or ./amalgam-out)")
-        sp.add_argument("--seed", default="0")
+        sp.add_argument("--seed", type=int, default=0)
         return sp
 
     sp = add("check-tuple", "run an admissibility predicate on one tuple")
@@ -128,7 +112,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--sigma", default="0.3")
     sp.add_argument("--ntimes", default="9")
     sp.add_argument("--pairs", default="10")
-    return p
+    return p, sub.choices
 
 
 def _field_flags(sp):
@@ -163,16 +147,47 @@ def _profile_flags(sp):
 
 
 def _load_config(path) -> dict:
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     out = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _UsageError(f"config line without '=': {line!r}")
+            raise _UsageError(f"config file {path}: line without '=': {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key.replace("-", "_")] = val
+        out[key.replace("_", "-")] = val
     return out
+
+
+def _parse(argv) -> argparse.Namespace:
+    """Parse argv over the defaults that a --config file (anywhere in argv) supplies.
+
+    Each subcommand parses the config entries it knows as flags, so its own
+    types and choices check them; the results become its defaults, which
+    explicit flags override.
+    """
+    parser, commands = _build_parser()
+    pre = _Parser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, rest = pre.parse_known_args(argv)
+    if known.config:
+        tokens = [f"--{key}" if val == "true" else f"--{key}={val}"
+                  for key, val in _load_config(known.config).items()]
+        for sp in commands.values():
+            try:
+                sp.set_defaults(**vars(sp.parse_known_args(tokens)[0]))
+            except _UsageError as exc:
+                raise _UsageError(f"config file {known.config}: {exc}") from None
+    args = parser.parse_args(rest)
+    for name in _REQUIRED.get(args.command, ()):
+        if getattr(args, name, None) is None:
+            flag = "--set" if name == "condition_set" else f"--{name.replace('_', '-')}"
+            raise _UsageError(f"{flag} is required for {args.command}")
+    return args
 
 
 def _outdir(args) -> Path:
@@ -180,25 +195,38 @@ def _outdir(args) -> Path:
     return Path(out)
 
 
-def _window_from(args) -> WindowSpec:
+def _window_from(args):
+    from .wiener import WindowSpec
     kind = {"cube": "cube-indicator", "gaussian": "gaussian", "bump": "smooth-bump"}[args.window]
     return WindowSpec(kind=kind, radius=float(args.window_radius),
                       step=float(args.window_step), normalization=args.window_norm)
 
 
-def _field_from(args) -> SampledField:
+def _field_from(args) -> tuple:
+    """(datum, source fields for report.json).
+
+    A container's first slice is the datum; the source fields name its slice
+    count and instant, and a container of several slices draws a warning.
+    """
+    from . import verify
+    from .grid import GridSpec, read_spacetime
     if args.input:
-        return read_field(args.input)
+        stf = read_spacetime(args.input)
+        slices, t0 = len(stf.times), float(stf.times[0])
+        if slices > 1:
+            print(f"warning: {args.input} holds {slices} slices; using the first, t = {t0:g}",
+                  file=sys.stderr)
+        return stf.slices[0], {"input_slices": slices, "input_time": t0}
     grid = GridSpec(int(args.grid_n), float(args.grid_l), int(args.grid_npts))
-    seed = int(args.seed)
+    seed = args.seed
     gen = args.gen
     if gen == "gaussian":
-        return verify.gaussian_datum(grid, width=float(args.width))
+        return verify.gaussian_datum(grid, width=float(args.width)), {}
     if gen == "modulated":
-        return verify.modulated_gaussian(grid, width=float(args.width), mode=int(args.mode))
+        return verify.modulated_gaussian(grid, width=float(args.width), mode=int(args.mode)), {}
     if gen == "band-limited":
-        return verify.band_limited_field(grid, seed)
-    return verify.spike_field(grid, seed)
+        return verify.band_limited_field(grid, seed), {}
+    return verify.spike_field(grid, seed), {}
 
 
 def _tuple_from(args) -> expo.ExponentTuple:
@@ -212,13 +240,11 @@ def _tuple_from(args) -> expo.ExponentTuple:
 
 
 # ---------------------------------------------------------------------------
-# command handlers (each returns the exit code)
+# command handlers: each writes its outputs into outdir and returns
+# (exit code, extra manifest fields)
 # ---------------------------------------------------------------------------
 
-def _cmd_check_tuple(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "check-tuple", _params(args), int(args.seed))
+def _cmd_check_tuple(args, outdir):
     if args.condition_set == "classical":
         rep = expo.is_schrodinger_admissible(
             as_extended(args.q or "2"), as_extended(args.r or "2"), int(args.n))
@@ -236,14 +262,10 @@ def _cmd_check_tuple(args) -> int:
     for c in rep.constraints:
         mark = "ok " if c.passed else "VIOLATED"
         print(f"  [{mark}] {c.name}" + ("" if c.slack is None else f"  (slack {fmt(c.slack)})"))
-    finalize_manifest(manifest, started, extra={"verdict": rep.verdict})
-    return 0
+    return 0, {"verdict": rep.verdict}
 
 
-def _cmd_region(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "region", _params(args), int(args.seed))
+def _cmd_region(args, outdir):
     free = tuple(s.strip() for s in args.free.split(",") if s.strip())
     fixed = {}
     if args.fixed:
@@ -266,15 +288,14 @@ def _cmd_region(args) -> int:
     accepted = sum(scan.verdicts)
     print(f"{args.condition_set}: {accepted}/{len(scan.verdicts)} accepted, "
           f"{len(bset)} boundary cells -> {outdir / 'mesh.csv'}")
-    finalize_manifest(manifest, started, extra={"accepted": int(accepted)})
-    return 0
+    return 0, {"accepted": int(accepted)}
 
 
-def _cmd_norm(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "norm", _params(args), int(args.seed))
-    fld = _field_from(args)
+def _cmd_norm(args, outdir):
+    from .grid import lebesgue_norm
+    from .propagator import hsigma_norm
+    from .wiener import amalgam_norm
+    fld, source = _field_from(args)
     if args.kind == "lebesgue":
         res = lebesgue_norm(fld, to_float(as_extended(args.p)))
     elif args.kind == "hsigma":
@@ -282,18 +303,19 @@ def _cmd_norm(args) -> int:
     else:
         res = amalgam_norm(fld, to_float(as_extended(args.p)),
                            to_float(as_extended(args.q)), _window_from(args))
-    (outdir / "report.json").write_text(json.dumps(res.to_json_dict(), indent=2) + "\n")
+    report = {**res.to_json_dict(), **source}
+    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     write_csv(outdir / "results.csv", ["space", "value"], [(res.space, res.value)])
     print(f"{res.space}: {res.value:.12g}")
-    finalize_manifest(manifest, started)
-    return 0
+    return 0, {}
 
 
-def _cmd_evolve(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "evolve", _params(args), int(args.seed))
-    fld = _field_from(args)
+def _cmd_evolve(args, outdir):
+    import numpy as np
+
+    from .grid import lebesgue_norm, write_spacetime
+    from .propagator import evolve_series
+    fld, _ = _field_from(args)
     times = np.array([float(s) for s in args.times.split(",")])
     stf = evolve_series(fld, times, float(args.sigma))
     rows = [(t, lebesgue_norm(s, 2).value, lebesgue_norm(s, np.inf).value)
@@ -302,28 +324,24 @@ def _cmd_evolve(args) -> int:
     if args.save_field:
         write_spacetime(stf, outdir / "evolved.bin")
     print(f"evolved {len(times)} slice(s) -> {outdir / 'results.csv'}")
-    finalize_manifest(manifest, started)
-    return 0
+    return 0, {}
 
 
 def _profile_from(args):
+    """The kernel's decay profile, and its health fields for the manifest."""
+    from .grid import GridSpec
+    from .propagator import kernel_amalgam_profile, profile_times
+    from .wiener import unit_cube_partition
     grid = GridSpec(int(args.n), float(args.grid_l), int(args.grid_npts))
     times = profile_times(float(args.tmin), float(args.tmax), int(args.per_decade))
-    return kernel_amalgam_profile(int(args.n), float(args.sigma),
+    prof = kernel_amalgam_profile(int(args.n), float(args.sigma),
                                   as_extended(args.rt), as_extended(args.r),
                                   unit_cube_partition(), times, grid)
+    return prof, {"converged": prof.converged, "max_est_error": float(prof.est_error.max())}
 
 
-def _profile_health(prof) -> dict:
-    return {"converged": prof.converged,
-            "max_est_error": float(np.max(prof.est_error))}
-
-
-def _cmd_kernel_profile(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "kernel-profile", _params(args), int(args.seed))
-    prof = _profile_from(args)
+def _cmd_kernel_profile(args, outdir):
+    prof, health = _profile_from(args)
     write_csv(outdir / "results.csv", ["t", "value", "est_error"],
               list(zip(prof.times, prof.values, prof.est_error)))
     (outdir / "profile.json").write_text(json.dumps(
@@ -332,16 +350,13 @@ def _cmd_kernel_profile(args) -> int:
          "est_error": list(prof.est_error)}, indent=2, default=float) + "\n")
     print(f"profile over {len(prof.times)} instants -> {outdir / 'results.csv'}"
           + ("" if prof.converged else "  [kernel flags: not fully converged]"))
-    finalize_manifest(manifest, started, extra=_profile_health(prof))
-    return 0
+    return 0, health
 
 
-def _cmd_fit_decay(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "fit-decay", _params(args), int(args.seed))
-    prof = _profile_from(args)
-    small, large = verify.fit_decay(prof)
+def _cmd_fit_decay(args, outdir):
+    from .verify import fit_decay
+    prof, health = _profile_from(args)
+    small, large = fit_decay(prof)
     write_csv(outdir / "results.csv",
               ["regime", "slope", "predicted", "abs_error", "r_squared"],
               [(f.regime, f.slope, f.predicted, f.abs_error, f.r_squared)
@@ -353,78 +368,70 @@ def _cmd_fit_decay(args) -> int:
         ok = ok and status == "ok"
         print(f"{f.regime}-time: slope {f.slope:+.4f}  predicted "
               f"{f.predicted:+.4f}  |err| {f.abs_error:.4f}  [{status}]")
-    finalize_manifest(manifest, started, extra={
-        "within_tolerance": ok, **_profile_health(prof),
-        "r_squared": {f.regime: f.r_squared for f in (small, large)}})
-    return 0 if ok else CHECK_FAILED
+    return (0 if ok else CHECK_FAILED), {
+        "within_tolerance": ok, **health,
+        "r_squared": {f.regime: f.r_squared for f in (small, large)}}
 
 
-def _cmd_ratio(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "ratio", _params(args), int(args.seed))
+def _cmd_ratio(args, outdir):
+    from .verify import default_ratio_times, strichartz_ratio
+    from .wiener import unit_cube_partition
     tup = _tuple_from(args)
-    fld = _field_from(args)
-    times = verify.default_ratio_times(t_outer=float(args.t_outer))
-    res = verify.strichartz_ratio(fld, tup, unit_cube_partition(),
-                                  unit_cube_partition(), times=times,
-                                  weak=bool(args.weak))
+    fld, _ = _field_from(args)
+    times = default_ratio_times(t_outer=float(args.t_outer))
+    res = strichartz_ratio(fld, tup, unit_cube_partition(),
+                           unit_cube_partition(), times=times,
+                           weak=bool(args.weak))
     write_csv(outdir / "results.csv", ["ratio", "numerator", "denominator"],
               [(res.value, res.numerator, res.denominator)])
     print(f"ratio = {res.value:.6g}  (numerator {res.numerator:.6g}, "
           f"denominator {res.denominator:.6g})")
-    finalize_manifest(manifest, started, extra={"ratio": res.value})
-    return 0
+    return 0, {"ratio": res.value}
 
 
-def _cmd_suite(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "suite", _params(args), int(args.seed))
-    rep = verify.property_suite(seed=int(args.seed), corpus_size=int(args.corpus_size))
+def _cmd_suite(args, outdir):
+    from .verify import property_suite
+    rep = property_suite(seed=args.seed, corpus_size=int(args.corpus_size))
     write_csv(outdir / "results.csv", ["property", "passed"],
               [(r.name, int(r.passed)) for r in rep.results])
     print(rep.summary())
-    finalize_manifest(manifest, started, extra={"passed": rep.passed})
-    return 0 if rep.passed else CHECK_FAILED
+    return (0 if rep.passed else CHECK_FAILED), {"passed": rep.passed}
 
 
-def _cmd_hls(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "hls", _params(args), int(args.seed))
-    rep = verify.hls_check_1d(args.p, args.alpha, trials=int(args.trials),
-                              seed=int(args.seed))
+def _cmd_hls(args, outdir):
+    import numpy as np
+
+    from .verify import hls_check_1d
+    rep = hls_check_1d(args.p, args.alpha, trials=int(args.trials), seed=args.seed)
     if not rep.accepted:
         print(f"reject: {rep.reason}")
         write_csv(outdir / "results.csv", ["verdict", "reason"], [("reject", rep.reason)])
-        finalize_manifest(manifest, started, extra={"verdict": "reject"})
-        return 0
+        return 0, {"verdict": "reject"}
     write_csv(outdir / "results.csv", ["max_ratio", "median_ratio", "refined_max"],
               [(rep.max_ratio, float(np.median(rep.ratios)), rep.refined_max)])
     stable = rep.refinement_stable
     print(f"q = {fmt(rep.q)}; max ratio {rep.max_ratio:.6g}, refined {rep.refined_max:.6g}, "
           f"stable within x1.5: {stable}")
-    finalize_manifest(manifest, started, extra={"stable": stable})
-    return 0 if stable else CHECK_FAILED
+    return (0 if stable else CHECK_FAILED), {"stable": stable}
 
 
-def _cmd_bilinear(args) -> int:
-    outdir = _outdir(args)
-    started = time.time()
-    manifest = write_manifest(outdir, "bilinear", _params(args), int(args.seed))
+def _cmd_bilinear(args, outdir):
+    import numpy as np
+
+    from .grid import GridSpec
+    from .verify import bilinear_form, factorized_bilinear_form
     grid = GridSpec(int(args.grid_n), float(args.grid_l), int(args.grid_npts))
     ntimes = int(args.ntimes)
     times = np.linspace(-1.0, 1.0, ntimes)
-    rng_base = int(args.seed)
+    rng_base = args.seed
     sigma = float(args.sigma)
     worst = 0.0
     rows = []
     for k in range(int(args.pairs)):
         F = _random_stf(grid, times, rng_base + 2 * k)
         G = _random_stf(grid, times, rng_base + 2 * k + 1)
-        direct = verify.bilinear_form(F, G, sigma)
-        fact = verify.factorized_bilinear_form(F, G, sigma)
+        direct = bilinear_form(F, G, sigma)
+        fact = factorized_bilinear_form(F, G, sigma)
         rel = abs(direct - fact) / max(abs(direct), 1e-300)
         worst = max(worst, rel)
         rows.append((k, direct.real, direct.imag, rel))
@@ -432,14 +439,62 @@ def _cmd_bilinear(args) -> int:
     ok = worst <= 1e-8
     print(f"max relative difference over {args.pairs} pairs: {worst:.3e}  "
           f"[{'ok' if ok else 'FAIL'}]")
-    finalize_manifest(manifest, started, extra={"max_rel_diff": worst})
-    return 0 if ok else CHECK_FAILED
+    return (0 if ok else CHECK_FAILED), {"max_rel_diff": worst}
 
 
 def _random_stf(grid, times, seed):
     from .grid import SpaceTimeField
-    slices = [verify.band_limited_field(grid, seed * 1000 + i) for i in range(len(times))]
+    from .verify import band_limited_field
+    slices = [band_limited_field(grid, seed * 1000 + i) for i in range(len(times))]
     return SpaceTimeField(grid, times, slices)
+
+
+# ---------------------------------------------------------------------------
+# run manifests / CSV output
+# ---------------------------------------------------------------------------
+
+def _fmt_float(x) -> str:
+    if isinstance(x, float):
+        return format(x, ".17g")
+    return str(x)
+
+
+def write_csv(path, header, rows) -> None:
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt_float(v) for v in row))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_manifest(outdir, command: str, params: dict, seed: int | None = None,
+                   status: str = "incomplete", extra: dict | None = None) -> Path:
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    from . import __version__
+    manifest = {
+        "command": command,
+        "params": params,
+        "seed": seed,
+        "status": status,
+        "tool_version": __version__,
+        "wall_time_s": None,
+    }
+    if extra:
+        manifest.update(extra)
+    path = outdir / "manifest.json"
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
+    return path
+
+
+def finalize_manifest(path, started: float, status: str = "complete",
+                      extra: dict | None = None) -> None:
+    path = Path(path)
+    manifest = json.loads(path.read_text())
+    manifest["status"] = status
+    manifest["wall_time_s"] = round(time.time() - started, 3)
+    if extra:
+        manifest.update(extra)
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
 
 
 def _params(args) -> dict:
@@ -472,33 +527,32 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    """Run one command; its manifest is written first and finalised last.
+
+    A handler that raises leaves the manifest ``failed`` with the error; a
+    ValueError or OSError (bad input) is a one-line usage error.
+    """
     try:
-        if "--config" in argv:
-            idx = argv.index("--config")
-            cfg = _load_config(argv[idx + 1])
-            rest = argv[:idx] + argv[idx + 2:]
-            args = parser.parse_args(rest)
-            for key, val in cfg.items():
-                explicit = f"--{key.replace('_', '-')}" in rest
-                if hasattr(args, key) and not explicit:
-                    setattr(args, key, val)
-        else:
-            args = parser.parse_args(argv)
+        args = _parse(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
         return USAGE_ERROR
-    for name in _REQUIRED.get(args.command, ()):
-        if getattr(args, name, None) is None:
-            flag = "--set" if name == "condition_set" else f"--{name.replace('_', '-')}"
-            print(f"usage error: {flag} is required for {args.command}", file=sys.stderr)
-            return USAGE_ERROR
+    outdir = _outdir(args)
+    started = time.time()
+    manifest = None
     try:
-        return _HANDLERS[args.command](args)
-    except (ValueError, FileNotFoundError) as exc:
+        manifest = write_manifest(outdir, args.command, _params(args), args.seed)
+        code, extra = _HANDLERS[args.command](args, outdir)
+    except Exception as exc:
+        if manifest is not None:
+            finalize_manifest(manifest, started, "failed",
+                              extra={"error": f"{type(exc).__name__}: {exc}"})
+        if not isinstance(exc, (ValueError, OSError)):
+            raise
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finalize_manifest(manifest, started, extra=extra)
+    return code
 
 
 def main() -> None:

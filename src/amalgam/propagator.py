@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, hyp1f1
 
 from .extreal import as_extended, to_float
 from .grid import (
@@ -189,6 +188,7 @@ def mollified_power_ft(n: int, power: float, w, radii: np.ndarray) -> np.ndarray
     w = i t continues it analytically to the kernel K_t, and the principal
     branch of w^{-a} gives the complex conjugate for t < 0.
     """
+    from scipy.special import gammaln, hyp1f1  # here, not at the top: slow to import
     if w == 0 or np.real(w) < 0:
         raise ValueError("Gaussian width must be nonzero with Re w >= 0")
     a = (n - power) / 2.0
@@ -236,6 +236,7 @@ def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
     of a Bessel function), while hyp1f1's rounding error stays a fraction
     of the envelope.
     """
+    from scipy.special import gammaln
     n = int(n)
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")

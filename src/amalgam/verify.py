@@ -7,17 +7,14 @@ The harness asserts slopes, identities and refinement stability — claims
 decidable at desk scale — and records constants instead of asserting
 them.
 
-Experiments emit a JSON run manifest plus CSV results (see cli).
+The command line (cli) writes each experiment's run manifest and CSV results.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -75,8 +72,6 @@ __all__ = [
     "modulated_gaussian",
     "spike_field",
     "default_ratio_times",
-    "write_manifest",
-    "write_csv",
 ]
 
 
@@ -700,51 +695,3 @@ def window_equivalence_bracket(grid: GridSpec, p, q, seed: int = 0,
         b = amalgam_norm(f, p, q, wc).value
         ratios.append(a / b)
     return min(ratios), max(ratios), ratios
-
-
-# ---------------------------------------------------------------------------
-# run manifests / CSV output
-# ---------------------------------------------------------------------------
-
-def _fmt_float(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".17g")
-    return str(x)
-
-
-def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_manifest(outdir, command: str, params: dict, seed: int | None = None,
-                   status: str = "incomplete", extra: dict | None = None) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    from . import __version__
-    manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
-        "status": status,
-        "tool_version": __version__,
-        "wall_time_s": None,
-    }
-    if extra:
-        manifest.update(extra)
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
-    return path
-
-
-def finalize_manifest(path, started: float, status: str = "complete",
-                      extra: dict | None = None) -> None:
-    path = Path(path)
-    manifest = json.loads(path.read_text())
-    manifest["status"] = status
-    manifest["wall_time_s"] = round(time.time() - started, 3)
-    if extra:
-        manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")

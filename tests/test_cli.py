@@ -1,8 +1,13 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import pytest
+
+import amalgam
 from amalgam.cli import run
 
 
@@ -68,6 +73,16 @@ class TestManifest:
         assert manifest["wall_time_s"] is not None
         assert (tmp_path / "results.csv").exists()
 
+    def test_handler_error_marks_manifest_failed(self, tmp_path, capsys):
+        code = invoke(["check-tuple", "--set", "classical", "--q", "spam",
+                       "--r", "2", "--n", "1"], tmp_path)
+        assert code == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"].startswith("ValueError") and "spam" in manifest["error"]
+        assert manifest["wall_time_s"] is not None
+
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("AMALGAM_OUT", str(tmp_path / "envdir"))
         code = run(["norm", "--kind", "lebesgue", "--gen", "gaussian",
@@ -114,6 +129,51 @@ class TestConfigFile:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verdict"] == "reject"  # r=4 from the command line wins
 
+    def test_equals_form_overrides_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 1\n")
+        code = run(["--config", str(cfg), "check-tuple", "--set", "classical",
+                    "--n=2", "--q", "4", "--r", "4", "--out", str(tmp_path)])
+        assert code == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdict"] == "accept"  # 2/4 + 2/4 = n/2 only for n = 2
+
+    @pytest.mark.parametrize("argv", [
+        ["check-tuple", "--set", "classical", "--n", "2", "--config"],
+        ["--config"],
+    ])
+    def test_config_without_value(self, capsys, argv):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--config" in err and "Traceback" not in err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "absent.cfg"
+        code = run(["--config", str(cfg), "check-tuple", "--set", "classical",
+                    "--n", "2", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(cfg) in err
+
+    def test_config_value_outside_choices(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window = foo\n")
+        code = run(["--config", str(cfg), "norm", "--kind", "amalgam",
+                    "--grid-npts", "128", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "invalid choice: 'foo'" in err and str(cfg) in err
+
+    def test_config_sets_valueless_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("save-field = true\ngrid_npts = 64\n")
+        code = run(["--config", str(cfg), "evolve", "--times", "0.5",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "evolved.bin").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["params"]["grid_npts"] == "64"
+
 
 class TestCommands:
     def test_evolve_writes_slices(self, tmp_path):
@@ -131,6 +191,20 @@ class TestCommands:
         code = invoke(["norm", "--kind", "lebesgue", "--p", "2",
                        "--input", str(tmp_path / "evolved.bin")], tmp_path)
         assert code == 0
+
+    def test_norm_input_reports_slice_used(self, tmp_path, capsys):
+        assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
+                       "--times", "0.2,5", "--save-field"], tmp_path) == 0
+        capsys.readouterr()
+        path = tmp_path / "evolved.bin"
+        code = invoke(["norm", "--kind", "lebesgue", "--p", "inf", "--input", str(path)],
+                      tmp_path)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "2 slices" in err and "t = 0.2" in err
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["input_slices"] == 2
+        assert report["input_time"] == 0.2
 
     def test_truncated_container_is_usage_error(self, tmp_path, capsys):
         assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
@@ -185,3 +259,59 @@ class TestConsoleScript:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "check-tuple" in proc.stdout
+
+
+# a fresh interpreter that imports this checkout's amalgam
+_SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(amalgam.__file__).resolve().parents[1]))
+
+_FOOTPRINT = """
+import json, sys
+from amalgam.cli import run
+for argv in json.loads(sys.argv[1]):
+    assert run(argv + ["--out", sys.argv[2]]) == 0, argv
+print(json.dumps(sorted(m for m in ("numpy", "scipy", "scipy.special") if m in sys.modules)))
+"""
+
+
+def _modules_after(commands, out) -> list:
+    """Which of numpy, scipy, scipy.special a fresh interpreter holds after running commands."""
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands), str(out)],
+                          capture_output=True, text=True, env=_SRC_ENV)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    def test_verdict_commands_skip_numpy(self, tmp_path):
+        assert _modules_after([
+            ["check-tuple", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--qt", "2",
+             "--rt", "inf", "--q", "10", "--r", "inf"],
+            ["region", "--set", "proposition", "--n", "1", "--sigma", "0.3",
+             "--free", "rt,r", "--resolution", "8"],
+        ], tmp_path) == []
+
+    def test_field_commands_skip_scipy(self, tmp_path):
+        assert _modules_after([
+            ["norm", "--kind", "amalgam", "--grid-npts", "64"],
+            ["evolve", "--grid-npts", "64", "--times", "0.1,0.2"],
+            ["ratio", "--n", "1", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
+             "--q", "10", "--r", "inf", "--grid-npts", "128", "--t-outer", "2"],
+            ["bilinear", "--grid-npts", "16", "--ntimes", "3", "--pairs", "1"],
+            ["suite", "--corpus-size", "4"],
+        ], tmp_path) == ["numpy"]
+
+    def test_kernel_commands_load_scipy_special(self, tmp_path):
+        assert _modules_after([
+            ["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
+             "--grid-l", "8", "--grid-npts", "64", "--per-decade", "2"],
+        ], tmp_path) == ["numpy", "scipy", "scipy.special"]
+
+    def test_package_names_resolve_lazily(self):
+        code = ("import sys, amalgam; assert 'numpy' not in sys.modules; "
+                "from amalgam import GridSpec, kernel_eval; "
+                "assert GridSpec.__module__ == 'amalgam.grid'; "
+                "assert kernel_eval.__module__ == 'amalgam.propagator'; "
+                "assert all(getattr(amalgam, name) for name in amalgam.__all__)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_SRC_ENV)
+        assert proc.returncode == 0, proc.stderr

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from amalgam.cli import finalize_manifest, write_csv, write_manifest
 from amalgam.exponents import ExponentTuple
 from amalgam.grid import GridSpec, SampledField, SpaceTimeField
 from amalgam.propagator import DecayProfile
@@ -12,7 +13,6 @@ from amalgam.verify import (
     classical_scaling_sweep,
     default_ratio_times,
     factorized_bilinear_form,
-    finalize_manifest,
     fit_decay,
     frequency_ratio_sweep,
     hls_check_1d,
@@ -21,8 +21,6 @@ from amalgam.verify import (
     power_kernel_convolution,
     property_suite,
     strichartz_ratio,
-    write_csv,
-    write_manifest,
 )
 from amalgam.wiener import WindowSpec, unit_cube_partition
 
