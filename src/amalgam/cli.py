@@ -209,14 +209,14 @@ def _field_from(args) -> tuple:
     count and instant, and a container of several slices draws a warning.
     """
     from . import verify
-    from .grid import GridSpec, read_spacetime
+    from .grid import GridSpec, SampledField, read_spacetime
     if args.input:
         stf = read_spacetime(args.input)
         slices, t0 = len(stf.times), float(stf.times[0])
         if slices > 1:
             print(f"warning: {args.input} holds {slices} slices; using the first, t = {t0:g}",
                   file=sys.stderr)
-        return stf.slices[0], {"input_slices": slices, "input_time": t0}
+        return SampledField(stf.grid, stf.values[0]), {"input_slices": slices, "input_time": t0}
     grid = GridSpec(int(args.grid_n), float(args.grid_l), int(args.grid_npts))
     seed = args.seed
     gen = args.gen
@@ -270,7 +270,9 @@ def _cmd_region(args, outdir):
     fixed = {}
     if args.fixed:
         for item in args.fixed.split(","):
-            name, val = item.split("=", 1)
+            name, eq, val = item.partition("=")
+            if not eq:
+                raise ValueError(f"--fixed takes name=value items, got {item!r}")
             fixed[name.strip()] = as_extended(val.strip())
     scan = expo.sample_region(args.condition_set, n=int(args.n),
                               sigma=as_extended(args.sigma),
@@ -313,14 +315,13 @@ def _cmd_norm(args, outdir):
 def _cmd_evolve(args, outdir):
     import numpy as np
 
-    from .grid import lebesgue_norm, write_spacetime
+    from .grid import _lp, write_spacetime
     from .propagator import evolve_series
     fld, _ = _field_from(args)
     times = np.array([float(s) for s in args.times.split(",")])
     stf = evolve_series(fld, times, float(args.sigma))
-    rows = [(t, lebesgue_norm(s, 2).value, lebesgue_norm(s, np.inf).value)
-            for t, s in zip(stf.times, stf.slices)]
-    write_csv(outdir / "results.csv", ["t", "l2", "sup"], rows)
+    write_csv(outdir / "results.csv", ["t", "l2", "sup"],
+              zip(stf.times, _lp(stf.values, 2, stf.grid), _lp(stf.values, np.inf, stf.grid)))
     if args.save_field:
         write_spacetime(stf, outdir / "evolved.bin")
     print(f"evolved {len(times)} slice(s) -> {outdir / 'results.csv'}")
@@ -443,10 +444,12 @@ def _cmd_bilinear(args, outdir):
 
 
 def _random_stf(grid, times, seed):
+    import numpy as np
+
     from .grid import SpaceTimeField
     from .verify import band_limited_field
-    slices = [band_limited_field(grid, seed * 1000 + i) for i in range(len(times))]
-    return SpaceTimeField(grid, times, slices)
+    return SpaceTimeField(grid, times, np.array(
+        [band_limited_field(grid, seed * 1000 + i).values for i in range(len(times))]))
 
 
 # ---------------------------------------------------------------------------

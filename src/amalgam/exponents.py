@@ -21,10 +21,11 @@ corollary    : the region produced by the theta = 1/2 bilinear
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .extreal import INF, as_extended, fmt, from_recip, recip
+from .extreal import INF, as_extended, as_rational, fmt, from_recip, recip
 
 __all__ = [
     "ExponentTuple",
@@ -56,7 +57,7 @@ class ExponentTuple:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "sigma", Fraction(as_extended(self.sigma)))
+        object.__setattr__(self, "sigma", as_rational(self.sigma))
         if self.sigma < 0:
             raise ValueError(f"smoothing order must be >= 0, got {self.sigma}")
         for name in ("qt", "rt", "q", "r"):
@@ -86,11 +87,15 @@ class ConstraintCheck:
     slack: Fraction | None = None  # margin in reciprocal coordinates
 
     def to_json_dict(self) -> dict:
+        try:
+            approx = None if self.slack is None else float(self.slack)
+        except OverflowError:  # an exact slack beyond float64, written as NormResult writes inf
+            approx = "inf" if self.slack > 0 else "-inf"
         return {
             "name": self.name,
             "passed": self.passed,
             "slack": None if self.slack is None else fmt(self.slack),
-            "slack_float": None if self.slack is None else float(self.slack),
+            "slack_float": approx,
         }
 
 
@@ -103,10 +108,6 @@ class RegionReport:
     @property
     def verdict(self) -> bool:
         return all(c.passed for c in self.constraints)
-
-    @property
-    def accepted(self) -> bool:
-        return self.verdict
 
     def failed(self) -> list:
         return [c for c in self.constraints if not c.passed]
@@ -199,7 +200,7 @@ def satisfies_prop_kernel(n: int, sigma, rt, r) -> RegionReport:
     For sigma <= n/4 the small-order case applies, for sigma >= n/4 the
     large-order case; exactly at n/4 either strict inequality suffices.
     """
-    sigma = Fraction(as_extended(sigma))
+    sigma = as_rational(sigma)
     urt, ur = recip(rt), recip(r)
     rep = RegionReport(label="proposition")
     rep.constraints.append(_ge("rt >= 2", Fraction(1, 2), urt))
@@ -279,7 +280,7 @@ def predicted_kernel_decay(n: int, sigma, rt, r):
     ``extrapolated`` is True when (n, sigma, rt, r) lies outside the
     kernel-decay region, in which case the exponents are formal.
     """
-    sigma = Fraction(as_extended(sigma))
+    sigma = as_rational(sigma)
     urt, ur = recip(rt), recip(r)
     small = -Fraction(n, 2) + sigma + (n - 1) * urt
     large = small + n * ur
@@ -292,7 +293,7 @@ def classical_sobolev_line(n: int, sigma, q):
 
     Raises when no admissible r >= 2 exists, naming the violated bound.
     """
-    sigma = Fraction(as_extended(sigma))
+    sigma = as_rational(sigma)
     if not (0 < sigma < Fraction(n, 2)):
         raise ValueError(f"sigma must lie in (0, n/2), got {sigma}")
     uq = recip(q)
@@ -336,9 +337,9 @@ def _solve_missing(condition_set: str, n: int, sigma, urec: dict) -> dict | None
     elif condition_set == "theorem":
         if urec.get("rt") is None:
             raise ValueError("cannot solve the trade-off equality without rt")
-        rhs = Fraction(n, 2) - Fraction(as_extended(sigma)) - (n - 1) * urec["rt"]
+        rhs = Fraction(n, 2) - as_rational(sigma) - (n - 1) * urec["rt"]
     elif condition_set == "corollary":
-        rhs = Fraction(n, 2) - Fraction(as_extended(sigma))
+        rhs = Fraction(n, 2) - as_rational(sigma)
     else:
         raise ValueError(
             f"condition set {condition_set!r} has no equality to solve {name} from")
@@ -383,29 +384,16 @@ def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
         if f not in names:
             raise ValueError(
                 f"{f!r} is not a coordinate of the {condition_set} region")
-    base = {}
-    for name in names:
-        if name in free:
-            base[name] = None
-        elif name in fixed:
-            base[name] = recip(fixed[name])
-        else:
-            base[name] = "solve"
+    # fixed reciprocals; None marks the one left to solve from the equality clause
+    base = {name: recip(fixed[name]) if name in fixed else None
+            for name in names if name not in free}
     steps = [Fraction(k, resolution) for k in range(resolution + 1)]
-    grids = [steps] * len(free)
-    shape = tuple(len(g) for g in grids)
+    # scan points in row-major order, the last free coordinate fastest
+    indices = list(itertools.product(range(resolution + 1), repeat=len(free)))
     coords, tuples, verdicts = [], [], []
-    for flat in range(_count(shape)):
-        idx = _unravel(flat, shape)
-        point = {free[d]: grids[d][idx[d]] for d in range(len(free))}
-        urec = {}
-        for name in names:
-            if base[name] is None:
-                urec[name] = point[name]
-            elif base[name] == "solve":
-                urec[name] = None
-            else:
-                urec[name] = base[name]
+    for idx in indices:
+        point = {f: steps[i] for f, i in zip(free, idx)}
+        urec = {name: point[name] if name in free else base[name] for name in names}
         solved = _solve_missing(condition_set, n, sigma, urec)
         coords.append(point)
         if solved is None:
@@ -418,46 +406,11 @@ def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
                             q=from_recip(full["q"]), r=from_recip(full["r"]))
         tuples.append(tup)
         verdicts.append(predicate(tup).verdict)
-    boundary = []
-    for flat, v in enumerate(verdicts):
-        if not v:
-            continue
-        idx = _unravel(flat, shape)
-        for d in range(len(shape)):
-            for delta in (-1, 1):
-                j = list(idx)
-                j[d] += delta
-                if j[d] < 0 or j[d] >= shape[d]:
-                    boundary.append(coords[flat])
-                    break
-                if not verdicts[_ravel(tuple(j), shape)]:
-                    boundary.append(coords[flat])
-                    break
-            else:
-                continue
-            break
+    # an accepted point with a rejected neighbour, or none (off the scan), is boundary
+    accepted = {idx for idx, v in zip(indices, verdicts) if v}
+    boundary = [point for idx, point in zip(indices, coords) if idx in accepted and any(
+        idx[:d] + (idx[d] + delta,) + idx[d + 1:] not in accepted
+        for d in range(len(idx)) for delta in (-1, 1))]
     return RegionScan(condition_set=condition_set, axes=free, resolution=resolution,
                       coords=coords, tuples=tuples, verdicts=verdicts,
                       boundary=boundary)
-
-
-def _count(shape: tuple) -> int:
-    total = 1
-    for s in shape:
-        total *= s
-    return total
-
-
-def _unravel(flat: int, shape: tuple) -> tuple:
-    idx = []
-    for s in reversed(shape):
-        idx.append(flat % s)
-        flat //= s
-    return tuple(reversed(idx))
-
-
-def _ravel(idx: tuple, shape: tuple) -> int:
-    flat = 0
-    for i, s in zip(idx, shape):
-        flat = flat * s + i
-    return flat

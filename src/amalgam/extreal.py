@@ -26,7 +26,10 @@ def as_extended(x) -> ExtReal:
         s = x.strip().lower()
         if s in ("inf", "infinity", "oo"):
             return INF
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {x!r} has a zero denominator") from None
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):
@@ -38,13 +41,21 @@ def as_extended(x) -> ExtReal:
     raise TypeError(f"cannot interpret {x!r} as an extended real")
 
 
+def as_rational(x) -> Fraction:
+    """as_extended for a quantity that must be finite (an order, not an exponent)."""
+    val = as_extended(x)
+    if val is INF:
+        raise ValueError(f"expected a finite value, got {x!r}")
+    return Fraction(val)
+
+
 def recip(x) -> Fraction:
     """1/x with 1/inf = 0, exact."""
     x = as_extended(x)
     if x is INF or (isinstance(x, float) and math.isinf(x)):
         return Fraction(0)
     if x == 0:
-        raise ZeroDivisionError("reciprocal of zero exponent")
+        raise ValueError("an exponent of 0 has no reciprocal; exponents lie in [1, inf]")
     return Fraction(1) / Fraction(x)
 
 
@@ -68,7 +79,10 @@ def to_float(x) -> float:
     x = as_extended(x)
     if x is INF or (isinstance(x, float) and math.isinf(x)):
         return math.inf
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError("exponent beyond the float64 range; use inf") from None
 
 
 def fmt(x) -> str:

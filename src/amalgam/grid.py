@@ -18,10 +18,10 @@ fixed summation order, so results are reproducible run to run.
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -62,8 +62,9 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        if not 0 < self.length < np.inf:
-            raise ValueError(f"box half-length must be positive and finite, got {self.length}")
+        # keeps dx^n, (dxi / 2 pi)^n and |xi|^2 well inside the float64 range
+        if not 1e-50 <= self.length <= 1e50:
+            raise ValueError(f"box half-length must lie in [1e-50, 1e50], got {self.length}")
         N = self.npts
         if N < 8 or (N & (N - 1)) != 0:
             raise ValueError(f"points per axis must be a power of two >= 8, got {N}")
@@ -115,6 +116,16 @@ class GridSpec:
         return np.sqrt(sum(c ** 2 for c in mesh))
 
 
+def _checked(values, shape: tuple) -> np.ndarray:
+    """values as a complex array of the given shape, all finite."""
+    values = np.asarray(values, dtype=complex)
+    if values.shape != shape:
+        raise ValueError(f"value shape {values.shape} does not match {shape}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("field contains non-finite entries")
+    return values
+
+
 @dataclass
 class SampledField:
     """One complex amplitude per lattice point."""
@@ -124,13 +135,7 @@ class SampledField:
     label: str = ""
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != self.grid.shape:
-            raise ValueError(
-                f"value shape {self.values.shape} does not match grid {self.grid.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
+        self.values = _checked(self.values, self.grid.shape)
 
     def copy(self, label: str | None = None) -> "SampledField":
         return SampledField(self.grid, self.values.copy(),
@@ -139,11 +144,15 @@ class SampledField:
 
 @dataclass
 class SpaceTimeField:
-    """A time-indexed family of SampledFields on one shared grid."""
+    """A field at T instants on one grid: ``values[k]`` is the slice at ``times[k]``.
+
+    ``values`` is one complex (T, *grid.shape) array, T * N^n * 16 bytes
+    (576 slices of 128^2 take 151 MB); it is checked once, on construction.
+    """
 
     grid: GridSpec
     times: np.ndarray
-    slices: list = field(default_factory=list)
+    values: np.ndarray
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -151,21 +160,7 @@ class SpaceTimeField:
             raise ValueError("times must be a non-empty 1-D array")
         if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-        if len(self.slices) != len(self.times):
-            raise ValueError("one slice per time instant required")
-        for s in self.slices:
-            if s.grid != self.grid:
-                raise ValueError("all slices must share the same grid")
-
-    @classmethod
-    def from_values(cls, grid: GridSpec, times, values) -> "SpaceTimeField":
-        """Build from an array of shape (ntimes, *grid.shape)."""
-        values = np.asarray(values, dtype=complex)
-        slices = [SampledField(grid, v) for v in values]
-        return cls(grid, np.asarray(times, float), slices)
-
-    def value_array(self) -> np.ndarray:
-        return np.stack([s.values for s in self.slices])
+        self.values = _checked(self.values, self.times.shape + self.grid.shape)
 
 
 @dataclass
@@ -217,22 +212,44 @@ def _phase(grid: GridSpec) -> np.ndarray:
     return out
 
 
+def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np.ndarray:
+    """transform() over the trailing grid axes of a (..., *g.shape) array.
+
+    All leading slices go through one batched FFT; ``out`` may be ``values``
+    itself, and the transform then runs in place.
+    """
+    axes = tuple(range(-g.n, 0))
+    ph = _phase(g)
+    if inverse:
+        # (dxi/2pi)^n sum = ifftn * N^n * (dxi/2pi)^n = ifftn / dx^n
+        out = np.multiply(values, ph, out=out)
+        np.fft.ifftn(out, axes=axes, out=out)
+        out /= g.cell_volume
+    else:
+        out = np.fft.fftn(values, axes=axes, out=out)
+        out *= g.cell_volume * ph
+    return out
+
+
 def transform(fld: SampledField, direction: str = "forward") -> SampledField:
     """Forward ('forward') or inverse ('inverse') discrete Fourier transform.
 
     Forward output lives on the frequency lattice in FFT order; the phase
     factor accounts for the position lattice starting at -L.
     """
-    g = fld.grid
-    ph = _phase(g)
-    if direction == "forward":
-        vals = g.cell_volume * ph * np.fft.fftn(fld.values)
-    elif direction == "inverse":
-        # (dxi/2pi)^n sum = ifftn * N^n * (dxi/2pi)^n = ifftn / dx^n
-        vals = np.fft.ifftn(ph * fld.values) / g.cell_volume
-    else:
+    if direction not in ("forward", "inverse"):
         raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return SampledField(g, vals, fld.label)
+    return SampledField(fld.grid, _dft(fld.values, fld.grid, direction == "inverse"), fld.label)
+
+
+def _lp(values: np.ndarray, p: float, g: GridSpec) -> np.ndarray:
+    """Riemann-sum L^p norms over the trailing grid axes; lattice max for p = inf."""
+    a = np.abs(values)
+    axes = tuple(range(-g.n, 0))
+    if np.isinf(p):
+        return a.max(axis=axes)
+    a **= p
+    return (np.sum(a, axis=axes) * g.cell_volume) ** (1.0 / p)
 
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
@@ -240,11 +257,7 @@ def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
     p = float(p)
     if p < 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    a = np.abs(fld.values)
-    if np.isinf(p):
-        value = float(a.max())
-    else:
-        value = float((np.sum(a ** p) * fld.grid.cell_volume) ** (1.0 / p))
+    value = float(_lp(fld.values, p, fld.grid))
     return NormResult(
         value=value,
         space="lebesgue",
@@ -274,7 +287,7 @@ def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> NormResult:
     q, r = float(q), float(r)
     if q < 1 or r < 1:
         raise ValueError("exponents must be in [1, inf]")
-    spatial = np.array([lebesgue_norm(s, r).value for s in stf.slices])
+    spatial = _lp(stf.values, r, stf.grid)
     w = trapezoid_weights(stf.times)
     if np.isinf(q):
         value = float(spatial.max())
@@ -314,8 +327,9 @@ def check_boundary_mass(fld: SampledField, tol: float = BOUNDARY_MASS_TOL) -> fl
 
 
 # ---------------------------------------------------------------------------
-# Binary container: header (n, L, N, slice count, times) + interleaved
-# re/im float64 per slice, all little-endian.
+# Binary container: header (n, L, N, slice count), the instants, then the
+# (T, *shape) values as complex128 (each sample's re and im float64 side by
+# side), all little-endian.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<qdqq")
@@ -326,40 +340,35 @@ def write_spacetime(stf: SpaceTimeField, path) -> None:
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(g.n, g.length, g.npts, len(stf.times)))
         fh.write(np.asarray(stf.times, dtype="<f8").tobytes())
-        for s in stf.slices:
-            flat = np.ascontiguousarray(s.values).ravel()
-            inter = np.empty(2 * flat.size, dtype="<f8")
-            inter[0::2] = flat.real
-            inter[1::2] = flat.imag
-            fh.write(inter.tobytes())
+        fh.write(np.ascontiguousarray(stf.values, dtype="<c16"))
 
 
 def read_spacetime(path) -> SpaceTimeField:
     """Read a container; a bad header or byte count is a ValueError naming the file."""
-    data = Path(path).read_bytes()
     try:
-        if len(data) < _HEADER.size:
-            raise ValueError(f"{len(data)} bytes, shorter than the {_HEADER.size}-byte header")
-        n, length, npts, nslices = _HEADER.unpack_from(data)
-        if n not in (1, 2, 3) or npts < 1 or nslices < 1:
-            raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
-        want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
-        if len(data) != want:
-            raise ValueError(f"{len(data)} bytes, but its header (n={n}, npts={npts}, "
-                             f"slices={nslices}) needs {want}")
-        grid = GridSpec(n=n, length=length, npts=npts)
-        flat = np.frombuffer(data, dtype="<f8", offset=_HEADER.size).copy()
-        times, values = flat[:nslices], flat[nslices:].view("<c16")
-        return SpaceTimeField.from_values(grid, times, values.reshape((nslices,) + grid.shape))
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < _HEADER.size:
+                raise ValueError(f"{size} bytes, shorter than the {_HEADER.size}-byte header")
+            n, length, npts, nslices = _HEADER.unpack(fh.read(_HEADER.size))
+            if n not in (1, 2, 3) or npts < 1 or nslices < 1:
+                raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
+            want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
+            if size != want:
+                raise ValueError(f"{size} bytes, but its header (n={n}, npts={npts}, "
+                                 f"slices={nslices}) needs {want}")
+            grid = GridSpec(n=n, length=length, npts=npts)
+            times = np.fromfile(fh, dtype="<f8", count=nslices)
+            values = np.fromfile(fh, dtype="<c16", count=nslices * grid.size)
+        return SpaceTimeField(grid, times, values.reshape((nslices,) + grid.shape))
     except ValueError as exc:
         raise ValueError(f"field container {path}: {exc}") from None
 
 
 def write_field(fld: SampledField, path, time: float = 0.0) -> None:
-    write_spacetime(SpaceTimeField(fld.grid, np.array([time]), [fld]), path)
+    write_spacetime(SpaceTimeField(fld.grid, [time], fld.values[None]), path)
 
 
 def read_field(path) -> SampledField:
     stf = read_spacetime(path)
-    out = stf.slices[0]
-    return out
+    return SampledField(stf.grid, stf.values[0])

@@ -19,11 +19,12 @@ from fractions import Fraction
 import numpy as np
 
 from . import exponents as expo
-from .extreal import as_extended, fmt, recip, to_float
+from .extreal import as_extended, as_rational, fmt, recip, to_float
 from .grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _dft,
     boundary_mass_fraction,
     lebesgue_norm,
     mixed_lebesgue_norm,
@@ -32,9 +33,10 @@ from .grid import (
 )
 from .propagator import (
     DecayProfile,
+    _hsigma_norm,
+    _propagate,
     _zero_mode_fraction,
     adjoint_accumulate,
-    evolve,
     evolve_series,
     hsigma_norm,
 )
@@ -308,16 +310,18 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
         if not rep.verdict:
             failed = ", ".join(c.name for c in rep.failed())
             raise ValueError(f"tuple outside the admissible region: {failed}")
-    denom = hsigma_norm(fld, float(tup.sigma)).value
+    g = fld.grid
+    spec = _dft(fld.values, g)
+    denom = _hsigma_norm(spec, g, float(tup.sigma)).value
     if denom == 0.0:
         raise ValueError("degenerate datum: zero smoothing norm (f = 0?)")
-    zfrac = _zero_mode_fraction(transform(fld, "forward").values)
+    zfrac = _zero_mode_fraction(spec)
     if zfrac > 1e-8:
         raise ValueError(f"datum has zero-mode mass fraction {zfrac:.2e}; "
                          "use a zero-mode-free generator")
     if times is None:
         times = default_ratio_times()
-    stf = evolve_series(fld, times, 0.0)
+    stf = SpaceTimeField(g, times, _propagate(spec, times, 0.0, g))
     num = spacetime_amalgam_norm(stf, tup.qt, tup.q, tup.rt, tup.r,
                                  window_t, window_x, weak_outer_time=weak)
     return RatioResult(
@@ -434,13 +438,19 @@ def _power_kernel_cell_avg(tgrid: np.ndarray, dt: float, alpha: float) -> np.nda
 
 def power_kernel_convolution(gvals: np.ndarray, tgrid: np.ndarray,
                              alpha: float) -> np.ndarray:
-    """(|t|^-alpha * g) on a uniform grid, exact cell-averaged kernel."""
-    from scipy.signal import fftconvolve
+    """(|t|^-alpha * g) on a uniform grid, exact cell-averaged kernel.
+
+    A real FFT product of length L, the least power of two >= 2 nk - 1: output
+    samples nk - 1 .. 2 nk - 2 pair g only with kernel lags inside its 2 nk - 1
+    samples, so the circular wrap-around never reaches them.
+    """
     dt = tgrid[1] - tgrid[0]
     nk = len(tgrid)
     kgrid = (np.arange(2 * nk - 1) - (nk - 1)) * dt
     kern = _power_kernel_cell_avg(kgrid, dt, alpha)
-    return fftconvolve(gvals, kern, mode="valid") * dt
+    L = 1 << (2 * nk - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(gvals, L) * np.fft.rfft(kern, L), L)
+    return full[nk - 1:2 * nk - 1] * dt
 
 
 def _random_bump(tgrid: np.ndarray, rng) -> np.ndarray:
@@ -462,8 +472,8 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0,
     ||kernel * g||_q / ||g||_p is collected over random compactly
     supported g, at the working grid and at double resolution.
     """
-    pf = Fraction(as_extended(p))
-    af = Fraction(as_extended(alpha))
+    pf = as_rational(p)
+    af = as_rational(alpha)
     if not (0 < af < 1):
         return HlsReport(False, f"alpha must lie in (0,1), got {fmt(af)}")
     uq = recip(pf) + af - 1
@@ -503,19 +513,19 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0,
 # ---------------------------------------------------------------------------
 
 def bilinear_form(F: SpaceTimeField, G: SpaceTimeField, sigma: float) -> complex:
-    """Double time integral of the pairing of backward-evolved slices."""
+    """Double time integral of the pairing of backward-evolved slices.
+
+    w_F^T (E_F E_G^H) w_G dx^n: the Gram matrix pairs every two slices before
+    the time sums, which factorized_bilinear_form takes first.
+    """
     if F.grid != G.grid:
         raise ValueError("fields must share one grid")
-    wF = trapezoid_weights(F.times)
-    wG = trapezoid_weights(G.times)
-    ef = [evolve(s, -float(t), sigma).values for t, s in zip(F.times, F.slices)]
-    eg = [evolve(s, -float(t), sigma).values for t, s in zip(G.times, G.slices)]
-    cell = F.grid.cell_volume
-    acc = 0.0 + 0.0j
-    for wi, fv in zip(wF, ef):
-        for wj, gv in zip(wG, eg):
-            acc += wi * wj * np.sum(fv * np.conj(gv)) * cell
-    return complex(acc)
+    g = F.grid
+    ef, eg = (_propagate(_dft(H.values, g), -H.times, sigma, g).reshape(len(H.times), -1)
+              for H in (F, G))
+    gram = ef @ eg.conj().T
+    return complex(trapezoid_weights(F.times) @ gram @ trapezoid_weights(G.times)
+                   * g.cell_volume)
 
 
 def factorized_bilinear_form(F: SpaceTimeField, G: SpaceTimeField, sigma: float) -> complex:
@@ -651,9 +661,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
         for i in range(0, min(corpus_size, len(fields)) - 1, 2):
             rngi = np.random.default_rng(seed + 31 * i)
             mk = lambda base: SpaceTimeField(
-                grid, times,
-                [SampledField(grid, base.values * (0.2 + rngi.random()))
-                 for _ in times])
+                grid, times, np.multiply.outer(0.2 + rngi.random(len(times)), base.values))
             F, G = mk(fields[i]), mk(fields[i + 1])
             pairing, bound, ok = holder_pairing(F, G, 2, 4, 2, 6, win, win)
             if not ok:

@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "smooth-bump", "cube-indicator")
+# samples per batch of slices in spacetime_amalgam_norm (4 MiB of complex values)
+_BATCH_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -145,60 +147,69 @@ def materialize_window(win: WindowSpec, grid: GridSpec) -> np.ndarray:
 
 
 def _block_view(values: np.ndarray, n: int, K: int, s: int) -> np.ndarray:
-    """View an (N,)*n array as (K,)*n + (s,)*n: block index, then offset in the block."""
-    order = tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2))
-    return values.reshape((K, s) * n).transpose(order)
+    """View (..., N,)*n as (..., K,)*n + (s,)*n: block index, then offset in the block."""
+    m = values.ndim - n
+    order = (*range(m), *range(m, m + 2 * n, 2), *range(m + 1, m + 2 * n, 2))
+    return values.reshape(values.shape[:m] + (K, s) * n).transpose(order)
 
 
-def _inner_lp(blocks: np.ndarray, p: float, cell: float) -> np.ndarray:
-    a = np.abs(blocks)
-    if np.isinf(p):
-        return a.max(axis=-1)
-    return (np.sum(a ** p, axis=-1) * cell) ** (1.0 / p)
-
-
-def _outer_lq(vals: np.ndarray, q: float, weight: float) -> float:
+def _outer_lq(vals: np.ndarray, q: float, weight: float) -> np.ndarray:
+    """Outer l^q sum over the last axis, with the Riemann weight."""
     if np.isinf(q):
-        return float(vals.max())
-    return float((weight * np.sum(vals ** q)) ** (1.0 / q))
+        return vals.max(axis=-1)
+    return (weight * np.sum(vals ** q, axis=-1)) ** (1.0 / q)
+
+
+def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
+                   g: GridSpec) -> tuple:
+    """W(L^p, L^q) norms over the trailing grid axes of a (..., *g.shape) array,
+    and the window blocks visited (None for a partition)."""
+    if p < 1 or q < 1:
+        raise ValueError("exponents must lie in [1, inf]")
+    s, K = _translate_shape(window, g)
+    n, inf = g.n, np.isinf(p)
+    lead = values.shape[:-n]
+    axes = tuple(range(-n, 0))
+    a = np.abs(values)
+    nblocks = None
+    if window.is_partition:
+        # cubes centered at the translate lattice k*a: [k*a - a/2, k*a + a/2);
+        # rolling by s//2 aligns block boundaries with the cube edges
+        rolled = np.roll(a, (s // 2,) * n, axis=axes)
+        blocks = _block_view(rolled, n, K, s).reshape(lead + (K ** n, s ** n))
+        local = blocks.max(axis=-1) if inf else np.sum(blocks ** p, axis=-1)
+    else:
+        # with x = (k + j) a + r (block k + j, offset r), sum_x |f|^p |phi(x - k a)|^p
+        # is sum_j sum_r F[k + j, r] Phi[j, r] exactly (F, Phi: block views of |f|^p,
+        # |phi|^p; max for p = inf), and only blocks j where phi is non-zero count
+        phi = materialize_window(window, g)
+        F = _block_view(a if inf else a ** p, n, K, s).reshape(lead + (K ** n, s ** n))
+        Phi = _block_view(phi if inf else phi ** p, n, K, s)
+        blocks = np.argwhere(Phi.any(axis=tuple(range(n, 2 * n))))
+        local = np.zeros(lead + (K,) * n)
+        for j in blocks:
+            w = Phi[tuple(j)].ravel()
+            part = (F * w).max(axis=-1) if inf else F @ w
+            part = np.roll(part.reshape(local.shape), tuple(-j), axis=axes)
+            local = np.maximum(local, part) if inf else local + part
+        local = local.reshape(lead + (K ** n,))
+        nblocks = len(blocks)
+    local = local if inf else (local * g.cell_volume) ** (1.0 / p)
+    return _outer_lq(local, q, window.step ** n), nblocks
 
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:
     """W(L^p, L^q) norm of a field with the given window."""
     p, q = to_float(as_extended(p)), to_float(as_extended(q))
-    if p < 1 or q < 1:
-        raise ValueError("exponents must lie in [1, inf]")
     g = fld.grid
-    s, K = _translate_shape(window, g)
+    value, nblocks = _amalgam_norms(fld.values, p, q, window, g)
     meta = {"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
             "step": window.step, "radius": window.radius,
             "normalization": window.normalization}
-    if window.is_partition:
-        # cubes centered at the translate lattice k*a: [k*a - a/2, k*a + a/2);
-        # rolling by s//2 aligns block boundaries with the cube edges
-        rolled = np.roll(fld.values, (s // 2,) * g.n, axis=tuple(range(g.n)))
-        blocks = _block_view(rolled, g.n, K, s).reshape(K ** g.n, s ** g.n)
-        local = _inner_lp(blocks, p, g.cell_volume)
-    else:
-        # with x = (k + j) a + r (block k + j, offset r), sum_x |f|^p |phi(x - k a)|^p
-        # is sum_j sum_r F[k + j, r] Phi[j, r] exactly (F, Phi: block views of |f|^p,
-        # |phi|^p; max for p = inf), and only blocks j where phi is non-zero count
-        inf = np.isinf(p)
-        f, phi = np.abs(fld.values), materialize_window(window, g)
-        F = _block_view(f if inf else f ** p, g.n, K, s).reshape(K ** g.n, s ** g.n)
-        Phi = _block_view(phi if inf else phi ** p, g.n, K, s)
-        blocks = np.argwhere(Phi.any(axis=tuple(range(g.n, 2 * g.n))))
-        local = np.zeros((K,) * g.n)
-        for j in blocks:
-            w = Phi[tuple(j)].ravel()
-            part = (F * w).max(axis=1) if inf else F @ w
-            part = np.roll(part.reshape(local.shape), tuple(-j), axis=tuple(range(g.n)))
-            local = np.maximum(local, part) if inf else local + part
-        local = local if inf else (local * g.cell_volume) ** (1.0 / p)
-        meta["window_blocks"] = len(blocks)
-    value = _outer_lq(local, q, window.step ** g.n)
+    if nblocks is not None:
+        meta["window_blocks"] = nblocks
     return NormResult(
-        value=value,
+        value=float(value),
         space="wiener-amalgam",
         exponents={"p": p, "q": q},
         meta=meta,
@@ -249,7 +260,12 @@ def spacetime_amalgam_norm(
     the weak Lorentz norm of exponent q.
     """
     qtf, qf = to_float(as_extended(qt)), to_float(as_extended(q))
-    spatial = np.array([amalgam_norm(s, rt, r, window_x).value for s in stf.slices])
+    rtf, rf = to_float(as_extended(rt)), to_float(as_extended(r))
+    g = stf.grid
+    # batches of whole slices, so the temporaries stay a few MB at any slice count
+    batch = max(1, _BATCH_SAMPLES // g.size)
+    spatial = np.concatenate([_amalgam_norms(stf.values[i:i + batch], rtf, rf, window_x, g)[0]
+                              for i in range(0, len(stf.times), batch)])
     times = stf.times
     w = trapezoid_weights(times)
     ks = _time_translates(times, window_t) if time_translates is None else list(time_translates)
@@ -289,13 +305,12 @@ def spacetime_amalgam_norm(
         value = base * window_t.step ** (0.0 if np.isinf(qf) else 1.0 / qf)
         space = "spacetime-amalgam-weak"
     else:
-        value = _outer_lq(local, qf, window_t.step)
+        value = float(_outer_lq(local, qf, window_t.step))
         space = "spacetime-amalgam"
     return NormResult(
         value=value,
         space=space,
-        exponents={"qt": to_float(as_extended(qt)), "q": qf,
-                   "rt": to_float(as_extended(rt)), "r": to_float(as_extended(r))},
+        exponents={"qt": qtf, "q": qf, "rt": rtf, "r": rf},
         meta={"n": stf.grid.n, "ntimes": len(times),
               "time_window": window_t.kind, "space_window": window_x.kind,
               "translates": len(ks)},
@@ -306,11 +321,9 @@ def spacetime_inner_product(F: SpaceTimeField, G: SpaceTimeField) -> complex:
     """<F, G> over space-time with trapezoid weights in time."""
     if F.grid != G.grid or len(F.times) != len(G.times) or not np.allclose(F.times, G.times):
         raise ValueError("fields must share grid and time instants")
-    w = trapezoid_weights(F.times)
-    acc = 0.0 + 0.0j
-    for wi, fs, gs in zip(w, F.slices, G.slices):
-        acc += wi * np.sum(fs.values * np.conj(gs.values)) * F.grid.cell_volume
-    return complex(acc)
+    T = len(F.times)
+    per_slice = np.vecdot(G.values.reshape(T, -1), F.values.reshape(T, -1))
+    return complex(trapezoid_weights(F.times) @ per_slice * F.grid.cell_volume)
 
 
 def holder_pairing(

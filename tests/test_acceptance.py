@@ -161,13 +161,14 @@ def test_criterion_4_dual_and_bilinear_identities():
     worst_bi = 0.0
     for k in range(100):
         F = SpaceTimeField(g, times,
-                           [band_limited_field(g, 11 * k + i) for i in range(9)])
+                           np.array([band_limited_field(g, 11 * k + i).values for i in range(9)]))
         f = band_limited_field(g, 5000 + k)
         lhs = np.sum(adjoint_accumulate(F, 0.3).values * np.conj(f.values)) * g.cell_volume
         rhs = spacetime_inner_product(F, evolve_series(f, times, 0.3))
         worst_dual = max(worst_dual, abs(lhs - rhs) / max(abs(lhs), 1e-30))
         G = SpaceTimeField(g, times,
-                           [band_limited_field(g, 7777 + 11 * k + i) for i in range(9)])
+                           np.array([band_limited_field(g, 7777 + 11 * k + i).values
+                                     for i in range(9)]))
         a = bilinear_form(F, G, 0.3)
         b = factorized_bilinear_form(F, G, 0.3)
         worst_bi = max(worst_bi, abs(a - b) / max(abs(a), 1e-30))

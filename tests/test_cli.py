@@ -1,11 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amalgam
 from amalgam.cli import run
@@ -61,6 +68,44 @@ class TestUsageErrors:
     def test_bad_value(self, tmp_path):
         assert invoke(["check-tuple", "--set", "classical", "--q", "spam",
                        "--r", "2", "--n", "1"], tmp_path) == 2
+
+
+class TestExponentErrors:
+    """Exponent text that cannot be an exponent is a one-line usage error."""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-tuple", "--set", "classical", "--q", "0", "--r", "2", "--n", "1"],
+        ["check-tuple", "--set", "proposition", "--n", "1", "--sigma", "0.2",
+         "--rt", "inf", "--r", "0"],
+        ["norm", "--kind", "lebesgue", "--grid-npts", "64", "--p", "1/0"],
+        ["norm", "--kind", "lebesgue", "--grid-npts", "64", "--p", "1e400"],
+        ["check-tuple", "--set", "proposition", "--n", "1", "--sigma", "inf",
+         "--rt", "inf", "--r", "10"],
+        ["hls", "--p", "inf", "--alpha", "0.5"],
+    ], ids=["classical-q0", "proposition-r0", "norm-p-1/0", "norm-p-1e400",
+            "proposition-sigma-inf", "hls-p-inf"])
+    def test_exit_two_with_one_line(self, tmp_path, capsys, argv):
+        assert invoke(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+
+    def test_zero_denominator_names_the_token(self, tmp_path, capsys):
+        assert invoke(["norm", "--kind", "lebesgue", "--p", "1/0"], tmp_path) == 2
+        assert "'1/0'" in capsys.readouterr().err
+
+    def test_slack_beyond_float_range(self, tmp_path):
+        # 2/q + n/r = n/2 misses by about 1e400, exactly; its float form is "inf"
+        assert invoke(["check-tuple", "--set", "classical", "--q", "4", "--r", "1e-400",
+                       "--n", "2"], tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert [c["slack_float"] for c in report["constraints"]][1:3] == ["-inf", "inf"]
+
+    def test_region_fixed_without_value(self, tmp_path, capsys):
+        code = invoke(["region", "--set", "theorem", "--n", "1", "--sigma", "0.3",
+                       "--fixed", "rt", "--free", "qt,q", "--resolution", "8"], tmp_path)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "--fixed" in err and "name=value" in err
 
 
 class TestManifest:
@@ -300,6 +345,11 @@ class TestImportFootprint:
             ["suite", "--corpus-size", "4"],
         ], tmp_path) == ["numpy"]
 
+    def test_hls_skips_scipy(self, tmp_path):
+        assert _modules_after([
+            ["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "2"],
+        ], tmp_path) == ["numpy"]
+
     def test_kernel_commands_load_scipy_special(self, tmp_path):
         assert _modules_after([
             ["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
@@ -315,3 +365,84 @@ class TestImportFootprint:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=_SRC_ENV)
         assert proc.returncode == 0, proc.stderr
+
+
+def _run_quietly(argv) -> tuple:
+    """(exit code, stderr) of run(argv), with stdout and stderr captured."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+_TOKENS = st.one_of(
+    st.sampled_from(["0", "-1", "-3/2", "1/0", "0/0", "inf", "INF", "-inf", "nan", "oo",
+                     "", " ", "1/", "/2", "2/-3", "1e400", "1e-400", "0.0", "spam", "9" * 400]),
+    st.integers(-4, 12).map(str),
+    st.fractions(max_denominator=12).map(str),
+    st.text(max_size=5),
+)
+
+
+class TestFuzz:
+    """Corrupted containers and exponent text exit 0 or 2, never with a traceback."""
+
+    @given(n=st.sampled_from([1, 2]), kind=st.sampled_from(["lebesgue", "hsigma", "amalgam"]),
+           cut=st.one_of(st.none(), st.integers(0, 2100)), tail=st.binary(max_size=40),
+           patch=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)), max_size=6),
+           length=st.one_of(st.none(), st.floats()))
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_container(self, n, kind, cut, tail, patch, length):
+        # two zero-mean slices on 8^n points; the header (n, L, N, slices) is 32
+        # bytes and the two instants fill bytes 32..47
+        from amalgam.grid import SpaceTimeField, read_spacetime, write_spacetime
+        g = amalgam.GridSpec(n, 2.0, 8)
+        values = np.cos(np.arange(2 * g.size)).reshape((2,) + g.shape) * (0.5 - 0.25j)
+        values -= values.mean(axis=tuple(range(1, n + 1)), keepdims=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "field.bin"
+            write_spacetime(SpaceTimeField(g, [0.0, 0.5], values), path)
+            raw = bytearray(path.read_bytes())
+            if length is not None:
+                raw[8:16] = struct.pack("<d", length)
+            for pos, byte in patch:
+                raw[pos] = byte
+            path.write_bytes(bytes(raw[:cut]) + tail)
+            try:
+                stf = read_spacetime(path)
+            except ValueError as exc:
+                assert path.name in str(exc)
+            else:
+                assert isinstance(stf, SpaceTimeField)
+                assert stf.values.shape == stf.times.shape + stf.grid.shape
+            code, err = _run_quietly(["norm", "--kind", kind, "--sigma", "0.3",
+                                      "--input", str(path), "--out", tmp])
+        # a container of two slices draws one warning line before the norm runs
+        lines = err.splitlines()
+        assert code in (0, 2)
+        assert [ln for ln in lines if not ln.startswith("warning: ")] == lines[-1:] * (code == 2)
+        assert all(ln.startswith(("warning: ", "usage error: ")) for ln in lines) and len(lines) <= 2
+
+    @given(cset=st.sampled_from(["classical", "cn2", "theorem", "proposition", "corollary"]),
+           n=_TOKENS, sigma=_TOKENS, qt=_TOKENS, rt=_TOKENS, q=_TOKENS, r=_TOKENS)
+    @settings(max_examples=300, deadline=None)
+    def test_check_tuple_tokens(self, cset, n, sigma, qt, rt, q, r):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = _run_quietly(["check-tuple", f"--set={cset}", f"--n={n}",
+                                      f"--sigma={sigma}", f"--qt={qt}", f"--rt={rt}",
+                                      f"--q={q}", f"--r={r}", "--out", tmp])
+        assert code in (0, 2)
+        assert code == 0 or err.count("\n") == 1, err
+
+    @given(lines=st.lists(st.one_of(
+        st.tuples(st.sampled_from(["n", "sigma", "qt", "rt", "q", "r", "set", "seed", "grid_npts",
+                                   "save-field", "bogus"]), _TOKENS).map(" = ".join),
+        st.text(max_size=12)), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_config_text(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_text("\n".join(lines))
+            code, err = _run_quietly(["--config", str(cfg), "check-tuple", "--out", tmp])
+        assert code in (0, 2)
+        assert code == 0 or err.count("\n") == 1, err

@@ -149,7 +149,7 @@ class TestLebesgueNorm:
 class TestMixedNorm:
     def test_single_slice(self, grid1d, rng):
         f = random_field(grid1d, rng)
-        stf = SpaceTimeField(grid1d, np.array([0.7]), [f])
+        stf = SpaceTimeField(grid1d, np.array([0.7]), np.array([f.values]))
         for q in (1, 2, 7):
             got = mixed_lebesgue_norm(stf, q, 2).value
             assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
@@ -157,7 +157,7 @@ class TestMixedNorm:
     def test_q2_r2_is_flat_l2(self, grid1d, rng):
         times = np.linspace(0.0, 2.0, 9)
         slices = [random_field(grid1d, rng) for _ in times]
-        stf = SpaceTimeField(grid1d, times, slices)
+        stf = SpaceTimeField(grid1d, times, np.array([s.values for s in slices]))
         got = mixed_lebesgue_norm(stf, 2, 2).value
         w = trapezoid_weights(times)
         flat = np.sqrt(sum(
@@ -167,7 +167,7 @@ class TestMixedNorm:
     def test_time_constant_over_unit_interval(self, grid1d, rng):
         f = random_field(grid1d, rng)
         times = np.linspace(0.0, 1.0, 33)
-        stf = SpaceTimeField(grid1d, times, [f] * len(times))
+        stf = SpaceTimeField(grid1d, times, np.array([f.values] * len(times)))
         got = mixed_lebesgue_norm(stf, 4, 2).value
         assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
 
@@ -175,14 +175,15 @@ class TestMixedNorm:
 class TestSerialization:
     def test_spacetime_roundtrip(self, grid1d, rng, tmp_path):
         times = np.array([-1.0, 0.25, 3.0])
-        stf = SpaceTimeField(grid1d, times, [random_field(grid1d, rng) for _ in times])
+        stf = SpaceTimeField(grid1d, times, np.array([random_field(grid1d, rng).values
+                                                      for _ in times]))
         path = tmp_path / "field.bin"
         write_spacetime(stf, path)
         back = read_spacetime(path)
         assert back.grid == grid1d
         assert np.array_equal(back.times, times)
-        for a, b in zip(back.slices, stf.slices):
-            assert np.array_equal(a.values, b.values)
+        for k in range(len(times)):
+            assert np.array_equal(back.values[k], stf.values[k])
 
     def test_single_field_roundtrip(self, grid2d, rng, tmp_path):
         f = random_field(grid2d, rng)
@@ -207,7 +208,8 @@ class TestSerialization:
 
     def _container(self, tmp_path, rng):
         g = make_grid(1, 1.0, 8)
-        stf = SpaceTimeField(g, np.array([0.0, 1.0]), [random_field(g, rng) for _ in range(2)])
+        stf = SpaceTimeField(g, np.array([0.0, 1.0]),
+                             np.array([random_field(g, rng).values for _ in range(2)]))
         path = tmp_path / "f.bin"
         write_spacetime(stf, path)
         return path
@@ -246,7 +248,7 @@ class TestInvariantsAndChecks:
     def test_times_must_increase(self, grid1d, rng):
         with pytest.raises(ValueError):
             SpaceTimeField(grid1d, np.array([0.0, 0.0]),
-                           [random_field(grid1d, rng)] * 2)
+                           np.array([random_field(grid1d, rng).values] * 2))
 
     def test_value_count(self, grid1d):
         with pytest.raises(ValueError):

@@ -107,8 +107,8 @@ class TestEvolveSeries:
     def test_single_zero_time(self, grid1d):
         f = band_limited_field(grid1d, 3)
         stf = evolve_series(f, [0.0], 0.0)
-        assert len(stf.slices) == 1
-        assert np.max(np.abs(stf.slices[0].values - f.values)) < 1e-12
+        assert len(stf.values) == 1
+        assert np.max(np.abs(stf.values[0] - f.values)) < 1e-12
 
     def test_reversal(self, grid1d):
         f = band_limited_field(grid1d, 4)
@@ -121,7 +121,7 @@ class TestEvolveSeries:
         f = gaussian_datum(g, width=1.0)
         times = np.geomspace(0.05, 20.0, 64)
         stf = evolve_series(f, times, 0.0)
-        sups = np.array([np.abs(s.values).max() for s in stf.slices])
+        sups = np.array([np.abs(v).max() for v in stf.values])
         assert np.all(np.diff(sups) <= 1e-12)
 
     def test_empty_times_rejected(self, grid1d):
@@ -132,7 +132,7 @@ class TestEvolveSeries:
 class TestAdjointAccumulate:
     def test_single_slice_at_zero(self, grid1d):
         f = band_limited_field(grid1d, 5)
-        stf = SpaceTimeField(grid1d, np.array([0.0]), [f])
+        stf = SpaceTimeField(grid1d, np.array([0.0]), np.array([f.values]))
         sigma = 0.3
         got = adjoint_accumulate(stf, sigma)
         want = evolve(f, 0.0, sigma)  # pure smoothing weight at s = 0
@@ -144,7 +144,8 @@ class TestAdjointAccumulate:
         times = np.linspace(-1.5, 1.5, 9)
         for k in range(100):
             F = SpaceTimeField(
-                g, times, [band_limited_field(g, 300 + 11 * k + i) for i in range(9)])
+                g, times, np.array([band_limited_field(g, 300 + 11 * k + i).values
+                                    for i in range(9)]))
             f = band_limited_field(g, 7000 + k)
             lhs = inner(adjoint_accumulate(F, sigma), f)
             rhs = spacetime_inner_product(F, evolve_series(f, times, sigma))
@@ -158,12 +159,12 @@ class TestAdjointAccumulate:
         base = np.cos(2.0 * np.pi * x / g.length) * np.exp(-(x ** 2))
         even_datum = SampledField(g, base - base.mean())
         times = np.array([-2.0, -1.0, 1.0, 2.0])
-        even = SpaceTimeField(g, times, [even_datum] * 4)
+        even = SpaceTimeField(g, times, np.array([even_datum.values] * 4))
         got = adjoint_accumulate(even, 0.0)
         assert np.max(np.abs(got.values.imag)) < 1e-12 * np.max(np.abs(got.values))
         signs = [-1.0, -1.0, 1.0, 1.0]
         odd = SpaceTimeField(
-            g, times, [SampledField(g, s * even_datum.values) for s in signs])
+            g, times, np.array([s * even_datum.values for s in signs]))
         got = adjoint_accumulate(odd, 0.0)
         assert np.max(np.abs(got.values.real)) < 1e-12 * np.max(np.abs(got.values))
 

@@ -204,8 +204,10 @@ class TestBilinear:
     def _pair(self, seed):
         g = GridSpec(1, 8.0, 64)
         times = np.linspace(-1.0, 1.0, 7)
-        F = SpaceTimeField(g, times, [band_limited_field(g, seed + i) for i in range(7)])
-        G = SpaceTimeField(g, times, [band_limited_field(g, 500 + seed + i) for i in range(7)])
+        F = SpaceTimeField(g, times, np.array([band_limited_field(g, seed + i).values
+                                               for i in range(7)]))
+        G = SpaceTimeField(g, times, np.array([band_limited_field(g, 500 + seed + i).values
+                                               for i in range(7)]))
         return F, G
 
     def test_diagonal_nonnegative(self):
@@ -217,7 +219,7 @@ class TestBilinear:
     def test_zero_argument(self):
         F, G = self._pair(4)
         Z = SpaceTimeField(F.grid, F.times,
-                           [SampledField(F.grid, np.zeros(F.grid.shape))] * len(F.times))
+                           np.array([np.zeros(F.grid.shape)] * len(F.times)))
         assert bilinear_form(Z, G, 0.3) == 0
 
     def test_factorization_identity(self):
@@ -231,7 +233,8 @@ class TestBilinear:
         F, _ = self._pair(1)
         g2 = GridSpec(1, 8.0, 128)
         times = F.times
-        G = SpaceTimeField(g2, times, [band_limited_field(g2, i) for i in range(len(times))])
+        G = SpaceTimeField(g2, times, np.array([band_limited_field(g2, i).values
+                                                for i in range(len(times))]))
         with pytest.raises(ValueError):
             bilinear_form(F, G, 0.3)
 

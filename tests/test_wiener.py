@@ -233,7 +233,8 @@ class TestWeakLorentz:
 
 def _random_stf(grid, times, seed):
     return SpaceTimeField(
-        grid, times, [band_limited_field(grid, seed + i) for i in range(len(times))])
+        grid, times, np.array([band_limited_field(grid, seed + i).values
+                               for i in range(len(times))]))
 
 
 class TestSpacetimeAmalgam:
@@ -249,7 +250,7 @@ class TestSpacetimeAmalgam:
     def test_single_slice_reduces_to_spatial(self, rng):
         g = GridSpec(1, 8.0, 256)
         f = band_limited_field(g, 3)
-        stf = SpaceTimeField(g, np.array([0.2]), [f])
+        stf = SpaceTimeField(g, np.array([0.2]), np.array([f.values]))
         win = unit_cube_partition()
         got = spacetime_amalgam_norm(stf, 2, 4, 2, 6, win, win).value
         spatial = amalgam_norm(f, 2, 6, win).value
@@ -264,7 +265,8 @@ class TestSpacetimeAmalgam:
         qt, q, rt, r = 3, 5, 2, 4
         from amalgam.grid import trapezoid_weights
         w = trapezoid_weights(times)
-        spatial = np.array([brute_force_amalgam(s, rt, r, win) for s in stf.slices])
+        spatial = np.array([brute_force_amalgam(SampledField(g, stf.values[k]), rt, r, win)
+                            for k in range(len(times))])
         ks = sorted({int(np.floor(t + 0.5)) for t in times})
         locs = []
         for k in ks:
@@ -310,8 +312,8 @@ class TestHolderPairing:
         x = g.axis_points()
         left = SampledField(g, np.where(x < -1, 1.0 + 0j, 0))
         right = SampledField(g, np.where(x > 1, 1.0 + 0j, 0))
-        F = SpaceTimeField(g, times, [left] * 9)
-        G = SpaceTimeField(g, times, [right] * 9)
+        F = SpaceTimeField(g, times, np.array([left.values] * 9))
+        G = SpaceTimeField(g, times, np.array([right.values] * 9))
         win = unit_cube_partition()
         pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6, win, win)
         assert pairing == 0.0
