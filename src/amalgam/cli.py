@@ -12,10 +12,13 @@ from --out, else $AMALGAM_OUT, else ./amalgam-out.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
 import time
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 from . import exponents as expo
@@ -214,8 +217,7 @@ def _field_from(args) -> tuple:
         stf = read_spacetime(args.input)
         slices, t0 = len(stf.times), float(stf.times[0])
         if slices > 1:
-            print(f"warning: {args.input} holds {slices} slices; using the first, t = {t0:g}",
-                  file=sys.stderr)
+            warnings.warn(f"{args.input} holds {slices} slices; using the first, t = {t0:g}")
         return SampledField(stf.grid, stf.values[0]), {"input_slices": slices, "input_time": t0}
     grid = GridSpec(int(args.grid_n), float(args.grid_l), int(args.grid_npts))
     seed = args.seed
@@ -274,22 +276,19 @@ def _cmd_region(args, outdir):
             if not eq:
                 raise ValueError(f"--fixed takes name=value items, got {item!r}")
             fixed[name.strip()] = as_extended(val.strip())
+    res = int(args.resolution)
     scan = expo.sample_region(args.condition_set, n=int(args.n),
                               sigma=as_extended(args.sigma),
-                              free=free, fixed=fixed,
-                              resolution=int(args.resolution))
-    rows = []
-    bset = {tuple(sorted(c.items())) for c in scan.boundary}
-    for coords, verdict in zip(scan.coords, scan.verdicts):
-        row = [fmt(coords[a]) for a in scan.axes]
-        row.append(int(verdict))
-        row.append(int(tuple(sorted(coords.items())) in bset))
-        rows.append(row)
+                              free=free, fixed=fixed, resolution=res)
+    labels = [fmt(Fraction(k, res)) for k in range(res + 1)]
+    edge = set(scan.edge)
+    rows = [(*point, int(verdict), int(k in edge)) for k, (point, verdict) in
+            enumerate(zip(itertools.product(labels, repeat=len(scan.axes)), scan.verdicts))]
     header = [f"recip_{a}" for a in scan.axes] + ["accept", "boundary"]
     write_csv(outdir / "mesh.csv", header, rows)
     accepted = sum(scan.verdicts)
     print(f"{args.condition_set}: {accepted}/{len(scan.verdicts)} accepted, "
-          f"{len(bset)} boundary cells -> {outdir / 'mesh.csv'}")
+          f"{len(edge)} boundary cells -> {outdir / 'mesh.csv'}")
     return 0, {"accepted": int(accepted)}
 
 
@@ -533,7 +532,9 @@ def run(argv) -> int:
     """Run one command; its manifest is written first and finalised last.
 
     A handler that raises leaves the manifest ``failed`` with the error; a
-    ValueError or OSError (bad input) is a one-line usage error.
+    ValueError or OSError (bad input) is a one-line usage error.  Every
+    distinct warning raised is listed in the manifest and echoed as one
+    ``warning:`` line on stderr.
     """
     try:
         args = _parse(argv)
@@ -542,20 +543,27 @@ def run(argv) -> int:
         return USAGE_ERROR
     outdir = _outdir(args)
     started = time.time()
-    manifest = None
-    try:
-        manifest = write_manifest(outdir, args.command, _params(args), args.seed)
-        code, extra = _HANDLERS[args.command](args, outdir)
-    except Exception as exc:
-        if manifest is not None:
-            finalize_manifest(manifest, started, "failed",
-                              extra={"error": f"{type(exc).__name__}: {exc}"})
-        if not isinstance(exc, (ValueError, OSError)):
-            raise
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    finalize_manifest(manifest, started, extra=extra)
-    return code
+    manifest = error = None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            manifest = write_manifest(outdir, args.command, _params(args), args.seed)
+            code, extra = _HANDLERS[args.command](args, outdir)
+        except Exception as exc:
+            error = exc
+    notes = list(dict.fromkeys(" ".join(str(w.message).split()) for w in caught))
+    for note in notes:
+        print(f"warning: {note}", file=sys.stderr)
+    if error is None:
+        finalize_manifest(manifest, started, extra={**extra, "warnings": notes})
+        return code
+    if manifest is not None:
+        finalize_manifest(manifest, started, "failed", extra={
+            "error": f"{type(error).__name__}: {error}", "warnings": notes})
+    if not isinstance(error, (ValueError, OSError)):
+        raise error
+    print(f"usage error: {error}", file=sys.stderr)
+    return USAGE_ERROR
 
 
 def main() -> None:

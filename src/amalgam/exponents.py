@@ -1,9 +1,13 @@
-"""Admissibility predicates for mixed-norm space-time estimates.
+"""Admissibility regions for mixed-norm space-time estimates, as constraint tables.
 
-Every condition is decided in exact rational arithmetic on the reciprocals
-1/exponent (1/inf = 0), in which all the conditions are affine.  Verdicts
-therefore never depend on floating point.  Each predicate returns a
-RegionReport listing every clause with its pass/fail flag and exact slack.
+Every condition is affine in the reciprocals 1/exponent (1/inf = 0).  A
+condition set is one table of clauses over (1, 1/qt, 1/rt, 1/q, 1/r), each
+a name, exact Fraction coefficients and a kind (>=, > or =); a clause's
+slack is the exact value of its form, so no verdict depends on floating
+point.  The classical endpoint exclusion (kind !=) removes one point and
+has no slack.  A region scan clears denominators, which makes every
+clause an integer affine function of the lattice indices, and finds each
+scan row's accepted indices by floor division.
 
 Condition sets
 --------------
@@ -22,8 +26,10 @@ corollary    : the region produced by the theta = 1/2 bilinear
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .extreal import INF, as_extended, as_rational, fmt, from_recip, recip
 
@@ -32,6 +38,8 @@ __all__ = [
     "ConstraintCheck",
     "RegionReport",
     "RegionScan",
+    "constraint_table",
+    "evaluate",
     "is_schrodinger_admissible",
     "satisfies_cn2",
     "satisfies_theorem",
@@ -41,6 +49,9 @@ __all__ = [
     "classical_sobolev_line",
     "sample_region",
 ]
+
+AXES = ("qt", "rt", "q", "r")
+GE, GT, EQ, NE = ">=", ">", "=", "!="
 
 
 @dataclass(frozen=True)
@@ -60,24 +71,17 @@ class ExponentTuple:
         object.__setattr__(self, "sigma", as_rational(self.sigma))
         if self.sigma < 0:
             raise ValueError(f"smoothing order must be >= 0, got {self.sigma}")
-        for name in ("qt", "rt", "q", "r"):
+        for name in AXES:
             val = as_extended(getattr(self, name))
             if val is not INF and val < 1:
                 raise ValueError(f"{name} must lie in [1, inf], got {val}")
             object.__setattr__(self, name, val)
 
     def reciprocals(self) -> dict:
-        return {name: recip(getattr(self, name)) for name in ("qt", "rt", "q", "r")}
+        return {name: recip(getattr(self, name)) for name in AXES}
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sigma": fmt(self.sigma),
-            "qt": fmt(self.qt),
-            "rt": fmt(self.rt),
-            "q": fmt(self.q),
-            "r": fmt(self.r),
-        }
+        return {"n": self.n, **{name: fmt(getattr(self, name)) for name in ("sigma", *AXES)}}
 
 
 @dataclass(frozen=True)
@@ -121,77 +125,144 @@ class RegionReport:
         }
 
 
-def _gt(name: str, lhs: Fraction, rhs: Fraction) -> ConstraintCheck:
-    return ConstraintCheck(name, lhs > rhs, lhs - rhs)
+def _form(const=0, **coef) -> tuple:
+    """An affine form: exact coefficients over (1, 1/qt, 1/rt, 1/q, 1/r)."""
+    return (Fraction(const),) + tuple(Fraction(coef.get(a, 0)) for a in AXES)
 
 
-def _ge(name: str, lhs: Fraction, rhs: Fraction) -> ConstraintCheck:
-    return ConstraintCheck(name, lhs >= rhs, lhs - rhs)
+def _row(name: str, kind: str, const=0, **coef) -> tuple:
+    return name, kind, (_form(const, **coef),)
 
 
-def _eq(name: str, lhs: Fraction, rhs: Fraction) -> ConstraintCheck:
-    return ConstraintCheck(name, lhs == rhs, lhs - rhs)
+@dataclass(frozen=True)
+class ConstraintTable:
+    """A condition set's clauses (name, kind, forms): one form, whose value is the
+    slack, for >=, > and =; for != the forms that all vanish at the excluded point."""
+
+    label: str
+    axes: tuple              # the reciprocals the set constrains
+    clauses: tuple
+    case: str | None = None
+    gate: int | None = None  # leading clauses that must all pass before the rest are checked
+
+
+def _trade_off(n: int, sigma: Fraction) -> tuple:
+    """2/q + n/r - (n/2 - sigma - (n-1)/rt); at rt = inf, the classical Sobolev line."""
+    return _form(sigma - Fraction(n, 2), rt=n - 1, q=2, r=n)
+
+
+def constraint_table(condition_set: str, n: int, sigma=0) -> ConstraintTable:
+    """The clauses of one condition set at dimension n and smoothing order sigma."""
+    if condition_set not in _PREDICATES:
+        raise ValueError(f"unknown condition set {condition_set!r}; "
+                         f"choose from {sorted(_PREDICATES)}")
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    sigma = as_rational(sigma)
+    half, h = Fraction(1, 2), Fraction(n, 2)
+    if condition_set == "classical":
+        return ConstraintTable("classical", ("q", "r"), (
+            _row("q >= 2", GE, half, q=-1),
+            _row("r >= 2", GE, half, r=-1),
+            _row("2/q + n/r = n/2", EQ, -h, q=2, r=n),
+            ("(q, r, n) != (2, inf, 2)", NE, (_form(-half, q=1), _form(r=1), _form(n - 2))),
+        ))
+    if condition_set == "cn2":
+        rows = [
+            _row("qt >= 1", GE, 1, qt=-1),
+            _row("rt >= 1", GE, 1, rt=-1),
+            _row("q >= 2", GE, half, q=-1),
+            _row("r >= 2", GE, half, r=-1),
+            _row("rt <= r", GE, rt=1, r=-1),
+            _row("2/q + n/r <= n/2", GE, h, q=-2, r=-n),
+            _row("n/2 <= 2/qt + n/rt", GE, -h, qt=2, rt=n),
+        ]
+        if n == 2:
+            rows += [_row("rt < inf (n = 2)", GT, rt=1), _row("r < inf (n = 2)", GT, r=1)]
+        if n >= 3:
+            rows.append(_row("rt <= 2n/(n-2)", GE, -Fraction(n - 2, 2 * n), rt=1))
+        return ConstraintTable("cn2", AXES, tuple(rows))
+    if condition_set == "theorem":
+        return ConstraintTable("theorem", AXES, (
+            _row("qt >= 2", GE, half, qt=-1),
+            _row("qt < q", GT, qt=1, q=-1),
+            _row("q < inf", GT, q=1),
+            _row("rt >= 2", GE, half, rt=-1),
+            _row("r >= 2", GE, half, r=-1),
+            _row("sigma > max(0, (n-2)/4)", GT, sigma - max(0, Fraction(n - 2, 4))),
+            _row("sigma < n/2", GT, h - sigma),
+            _row("2/qt + (n-1)/rt > n/2 - sigma", GT, sigma - h, qt=2, rt=n - 1),
+            ("2/q + n/r = n/2 - sigma - (n-1)/rt", EQ, (_trade_off(n, sigma),)),
+        ))
+    if condition_set == "proposition":
+        load = {"rt": 1 - n, "r": -n}  # minus (n-1)/rt + n/r
+        quarter = Fraction(n, 4)
+        if sigma < quarter:
+            case, last = "c3", _row("(n-1)/rt + n/r < sigma", GT, sigma, **load)
+        elif sigma > quarter:
+            case, last = "c4", _row("(n-1)/rt + n/r < n/2 - sigma", GT, h - sigma, **load)
+        else:  # both cases are stated inclusively at sigma = n/4, where sigma = n/2 - sigma
+            case = "c3|c4"
+            last = _row("either strict kernel-decay inequality at sigma = n/4", GT, sigma, **load)
+        return ConstraintTable("proposition", ("rt", "r"), (
+            _row("rt >= 2", GE, half, rt=-1),
+            _row("r >= 2", GE, half, r=-1),
+            _row("sigma > 0", GT, sigma),
+            _row("sigma < n/2", GT, h - sigma),
+            last,
+        ), case=case, gate=4)
+    rows = [
+        _row("rt = 4", EQ, -Fraction(1, 4), rt=1),
+        _row("sigma > max(0, (n-2)/8)", GT, sigma - max(0, Fraction(n - 2, 8))),
+        _row("sigma < n/4", GT, Fraction(n, 4) - sigma),
+        _row("2/q + n/r = n/2 - sigma", EQ, sigma - h, q=2, r=n),
+        _row("2/qt > n/4 - sigma", GT, sigma - Fraction(n, 4), qt=2),
+        _row("1/q > 0", GT, q=1),
+        _row("1/q < 1/qt + 1/4", GT, Fraction(1, 4), qt=1, q=-1),
+        _row("1/qt + 1/4 <= 1/2", GE, Fraction(1, 4), qt=-1),
+        _row("r >= 2", GE, half, r=-1),
+    ]
+    if n == 2:
+        rows.append(_row("r < inf (n = 2)", GT, r=1))
+    return ConstraintTable("corollary", AXES, tuple(rows))
+
+
+_PASSES = {GE: lambda s: s >= 0, GT: lambda s: s > 0, EQ: lambda s: s == 0}
+
+
+def evaluate(table: ConstraintTable, u: dict) -> RegionReport:
+    """Check every clause at the reciprocals u (an absent one is 0, exponent inf).
+
+    A gated table stops after its gate clauses when one of them fails,
+    and then reports no case.
+    """
+    x = (1,) + tuple(u.get(a, 0) for a in AXES)
+    rep = RegionReport(label=table.label)
+    for k, (name, kind, forms) in enumerate(table.clauses):
+        if k == table.gate and not rep.verdict:
+            return rep
+        values = [sum(c * v for c, v in zip(form, x)) for form in forms]
+        rep.constraints.append(ConstraintCheck(name, any(values)) if kind == NE else
+                               ConstraintCheck(name, _PASSES[kind](values[0]), values[0]))
+    rep.case = table.case
+    return rep
 
 
 def is_schrodinger_admissible(q, r, n: int) -> RegionReport:
     """q, r >= 2, 2/q + n/r = n/2, (q, r, n) != (2, inf, 2)."""
-    q, r = as_extended(q), as_extended(r)
-    uq, ur = recip(q), recip(r)
-    rep = RegionReport(label="classical")
-    rep.constraints.append(_ge("q >= 2", Fraction(1, 2), uq))
-    rep.constraints.append(_ge("r >= 2", Fraction(1, 2), ur))
-    rep.constraints.append(_eq("2/q + n/r = n/2", 2 * uq + n * ur, Fraction(n, 2)))
-    endpoint = (uq == Fraction(1, 2) and ur == 0 and n == 2)
-    rep.constraints.append(ConstraintCheck("(q, r, n) != (2, inf, 2)", not endpoint))
-    return rep
+    return evaluate(constraint_table("classical", n), {"q": recip(q), "r": recip(r)})
 
 
 def satisfies_cn2(t: ExponentTuple) -> RegionReport:
     """The interpolated region: local and global exponents decoupled
     except rt <= r, with the endpoint caveats in dimensions 2 and >= 3."""
-    u = t.reciprocals()
-    n = t.n
-    rep = RegionReport(label="cn2")
-    rep.constraints.append(_ge("qt >= 1", Fraction(1), u["qt"]))
-    rep.constraints.append(_ge("rt >= 1", Fraction(1), u["rt"]))
-    rep.constraints.append(_ge("q >= 2", Fraction(1, 2), u["q"]))
-    rep.constraints.append(_ge("r >= 2", Fraction(1, 2), u["r"]))
-    rep.constraints.append(_ge("rt <= r", u["rt"], u["r"]))
-    rep.constraints.append(_ge("2/q + n/r <= n/2", Fraction(n, 2), 2 * u["q"] + n * u["r"]))
-    rep.constraints.append(_ge("n/2 <= 2/qt + n/rt", 2 * u["qt"] + n * u["rt"], Fraction(n, 2)))
-    if n == 2:
-        rep.constraints.append(_gt("rt < inf (n = 2)", u["rt"], Fraction(0)))
-        rep.constraints.append(_gt("r < inf (n = 2)", u["r"], Fraction(0)))
-    if n >= 3:
-        rep.constraints.append(_ge("rt <= 2n/(n-2)", u["rt"], Fraction(n - 2, 2 * n)))
-    return rep
+    return evaluate(constraint_table("cn2", t.n, t.sigma), t.reciprocals())
 
 
 def satisfies_theorem(t: ExponentTuple) -> RegionReport:
     """Sobolev-data amalgam region: exponent ordering, the sigma window,
     the strict time-local lower bound and the trade-off equality."""
-    u = t.reciprocals()
-    n, sigma = t.n, t.sigma
-    rep = RegionReport(label="theorem")
-    rep.constraints.append(_ge("qt >= 2", Fraction(1, 2), u["qt"]))
-    rep.constraints.append(_gt("qt < q", u["qt"], u["q"]))
-    rep.constraints.append(_gt("q < inf", u["q"], Fraction(0)))
-    rep.constraints.append(_ge("rt >= 2", Fraction(1, 2), u["rt"]))
-    rep.constraints.append(_ge("r >= 2", Fraction(1, 2), u["r"]))
-    lo = max(Fraction(0), Fraction(n - 2, 4))
-    rep.constraints.append(_gt("sigma > max(0, (n-2)/4)", sigma, lo))
-    rep.constraints.append(_gt("sigma < n/2", Fraction(n, 2), sigma))
-    rep.constraints.append(_gt(
-        "2/qt + (n-1)/rt > n/2 - sigma",
-        2 * u["qt"] + (n - 1) * u["rt"],
-        Fraction(n, 2) - sigma,
-    ))
-    rep.constraints.append(_eq(
-        "2/q + n/r = n/2 - sigma - (n-1)/rt",
-        2 * u["q"] + n * u["r"],
-        Fraction(n, 2) - sigma - (n - 1) * u["rt"],
-    ))
-    return rep
+    return evaluate(constraint_table("theorem", t.n, t.sigma), t.reciprocals())
 
 
 def satisfies_prop_kernel(n: int, sigma, rt, r) -> RegionReport:
@@ -200,59 +271,12 @@ def satisfies_prop_kernel(n: int, sigma, rt, r) -> RegionReport:
     For sigma <= n/4 the small-order case applies, for sigma >= n/4 the
     large-order case; exactly at n/4 either strict inequality suffices.
     """
-    sigma = as_rational(sigma)
-    urt, ur = recip(rt), recip(r)
-    rep = RegionReport(label="proposition")
-    rep.constraints.append(_ge("rt >= 2", Fraction(1, 2), urt))
-    rep.constraints.append(_ge("r >= 2", Fraction(1, 2), ur))
-    rep.constraints.append(_gt("sigma > 0", sigma, Fraction(0)))
-    rep.constraints.append(_gt("sigma < n/2", Fraction(n, 2), sigma))
-    if not rep.verdict:
-        rep.case = None
-        return rep
-    load = (n - 1) * urt + n * ur
-    quarter = Fraction(n, 4)
-    c3 = _gt("(n-1)/rt + n/r < sigma", sigma, load)
-    c4 = _gt("(n-1)/rt + n/r < n/2 - sigma", Fraction(n, 2) - sigma, load)
-    if sigma < quarter:
-        rep.case = "c3"
-        rep.constraints.append(c3)
-    elif sigma > quarter:
-        rep.case = "c4"
-        rep.constraints.append(c4)
-    else:
-        # both cases are stated inclusively at sigma = n/4
-        rep.case = "c3|c4"
-        rep.constraints.append(ConstraintCheck(
-            "either strict kernel-decay inequality at sigma = n/4",
-            c3.passed or c4.passed,
-            max(c3.slack, c4.slack),
-        ))
-    return rep
+    return evaluate(constraint_table("proposition", n, sigma), {"rt": recip(rt), "r": recip(r)})
 
 
 def satisfies_corollary(t: ExponentTuple) -> RegionReport:
     """Bilinear-interpolation region with the inner spatial exponent 4."""
-    u = t.reciprocals()
-    n, sigma = t.n, t.sigma
-    rep = RegionReport(label="corollary")
-    rep.constraints.append(_eq("rt = 4", u["rt"], Fraction(1, 4)))
-    lo = max(Fraction(0), Fraction(n - 2, 8))
-    rep.constraints.append(_gt("sigma > max(0, (n-2)/8)", sigma, lo))
-    rep.constraints.append(_gt("sigma < n/4", Fraction(n, 4), sigma))
-    rep.constraints.append(_eq(
-        "2/q + n/r = n/2 - sigma",
-        2 * u["q"] + n * u["r"],
-        Fraction(n, 2) - sigma,
-    ))
-    rep.constraints.append(_gt("2/qt > n/4 - sigma", 2 * u["qt"], Fraction(n, 4) - sigma))
-    rep.constraints.append(_gt("1/q > 0", u["q"], Fraction(0)))
-    rep.constraints.append(_gt("1/q < 1/qt + 1/4", u["qt"] + Fraction(1, 4), u["q"]))
-    rep.constraints.append(_ge("1/qt + 1/4 <= 1/2", Fraction(1, 2), u["qt"] + Fraction(1, 4)))
-    rep.constraints.append(_ge("r >= 2", Fraction(1, 2), u["r"]))
-    if n == 2:
-        rep.constraints.append(_gt("r < inf (n = 2)", u["r"], Fraction(0)))
-    return rep
+    return evaluate(constraint_table("corollary", t.n, t.sigma), t.reciprocals())
 
 
 _PREDICATES = {
@@ -288,6 +312,13 @@ def predicted_kernel_decay(n: int, sigma, rt, r):
     return small, large, (not inside)
 
 
+def _solve(form: tuple, u: dict, name: str) -> Fraction:
+    """The reciprocal ``name`` at which the form vanishes, the others from u."""
+    k = 1 + AXES.index(name)
+    rest = form[0] + sum(c * u.get(a, 0) for a, c in zip(AXES, form[1:]) if a != name)
+    return -rest / form[k]
+
+
 def classical_sobolev_line(n: int, sigma, q):
     """Solve 2/q + n/r = n/2 - sigma for r (possibly inf).
 
@@ -299,7 +330,7 @@ def classical_sobolev_line(n: int, sigma, q):
     uq = recip(q)
     if uq > Fraction(1, 2):
         raise ValueError(f"q must be >= 2, got {as_extended(q)}")
-    ur = (Fraction(n, 2) - sigma - 2 * uq) / n
+    ur = _solve(_trade_off(n, sigma), {"q": uq}, "r")
     if ur < 0:
         raise ValueError(
             f"no admissible r: 2/q + sigma exceeds n/2 (1/r would be {ur})")
@@ -310,107 +341,117 @@ def classical_sobolev_line(n: int, sigma, q):
 
 @dataclass
 class RegionScan:
+    """Verdicts over the lattice {0, 1/resolution, ..., 1}^d of the free reciprocals,
+    in row-major order of the index tuples; coordinates and tuples are built on access."""
+
     condition_set: str
     axes: tuple
     resolution: int
-    coords: list          # reciprocal coordinates per scanned point
-    tuples: list          # assembled ExponentTuple or None (unassemblable)
     verdicts: list        # bool per point
-    boundary: list        # coords of accepted cells adjacent to rejected ones
+    edge: list            # indices of accepted points with a rejected or missing neighbour
+    tuple_at: object = field(repr=False)  # free reciprocals -> ExponentTuple, None if unassemblable
+
+    @cached_property
+    def coords(self) -> list:
+        steps = [Fraction(k, self.resolution) for k in range(self.resolution + 1)]
+        return [dict(zip(self.axes, p)) for p in itertools.product(steps, repeat=len(self.axes))]
+
+    @cached_property
+    def tuples(self) -> list:
+        return [self.tuple_at(point) for point in self.coords]
 
     @property
     def accepted(self) -> list:
         return [t for t, v in zip(self.tuples, self.verdicts) if v and t is not None]
 
+    @property
+    def boundary(self) -> list:
+        return [self.coords[k] for k in self.edge]
 
-def _solve_missing(condition_set: str, n: int, sigma, urec: dict) -> dict | None:
-    """Fill at most one missing reciprocal from the set's equality clause."""
-    missing = [k for k, v in urec.items() if v is None]
-    if not missing:
-        return urec
-    if len(missing) > 1:
-        raise ValueError(f"underdetermined scan: missing {missing}")
-    name = missing[0]
-    out = dict(urec)
-    if condition_set == "classical":
-        rhs = Fraction(n, 2)
-    elif condition_set == "theorem":
-        if urec.get("rt") is None:
-            raise ValueError("cannot solve the trade-off equality without rt")
-        rhs = Fraction(n, 2) - as_rational(sigma) - (n - 1) * urec["rt"]
-    elif condition_set == "corollary":
-        rhs = Fraction(n, 2) - as_rational(sigma)
-    else:
-        raise ValueError(
-            f"condition set {condition_set!r} has no equality to solve {name} from")
-    if name == "r":
-        val = (rhs - 2 * urec["q"]) / n
-    elif name == "q":
-        val = (rhs - n * urec["r"]) / 2
-    else:
-        raise ValueError(f"can only solve q or r from the equality, not {name}")
-    if val < 0 or val > 1:
-        return None
-    out[name] = val
-    return out
+
+def _interval(rows: list, head: tuple, resolution: int) -> tuple:
+    """(lo, hi): the last index j in [0, resolution] at which every integer
+    row c + a . (head, j) is >= 0; (1, 0) if there is none."""
+    lo, hi = 0, resolution
+    for row in rows:
+        c, b = row[0] + sum(a * i for a, i in zip(row[1:], head)), row[-1]
+        if b > 0:
+            lo = max(lo, -(c // b))  # j >= ceil(-c / b)
+        elif b < 0:
+            hi = min(hi, c // -b)    # j <= floor(c / -b)
+        elif c < 0:
+            return 1, 0
+    return (lo, hi) if lo <= hi else (1, 0)
 
 
 def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
                   fixed: dict | None = None) -> RegionScan:
-    """Scan a region in reciprocal coordinates and re-verify every point.
+    """Scan a region exactly over the reciprocals of one or two ``free`` coordinates.
 
-    ``free`` names at most two of qt, rt, q, r; their reciprocals are
-    scanned over {0, 1/resolution, ..., 1}.  Remaining exponents come from
-    ``fixed`` or, where the condition set carries an equality clause, are
-    solved exactly.  Every accepted point is re-verified by the predicate;
-    boundary cells (accepted with a rejected scan neighbor) are emitted
-    for plotting.
+    The others come from ``fixed``, or one is solved from an equality clause
+    of the set; a point where it leaves [0, 1] is rejected.  Boundary cells
+    (accepted with a rejected or missing scan neighbour) are listed by index.
     """
-    predicate = predicate_for(condition_set)
-    free = tuple(free)
-    if len(free) == 0 or len(free) > 2:
-        raise ValueError("free must name one or two exponents")
-    for f in free:
-        if f not in ("qt", "rt", "q", "r"):
-            raise ValueError(f"unknown free coordinate {f!r}")
-    fixed = dict(fixed or {})
-    if condition_set == "proposition":
-        names = ("rt", "r")
-    elif condition_set == "classical":
-        names = ("q", "r")
-    else:
-        names = ("qt", "rt", "q", "r")
-    for f in free:
-        if f not in names:
-            raise ValueError(
-                f"{f!r} is not a coordinate of the {condition_set} region")
-    # fixed reciprocals; None marks the one left to solve from the equality clause
-    base = {name: recip(fixed[name]) if name in fixed else None
-            for name in names if name not in free}
-    steps = [Fraction(k, resolution) for k in range(resolution + 1)]
-    # scan points in row-major order, the last free coordinate fastest
-    indices = list(itertools.product(range(resolution + 1), repeat=len(free)))
-    coords, tuples, verdicts = [], [], []
-    for idx in indices:
-        point = {f: steps[i] for f, i in zip(free, idx)}
-        urec = {name: point[name] if name in free else base[name] for name in names}
-        solved = _solve_missing(condition_set, n, sigma, urec)
-        coords.append(point)
-        if solved is None:
-            tuples.append(None)
-            verdicts.append(False)
-            continue
-        full = {k: solved.get(k, Fraction(0)) for k in ("qt", "rt", "q", "r")}
-        tup = ExponentTuple(n=n, sigma=as_extended(sigma),
-                            qt=from_recip(full["qt"]), rt=from_recip(full["rt"]),
-                            q=from_recip(full["q"]), r=from_recip(full["r"]))
-        tuples.append(tup)
-        verdicts.append(predicate(tup).verdict)
-    # an accepted point with a rejected neighbour, or none (off the scan), is boundary
-    accepted = {idx for idx, v in zip(indices, verdicts) if v}
-    boundary = [point for idx, point in zip(indices, coords) if idx in accepted and any(
-        idx[:d] + (idx[d] + delta,) + idx[d + 1:] not in accepted
-        for d in range(len(idx)) for delta in (-1, 1))]
-    return RegionScan(condition_set=condition_set, axes=free, resolution=resolution,
-                      coords=coords, tuples=tuples, verdicts=verdicts,
-                      boundary=boundary)
+    table = constraint_table(condition_set, n, sigma)
+    free, fixed = tuple(free), dict(fixed or {})
+    if not 1 <= len(free) == len(set(free)) <= 2:
+        raise ValueError("free must name one or two distinct exponents")
+    for name in free + tuple(fixed):
+        if name not in table.axes:
+            raise ValueError(f"{name!r} is not a coordinate of the {condition_set} region")
+        if name in free and name in fixed:
+            raise ValueError(f"{name!r} is both free and fixed")
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, got {resolution}")
+    ExponentTuple(n, sigma, *(fixed.get(a, INF) for a in AXES))  # checks sigma and fixed once
+    base = {a: recip(v) for a, v in fixed.items()}
+    missing = [a for a in table.axes if a not in free + tuple(fixed)]
+    if len(missing) > 1:
+        raise ValueError(f"underdetermined scan: missing {missing}")
+    clauses, eq = list(table.clauses), None
+    if missing:
+        (solved,) = missing
+        k = 1 + AXES.index(solved)
+        eq = next((forms[0] for _, kind, forms in clauses if kind == EQ and forms[0][k]), None)
+        if eq is None:
+            raise ValueError(f"the {condition_set} region has no equality to solve {solved} from")
+        clauses += [("", GE, (_form(**{solved: 1}),)), ("", GE, (_form(1, **{solved: -1}),))]
+
+    def rows(form: tuple, kind: str) -> list:
+        """The clause as integer rows (c, a_1, ..), each c + a . indices >= 0."""
+        if eq is not None:  # eliminate the solved reciprocal along the equality
+            form = [f - form[k] / eq[k] * e for f, e in zip(form, eq)]
+        coef = dict(zip(AXES, form[1:]))
+        g = [resolution * (form[0] + sum(coef[a] * u for a, u in base.items()))]
+        g += [coef[f] for f in free]
+        scale = math.lcm(*(c.denominator for c in g))
+        row = [int(c * scale) for c in g]
+        row[0] -= kind == GT  # integer values: > 0 is >= 1
+        return [row, [-c for c in row]] if kind == EQ else [row]
+
+    def tuple_at(point: dict):
+        u = {**base, **point}
+        if eq is not None:
+            u[solved] = _solve(eq, u, solved)
+            if not 0 <= u[solved] <= 1:
+                return None
+        return ExponentTuple(n, sigma, *(from_recip(u.get(a, 0)) for a in AXES))
+
+    terms = [row for _, kind, forms in clauses if kind != NE for row in rows(forms[0], kind)]
+    holes = [[row for f in forms for row in rows(f, EQ)]
+             for _, kind, forms in clauses if kind == NE]
+    w = resolution + 1
+    verdicts = []
+    for head in itertools.product(range(w), repeat=len(free) - 1):
+        line = [False] * w
+        lo, hi = _interval(terms, head, resolution)
+        line[lo:hi + 1] = [True] * (hi + 1 - lo)
+        for hole in holes:
+            lo, hi = _interval(hole, head, resolution)
+            line[lo:hi + 1] = [False] * (hi + 1 - lo)
+        verdicts += line
+    strides = [w ** d for d in range(len(free))]
+    edge = [k for k in itertools.compress(range(len(verdicts)), verdicts)
+            if not all(0 < k // s % w < resolution and verdicts[k - s] and verdicts[k + s]
+                       for s in strides)]
+    return RegionScan(condition_set, free, resolution, verdicts, edge, tuple_at)

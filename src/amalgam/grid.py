@@ -246,10 +246,13 @@ def _lp(values: np.ndarray, p: float, g: GridSpec) -> np.ndarray:
     """Riemann-sum L^p norms over the trailing grid axes; lattice max for p = inf."""
     a = np.abs(values)
     axes = tuple(range(-g.n, 0))
+    peak = a.max(axis=axes)
     if np.isinf(p):
-        return a.max(axis=axes)
+        return peak
+    scale = np.where(peak > 0, peak, 1.0)  # divided by the peak, |f|^p cannot overflow
+    a /= scale[(...,) + (None,) * g.n]
     a **= p
-    return (np.sum(a, axis=axes) * g.cell_volume) ** (1.0 / p)
+    return scale * (np.sum(a, axis=axes) * g.cell_volume) ** (1.0 / p)
 
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
@@ -288,11 +291,9 @@ def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> NormResult:
     if q < 1 or r < 1:
         raise ValueError("exponents must be in [1, inf]")
     spatial = _lp(stf.values, r, stf.grid)
-    w = trapezoid_weights(stf.times)
-    if np.isinf(q):
-        value = float(spatial.max())
-    else:
-        value = float((np.sum(w * spatial ** q)) ** (1.0 / q))
+    value = float(spatial.max())
+    if np.isfinite(q) and value > 0:  # scaled by the largest, the q-th powers cannot overflow
+        value *= float(np.sum(trapezoid_weights(stf.times) * (spatial / value) ** q)) ** (1.0 / q)
     return NormResult(
         value=value,
         space="mixed-lebesgue",

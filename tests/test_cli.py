@@ -107,6 +107,28 @@ class TestExponentErrors:
         assert code == 2
         assert err.count("\n") == 1 and "--fixed" in err and "name=value" in err
 
+    @pytest.mark.parametrize("argv,item", [
+        (["region", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--fixed", "rt=inf",
+          "--free", "qt,q", "--resolution", "0"], "resolution"),
+        (["region", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--fixed", "rt=inf",
+          "--free", "qt,q", "--resolution", "-3"], "resolution"),
+        (["region", "--set", "theorem", "--n", "0", "--sigma", "0.3", "--fixed", "rt=inf",
+          "--free", "qt,q"], "dimension"),
+        (["check-tuple", "--set", "classical", "--n", "0"], "dimension"),
+        (["check-tuple", "--set", "classical", "--n", "-2"], "dimension"),
+        (["check-tuple", "--set", "proposition", "--n", "0", "--sigma", "0.3"], "dimension"),
+        (["check-tuple", "--set", "proposition", "--n", "-2", "--sigma", "0.3"], "dimension"),
+        (["region", "--set", "theorem", "--n", "1", "--sigma", "0.3",
+          "--fixed", "rt=inf,bogus=3", "--free", "qt,q"], "'bogus'"),
+        (["region", "--set", "theorem", "--n", "1", "--sigma", "0.3",
+          "--free", "qt,q", "--fixed", "rt=inf,qt=2"], "'qt'"),
+    ], ids=["resolution-0", "resolution-neg", "region-n0", "classical-n0", "classical-n-neg",
+            "proposition-n0", "proposition-n-neg", "fixed-unknown", "fixed-and-free"])
+    def test_bad_region_and_dimension(self, tmp_path, capsys, argv, item):
+        assert invoke(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:") and item in err
+
 
 class TestManifest:
     def test_written_before_results_and_finalized(self, tmp_path):
@@ -134,6 +156,20 @@ class TestManifest:
                     "--grid-npts", "128", "--p", "2"])
         assert code == 0
         assert (tmp_path / "envdir" / "results.csv").exists()
+
+    def test_warning_recorded_as_one_line(self, tmp_path, capsys):
+        code = invoke(["norm", "--kind", "hsigma", "--sigma", "0.3", "--gen", "gaussian",
+                       "--grid-npts", "128"], tmp_path)
+        assert code == 0
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("warning: zero-mode mass fraction")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["warnings"] == [err[len("warning: "):].strip()]
+
+    def test_no_warnings_recorded_as_empty(self, tmp_path, capsys):
+        assert invoke(["norm", "--kind", "lebesgue", "--grid-npts", "64"], tmp_path) == 0
+        assert capsys.readouterr().err == ""
+        assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == []
 
 
 class TestDeterminism:
@@ -251,6 +287,18 @@ class TestCommands:
         assert report["input_slices"] == 2
         assert report["input_time"] == 0.2
 
+    def test_norm_of_huge_container_is_finite(self, tmp_path, capsys):
+        from amalgam.grid import SpaceTimeField, write_spacetime
+        g = amalgam.GridSpec(1, 4.0, 64)
+        path = tmp_path / "big.bin"
+        write_spacetime(SpaceTimeField(g, [0.0], np.full((1, 64), 1e300 + 0j)), path)
+        capsys.readouterr()
+        assert invoke(["norm", "--kind", "lebesgue", "--input", str(path)], tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # 1e300 over a box of measure 8: 1e300 * sqrt(8)
+        assert float(out.split(":")[1]) == pytest.approx(1e300 * 8 ** 0.5, rel=1e-11)
+
     def test_truncated_container_is_usage_error(self, tmp_path, capsys):
         assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
                        "--times", "0.2", "--save-field"], tmp_path) == 0
@@ -333,6 +381,8 @@ class TestImportFootprint:
              "--rt", "inf", "--q", "10", "--r", "inf"],
             ["region", "--set", "proposition", "--n", "1", "--sigma", "0.3",
              "--free", "rt,r", "--resolution", "8"],
+            ["region", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--fixed", "rt=inf",
+             "--free", "qt,q", "--resolution", "128"],
         ], tmp_path) == []
 
     def test_field_commands_skip_scipy(self, tmp_path):
@@ -431,6 +481,23 @@ class TestFuzz:
             code, err = _run_quietly(["check-tuple", f"--set={cset}", f"--n={n}",
                                       f"--sigma={sigma}", f"--qt={qt}", f"--rt={rt}",
                                       f"--q={q}", f"--r={r}", "--out", tmp])
+        assert code in (0, 2)
+        assert code == 0 or err.count("\n") == 1, err
+
+    @given(cset=st.sampled_from(["classical", "cn2", "theorem", "proposition", "corollary"]),
+           n=_TOKENS, sigma=_TOKENS,
+           free=st.lists(st.sampled_from(["qt", "rt", "q", "r", "bogus", ""]), max_size=3),
+           fixed=st.lists(st.tuples(st.sampled_from(["qt", "rt", "q", "r", "bogus", ""]), _TOKENS),
+                          max_size=3),
+           resolution=st.sampled_from(["0", "1", "3", "-2", "x", "2.5"]))
+    @settings(max_examples=150, deadline=None)
+    def test_region_tokens(self, cset, n, sigma, free, fixed, resolution):
+        # resolutions stay small: a huge one is a valid request for a huge mesh
+        with tempfile.TemporaryDirectory() as tmp:
+            code, err = _run_quietly(["region", f"--set={cset}", f"--n={n}", f"--sigma={sigma}",
+                                      f"--free={','.join(free)}",
+                                      f"--fixed={','.join('='.join(kv) for kv in fixed)}",
+                                      f"--resolution={resolution}", "--out", tmp])
         assert code in (0, 2)
         assert code == 0 or err.count("\n") == 1, err
 

@@ -113,6 +113,22 @@ class TestLebesgueNorm:
         f = SampledField(grid1d, np.zeros(grid1d.shape))
         assert lebesgue_norm(f, 3).value == 0.0
 
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7.5])
+    def test_extreme_magnitudes_stay_finite(self, grid1d, p, scale):
+        # |f| = scale on a box of measure 2L: the norm is scale (2L)^(1/p), where
+        # |f|^p alone is beyond float64 (overflow at 1e300, zero at 1e-300)
+        f = SampledField(grid1d, np.full(grid1d.shape, scale * (0.6 - 0.8j)))
+        want = scale * (2 * grid1d.length) ** (1 / p)
+        assert lebesgue_norm(f, p).value == pytest.approx(want, rel=1e-13, abs=0)
+
+    def test_matches_unscaled_sum(self, grid2d, rng):
+        # the peak scaling regroups nothing: same Riemann sum to rounding
+        f = random_field(grid2d, rng)
+        for p in (1, 2, 3.5):
+            want = (np.sum(np.abs(f.values) ** p) * grid2d.cell_volume) ** (1 / p)
+            assert lebesgue_norm(f, p).value == pytest.approx(want, rel=1e-13, abs=0)
+
     def test_p_infinity_is_lattice_max(self, grid1d, rng):
         f = random_field(grid1d, rng)
         assert lebesgue_norm(f, np.inf).value == np.abs(f.values).max()
@@ -153,6 +169,15 @@ class TestMixedNorm:
         for q in (1, 2, 7):
             got = mixed_lebesgue_norm(stf, q, 2).value
             assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e300, 1e-300])
+    def test_extreme_magnitudes_stay_finite(self, grid1d, scale):
+        # |f| = scale on [-L, L) x [0, 2]: the L^q_t L^r_x norm is scale (2L)^(1/r) 2^(1/q)
+        times = np.linspace(0.0, 2.0, 5)
+        stf = SpaceTimeField(grid1d, times, np.full((5,) + grid1d.shape, scale + 0j))
+        for q, r in ((2, 2), (3, 1.5), (np.inf, 4)):
+            want = scale * (2 * grid1d.length) ** (1 / r) * 2 ** (1 / q)
+            assert mixed_lebesgue_norm(stf, q, r).value == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_q2_r2_is_flat_l2(self, grid1d, rng):
         times = np.linspace(0.0, 2.0, 9)
