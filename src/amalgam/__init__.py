@@ -10,8 +10,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "make_grid",
-             "transform", "lebesgue_norm", "mixed_lebesgue_norm"),
+    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "transform",
+             "lebesgue_norm", "mixed_lebesgue_norm"),
     "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "inclusion_check",
                "interpolate_exponents", "spacetime_amalgam_norm", "unit_cube_partition",
                "weak_lorentz_norm"),

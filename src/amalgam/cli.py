@@ -1,12 +1,14 @@
 """Command-line front end: every operation as a manifest-logged command.
 
 Exit codes: 0 success (a reject verdict is still a success), 1 when an
-asserted invariant fails, 2 on usage errors.  The token ``inf`` denotes
-infinity in every exponent flag; exponents parse as exact rationals
-(``10``, ``10/3``, ``0.3``).  A config file of ``key = value`` lines may
-supply any flag (``key = true`` sets a flag that takes no value);
-explicit command-line flags override it.  The output directory comes
-from --out, else $AMALGAM_OUT, else ./amalgam-out.
+asserted invariant fails, 2 on usage errors.  Every flag is typed: its
+value is parsed once, and a value it cannot take is a usage error that
+names the flag.  The token ``inf`` denotes infinity in every exponent
+flag; exponents parse as exact rationals (``10``, ``10/3``, ``0.3``).  A
+config file of ``key = value`` lines may supply any flag (``key = true``
+sets a flag that takes no value); explicit command-line flags override it.
+The output directory comes from --out, else $AMALGAM_OUT, else
+./amalgam-out.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 import time
@@ -21,6 +24,7 @@ import warnings
 from fractions import Fraction
 from pathlib import Path
 
+from . import __version__
 from . import exponents as expo
 from .extreal import as_extended, fmt, to_float
 
@@ -37,6 +41,68 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# ---------------------------------------------------------------------------
+# flag types
+# ---------------------------------------------------------------------------
+
+def _exponent(text: str):
+    """An exact rational, or inf."""
+    try:
+        return as_extended(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _axis(name: str) -> str:
+    name = name.strip()
+    if name not in expo.AXES:
+        raise argparse.ArgumentTypeError(
+            f"{name!r} is not an exponent name; choose from {', '.join(expo.AXES)}")
+    return name
+
+
+def _axes(text: str) -> list:
+    return [_axis(s) for s in text.split(",") if s.strip()]
+
+
+def _fixed(text: str) -> dict:
+    fixed = {}
+    for item in text.split(",") if text else ():
+        name, eq, val = item.partition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(f"takes name=value items, got {item!r}")
+        fixed[_axis(name)] = _exponent(val)
+    return fixed
+
+
+def _times(text: str) -> list:
+    try:
+        return [float(s) for s in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of instants, got {text!r}") from None
+
+
+# One type per flag name: a --config file is parsed by every subcommand.
+_TYPES = {
+    **dict.fromkeys(("seed", "n", "resolution", "grid-n", "grid-npts", "mode", "per-decade",
+                     "corpus-size", "trials", "ntimes", "pairs"), int),
+    **dict.fromkeys(("grid-l", "width", "window-radius", "window-step", "tmin", "tmax",
+                     "tol", "t-outer"), float),
+    **dict.fromkeys(("sigma", "qt", "rt", "q", "r", "p", "alpha"), _exponent),
+    "free": _axes, "fixed": _fixed, "times": _times,
+}
+_HELP = {"free": "comma list, e.g. qt,q", "fixed": "comma list name=value",
+         "times": "comma list of instants"}
+
+
+def _flags(sp, **defaults) -> None:
+    """A typed --flag per keyword (``_`` becomes ``-``); a text default parses as a value."""
+    for key, default in defaults.items():
+        name = key.replace("_", "-")
+        sp.add_argument(f"--{name}", type=_TYPES[name], default=default, help=_HELP.get(name))
+
+
 def _build_parser() -> tuple:
     """(the parser, its subcommand parsers by name)."""
     p = _Parser(prog="amalgam", description=__doc__, allow_abbrev=False,
@@ -47,74 +113,51 @@ def _build_parser() -> tuple:
     def add(name, help_):
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
         sp.add_argument("--out", help="output directory (default $AMALGAM_OUT or ./amalgam-out)")
-        sp.add_argument("--seed", type=int, default=0)
+        _flags(sp, seed="0")
         return sp
 
     sp = add("check-tuple", "run an admissibility predicate on one tuple")
-    sp.add_argument("--set", default=None, dest="condition_set",
-                    choices=["classical", "cn2", "theorem", "proposition", "corollary"])
-    sp.add_argument("--n", default=None)
-    sp.add_argument("--sigma", default="0")
-    for f in ("qt", "rt", "q", "r"):
-        sp.add_argument(f"--{f}", default=None)
+    sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS)
+    _flags(sp, n=None, sigma="0", qt="2", rt="2", q="2", r="2")
 
     sp = add("region", "scan an admissibility region in reciprocal coordinates")
-    sp.add_argument("--set", default=None, dest="condition_set",
-                    choices=["classical", "cn2", "theorem", "proposition", "corollary"])
-    sp.add_argument("--n", default=None)
-    sp.add_argument("--sigma", default="0")
-    sp.add_argument("--free", default=None, help="comma list, e.g. qt,q")
-    sp.add_argument("--fixed", default="", help="comma list name=value")
-    sp.add_argument("--resolution", default="64")
+    sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS)
+    _flags(sp, n=None, sigma="0", free=None, fixed="", resolution="64")
 
     sp = add("norm", "compute a norm of a generated or loaded field")
-    sp.add_argument("--kind", default=None,
-                    choices=["lebesgue", "hsigma", "amalgam"])
+    sp.add_argument("--kind", choices=["lebesgue", "hsigma", "amalgam"])
     _field_flags(sp)
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="2")
-    sp.add_argument("--sigma", default="0")
-    _window_flags(sp)
+    _flags(sp, p="2", q="2", sigma="0", window_radius="0.5", window_step="1")
+    sp.add_argument("--window", default="cube", choices=["cube", "gaussian", "bump"])
+    sp.add_argument("--window-norm", default="partition", choices=["l2", "partition"])
 
     sp = add("evolve", "free evolution of a datum over a time list")
     _field_flags(sp)
-    sp.add_argument("--sigma", default="0")
-    sp.add_argument("--times", default="0.5", help="comma list of instants")
+    _flags(sp, sigma="0", times="0.5")
     sp.add_argument("--save-field", action="store_true",
                     help="also write the evolved slices as a binary container")
 
-    sp = add("kernel-profile", "windowed kernel norm h(t) over log-spaced times")
-    _profile_flags(sp)
-
-    sp = add("fit-decay", "kernel profile plus two-regime slope fit")
-    _profile_flags(sp)
-    sp.add_argument("--tol", default="0.05")
+    for name, help_ in (("kernel-profile", "windowed kernel norm h(t) over log-spaced times"),
+                        ("fit-decay", "kernel profile plus two-regime slope fit")):
+        sp = add(name, help_)
+        _flags(sp, n="1", sigma=None, rt=None, r=None, grid_l="64", grid_npts="4096",
+               tmin="0.02", tmax="50", per_decade="24")
+    _flags(sp, tol="0.05")  # fit-decay's
 
     sp = add("ratio", "space-time amalgam norm over data norm for one tuple")
     _field_flags(sp)
     sp.set_defaults(gen="modulated")  # ratio needs zero-mode-free data
-    sp.add_argument("--n", default="1")
-    sp.add_argument("--sigma", default=None)
-    for f in ("qt", "rt", "q", "r"):
-        sp.add_argument(f"--{f}", default=None)
+    _flags(sp, n="1", sigma=None, qt=None, rt=None, q=None, r=None, t_outer="32")
     sp.add_argument("--weak", action="store_true")
-    sp.add_argument("--t-outer", default="32")
 
     sp = add("suite", "lattice identity / inequality property suite")
-    sp.add_argument("--corpus-size", default="100")
+    _flags(sp, corpus_size="100")
 
     sp = add("hls", "1-D fractional-integration ratio check")
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--alpha", default=None)
-    sp.add_argument("--trials", default="200")
+    _flags(sp, p=None, alpha=None, trials="200")
 
     sp = add("bilinear", "double-integral vs factorized bilinear form")
-    sp.add_argument("--grid-n", default="1")
-    sp.add_argument("--grid-l", default="8")
-    sp.add_argument("--grid-npts", default="64")
-    sp.add_argument("--sigma", default="0.3")
-    sp.add_argument("--ntimes", default="9")
-    sp.add_argument("--pairs", default="10")
+    _flags(sp, grid_n="1", grid_l="8", grid_npts="64", sigma="0.3", ntimes="9", pairs="10")
     return p, sub.choices
 
 
@@ -122,31 +165,7 @@ def _field_flags(sp):
     sp.add_argument("--input", help="binary field container to load")
     sp.add_argument("--gen", default="gaussian",
                     choices=["gaussian", "modulated", "band-limited", "spike"])
-    sp.add_argument("--width", default="1")
-    sp.add_argument("--mode", default="40")
-    sp.add_argument("--grid-n", default="1")
-    sp.add_argument("--grid-l", default="16")
-    sp.add_argument("--grid-npts", default="1024")
-
-
-def _window_flags(sp):
-    sp.add_argument("--window", default="cube",
-                    choices=["cube", "gaussian", "bump"])
-    sp.add_argument("--window-radius", default="0.5")
-    sp.add_argument("--window-step", default="1")
-    sp.add_argument("--window-norm", default="partition", choices=["l2", "partition"])
-
-
-def _profile_flags(sp):
-    sp.add_argument("--n", default="1")
-    sp.add_argument("--sigma", default=None)
-    sp.add_argument("--rt", default=None)
-    sp.add_argument("--r", default=None)
-    sp.add_argument("--grid-l", default="64")
-    sp.add_argument("--grid-npts", default="4096")
-    sp.add_argument("--tmin", default="0.02")
-    sp.add_argument("--tmax", default="50")
-    sp.add_argument("--per-decade", default="24")
+    _flags(sp, width="1", mode="40", grid_n="1", grid_l="16", grid_npts="1024")
 
 
 def _load_config(path) -> dict:
@@ -201,8 +220,8 @@ def _outdir(args) -> Path:
 def _window_from(args):
     from .wiener import WindowSpec
     kind = {"cube": "cube-indicator", "gaussian": "gaussian", "bump": "smooth-bump"}[args.window]
-    return WindowSpec(kind=kind, radius=float(args.window_radius),
-                      step=float(args.window_step), normalization=args.window_norm)
+    return WindowSpec(kind=kind, radius=args.window_radius, step=args.window_step,
+                      normalization=args.window_norm)
 
 
 def _field_from(args) -> tuple:
@@ -219,26 +238,18 @@ def _field_from(args) -> tuple:
         if slices > 1:
             warnings.warn(f"{args.input} holds {slices} slices; using the first, t = {t0:g}")
         return SampledField(stf.grid, stf.values[0]), {"input_slices": slices, "input_time": t0}
-    grid = GridSpec(int(args.grid_n), float(args.grid_l), int(args.grid_npts))
-    seed = args.seed
-    gen = args.gen
-    if gen == "gaussian":
-        return verify.gaussian_datum(grid, width=float(args.width)), {}
-    if gen == "modulated":
-        return verify.modulated_gaussian(grid, width=float(args.width), mode=int(args.mode)), {}
-    if gen == "band-limited":
-        return verify.band_limited_field(grid, seed), {}
-    return verify.spike_field(grid, seed), {}
+    grid = GridSpec(args.grid_n, args.grid_l, args.grid_npts)
+    if args.gen == "gaussian":
+        return verify.gaussian_datum(grid, width=args.width), {}
+    if args.gen == "modulated":
+        return verify.modulated_gaussian(grid, width=args.width, mode=args.mode), {}
+    if args.gen == "band-limited":
+        return verify.band_limited_field(grid, args.seed), {}
+    return verify.spike_field(grid, args.seed), {}
 
 
 def _tuple_from(args) -> expo.ExponentTuple:
-    def pick(name, default="2"):
-        val = getattr(args, name, None)
-        return as_extended(val if val is not None else default)
-
-    return expo.ExponentTuple(
-        n=int(args.n), sigma=as_extended(args.sigma),
-        qt=pick("qt"), rt=pick("rt"), q=pick("q"), r=pick("r"))
+    return expo.ExponentTuple(args.n, args.sigma, args.qt, args.rt, args.q, args.r)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +259,9 @@ def _tuple_from(args) -> expo.ExponentTuple:
 
 def _cmd_check_tuple(args, outdir):
     if args.condition_set == "classical":
-        rep = expo.is_schrodinger_admissible(
-            as_extended(args.q or "2"), as_extended(args.r or "2"), int(args.n))
+        rep = expo.is_schrodinger_admissible(args.q, args.r, args.n)
     elif args.condition_set == "proposition":
-        rep = expo.satisfies_prop_kernel(
-            int(args.n), as_extended(args.sigma),
-            as_extended(args.rt or "2"), as_extended(args.r or "2"))
+        rep = expo.satisfies_prop_kernel(args.n, args.sigma, args.rt, args.r)
     else:
         rep = expo.predicate_for(args.condition_set)(_tuple_from(args))
     (outdir / "report.json").write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
@@ -268,24 +276,16 @@ def _cmd_check_tuple(args, outdir):
 
 
 def _cmd_region(args, outdir):
-    free = tuple(s.strip() for s in args.free.split(",") if s.strip())
-    fixed = {}
-    if args.fixed:
-        for item in args.fixed.split(","):
-            name, eq, val = item.partition("=")
-            if not eq:
-                raise ValueError(f"--fixed takes name=value items, got {item!r}")
-            fixed[name.strip()] = as_extended(val.strip())
-    res = int(args.resolution)
-    scan = expo.sample_region(args.condition_set, n=int(args.n),
-                              sigma=as_extended(args.sigma),
-                              free=free, fixed=fixed, resolution=res)
+    res = args.resolution
+    scan = expo.sample_region(args.condition_set, n=args.n, sigma=args.sigma,
+                              free=args.free, fixed=args.fixed, resolution=res)
     labels = [fmt(Fraction(k, res)) for k in range(res + 1)]
     edge = set(scan.edge)
-    rows = [(*point, int(verdict), int(k in edge)) for k, (point, verdict) in
-            enumerate(zip(itertools.product(labels, repeat=len(scan.axes)), scan.verdicts))]
-    header = [f"recip_{a}" for a in scan.axes] + ["accept", "boundary"]
-    write_csv(outdir / "mesh.csv", header, rows)
+    cells = map(",".join, itertools.product(labels, repeat=len(scan.axes)))
+    lines = [",".join([f"recip_{a}" for a in scan.axes] + ["accept", "boundary"])]
+    lines += [f"{cell},{int(verdict)},{int(k in edge)}"
+              for k, (cell, verdict) in enumerate(zip(cells, scan.verdicts))]
+    (outdir / "mesh.csv").write_text("\n".join(lines) + "\n")
     accepted = sum(scan.verdicts)
     print(f"{args.condition_set}: {accepted}/{len(scan.verdicts)} accepted, "
           f"{len(edge)} boundary cells -> {outdir / 'mesh.csv'}")
@@ -298,12 +298,11 @@ def _cmd_norm(args, outdir):
     from .wiener import amalgam_norm
     fld, source = _field_from(args)
     if args.kind == "lebesgue":
-        res = lebesgue_norm(fld, to_float(as_extended(args.p)))
+        res = lebesgue_norm(fld, args.p)
     elif args.kind == "hsigma":
-        res = hsigma_norm(fld, float(args.sigma))
+        res = hsigma_norm(fld, to_float(args.sigma))
     else:
-        res = amalgam_norm(fld, to_float(as_extended(args.p)),
-                           to_float(as_extended(args.q)), _window_from(args))
+        res = amalgam_norm(fld, args.p, args.q, _window_from(args))
     report = {**res.to_json_dict(), **source}
     (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     write_csv(outdir / "results.csv", ["space", "value"], [(res.space, res.value)])
@@ -317,13 +316,12 @@ def _cmd_evolve(args, outdir):
     from .grid import _lp, write_spacetime
     from .propagator import evolve_series
     fld, _ = _field_from(args)
-    times = np.array([float(s) for s in args.times.split(",")])
-    stf = evolve_series(fld, times, float(args.sigma))
+    stf = evolve_series(fld, np.array(args.times), to_float(args.sigma))
     write_csv(outdir / "results.csv", ["t", "l2", "sup"],
               zip(stf.times, _lp(stf.values, 2, stf.grid), _lp(stf.values, np.inf, stf.grid)))
     if args.save_field:
         write_spacetime(stf, outdir / "evolved.bin")
-    print(f"evolved {len(times)} slice(s) -> {outdir / 'results.csv'}")
+    print(f"evolved {len(args.times)} slice(s) -> {outdir / 'results.csv'}")
     return 0, {}
 
 
@@ -332,12 +330,11 @@ def _profile_from(args):
     from .grid import GridSpec
     from .propagator import kernel_amalgam_profile, profile_times
     from .wiener import unit_cube_partition
-    grid = GridSpec(int(args.n), float(args.grid_l), int(args.grid_npts))
-    times = profile_times(float(args.tmin), float(args.tmax), int(args.per_decade))
-    prof = kernel_amalgam_profile(int(args.n), float(args.sigma),
-                                  as_extended(args.rt), as_extended(args.r),
+    grid = GridSpec(args.n, args.grid_l, args.grid_npts)
+    times = profile_times(args.tmin, args.tmax, args.per_decade)
+    prof = kernel_amalgam_profile(args.n, to_float(args.sigma), args.rt, args.r,
                                   unit_cube_partition(), times, grid)
-    return prof, {"converged": prof.converged, "max_est_error": float(prof.est_error.max())}
+    return prof, {"max_est_error": float(prof.est_error.max())}
 
 
 def _cmd_kernel_profile(args, outdir):
@@ -345,11 +342,9 @@ def _cmd_kernel_profile(args, outdir):
     write_csv(outdir / "results.csv", ["t", "value", "est_error"],
               list(zip(prof.times, prof.values, prof.est_error)))
     (outdir / "profile.json").write_text(json.dumps(
-        {"meta": prof.meta, "converged": prof.converged,
-         "times": list(prof.times), "values": list(prof.values),
+        {"meta": prof.meta, "times": list(prof.times), "values": list(prof.values),
          "est_error": list(prof.est_error)}, indent=2, default=float) + "\n")
-    print(f"profile over {len(prof.times)} instants -> {outdir / 'results.csv'}"
-          + ("" if prof.converged else "  [kernel flags: not fully converged]"))
+    print(f"profile over {len(prof.times)} instants -> {outdir / 'results.csv'}")
     return 0, health
 
 
@@ -361,10 +356,9 @@ def _cmd_fit_decay(args, outdir):
               ["regime", "slope", "predicted", "abs_error", "r_squared"],
               [(f.regime, f.slope, f.predicted, f.abs_error, f.r_squared)
                for f in (small, large)])
-    tol = float(args.tol)
     ok = True
     for f in (small, large):
-        status = "ok" if (f.abs_error is not None and f.abs_error <= tol) else "FAIL"
+        status = "ok" if (f.abs_error is not None and f.abs_error <= args.tol) else "FAIL"
         ok = ok and status == "ok"
         print(f"{f.regime}-time: slope {f.slope:+.4f}  predicted "
               f"{f.predicted:+.4f}  |err| {f.abs_error:.4f}  [{status}]")
@@ -378,10 +372,9 @@ def _cmd_ratio(args, outdir):
     from .wiener import unit_cube_partition
     tup = _tuple_from(args)
     fld, _ = _field_from(args)
-    times = default_ratio_times(t_outer=float(args.t_outer))
+    times = default_ratio_times(t_outer=args.t_outer)
     res = strichartz_ratio(fld, tup, unit_cube_partition(),
-                           unit_cube_partition(), times=times,
-                           weak=bool(args.weak))
+                           unit_cube_partition(), times=times, weak=args.weak)
     write_csv(outdir / "results.csv", ["ratio", "numerator", "denominator"],
               [(res.value, res.numerator, res.denominator)])
     print(f"ratio = {res.value:.6g}  (numerator {res.numerator:.6g}, "
@@ -391,7 +384,7 @@ def _cmd_ratio(args, outdir):
 
 def _cmd_suite(args, outdir):
     from .verify import property_suite
-    rep = property_suite(seed=args.seed, corpus_size=int(args.corpus_size))
+    rep = property_suite(seed=args.seed, corpus_size=args.corpus_size)
     write_csv(outdir / "results.csv", ["property", "passed"],
               [(r.name, int(r.passed)) for r in rep.results])
     print(rep.summary())
@@ -402,7 +395,7 @@ def _cmd_hls(args, outdir):
     import numpy as np
 
     from .verify import hls_check_1d
-    rep = hls_check_1d(args.p, args.alpha, trials=int(args.trials), seed=args.seed)
+    rep = hls_check_1d(args.p, args.alpha, trials=args.trials, seed=args.seed)
     if not rep.accepted:
         print(f"reject: {rep.reason}")
         write_csv(outdir / "results.csv", ["verdict", "reason"], [("reject", rep.reason)])
@@ -420,16 +413,14 @@ def _cmd_bilinear(args, outdir):
 
     from .grid import GridSpec
     from .verify import bilinear_form, factorized_bilinear_form
-    grid = GridSpec(int(args.grid_n), float(args.grid_l), int(args.grid_npts))
-    ntimes = int(args.ntimes)
-    times = np.linspace(-1.0, 1.0, ntimes)
-    rng_base = args.seed
-    sigma = float(args.sigma)
+    grid = GridSpec(args.grid_n, args.grid_l, args.grid_npts)
+    times = np.linspace(-1.0, 1.0, args.ntimes)
+    sigma = to_float(args.sigma)
     worst = 0.0
     rows = []
-    for k in range(int(args.pairs)):
-        F = _random_stf(grid, times, rng_base + 2 * k)
-        G = _random_stf(grid, times, rng_base + 2 * k + 1)
+    for k in range(args.pairs):
+        F = _random_stf(grid, times, args.seed + 2 * k)
+        G = _random_stf(grid, times, args.seed + 2 * k + 1)
         direct = bilinear_form(F, G, sigma)
         fact = factorized_bilinear_form(F, G, sigma)
         rel = abs(direct - fact) / max(abs(direct), 1e-300)
@@ -468,39 +459,20 @@ def write_csv(path, header, rows) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_manifest(outdir, command: str, params: dict, seed: int | None = None,
-                   status: str = "incomplete", extra: dict | None = None) -> Path:
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    from . import __version__
-    manifest = {
-        "command": command,
-        "params": params,
-        "seed": seed,
-        "status": status,
-        "tool_version": __version__,
-        "wall_time_s": None,
-    }
-    if extra:
-        manifest.update(extra)
-    path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
-    return path
+def _plain(v):
+    """v for JSON: exact exponents and non-finite floats as text (``10/3``, ``inf``)."""
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_plain(x) for x in v]
+    if isinstance(v, Fraction) or (isinstance(v, float) and not math.isfinite(v)):
+        return str(v)
+    return v
 
 
-def finalize_manifest(path, started: float, status: str = "complete",
-                      extra: dict | None = None) -> None:
-    path = Path(path)
-    manifest = json.loads(path.read_text())
-    manifest["status"] = status
-    manifest["wall_time_s"] = round(time.time() - started, 3)
-    if extra:
-        manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n")
-
-
-def _params(args) -> dict:
-    return {k: v for k, v in vars(args).items() if k not in ("command",) and v is not None}
+def _write_manifest(outdir: Path, manifest: dict) -> None:
+    text = json.dumps(_plain(manifest), indent=2, sort_keys=True, default=str)
+    (outdir / "manifest.json").write_text(text + "\n")
 
 
 _REQUIRED = {
@@ -529,7 +501,7 @@ _HANDLERS = {
 
 
 def run(argv) -> int:
-    """Run one command; its manifest is written first and finalised last.
+    """Run one command; its manifest is written before the handler and again after it.
 
     A handler that raises leaves the manifest ``failed`` with the error; a
     ValueError or OSError (bad input) is a one-line usage error.  Every
@@ -542,24 +514,30 @@ def run(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     outdir = _outdir(args)
+    params = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+    manifest = {"command": args.command, "params": params, "seed": args.seed,
+                "status": "incomplete", "tool_version": __version__, "wall_time_s": None}
     started = time.time()
-    manifest = error = None
+    written, error = False, None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            manifest = write_manifest(outdir, args.command, _params(args), args.seed)
+            outdir.mkdir(parents=True, exist_ok=True)
+            _write_manifest(outdir, manifest)
+            written = True
             code, extra = _HANDLERS[args.command](args, outdir)
+            manifest.update(extra, status="complete")
         except Exception as exc:
             error = exc
+            manifest.update(status="failed", error=f"{type(exc).__name__}: {exc}")
     notes = list(dict.fromkeys(" ".join(str(w.message).split()) for w in caught))
     for note in notes:
         print(f"warning: {note}", file=sys.stderr)
+    manifest.update(warnings=notes, wall_time_s=round(time.time() - started, 3))
+    if written:
+        _write_manifest(outdir, manifest)
     if error is None:
-        finalize_manifest(manifest, started, extra={**extra, "warnings": notes})
         return code
-    if manifest is not None:
-        finalize_manifest(manifest, started, "failed", extra={
-            "error": f"{type(error).__name__}: {error}", "warnings": notes})
     if not isinstance(error, (ValueError, OSError)):
         raise error
     print(f"usage error: {error}", file=sys.stderr)

@@ -34,6 +34,7 @@ from functools import cached_property
 from .extreal import INF, as_extended, as_rational, fmt, from_recip, recip
 
 __all__ = [
+    "CONDITION_SETS",
     "ExponentTuple",
     "ConstraintCheck",
     "RegionReport",
@@ -51,6 +52,7 @@ __all__ = [
 ]
 
 AXES = ("qt", "rt", "q", "r")
+CONDITION_SETS = ("classical", "cn2", "theorem", "proposition", "corollary")
 GE, GT, EQ, NE = ">=", ">", "=", "!="
 
 
@@ -153,9 +155,9 @@ def _trade_off(n: int, sigma: Fraction) -> tuple:
 
 def constraint_table(condition_set: str, n: int, sigma=0) -> ConstraintTable:
     """The clauses of one condition set at dimension n and smoothing order sigma."""
-    if condition_set not in _PREDICATES:
+    if condition_set not in CONDITION_SETS:
         raise ValueError(f"unknown condition set {condition_set!r}; "
-                         f"choose from {sorted(_PREDICATES)}")
+                         f"choose from {sorted(CONDITION_SETS)}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     sigma = as_rational(sigma)
@@ -279,13 +281,13 @@ def satisfies_corollary(t: ExponentTuple) -> RegionReport:
     return evaluate(constraint_table("corollary", t.n, t.sigma), t.reciprocals())
 
 
-_PREDICATES = {
-    "classical": lambda t: is_schrodinger_admissible(t.q, t.r, t.n),
-    "cn2": satisfies_cn2,
-    "theorem": satisfies_theorem,
-    "proposition": lambda t: satisfies_prop_kernel(t.n, t.sigma, t.rt, t.r),
-    "corollary": satisfies_corollary,
-}
+_PREDICATES = dict(zip(CONDITION_SETS, (
+    lambda t: is_schrodinger_admissible(t.q, t.r, t.n),
+    satisfies_cn2,
+    satisfies_theorem,
+    lambda t: satisfies_prop_kernel(t.n, t.sigma, t.rt, t.r),
+    satisfies_corollary,
+)))
 
 
 def predicate_for(condition_set: str):
@@ -294,7 +296,7 @@ def predicate_for(condition_set: str):
     except KeyError:
         raise ValueError(
             f"unknown condition set {condition_set!r}; "
-            f"choose from {sorted(_PREDICATES)}") from None
+            f"choose from {sorted(CONDITION_SETS)}") from None
 
 
 def predicted_kernel_decay(n: int, sigma, rt, r):

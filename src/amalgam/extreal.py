@@ -30,14 +30,14 @@ def as_extended(x) -> ExtReal:
             return Fraction(s)
         except ZeroDivisionError:
             raise ValueError(f"exponent {x!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"exponent {x!r} is not a rational number or inf") from None
     if isinstance(x, Rational):
         return Fraction(x)
     if isinstance(x, float):
-        if math.isinf(x):
-            return INF
-        if math.isnan(x):
-            raise ValueError("nan is not a valid exponent")
-        return Fraction(str(x))
+        if math.isnan(x) or x == -INF:
+            raise ValueError(f"{x} is not a valid exponent")
+        return INF if x == INF else Fraction(str(x))
     raise TypeError(f"cannot interpret {x!r} as an extended real")
 
 

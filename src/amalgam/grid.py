@@ -18,6 +18,7 @@ fixed summation order, so results are reproducible run to run.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 import warnings
@@ -25,12 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .extreal import to_float
+
 __all__ = [
     "GridSpec",
     "SampledField",
     "SpaceTimeField",
     "NormResult",
-    "make_grid",
     "transform",
     "lebesgue_norm",
     "mixed_lebesgue_norm",
@@ -40,7 +42,6 @@ __all__ = [
     "write_spacetime",
     "read_spacetime",
     "write_field",
-    "read_field",
 ]
 
 BOUNDARY_MASS_TOL = 1e-6
@@ -101,19 +102,19 @@ class GridSpec:
         axes = (self.axis_points(),) * self.n
         return np.meshgrid(*axes, indexing="ij")
 
-    def frequency_meshgrid(self) -> tuple:
-        axes = (self.axis_frequencies(),) * self.n
-        return np.meshgrid(*axes, indexing="ij")
-
     def radii(self) -> np.ndarray:
         """|x| on the position lattice."""
-        mesh = self.meshgrid()
-        return np.sqrt(sum(c ** 2 for c in mesh))
+        return _euclidean(self.axis_points(), self.n)
 
     def frequency_radii(self) -> np.ndarray:
         """|xi| on the frequency lattice (FFT order)."""
-        mesh = self.frequency_meshgrid()
-        return np.sqrt(sum(c ** 2 for c in mesh))
+        return _euclidean(self.axis_frequencies(), self.n)
+
+
+def _euclidean(axis: np.ndarray, n: int) -> np.ndarray:
+    """|(a_1, .., a_n)| over the n-fold product of a 1-D axis, summed in axis order."""
+    squares = sum(c ** 2 for c in np.ix_(*(axis,) * n))
+    return np.sqrt(squares, out=squares)
 
 
 def _checked(values, shape: tuple) -> np.ndarray:
@@ -197,11 +198,6 @@ class NormResult:
         }
 
 
-def make_grid(n: int, length: float, npts: int) -> GridSpec:
-    """Build a GridSpec; rejects non-power-of-two npts and n outside 1..3."""
-    return GridSpec(n=n, length=float(length), npts=int(npts))
-
-
 def _phase(grid: GridSpec) -> np.ndarray:
     """(-1)^(j_1+...+j_n) on the frequency lattice, from x_m = -L + m dx."""
     j = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts)  # integer indices, FFT order
@@ -257,7 +253,7 @@ def _lp(values: np.ndarray, p: float, g: GridSpec) -> np.ndarray:
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
     """Riemann-sum L^p norm; lattice max for p = inf."""
-    p = float(p)
+    p = to_float(p)
     if p < 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
     value = float(_lp(fld.values, p, fld.grid))
@@ -287,7 +283,7 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
 
 def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> NormResult:
     """L^q in time of the spatial L^r norms, with trapezoid time weights."""
-    q, r = float(q), float(r)
+    q, r = to_float(q), to_float(r)
     if q < 1 or r < 1:
         raise ValueError("exponents must be in [1, inf]")
     spatial = _lp(stf.values, r, stf.grid)
@@ -306,8 +302,7 @@ def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> NormResult:
 def boundary_mass_fraction(fld: SampledField) -> float:
     """Fraction of |f|^2 mass within distance L/4 of the torus boundary."""
     g = fld.grid
-    mesh = g.meshgrid()
-    sup = np.max(np.stack([np.abs(c) for c in mesh]), axis=0)
+    sup = functools.reduce(np.maximum, np.ix_(*(np.abs(g.axis_points()),) * g.n))
     near = sup >= 0.75 * g.length
     total = float(np.sum(np.abs(fld.values) ** 2))
     if total == 0.0:
@@ -368,8 +363,3 @@ def read_spacetime(path) -> SpaceTimeField:
 
 def write_field(fld: SampledField, path, time: float = 0.0) -> None:
     write_spacetime(SpaceTimeField(fld.grid, [time], fld.values[None]), path)
-
-
-def read_field(path) -> SampledField:
-    stf = read_spacetime(path)
-    return SampledField(stf.grid, stf.values[0])

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extreal import as_extended, to_float
+from .extreal import to_float
 from .grid import (
     GridSpec,
     NormResult,
@@ -292,7 +292,6 @@ class DecayProfile:
     values: np.ndarray
     est_error: np.ndarray
     meta: dict = field(default_factory=dict)
-    converged: bool = True
 
     def as_function(self):
         """Log-log interpolant h(|t|), power-law accurate between samples."""
@@ -324,19 +323,17 @@ def kernel_amalgam_profile(n: int, sigma: float, rt, r, window: WindowSpec,
 
     The region conditions are checkable (exponents.satisfies_prop_kernel)
     but deliberately not enforced: probing outside the region is part of
-    the point.  Kernel error bounds and convergence flags propagate into
-    the profile.
+    the point.  Kernel error bounds propagate into the profile.
     """
     if grid.n != n:
         raise ValueError("grid dimension must match n")
-    rtf = to_float(as_extended(rt))
-    rf = to_float(as_extended(r))
+    rtf, rf = to_float(rt), to_float(r)
     if rtf < 2 or rf < 2:
         raise ValueError("rt and r must lie in [2, inf]")
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("profile times must be positive")
-    values, ests, conv = [], [], True
+    values, ests = [], []
     p_in = np.inf if np.isinf(rtf) else rtf / 2.0
     q_out = np.inf if np.isinf(rf) else rf / 2.0
     for t in times:
@@ -348,12 +345,10 @@ def kernel_amalgam_profile(n: int, sigma: float, rt, r, window: WindowSpec,
         scale = np.abs(ks.values).max()
         sig = np.abs(ks.values) >= 0.01 * scale
         ests.append(float(np.max(ks.est_error[sig] / np.abs(ks.values[sig]))))
-        conv = conv and bool(ks.converged.all())
     return DecayProfile(
         times=times,
         values=np.asarray(values),
         est_error=np.asarray(ests),
-        converged=conv,
         meta={"n": n, "sigma": sigma, "rt": rtf, "r": rf,
               "window": window.kind, "window_step": window.step,
               "grid": (grid.n, grid.length, grid.npts)},

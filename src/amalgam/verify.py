@@ -214,8 +214,8 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
     """
     if window_t.radius > 1.0 + 1e-12:
         raise ValueError("time window must be supported in |t| <= 1")
-    qt2 = to_float(as_extended(qt)) / 2.0
-    q2 = to_float(as_extended(q)) / 2.0
+    qt2 = to_float(qt) / 2.0
+    q2 = to_float(q) / 2.0
     ks = np.asarray(sorted(ks), dtype=int)
     terms = np.empty(len(ks), dtype=float)
     R = window_t.radius
@@ -395,9 +395,9 @@ def classical_scaling_sweep(datum_fn, lambdas, n: int, sigma, q, grid: GridSpec,
             raise ValueError(
                 f"rescaling by {lam} pushes mass to the boundary "
                 f"(fraction {frac:.2e} >= {mass_tol:.0e}); enlarge the box")
-        denom = hsigma_norm(fld, to_float(as_extended(sigma))).value
+        denom = hsigma_norm(fld, to_float(sigma)).value
         stf = evolve_series(fld, times, 0.0)
-        num = mixed_lebesgue_norm(stf, to_float(as_extended(q)), to_float(r)).value
+        num = mixed_lebesgue_norm(stf, to_float(q), to_float(r)).value
         ratios.append(num / denom)
     base = ratios[0]
     within = max(abs(rr / base - 1.0) for rr in ratios)

@@ -22,18 +22,20 @@ Everything here is pure; smooth-window sums visit window blocks in a fixed order
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .extreal import as_extended, conjugate, from_recip, recip, to_float
+from .extreal import conjugate, from_recip, recip, to_float
 from .grid import (
     GridSpec,
     NormResult,
     SampledField,
     SpaceTimeField,
+    _euclidean,
     trapezoid_weights,
 )
 
@@ -130,13 +132,12 @@ def materialize_window(win: WindowSpec, grid: GridSpec) -> np.ndarray:
     if 2.0 * win.radius > 2.0 * grid.length + 1e-12:
         raise ValueError(
             "window support exceeds the torus; translates would self-overlap")
-    mesh = grid.meshgrid()
-    # periodic displacement from 0 in each axis
-    disp = [((c + grid.length) % (2.0 * grid.length)) - grid.length for c in mesh]
+    # periodic displacement from 0 along one axis, broadcast over the others
+    disp = ((grid.axis_points() + grid.length) % (2.0 * grid.length)) - grid.length
     if win.kind == "cube-indicator":
-        dist = np.max(np.stack([np.abs(d) for d in disp]), axis=0)
+        dist = functools.reduce(np.maximum, np.ix_(*(np.abs(disp),) * grid.n))
     else:
-        dist = np.sqrt(sum(d ** 2 for d in disp))
+        dist = _euclidean(disp, grid.n)
     phi = win.profile(dist)
     if win.normalization == "l2":
         mass = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
@@ -200,7 +201,7 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:
     """W(L^p, L^q) norm of a field with the given window."""
-    p, q = to_float(as_extended(p)), to_float(as_extended(q))
+    p, q = to_float(p), to_float(q)
     g = fld.grid
     value, nblocks = _amalgam_norms(fld.values, p, q, window, g)
     meta = {"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
@@ -219,7 +220,7 @@ def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> N
 
 def weak_lorentz_norm(sequence, p: float) -> NormResult:
     """Discrete weak L^{p,inf} norm: sup_m m^(1/p) a*_m, a* nonincreasing."""
-    p = to_float(as_extended(p))
+    p = to_float(p)
     if not (0 < p < math.inf):
         raise ValueError(f"weak Lorentz exponent must be in (0, inf), got {p}")
     a = np.abs(np.asarray(sequence, dtype=float).ravel())
@@ -259,8 +260,7 @@ def spacetime_amalgam_norm(
     ``weak_outer_time`` the outer norm over time translates is replaced by
     the weak Lorentz norm of exponent q.
     """
-    qtf, qf = to_float(as_extended(qt)), to_float(as_extended(q))
-    rtf, rf = to_float(as_extended(rt)), to_float(as_extended(r))
+    qtf, qf, rtf, rf = (to_float(e) for e in (qt, q, rt, r))
     g = stf.grid
     # batches of whole slices, so the temporaries stay a few MB at any slice count
     batch = max(1, _BATCH_SAMPLES // g.size)
@@ -376,7 +376,7 @@ def inclusion_check(fld: SampledField, p1, q1, p2, q2, window: WindowSpec):
     Requires p1 >= p2 and q1 <= q2 (the inclusion direction) and unit-cube
     partition windows, so the comparison constant is exactly 1.
     """
-    p1f, q1f, p2f, q2f = (to_float(as_extended(e)) for e in (p1, q1, p2, q2))
+    p1f, q1f, p2f, q2f = (to_float(e) for e in (p1, q1, p2, q2))
     if p1f < p2f or q1f > q2f:
         raise ValueError(
             f"inclusion requires p1 >= p2 and q1 <= q2; got ({p1f},{q1f}) -> ({p2f},{q2f})")

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amalgam
+from amalgam import cli
 from amalgam.cli import run
 
 
@@ -130,6 +131,54 @@ class TestExponentErrors:
         assert err.count("\n") == 1 and err.startswith("usage error:") and item in err
 
 
+class TestFlagTypes:
+    """Each flag value is parsed once, by its type, before any manifest is written."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["norm", "--kind", "lebesgue", "--grid-npts", "64.5"], "--grid-npts"),
+        (["norm", "--kind", "lebesgue", "--grid-l", "wide"], "--grid-l"),
+        (["norm", "--kind", "lebesgue", "--p", "spam"], "--p"),
+        (["evolve", "--times", "0.1,soon"], "--times"),
+        (["region", "--set", "theorem", "--n", "1", "--free", "qt,q", "--fixed", "rt"],
+         "--fixed"),
+        (["region", "--set", "theorem", "--n", "1", "--free", "qt,x", "--fixed", "rt=inf"],
+         "--free"),
+    ], ids=["int", "float", "exponent", "times", "fixed", "free"])
+    def test_bad_value_is_a_parse_error(self, tmp_path, capsys, argv, flag):
+        assert invoke(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"usage error: argument {flag}:")
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_one_type_per_flag_name(self):
+        # a --config file goes through every subcommand's parser
+        types = {}
+        for sp in cli._build_parser()[1].values():
+            for action in sp._actions:
+                for opt in action.option_strings:
+                    types.setdefault(opt, set()).add(action.type)
+        assert {opt: t for opt, t in types.items() if len(t) > 1} == {}
+
+    def test_config_exponents_parse_exactly(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = 3/10\np = 4/3\nrt = inf\nr = 10\nn = 1\n")
+        code = run(["--config", str(cfg), "check-tuple", "--set", "proposition",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert json.loads((tmp_path / "report.json").read_text())["verdict"] == "accept"
+
+    def test_manifest_writes_exponents_as_text(self, tmp_path):
+        def no_constants(token):
+            raise AssertionError(f"manifest holds the JSON constant {token}")
+
+        assert invoke(["check-tuple", "--set", "classical", "--n", "2", "--q", "10/3",
+                       "--r", "inf"], tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text(),
+                              parse_constant=no_constants)
+        assert manifest["params"]["q"] == "10/3" and manifest["params"]["r"] == "inf"
+        assert manifest["params"]["n"] == 2 and manifest["params"]["qt"] == "2"
+
+
 class TestManifest:
     def test_written_before_results_and_finalized(self, tmp_path):
         code = invoke(["norm", "--kind", "lebesgue", "--gen", "gaussian",
@@ -141,13 +190,12 @@ class TestManifest:
         assert (tmp_path / "results.csv").exists()
 
     def test_handler_error_marks_manifest_failed(self, tmp_path, capsys):
-        code = invoke(["check-tuple", "--set", "classical", "--q", "spam",
-                       "--r", "2", "--n", "1"], tmp_path)
+        code = invoke(["norm", "--kind", "lebesgue", "--grid-npts", "100"], tmp_path)
         assert code == 2
         assert capsys.readouterr().err.count("\n") == 1
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed"
-        assert manifest["error"].startswith("ValueError") and "spam" in manifest["error"]
+        assert manifest["error"].startswith("ValueError") and "100" in manifest["error"]
         assert manifest["wall_time_s"] is not None
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
@@ -253,7 +301,7 @@ class TestConfigFile:
         assert code == 0
         assert (tmp_path / "evolved.bin").exists()
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["params"]["grid_npts"] == "64"
+        assert manifest["params"]["grid_npts"] == 64
 
 
 class TestCommands:
@@ -339,7 +387,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "small-time" in out and "large-time" in out
         manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert manifest["converged"] is True
         assert 0.0 < manifest["max_est_error"] < 1e-3
         with open(tmp_path / "results.csv") as fh:
             rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from amalgam.grid import (
+    GridSpec,
     SampledField,
     SpaceTimeField,
     boundary_mass_fraction,
     check_boundary_mass,
     lebesgue_norm,
-    make_grid,
     mixed_lebesgue_norm,
-    read_field,
     read_spacetime,
     transform,
     trapezoid_weights,
@@ -26,30 +25,30 @@ def random_field(grid, rng):
 
 class TestMakeGrid:
     def test_spacing(self):
-        g = make_grid(1, 16, 1024)
+        g = GridSpec(1, 16, 1024)
         assert g.dx == pytest.approx(0.03125)
 
     def test_frequency_step_2d(self):
-        g = make_grid(2, 8, 64)
+        g = GridSpec(2, 8, 64)
         assert g.shape == (64, 64)
         assert g.dxi == pytest.approx(np.pi / 8)
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
-            make_grid(1, 16, 1000)
+            GridSpec(1, 16, 1000)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
-            make_grid(4, 16, 64)
+            GridSpec(4, 16, 64)
         with pytest.raises(ValueError):
-            make_grid(0, 16, 64)
+            GridSpec(0, 16, 64)
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            make_grid(1, 16, 4)
+            GridSpec(1, 16, 4)
 
     def test_frequency_lattice_symmetric(self):
-        g = make_grid(1, 4, 16)
+        g = GridSpec(1, 4, 16)
         xi = np.sort(g.axis_frequencies())
         # symmetric about 0 except the single unpaired mode -N/2
         assert xi[0] == pytest.approx(-g.dxi * 8)
@@ -104,7 +103,7 @@ class TestTransform:
 
 class TestLebesgueNorm:
     def test_unit_cube_indicator(self):
-        g = make_grid(1, 16, 2048)
+        g = GridSpec(1, 16, 2048)
         x = g.axis_points()
         f = SampledField(g, ((x >= 0) & (x < 1)).astype(complex))
         assert lebesgue_norm(f, 2).value == pytest.approx(1.0, abs=2 * g.dx)
@@ -134,14 +133,15 @@ class TestLebesgueNorm:
         assert lebesgue_norm(f, np.inf).value == np.abs(f.values).max()
 
     def test_rejects_p_below_one(self, grid1d, rng):
-        with pytest.raises(ValueError):
-            lebesgue_norm(random_field(grid1d, rng), 0.5)
+        for p in (0.5, -np.inf):
+            with pytest.raises(ValueError):
+                lebesgue_norm(random_field(grid1d, rng), p)
 
     def test_against_refined_riemann_sum(self):
         # band-limited field evaluated on N and 2N lattices: the two
         # Riemann sums of |f|^3 must agree closely
         def probe(npts):
-            g = make_grid(1, 16, npts)
+            g = GridSpec(1, 16, npts)
             x = g.axis_points()
             vals = np.exp(-(x ** 2) / 3.0) * (1.0 + 0.5 * np.cos(2.0 * np.pi * x / 16.0))
             return lebesgue_norm(SampledField(g, vals), 3).value
@@ -151,7 +151,7 @@ class TestLebesgueNorm:
 
     def test_monotone_in_p_on_unit_measure(self, rng):
         # ||f||_p <= M^(1/p - 1/s) ||f||_s for p <= s on total measure M
-        g = make_grid(1, 16, 256)
+        g = GridSpec(1, 16, 256)
         M = 2.0 * g.length
         for _ in range(50):
             f = random_field(g, rng)
@@ -214,12 +214,12 @@ class TestSerialization:
         f = random_field(grid2d, rng)
         path = tmp_path / "f.bin"
         write_field(f, path)
-        back = read_field(path)
+        back = read_spacetime(path)
         assert back.grid == grid2d
-        assert np.array_equal(back.values, f.values)
+        assert np.array_equal(back.values[0], f.values)
 
     def test_layout_is_little_endian_interleaved(self, tmp_path):
-        g = make_grid(1, 1.0, 8)
+        g = GridSpec(1, 1.0, 8)
         f = SampledField(g, np.arange(8) + 1j * np.arange(8))
         path = tmp_path / "f.bin"
         write_field(f, path)
@@ -232,7 +232,7 @@ class TestSerialization:
         assert data[1::2] == pytest.approx(np.arange(8))
 
     def _container(self, tmp_path, rng):
-        g = make_grid(1, 1.0, 8)
+        g = GridSpec(1, 1.0, 8)
         stf = SpaceTimeField(g, np.array([0.0, 1.0]),
                              np.array([random_field(g, rng).values for _ in range(2)]))
         path = tmp_path / "f.bin"
@@ -286,14 +286,14 @@ class TestInvariantsAndChecks:
             SampledField(grid1d, vals)
 
     def test_boundary_mass_warning(self):
-        g = make_grid(1, 8, 256)
+        g = GridSpec(1, 8, 256)
         wide = gaussian_datum(g, width=5.0)
         assert boundary_mass_fraction(wide) > 1e-6
         with pytest.warns(UserWarning, match="boundary mass"):
             check_boundary_mass(wide)
 
     def test_boundary_mass_ok_for_narrow(self):
-        g = make_grid(1, 16, 256)
+        g = GridSpec(1, 16, 256)
         narrow = gaussian_datum(g, width=1.0)
         assert boundary_mass_fraction(narrow) < 1e-6
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from amalgam.cli import finalize_manifest, write_csv, write_manifest
+from amalgam import cli
 from amalgam.exponents import ExponentTuple
 from amalgam.grid import GridSpec, SampledField, SpaceTimeField
 from amalgam.propagator import DecayProfile
@@ -266,20 +266,25 @@ class TestPropertySuite:
 
 
 class TestManifests:
-    def test_manifest_lifecycle(self, tmp_path):
-        import time as _time
-        started = _time.time()
-        path = write_manifest(tmp_path, "norm", {"p": 2}, seed=1)
-        data = json.loads(path.read_text())
-        assert data["status"] == "incomplete"
-        finalize_manifest(path, started, extra={"value": 1.5})
-        data = json.loads(path.read_text())
+    def test_manifest_lifecycle(self, tmp_path, monkeypatch):
+        seen = []
+
+        def handler(args, outdir):
+            seen.append(json.loads((outdir / "manifest.json").read_text()))
+            return 0, {"value": 1.5}
+
+        monkeypatch.setitem(cli._HANDLERS, "suite", handler)
+        assert cli.run(["suite", "--seed", "1", "--out", str(tmp_path)]) == 0
+        (during,) = seen
+        assert during["status"] == "incomplete" and during["wall_time_s"] is None
+        assert during["params"]["seed"] == 1
+        data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["status"] == "complete"
         assert data["value"] == 1.5
         assert data["wall_time_s"] is not None
 
     def test_csv_deterministic_bytes(self, tmp_path):
         rows = [(0.1, 1 / 3, "x"), (2.0, np.pi, "y")]
-        write_csv(tmp_path / "a.csv", ["t", "v", "k"], rows)
-        write_csv(tmp_path / "b.csv", ["t", "v", "k"], rows)
+        cli.write_csv(tmp_path / "a.csv", ["t", "v", "k"], rows)
+        cli.write_csv(tmp_path / "b.csv", ["t", "v", "k"], rows)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
