@@ -313,12 +313,14 @@ def _cmd_norm(args, outdir):
 def _cmd_evolve(args, outdir):
     import numpy as np
 
-    from .grid import _lp, write_spacetime
+    from .grid import _lq, write_spacetime
     from .propagator import evolve_series
     fld, _ = _field_from(args)
     stf = evolve_series(fld, np.array(args.times), to_float(args.sigma))
+    axes = tuple(range(1, stf.grid.n + 1))
     write_csv(outdir / "results.csv", ["t", "l2", "sup"],
-              zip(stf.times, _lp(stf.values, 2, stf.grid), _lp(stf.values, np.inf, stf.grid)))
+              zip(stf.times, _lq(np.abs(stf.values), 2, axes, stf.grid.cell_volume),
+                  _lq(np.abs(stf.values), np.inf, axes)))
     if args.save_field:
         write_spacetime(stf, outdir / "evolved.bin")
     print(f"evolved {len(args.times)} slice(s) -> {outdir / 'results.csv'}")

@@ -138,10 +138,6 @@ class SampledField:
     def __post_init__(self):
         self.values = _checked(self.values, self.grid.shape)
 
-    def copy(self, label: str | None = None) -> "SampledField":
-        return SampledField(self.grid, self.values.copy(),
-                            self.label if label is None else label)
-
 
 @dataclass
 class SpaceTimeField:
@@ -169,8 +165,7 @@ class NormResult:
     """A computed norm plus the metadata needed to reproduce it.
 
     ``est_error`` is a relative discretization/quadrature estimate when one
-    is available (None otherwise).  ``diverged`` marks norms whose value is
-    dominated by truncation rather than genuine decay.
+    is available (None otherwise).
     """
 
     value: float
@@ -178,7 +173,6 @@ class NormResult:
     exponents: dict
     meta: dict = field(default_factory=dict)
     est_error: float | None = None
-    diverged: bool = False
 
     def to_json_dict(self) -> dict:
         def enc(v):
@@ -194,7 +188,6 @@ class NormResult:
             "exponents": {k: enc(v) for k, v in self.exponents.items()},
             "meta": {k: enc(v) for k, v in self.meta.items()},
             "est_error": self.est_error,
-            "diverged": self.diverged,
         }
 
 
@@ -238,17 +231,21 @@ def transform(fld: SampledField, direction: str = "forward") -> SampledField:
     return SampledField(fld.grid, _dft(fld.values, fld.grid, direction == "inverse"), fld.label)
 
 
-def _lp(values: np.ndarray, p: float, g: GridSpec) -> np.ndarray:
-    """Riemann-sum L^p norms over the trailing grid axes; lattice max for p = inf."""
-    a = np.abs(values)
-    axes = tuple(range(-g.n, 0))
-    peak = a.max(axis=axes)
-    if np.isinf(p):
-        return peak
-    scale = np.where(peak > 0, peak, 1.0)  # divided by the peak, |f|^p cannot overflow
-    a /= scale[(...,) + (None,) * g.n]
-    a **= p
-    return scale * (np.sum(a, axis=axes) * g.cell_volume) ** (1.0 / p)
+def _lq(a: np.ndarray, q: float, axis=None, weight=1.0) -> np.ndarray:
+    """(sum weight * a^q)^(1/q) over the given axes of a >= 0; the max for q = inf.
+
+    a is overwritten: it is divided by its peak before the power, so a^q can
+    neither overflow nor underflow.  weight is a scalar or an array that
+    broadcasts along the reduced axes.
+    """
+    peak = a.max(axis=axis, keepdims=True)
+    if np.isinf(q):
+        return np.squeeze(peak, axis)
+    peak[peak == 0] = 1.0  # a zero slice stays zero
+    a /= peak
+    a **= q
+    a *= weight
+    return np.squeeze(peak, axis) * np.sum(a, axis=axis) ** (1.0 / q)
 
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
@@ -256,7 +253,7 @@ def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
     p = to_float(p)
     if p < 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    value = float(_lp(fld.values, p, fld.grid))
+    value = float(_lq(np.abs(fld.values), p, None, fld.grid.cell_volume))
     return NormResult(
         value=value,
         space="lebesgue",
@@ -286,10 +283,8 @@ def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> NormResult:
     q, r = to_float(q), to_float(r)
     if q < 1 or r < 1:
         raise ValueError("exponents must be in [1, inf]")
-    spatial = _lp(stf.values, r, stf.grid)
-    value = float(spatial.max())
-    if np.isfinite(q) and value > 0:  # scaled by the largest, the q-th powers cannot overflow
-        value *= float(np.sum(trapezoid_weights(stf.times) * (spatial / value) ** q)) ** (1.0 / q)
+    spatial = _lq(np.abs(stf.values), r, tuple(range(1, stf.grid.n + 1)), stf.grid.cell_volume)
+    value = float(_lq(spatial, q, 0, trapezoid_weights(stf.times)))
     return NormResult(
         value=value,
         space="mixed-lebesgue",
@@ -304,10 +299,10 @@ def boundary_mass_fraction(fld: SampledField) -> float:
     g = fld.grid
     sup = functools.reduce(np.maximum, np.ix_(*(np.abs(g.axis_points()),) * g.n))
     near = sup >= 0.75 * g.length
-    total = float(np.sum(np.abs(fld.values) ** 2))
+    total = float(_lq(np.abs(fld.values), 2))
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(fld.values[near]) ** 2) / total)
+    return float((_lq(np.abs(fld.values[near]), 2) / total) ** 2)
 
 
 def check_boundary_mass(fld: SampledField, tol: float = BOUNDARY_MASS_TOL) -> float:

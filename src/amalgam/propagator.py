@@ -35,6 +35,7 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _dft,
+    _lq,
     trapezoid_weights,
 )
 from .wiener import WindowSpec, amalgam_norm
@@ -64,10 +65,10 @@ ZERO_MODE_TOL = 1e-10
 
 def _zero_mode_fraction(spec: np.ndarray) -> float:
     """Share of the spectrum's l2 mass in the zero mode (0 for a zero spectrum)."""
-    total = float(np.sum(np.abs(spec) ** 2))
+    total = float(_lq(np.abs(spec), 2))
     if total == 0.0:
         return 0.0
-    return float(np.abs(spec[(0,) * spec.ndim]) ** 2 / total)
+    return float((np.abs(spec[(0,) * spec.ndim]) / total) ** 2)
 
 
 def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
@@ -84,14 +85,12 @@ def _hsigma_norm(spec: np.ndarray, g: GridSpec, sigma: float) -> NormResult:
     sigma = float(sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    xi = g.frequency_radii()
-    if sigma == 0:
-        w = np.ones_like(xi)
-    else:
+    w = (g.dxi / (2.0 * np.pi)) ** g.n
+    if sigma > 0:
+        xi = g.frequency_radii()
         with np.errstate(divide="ignore"):
-            w = np.where(xi > 0, xi ** (2.0 * sigma), 0.0)
-    weight = (g.dxi / (2.0 * np.pi)) ** g.n
-    value = float(np.sqrt(np.sum(w * np.abs(spec) ** 2) * weight))
+            w = np.where(xi > 0, xi ** (2.0 * sigma), 0.0) * w
+    value = float(_lq(np.abs(spec), 2, None, w))
     zfrac = _zero_mode_fraction(spec) if sigma > 0 else 0.0
     if sigma > 0 and zfrac >= ZERO_MODE_TOL:
         warnings.warn(

@@ -25,6 +25,8 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _dft,
+    _euclidean,
+    _lq,
     boundary_mass_fraction,
     lebesgue_norm,
     mixed_lebesgue_norm,
@@ -87,9 +89,7 @@ def band_limited_field(grid: GridSpec, seed: int, kmin: int = 1,
     if kmax is None:
         kmax = grid.npts // 4
     rng = np.random.default_rng(seed)
-    j = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts)
-    mesh = np.meshgrid(*((j,) * grid.n), indexing="ij")
-    rad = np.sqrt(sum(c ** 2 for c in mesh))
+    rad = _euclidean(np.fft.fftfreq(grid.npts, d=1.0 / grid.npts), grid.n)
     band = (rad >= kmin) & (rad <= kmax)
     spec = np.zeros(grid.shape, dtype=complex)
     spec[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
@@ -222,8 +222,8 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
     for i, k in enumerate(ks):
         c = k * window_t.step
         lo, hi = c - R, c + R
-        segs = []
-        # integrate on each side of t = 0 with log refinement near the
+        hv, wts = [], []
+        # trapezoid rule on each side of t = 0 with log refinement near the
         # kernel-time singularity
         for a, b in ((lo, min(hi, -t_floor)), (max(lo, t_floor), hi)):
             if b <= a:
@@ -232,16 +232,9 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
                 tgrid = np.geomspace(a, b, pts) if a < b / 4 else np.linspace(a, b, pts)
             else:
                 tgrid = -np.geomspace(-b, -a, pts)[::-1] if b > a / 4 else np.linspace(a, b, pts)
-            segs.append(tgrid)
-        vals_acc = 0.0
-        sup_acc = 0.0
-        for tgrid in segs:
-            hv = h_fn(np.abs(tgrid)) * window_t.profile(np.abs(tgrid - c))
-            if math.isinf(qt2):
-                sup_acc = max(sup_acc, float(np.max(hv)))
-            else:
-                vals_acc += float(np.trapezoid(hv ** qt2, tgrid))
-        terms[i] = sup_acc if math.isinf(qt2) else vals_acc ** (1.0 / qt2)
+            hv.append(h_fn(np.abs(tgrid)) * window_t.profile(np.abs(tgrid - c)))
+            wts.append(trapezoid_weights(tgrid))
+        terms[i] = _lq(np.concatenate(hv), qt2, None, np.concatenate(wts))
     absk = np.abs(ks)
     bound = np.where(absk <= 2, 1.0, np.maximum(absk - 1.0, 1.0) ** tail_exponent)
     fitted_c = float(np.max(terms / bound))
@@ -302,14 +295,12 @@ class RatioSweep:
 
 def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
                      window_t: WindowSpec, window_x: WindowSpec,
-                     times=None, weak: bool = False,
-                     enforce_region: bool = True) -> RatioResult:
+                     times=None, weak: bool = False) -> RatioResult:
     """Space-time amalgam norm of the free evolution over the data norm."""
-    if enforce_region:
-        rep = expo.satisfies_theorem(tup)
-        if not rep.verdict:
-            failed = ", ".join(c.name for c in rep.failed())
-            raise ValueError(f"tuple outside the admissible region: {failed}")
+    rep = expo.satisfies_theorem(tup)
+    if not rep.verdict:
+        failed = ", ".join(c.name for c in rep.failed())
+        raise ValueError(f"tuple outside the admissible region: {failed}")
     g = fld.grid
     spec = _dft(fld.values, g)
     denom = _hsigma_norm(spec, g, float(tup.sigma)).value
@@ -482,30 +473,27 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0,
     qf = 1 / uq
     if not (1 <= pf < qf):
         return HlsReport(False, f"need 1 <= p < q, got p={fmt(pf)}, q={fmt(qf)}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     pflt, qflt, aflt = float(pf), float(qf), float(af)
+
+    def ratio(g, tgrid):
+        """||kernel * g||_q / ||g||_p by Riemann sums on the uniform tgrid."""
+        dt = tgrid[1] - tgrid[0]
+        conv = power_kernel_convolution(g, tgrid, aflt)
+        return float(_lq(np.abs(conv), qflt, None, dt) / _lq(np.abs(g), pflt, None, dt))
+
     rng = np.random.default_rng(seed)
-    gs = []
-    ratios = []
+    ratios, max_ratio = [], -np.inf
     tgrid = np.linspace(-span, span, npts)
-    dt = tgrid[1] - tgrid[0]
     for _ in range(trials):
         g = _random_bump(tgrid, rng)
-        gs.append(g)
-        conv = power_kernel_convolution(g, tgrid, aflt)
-        num = (np.sum(np.abs(conv) ** qflt) * dt) ** (1.0 / qflt)
-        den = (np.sum(np.abs(g) ** pflt) * dt) ** (1.0 / pflt)
-        ratios.append(float(num / den))
-    max_ratio = max(ratios)
-    # refinement pass on the extremal g only (cost)
-    worst = gs[int(np.argmax(ratios))]
+        ratios.append(ratio(g, tgrid))
+        if ratios[-1] > max_ratio:  # keep only the first extremal g, for the refinement pass
+            max_ratio, worst = ratios[-1], g
     t2 = np.linspace(-span, span, 2 * npts)
-    g2 = np.interp(t2, tgrid, worst)
-    conv2 = power_kernel_convolution(g2, t2, aflt)
-    dt2 = t2[1] - t2[0]
-    num2 = (np.sum(np.abs(conv2) ** qflt) * dt2) ** (1.0 / qflt)
-    den2 = (np.sum(np.abs(g2) ** pflt) * dt2) ** (1.0 / pflt)
-    return HlsReport(True, "admissible", q=qf, ratios=ratios,
-                     max_ratio=max_ratio, refined_max=float(num2 / den2))
+    return HlsReport(True, "admissible", q=qf, ratios=ratios, max_ratio=max_ratio,
+                     refined_max=ratio(np.interp(t2, tgrid, worst), t2))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _euclidean,
+    _lq,
     trapezoid_weights,
 )
 
@@ -140,7 +141,7 @@ def materialize_window(win: WindowSpec, grid: GridSpec) -> np.ndarray:
         dist = _euclidean(disp, grid.n)
     phi = win.profile(dist)
     if win.normalization == "l2":
-        mass = np.sqrt(np.sum(np.abs(phi) ** 2) * grid.cell_volume)
+        mass = _lq(np.abs(phi), 2, None, grid.cell_volume)
         if mass == 0:
             raise ValueError("window vanishes on this grid; radius below lattice step")
         phi = phi / mass
@@ -152,13 +153,6 @@ def _block_view(values: np.ndarray, n: int, K: int, s: int) -> np.ndarray:
     m = values.ndim - n
     order = (*range(m), *range(m, m + 2 * n, 2), *range(m + 1, m + 2 * n, 2))
     return values.reshape(values.shape[:m] + (K, s) * n).transpose(order)
-
-
-def _outer_lq(vals: np.ndarray, q: float, weight: float) -> np.ndarray:
-    """Outer l^q sum over the last axis, with the Riemann weight."""
-    if np.isinf(q):
-        return vals.max(axis=-1)
-    return (weight * np.sum(vals ** q, axis=-1)) ** (1.0 / q)
 
 
 def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
@@ -177,13 +171,19 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
         # cubes centered at the translate lattice k*a: [k*a - a/2, k*a + a/2);
         # rolling by s//2 aligns block boundaries with the cube edges
         rolled = np.roll(a, (s // 2,) * n, axis=axes)
-        blocks = _block_view(rolled, n, K, s).reshape(lead + (K ** n, s ** n))
-        local = blocks.max(axis=-1) if inf else np.sum(blocks ** p, axis=-1)
+        # offsets first and cubes last, so each per-cube sum runs along whole rows
+        blocks = np.moveaxis(_block_view(rolled, n, K, s), axes, range(-2 * n, -n))
+        local = _lq(blocks.reshape(lead + (s ** n, K ** n)), p, -2, g.cell_volume)
     else:
         # with x = (k + j) a + r (block k + j, offset r), sum_x |f|^p |phi(x - k a)|^p
         # is sum_j sum_r F[k + j, r] Phi[j, r] exactly (F, Phi: block views of |f|^p,
-        # |phi|^p; max for p = inf), and only blocks j where phi is non-zero count
+        # |phi|^p; max for p = inf), and only blocks j where phi is non-zero count.
+        # A correlation, not a reduction: |f| is divided by its peak per slice by
+        # hand, so |f|^p cannot overflow, and the peak multiplies the root back
         phi = materialize_window(window, g)
+        peak = a.max(axis=axes, keepdims=True)
+        peak[peak == 0] = 1.0
+        a /= peak
         F = _block_view(a if inf else a ** p, n, K, s).reshape(lead + (K ** n, s ** n))
         Phi = _block_view(phi if inf else phi ** p, n, K, s)
         blocks = np.argwhere(Phi.any(axis=tuple(range(n, 2 * n))))
@@ -194,9 +194,11 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
             part = np.roll(part.reshape(local.shape), tuple(-j), axis=axes)
             local = np.maximum(local, part) if inf else local + part
         local = local.reshape(lead + (K ** n,))
+        if not inf:
+            local = (local * g.cell_volume) ** (1.0 / p)
+        local *= peak.reshape(lead + (1,))
         nblocks = len(blocks)
-    local = local if inf else (local * g.cell_volume) ** (1.0 / p)
-    return _outer_lq(local, q, window.step ** n), nblocks
+    return _lq(local, q, -1, window.step ** n), nblocks
 
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:
@@ -234,15 +236,14 @@ def weak_lorentz_norm(sequence, p: float) -> NormResult:
                       meta={"length": int(a.size)})
 
 
-def _time_translates(times: np.ndarray, window: WindowSpec):
-    """Default translate indices k (centers k*step) for the sampled span."""
+def _time_translates(times: np.ndarray, window: WindowSpec) -> np.ndarray:
+    """Translate indices k (centers k*step) for the sampled span."""
     a = window.step
     if window.is_partition:
-        k = np.unique(np.floor(times / a + 0.5).astype(int))
-        return list(k)
+        return np.unique(np.floor(times / a + 0.5).astype(int))
     lo = math.ceil((times[0] + window.radius) / a - 1e-12)
     hi = math.floor((times[-1] - window.radius) / a + 1e-12)
-    return list(range(lo, hi + 1))
+    return np.arange(lo, hi + 1)
 
 
 def spacetime_amalgam_norm(
@@ -251,7 +252,6 @@ def spacetime_amalgam_norm(
     window_t: WindowSpec,
     window_x: WindowSpec,
     weak_outer_time: bool = False,
-    time_translates=None,
 ) -> NormResult:
     """W(L^qt, L^q)_t W(L^rt, L^r)_x norm of a space-time field.
 
@@ -267,45 +267,22 @@ def spacetime_amalgam_norm(
     spatial = np.concatenate([_amalgam_norms(stf.values[i:i + batch], rtf, rf, window_x, g)[0]
                               for i in range(0, len(stf.times), batch)])
     times = stf.times
-    w = trapezoid_weights(times)
-    ks = _time_translates(times, window_t) if time_translates is None else list(time_translates)
-    if not ks:
+    ks = _time_translates(times, window_t)
+    if len(ks) == 0:
         raise ValueError("no time-window translate fits inside the sampled span")
-    if time_translates is not None:
-        if window_t.is_partition:
-            lo_need = min(ks) * window_t.step - 0.5 * window_t.step
-            hi_need = max(ks) * window_t.step + 0.5 * window_t.step
-        else:
-            lo_need = min(ks) * window_t.step - window_t.radius
-            hi_need = max(ks) * window_t.step + window_t.radius
-        if lo_need < times[0] - window_t.step or hi_need > times[-1] + window_t.step:
-            raise ValueError(
-                f"insufficient time coverage: translates need [{lo_need:g}, {hi_need:g}] "
-                f"but samples span [{times[0]:g}, {times[-1]:g}]")
-    local = []
-    for k in ks:
-        c = k * window_t.step
-        if window_t.is_partition:
-            mask = (times >= c - 0.5 * window_t.step) & (times < c + 0.5 * window_t.step)
-            vals = spatial[mask]
-            wts = w[mask]
-        else:
-            phi = window_t.profile(np.abs(times - c))
-            vals = spatial * phi
-            wts = w
-        if vals.size == 0:
-            local.append(0.0)
-        elif np.isinf(qtf):
-            local.append(float(np.max(vals)))
-        else:
-            local.append(float(np.sum(wts * vals ** qtf) ** (1.0 / qtf)))
-    local = np.asarray(local)
+    # one row per translate k: the window at center c_k on the instants
+    c = window_t.step * ks[:, None]
+    if window_t.is_partition:
+        phi = (times >= c - 0.5 * window_t.step) & (times < c + 0.5 * window_t.step)
+    else:
+        phi = window_t.profile(np.abs(times - c))
+    local = _lq(spatial * phi, qtf, -1, trapezoid_weights(times))
     if weak_outer_time:
         base = weak_lorentz_norm(local, qf).value if not np.isinf(qf) else float(local.max())
         value = base * window_t.step ** (0.0 if np.isinf(qf) else 1.0 / qf)
         space = "spacetime-amalgam-weak"
     else:
-        value = float(_outer_lq(local, qf, window_t.step))
+        value = float(_lq(local, qf, -1, window_t.step))
         space = "spacetime-amalgam"
     return NormResult(
         value=value,

@@ -123,8 +123,10 @@ class TestExponentErrors:
           "--fixed", "rt=inf,bogus=3", "--free", "qt,q"], "'bogus'"),
         (["region", "--set", "theorem", "--n", "1", "--sigma", "0.3",
           "--free", "qt,q", "--fixed", "rt=inf,qt=2"], "'qt'"),
+        (["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "0"], "trials"),
     ], ids=["resolution-0", "resolution-neg", "region-n0", "classical-n0", "classical-n-neg",
-            "proposition-n0", "proposition-n-neg", "fixed-unknown", "fixed-and-free"])
+            "proposition-n0", "proposition-n-neg", "fixed-unknown", "fixed-and-free",
+            "hls-trials-0"])
     def test_bad_region_and_dimension(self, tmp_path, capsys, argv, item):
         assert invoke(argv, tmp_path) == 2
         err = capsys.readouterr().err
@@ -335,16 +337,18 @@ class TestCommands:
         assert report["input_slices"] == 2
         assert report["input_time"] == 0.2
 
-    def test_norm_of_huge_container_is_finite(self, tmp_path, capsys):
+    @pytest.mark.parametrize("kind", ["lebesgue", "amalgam", "hsigma"])
+    def test_norm_of_huge_container_is_finite(self, tmp_path, capsys, kind):
         from amalgam.grid import SpaceTimeField, write_spacetime
         g = amalgam.GridSpec(1, 4.0, 64)
         path = tmp_path / "big.bin"
         write_spacetime(SpaceTimeField(g, [0.0], np.full((1, 64), 1e300 + 0j)), path)
         capsys.readouterr()
-        assert invoke(["norm", "--kind", "lebesgue", "--input", str(path)], tmp_path) == 0
+        assert invoke(["norm", "--kind", kind, "--input", str(path)], tmp_path) == 0
         out, err = capsys.readouterr()
         assert err == ""
-        # 1e300 over a box of measure 8: 1e300 * sqrt(8)
+        # 1e300 over a box of measure 8: 1e300 * sqrt(8) in L^2, in W(L^2, L^2)
+        # on unit cubes and in H^0 (the defaults p = q = 2, sigma = 0)
         assert float(out.split(":")[1]) == pytest.approx(1e300 * 8 ** 0.5, rel=1e-11)
 
     def test_truncated_container_is_usage_error(self, tmp_path, capsys):

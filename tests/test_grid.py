@@ -15,7 +15,9 @@ from amalgam.grid import (
     write_field,
     write_spacetime,
 )
+from amalgam.propagator import hsigma_norm
 from amalgam.verify import band_limited_field, gaussian_datum
+from amalgam.wiener import WindowSpec, amalgam_norm, spacetime_amalgam_norm, unit_cube_partition
 
 
 def random_field(grid, rng):
@@ -113,13 +115,23 @@ class TestLebesgueNorm:
         assert lebesgue_norm(f, 3).value == 0.0
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
-    @pytest.mark.parametrize("p", [1, 2, 3, 7.5])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7.5, np.inf])
     def test_extreme_magnitudes_stay_finite(self, grid1d, p, scale):
         # |f| = scale on a box of measure 2L: the norm is scale (2L)^(1/p), where
         # |f|^p alone is beyond float64 (overflow at 1e300, zero at 1e-300)
         f = SampledField(grid1d, np.full(grid1d.shape, scale * (0.6 - 0.8j)))
         want = scale * (2 * grid1d.length) ** (1 / p)
         assert lebesgue_norm(f, p).value == pytest.approx(want, rel=1e-13, abs=0)
+        # every other norm is homogeneous too: W(L^p, L^p) = L^p on unit cubes,
+        # H^0 = L^2, and a smooth window gives scale times its unit-scale value
+        assert amalgam_norm(f, p, p, unit_cube_partition()).value == pytest.approx(
+            want, rel=1e-13, abs=0)
+        assert hsigma_norm(f, 0).value == pytest.approx(
+            scale * (2 * grid1d.length) ** 0.5, rel=1e-13, abs=0)
+        bump = WindowSpec("smooth-bump", radius=1.0, step=1.0)
+        unit = SampledField(grid1d, np.full(grid1d.shape, 0.6 - 0.8j))
+        assert amalgam_norm(f, p, 2, bump).value == pytest.approx(
+            scale * amalgam_norm(unit, p, 2, bump).value, rel=1e-13, abs=0)
 
     def test_matches_unscaled_sum(self, grid2d, rng):
         # the peak scaling regroups nothing: same Riemann sum to rounding
@@ -175,9 +187,14 @@ class TestMixedNorm:
         # |f| = scale on [-L, L) x [0, 2]: the L^q_t L^r_x norm is scale (2L)^(1/r) 2^(1/q)
         times = np.linspace(0.0, 2.0, 5)
         stf = SpaceTimeField(grid1d, times, np.full((5,) + grid1d.shape, scale + 0j))
+        unit = SpaceTimeField(grid1d, times, np.ones((5,) + grid1d.shape, dtype=complex))
+        win = unit_cube_partition()
         for q, r in ((2, 2), (3, 1.5), (np.inf, 4)):
             want = scale * (2 * grid1d.length) ** (1 / r) * 2 ** (1 / q)
             assert mixed_lebesgue_norm(stf, q, r).value == pytest.approx(want, rel=1e-13, abs=0)
+            got = spacetime_amalgam_norm(stf, q, 4, 2, r, win, win).value
+            assert got == pytest.approx(
+                scale * spacetime_amalgam_norm(unit, q, 4, 2, r, win, win).value, rel=1e-13, abs=0)
 
     def test_q2_r2_is_flat_l2(self, grid1d, rng):
         times = np.linspace(0.0, 2.0, 9)

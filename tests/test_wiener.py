@@ -275,6 +275,14 @@ class TestSpacetimeAmalgam:
         want = float(np.sum(np.asarray(locs) ** q) ** (1 / q))
         got = spacetime_amalgam_norm(stf, qt, q, rt, r, win, win).value
         assert got == pytest.approx(want, rel=1e-10)
+        # a smooth time window: translates whose support fits in [-2, 2], and
+        # every instant weighted by the window
+        gauss = WindowSpec("gaussian", radius=0.5, step=1.0)
+        locs = [np.sum(w * (spatial * gauss.profile(np.abs(times - k))) ** qt) ** (1 / qt)
+                for k in (-1, 0, 1)]
+        want = float(np.sum(np.asarray(locs) ** q) ** (1 / q))
+        got = spacetime_amalgam_norm(stf, qt, q, rt, r, gauss, win).value
+        assert got == pytest.approx(want, rel=1e-10)
 
     def test_weak_outer_flag(self):
         g = GridSpec(1, 4.0, 128)
@@ -285,15 +293,6 @@ class TestSpacetimeAmalgam:
         weak = spacetime_amalgam_norm(stf, 2, 4, 2, 4, win, win,
                                       weak_outer_time=True).value
         assert 0 < weak <= strong * (1 + 1e-12)
-
-    def test_missing_coverage_error(self):
-        g = GridSpec(1, 4.0, 128)
-        times = np.linspace(-1.0, 1.0, 9)
-        stf = _random_stf(g, times, 5)
-        win = unit_cube_partition()
-        with pytest.raises(ValueError, match="coverage"):
-            spacetime_amalgam_norm(stf, 2, 4, 2, 4, win, win,
-                                   time_translates=range(-8, 9))
 
 
 class TestHolderPairing:
