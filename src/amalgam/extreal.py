@@ -46,17 +46,17 @@ def as_rational(x) -> Fraction:
     val = as_extended(x)
     if val is INF:
         raise ValueError(f"expected a finite value, got {x!r}")
-    return Fraction(val)
+    return val
 
 
 def recip(x) -> Fraction:
     """1/x with 1/inf = 0, exact."""
     x = as_extended(x)
-    if x is INF or (isinstance(x, float) and math.isinf(x)):
+    if x is INF:
         return Fraction(0)
     if x == 0:
         raise ValueError("an exponent of 0 has no reciprocal; exponents lie in [1, inf]")
-    return Fraction(1) / Fraction(x)
+    return 1 / x
 
 
 def from_recip(u) -> ExtReal:
@@ -77,8 +77,8 @@ def conjugate(p) -> ExtReal:
 
 def to_float(x) -> float:
     x = as_extended(x)
-    if x is INF or (isinstance(x, float) and math.isinf(x)):
-        return math.inf
+    if x is INF:
+        return INF
     try:
         return float(x)
     except OverflowError:
@@ -88,7 +88,6 @@ def to_float(x) -> float:
 def fmt(x) -> str:
     """Stable text form: 'inf' or an exact rational."""
     x = as_extended(x)
-    if x is INF or (isinstance(x, float) and math.isinf(x)):
+    if x is INF:
         return "inf"
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"

@@ -37,7 +37,6 @@ from .propagator import (
     DecayProfile,
     _hsigma_norm,
     _propagate,
-    _zero_mode_fraction,
     adjoint_accumulate,
     evolve_series,
     hsigma_norm,
@@ -303,10 +302,10 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
         raise ValueError(f"tuple outside the admissible region: {failed}")
     g = fld.grid
     spec = _dft(fld.values, g)
-    denom = _hsigma_norm(spec, g, float(tup.sigma)).value
+    data = _hsigma_norm(spec, g, float(tup.sigma))  # sigma > 0: meta has the zero-mode fraction
+    denom, zfrac = data.value, data.meta["zero_mode_fraction"]
     if denom == 0.0:
         raise ValueError("degenerate datum: zero smoothing norm (f = 0?)")
-    zfrac = _zero_mode_fraction(spec)
     if zfrac > 1e-8:
         raise ValueError(f"datum has zero-mode mass fraction {zfrac:.2e}; "
                          "use a zero-mode-free generator")
@@ -632,7 +631,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
         seq = np.abs(f.values.ravel())[: 256]
         for p in (1.0, 2.0, 2.5):
             wk = weak_lorentz_norm(seq, p).value
-            st = float(np.sum(seq ** p) ** (1.0 / p))
+            st = float(_lq(seq.copy(), p))
             if wk > st * (1 + 1e-12):
                 return False, f"p={p}: weak {wk} > strong {st}"
         return True, ""

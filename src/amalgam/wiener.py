@@ -17,7 +17,7 @@ Two window regimes are supported on purpose:
   the lattice and identities such as W(L^p, L^p) = L^p or the Holder
   pairing hold with constant exactly 1 (for unit cubes).
 
-Everything here is pure; smooth-window sums visit window blocks in a fixed order.
+Everything here is pure; amalgam sums visit window blocks in a fixed order.
 """
 
 from __future__ import annotations
@@ -158,47 +158,37 @@ def _block_view(values: np.ndarray, n: int, K: int, s: int) -> np.ndarray:
 def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
                    g: GridSpec) -> tuple:
     """W(L^p, L^q) norms over the trailing grid axes of a (..., *g.shape) array,
-    and the window blocks visited (None for a partition)."""
+    and the number of window blocks visited."""
     if p < 1 or q < 1:
         raise ValueError("exponents must lie in [1, inf]")
     s, K = _translate_shape(window, g)
-    n, inf = g.n, np.isinf(p)
+    n = g.n
     lead = values.shape[:-n]
     axes = tuple(range(-n, 0))
     a = np.abs(values)
-    nblocks = None
+    # with x = (k + j) a + r (block k + j, offset r), the local norm of translate k
+    # is the L^p norm over (j, r) of |f|[k + j, r] |phi|[j, r], and only blocks j
+    # where phi is non-zero count: one L^p reduction over r per block, rolled back
+    # by -j, folded into the running result (local[k]^p = sum_j local_j[k]^p; max
+    # of maxes at p = inf), so memory stays at one block's worth at any block count
     if window.is_partition:
-        # cubes centered at the translate lattice k*a: [k*a - a/2, k*a + a/2);
-        # rolling by s//2 aligns block boundaries with the cube edges
-        rolled = np.roll(a, (s // 2,) * n, axis=axes)
-        # offsets first and cubes last, so each per-cube sum runs along whole rows
-        blocks = np.moveaxis(_block_view(rolled, n, K, s), axes, range(-2 * n, -n))
-        local = _lq(blocks.reshape(lead + (s ** n, K ** n)), p, -2, g.cell_volume)
+        # cube k is [k a - a/2, k a + a/2): rolling by s//2 makes it block k, so
+        # the window is the single block 0 with weight 1
+        a = np.roll(a, (s // 2,) * n, axis=axes)
+        Phi = np.ones((1,) * n + (s,) * n)
     else:
-        # with x = (k + j) a + r (block k + j, offset r), sum_x |f|^p |phi(x - k a)|^p
-        # is sum_j sum_r F[k + j, r] Phi[j, r] exactly (F, Phi: block views of |f|^p,
-        # |phi|^p; max for p = inf), and only blocks j where phi is non-zero count.
-        # A correlation, not a reduction: |f| is divided by its peak per slice by
-        # hand, so |f|^p cannot overflow, and the peak multiplies the root back
-        phi = materialize_window(window, g)
-        peak = a.max(axis=axes, keepdims=True)
-        peak[peak == 0] = 1.0
-        a /= peak
-        F = _block_view(a if inf else a ** p, n, K, s).reshape(lead + (K ** n, s ** n))
-        Phi = _block_view(phi if inf else phi ** p, n, K, s)
-        blocks = np.argwhere(Phi.any(axis=tuple(range(n, 2 * n))))
-        local = np.zeros(lead + (K,) * n)
-        for j in blocks:
-            w = Phi[tuple(j)].ravel()
-            part = (F * w).max(axis=-1) if inf else F @ w
-            part = np.roll(part.reshape(local.shape), tuple(-j), axis=axes)
-            local = np.maximum(local, part) if inf else local + part
-        local = local.reshape(lead + (K ** n,))
-        if not inf:
-            local = (local * g.cell_volume) ** (1.0 / p)
-        local *= peak.reshape(lead + (1,))
-        nblocks = len(blocks)
-    return _lq(local, q, -1, window.step ** n), nblocks
+        Phi = _block_view(materialize_window(window, g), n, K, s)
+    blocks = np.argwhere(Phi.any(axis=tuple(range(n, 2 * n))))
+    # offsets first and blocks last, so each per-block sum runs along whole rows
+    F = np.moveaxis(_block_view(a, n, K, s), axes, range(-2 * n, -n))
+    F = F.reshape(lead + (s ** n, K ** n))
+    local = None
+    for j in blocks:
+        part = _lq(F * Phi[tuple(j)].reshape(-1, 1), p, -2, g.cell_volume)
+        part = np.roll(part.reshape(lead + (K,) * n), tuple(-j), axis=axes)
+        part = part.reshape(lead + (K ** n,))
+        local = part if local is None else _lq(np.stack((local, part)), p, 0)
+    return _lq(local, q, -1, window.step ** n), len(blocks)
 
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:
@@ -209,7 +199,7 @@ def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> N
     meta = {"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
             "step": window.step, "radius": window.radius,
             "normalization": window.normalization}
-    if nblocks is not None:
+    if not window.is_partition:
         meta["window_blocks"] = nblocks
     return NormResult(
         value=float(value),

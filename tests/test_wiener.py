@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -130,11 +131,13 @@ class TestAmalgamNorm:
     SMALL_GRIDS = {1: GridSpec(1, 4.0, 64), 2: GridSpec(2, 4.0, 32), 3: GridSpec(3, 2.0, 16)}
     # the bump's radius exceeds the step, so it spans at least 3 blocks per
     # axis; the cube's radius sits between lattice points so the open and
-    # half-open cube conventions select the same samples
+    # half-open cube conventions select the same samples; the unit-cube
+    # partition is the single-block case of the same reduction
     SMOOTH_WINDOWS = {
         "gaussian": WindowSpec("gaussian", radius=0.7, step=1.0),
         "smooth-bump": WindowSpec("smooth-bump", radius=1.5, step=1.0),
         "cube-indicator": WindowSpec("cube-indicator", radius=0.6, step=1.0),
+        "cube-partition": unit_cube_partition(),
     }
 
     @pytest.mark.parametrize("p", [1, 2, 3, np.inf])
@@ -170,6 +173,22 @@ class TestAmalgamNorm:
         win = WindowSpec("smooth-bump", radius=1.0, step=1.0)
         metas = [amalgam_norm(f, p, 2, win).meta for p in (2, np.inf, 2)]
         assert [m["window_blocks"] for m in metas] == [2 ** n] * 3
+
+    def test_many_blocks_memory_stays_bounded(self):
+        # s = 2 and K^2 = 4096 blocks, about 1200 of them under the gaussian:
+        # keeping one K^2-sized result per block would take about 40 MB
+        g = GridSpec(2, 32.0, 128)
+        f = band_limited_field(g, 5)
+        win = WindowSpec("gaussian", radius=0.5, step=1.0)
+        tracemalloc.start()
+        try:
+            got = amalgam_norm(f, 2, 4, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.meta["window_blocks"] > 500
+        assert np.isfinite(got.value) and got.value > 0
+        assert peak < 16 * f.values.nbytes
 
     def test_homogeneity(self, grid1d, rng):
         f = band_limited_field(grid1d, 9)
