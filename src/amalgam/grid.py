@@ -102,19 +102,26 @@ class GridSpec:
         axes = (self.axis_points(),) * self.n
         return np.meshgrid(*axes, indexing="ij")
 
-    def radii(self) -> np.ndarray:
-        """|x| on the position lattice."""
-        return _euclidean(self.axis_points(), self.n)
-
-    def frequency_radii(self) -> np.ndarray:
-        """|xi| on the frequency lattice (FFT order)."""
-        return _euclidean(self.axis_frequencies(), self.n)
-
 
 def _euclidean(axis: np.ndarray, n: int) -> np.ndarray:
     """|(a_1, .., a_n)| over the n-fold product of a 1-D axis, summed in axis order."""
     squares = sum(c ** 2 for c in np.ix_(*(axis,) * n))
     return np.sqrt(squares, out=squares)
+
+
+@functools.lru_cache(maxsize=16)
+def _shells(grid: GridSpec, frequency: bool = True) -> tuple:
+    """Distinct |xi| on the frequency lattice (|x| on the position lattice if not
+    frequency), ascending, and the flat index of each lattice point into them.
+
+    A radial function is then evaluated once per shell and gathered with the
+    index.  Cached per grid; both arrays are read-only.
+    """
+    axis = grid.axis_frequencies() if frequency else grid.axis_points()
+    shells = np.unique(_euclidean(axis, grid.n).ravel(), return_inverse=True)
+    for a in shells:
+        a.setflags(write=False)
+    return shells
 
 
 def _checked(values, shape: tuple) -> np.ndarray:
@@ -191,13 +198,15 @@ class NormResult:
         }
 
 
+@functools.lru_cache(maxsize=16)
 def _phase(grid: GridSpec) -> np.ndarray:
-    """(-1)^(j_1+...+j_n) on the frequency lattice, from x_m = -L + m dx."""
+    """(-1)^(j_1+...+j_n) on the frequency lattice, from x_m = -L + m dx; cached, read-only."""
     j = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts)  # integer indices, FFT order
     sign = np.where(np.round(j).astype(int) % 2 == 0, 1.0, -1.0)
     out = sign
     for _ in range(grid.n - 1):
         out = np.multiply.outer(out, sign)
+    out.setflags(write=False)
     return out
 
 

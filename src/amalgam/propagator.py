@@ -36,6 +36,7 @@ from .grid import (
     SpaceTimeField,
     _dft,
     _lq,
+    _shells,
     trapezoid_weights,
 )
 from .wiener import WindowSpec, amalgam_norm
@@ -87,9 +88,8 @@ def _hsigma_norm(spec: np.ndarray, g: GridSpec, sigma: float) -> NormResult:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     w = (g.dxi / (2.0 * np.pi)) ** g.n
     if sigma > 0:
-        xi = g.frequency_radii()
-        with np.errstate(divide="ignore"):
-            w = np.where(xi > 0, xi ** (2.0 * sigma), 0.0) * w
+        xi, inv = _shells(g)
+        w = (np.where(xi > 0, xi ** (2.0 * sigma), 0.0) * w)[inv].reshape(g.shape)
     value = float(_lq(np.abs(spec), 2, None, w))
     zfrac = _zero_mode_fraction(spec) if sigma > 0 else 0.0
     if sigma > 0 and zfrac >= ZERO_MODE_TOL:
@@ -109,21 +109,34 @@ def _hsigma_norm(spec: np.ndarray, g: GridSpec, sigma: float) -> NormResult:
 def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
                weights=None) -> np.ndarray:
     """Slice k: exp(-i t_k |xi|^2) |xi|^-sigma times spec (one spectrum, or spec[k]
-    of a stack), in position space.  Built in place, T * N^n * 16 bytes, and
-    inverse-transformed in one batched FFT; with weights, their sum over the
-    instants is taken in frequency first.  The weight at xi = 0 is set to zero.
+    of a stack), in position space.  The multiplier is evaluated once per shell
+    of equal |xi| for a block of instants and gathered into the (T, *shape)
+    array, T * N^n * 16 bytes, which is inverse-transformed in one batched FFT;
+    with weights, their sum over the instants is taken in frequency first.  The
+    weight at xi = 0 is set to zero.
     """
     sigma = float(sigma)
     if not (0 <= sigma < g.n / 2.0):
         raise ValueError(
             f"sigma must lie in [0, n/2) = [0, {g.n / 2}), got {sigma}")
-    xi2 = g.frequency_radii() ** 2
-    out = np.multiply.outer(-1j * np.asarray(times, dtype=float), xi2)
-    np.exp(out, out=out)
+    xi, inv = _shells(g)
+    xi2 = xi ** 2
     if sigma > 0:
         with np.errstate(divide="ignore"):
-            out *= np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
-    out *= spec
+            damp = np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
+    times = np.asarray(times, dtype=float)
+    spec = spec.reshape(-1, g.size)
+    out = np.empty((len(times), g.size), dtype=complex)
+    step = max(1, 2 ** 16 // g.size)  # instants per block of about 2^16 samples
+    for i in range(0, len(times), step):
+        table = np.multiply.outer(-1j * times[i:i + step], xi2)
+        np.exp(table, out=table)
+        if sigma > 0:
+            table *= damp
+        # mode="clip" writes straight into out; the default "raise" buffers a copy
+        block = np.take(table, inv, axis=1, out=out[i:i + step], mode="clip")
+        block *= spec if len(spec) == 1 else spec[i:i + step]
+    out = out.reshape(times.shape + g.shape)
     if weights is not None:
         out = np.tensordot(weights, out, axes=1)
     return _dft(out, g, inverse=True, out=out)
@@ -252,11 +265,10 @@ def kernel_on_grid(grid: GridSpec, sigma: float, t: float) -> KernelSamples:
     The kernel is radial, so it is evaluated once per distinct lattice
     radius and scattered back; ``meta["nodes"]`` counts those evaluations.
     """
-    radii = grid.radii().ravel()
-    uniq, inv = np.unique(radii, return_inverse=True)
+    uniq, inv = _shells(grid, frequency=False)
     ks = kernel_eval(grid.n, sigma, t, uniq)
     return KernelSamples(
-        n=grid.n, gamma=ks.gamma, t=ks.t, xs=radii,
+        n=grid.n, gamma=ks.gamma, t=ks.t, xs=uniq[inv],
         values=ks.values[inv], est_error=ks.est_error[inv],
         converged=ks.converged[inv],
         meta=dict(ks.meta, grid=(grid.n, grid.length, grid.npts)),

@@ -30,7 +30,6 @@ from .grid import (
     boundary_mass_fraction,
     lebesgue_norm,
     mixed_lebesgue_norm,
-    transform,
     trapezoid_weights,
 )
 from .propagator import (
@@ -71,6 +70,7 @@ __all__ = [
     "property_suite",
     "window_equivalence_bracket",
     "band_limited_field",
+    "band_limited_stack",
     "gaussian_datum",
     "modulated_gaussian",
     "spike_field",
@@ -85,16 +85,31 @@ __all__ = [
 def band_limited_field(grid: GridSpec, seed: int, kmin: int = 1,
                        kmax: int | None = None, label: str = "") -> SampledField:
     """Random band-limited field, zero mode removed, unit L2 norm."""
+    values = band_limited_stack(grid, [seed], kmin, kmax)[0]
+    return SampledField(grid, values, label or f"band-limited[{seed}]")
+
+
+def band_limited_stack(grid: GridSpec, seeds, kmin: int = 1,
+                       kmax: int | None = None) -> np.ndarray:
+    """One (len(seeds), *shape) array whose row k is band_limited_field(grid, seeds[k]).
+
+    Each seed draws from its own generator; the rows share one batched
+    inverse transform and are normalized row by row.
+    """
     if kmax is None:
         kmax = grid.npts // 4
-    rng = np.random.default_rng(seed)
     rad = _euclidean(np.fft.fftfreq(grid.npts, d=1.0 / grid.npts), grid.n)
     band = (rad >= kmin) & (rad <= kmax)
-    spec = np.zeros(grid.shape, dtype=complex)
-    spec[band] = rng.standard_normal(int(band.sum())) + 1j * rng.standard_normal(int(band.sum()))
-    fld = transform(SampledField(grid, spec, label), "inverse")
-    nrm = lebesgue_norm(fld, 2).value
-    return SampledField(grid, fld.values / nrm, label or f"band-limited[{seed}]")
+    count = int(band.sum())
+    spec = np.zeros((len(seeds),) + grid.shape, dtype=complex)
+    for row, seed in zip(spec, seeds):
+        rng = np.random.default_rng(seed)
+        row[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    values = _dft(spec, grid, inverse=True, out=spec)
+    for row in values:
+        # a scalar root per row: an array's ** 0.5 takes sqrt, which can differ by an ulp
+        row /= _lq(np.abs(row), 2, None, grid.cell_volume)
+    return values
 
 
 def gaussian_datum(grid: GridSpec, width: float = 1.0, center=0.0,

@@ -5,6 +5,9 @@ from amalgam.grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _dft,
+    _phase,
+    _shells,
     boundary_mass_fraction,
     check_boundary_mass,
     lebesgue_norm,
@@ -101,6 +104,30 @@ class TestTransform:
         f = random_field(grid2d, rng)
         back = transform(transform(f, "forward"), "inverse")
         assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 8.0, 64), GridSpec(2, 4.0, 32), GridSpec(3, 4.0, 16)],
+                         ids=lambda g: f"n{g.n}")
+class TestCachedLattice:
+    def test_shells_rebuild_the_radii(self, g):
+        for frequency, axis in ((True, g.axis_frequencies()), (False, g.axis_points())):
+            uniq, inv = _shells(g, frequency)
+            radii = np.sqrt(sum(c ** 2 for c in np.ix_(*(axis,) * g.n)))
+            assert np.array_equal(uniq[inv], radii.ravel())
+            assert np.all(np.diff(uniq) > 0)
+            assert _shells(GridSpec(g.n, g.length, g.npts), frequency)[1] is inv
+
+    def test_cached_arrays_are_read_only(self, g, rng):
+        ph = _phase(g)
+        for a in (*_shells(g), *_shells(g, False), ph):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 0
+        f = random_field(g, rng).values
+        _dft(_dft(f, g), g, inverse=True, out=f)
+        j = np.fft.fftfreq(g.npts, d=1.0 / g.npts).astype(int)
+        assert _phase(g) is ph
+        assert np.array_equal(ph, (-1.0) ** sum(np.ix_(*(j,) * g.n)))
 
 
 class TestLebesgueNorm:

@@ -2,7 +2,9 @@
 
 The references are the per-slice loops the batched code replaced: one
 forward transform, the multiplier exp(-i t |xi|^2) |xi|^-sigma and one
-inverse transform per slice, and the pairings summed slice by slice.
+inverse transform per slice, and the pairings summed slice by slice.  The
+multiplier built per |xi| shell is also checked bit for bit against the
+same formula evaluated at every lattice point.
 """
 
 import numpy as np
@@ -12,12 +14,13 @@ from amalgam.grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _dft,
     read_spacetime,
     transform,
     trapezoid_weights,
     write_spacetime,
 )
-from amalgam.propagator import adjoint_accumulate, evolve, evolve_series
+from amalgam.propagator import _propagate, adjoint_accumulate, evolve, evolve_series
 from amalgam.verify import band_limited_field, bilinear_form
 from amalgam.wiener import spacetime_inner_product
 
@@ -25,10 +28,15 @@ GRIDS = [GridSpec(1, 8.0, 64), GridSpec(2, 4.0, 16), GridSpec(3, 4.0, 8)]
 TIMES = np.array([-1.3, -0.2, 0.0, 0.45, 2.5])
 
 
+def frequency_radii(g):
+    """|xi| at every lattice point, in FFT order."""
+    return np.sqrt(sum(c ** 2 for c in np.ix_(*(g.axis_frequencies(),) * g.n)))
+
+
 def evolve_reference(fld, t, sigma):
     """One slice: forward transform, multiplier, inverse transform."""
     g = fld.grid
-    xi2 = g.frequency_radii() ** 2
+    xi2 = frequency_radii(g) ** 2
     mult = np.exp(-1j * t * xi2)
     if sigma > 0:
         with np.errstate(divide="ignore"):
@@ -53,6 +61,20 @@ def bilinear_reference(F, G, sigma):
         for wj, gv in zip(trapezoid_weights(G.times), eg):
             acc += wi * wj * np.sum(fv * np.conj(gv)) * F.grid.cell_volume
     return complex(acc)
+
+
+def propagate_reference(spec, times, sigma, g, weights=None):
+    """The multiplier at all T * N^n entries at once, then one batched inverse transform."""
+    xi2 = frequency_radii(g) ** 2
+    out = np.multiply.outer(-1j * np.asarray(times, dtype=float), xi2)
+    np.exp(out, out=out)
+    if sigma > 0:
+        with np.errstate(divide="ignore"):
+            out *= np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
+    out *= spec
+    if weights is not None:
+        out = np.tensordot(weights, out, axes=1)
+    return _dft(out, g, inverse=True, out=out)
 
 
 def random_stf(g, times, seed):
@@ -83,6 +105,23 @@ class TestBatchedEvolution:
         F, G = random_stf(g, TIMES, 70), random_stf(g, TIMES[1:], 90)
         want = bilinear_reference(F, G, sigma)
         assert abs(bilinear_form(F, G, sigma) - want) <= 1e-12 * abs(want)
+
+
+# 20 instants span two shell-table blocks at n = 1, 2 and ten at n = 3
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+@pytest.mark.parametrize("g", [GridSpec(1, 8.0, 4096), GridSpec(2, 8.0, 64), GridSpec(3, 4.0, 32)],
+                         ids=lambda g: f"n{g.n}")
+def test_shell_multiplier_is_exact(g, sigma):
+    rng = np.random.default_rng(g.n)
+    times = np.sort(rng.uniform(-3.0, 3.0, 20))
+    stack = rng.standard_normal(times.shape + g.shape) + 1j * rng.standard_normal(times.shape + g.shape)
+    assert np.array_equal(_propagate(stack[0], times, sigma, g),
+                          propagate_reference(stack[0], times, sigma, g))
+    assert np.array_equal(_propagate(stack, times, sigma, g),
+                          propagate_reference(stack, times, sigma, g))
+    w = trapezoid_weights(times)
+    assert np.array_equal(_propagate(stack, -times, sigma, g, weights=w),
+                          propagate_reference(stack, -times, sigma, g, weights=w))
 
 
 def test_inner_product_matches_slice_loop():

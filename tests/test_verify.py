@@ -5,10 +5,11 @@ import pytest
 
 from amalgam import cli
 from amalgam.exponents import ExponentTuple
-from amalgam.grid import GridSpec, SampledField, SpaceTimeField
+from amalgam.grid import GridSpec, SampledField, SpaceTimeField, lebesgue_norm, transform
 from amalgam.propagator import DecayProfile
 from amalgam.verify import (
     band_limited_field,
+    band_limited_stack,
     bilinear_form,
     classical_scaling_sweep,
     default_ratio_times,
@@ -198,6 +199,31 @@ class TestHls:
         lo, hi = included[0] - 0.5 * dt, included[-1] + 0.5 * dt
         exact = prim(tgrid - lo) - prim(tgrid - hi)
         assert np.max(np.abs(conv - exact)) < 1e-3
+
+
+def band_limited_reference(g, seed, kmax):
+    """One draw, one inverse transform, one division by the field's L2 norm."""
+    j = np.fft.fftfreq(g.npts, d=1.0 / g.npts)
+    rad = np.sqrt(sum(c ** 2 for c in np.ix_(*(j,) * g.n)))
+    band = (rad >= 1) & (rad <= (g.npts // 4 if kmax is None else kmax))
+    rng = np.random.default_rng(seed)
+    spec = np.zeros(g.shape, dtype=complex)
+    spec[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+    f = transform(SampledField(g, spec), "inverse")
+    return f.values / lebesgue_norm(f, 2).value
+
+
+@pytest.mark.parametrize("g,kmax", [(GridSpec(1, 8.0, 4096), None), (GridSpec(1, 8.0, 64), 31),
+                                    (GridSpec(2, 8.0, 64), None), (GridSpec(2, 4.0, 16), 7),
+                                    (GridSpec(3, 4.0, 32), None), (GridSpec(3, 4.0, 8), 3)])
+def test_band_limited_stack_rows_are_the_single_fields(g, kmax):
+    # seed 136 at N = 4096: a vectorized root (sqrt) of its norm is one ulp off the scalar one
+    seeds = [136, 5, 4000, 7]
+    stack = band_limited_stack(g, seeds, kmax=kmax)
+    assert stack.shape == (len(seeds),) + g.shape
+    for row, seed in zip(stack, seeds):
+        assert np.array_equal(row, band_limited_field(g, seed, kmax=kmax).values)
+        assert np.array_equal(row, band_limited_reference(g, seed, kmax))
 
 
 class TestBilinear:
