@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import os
 import struct
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +37,9 @@ __all__ = [
     "mixed_lebesgue_norm",
     "trapezoid_weights",
     "boundary_mass_fraction",
-    "check_boundary_mass",
     "write_spacetime",
     "read_spacetime",
-    "write_field",
 ]
-
-BOUNDARY_MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -124,6 +119,23 @@ def _shells(grid: GridSpec, frequency: bool = True) -> tuple:
     return shells
 
 
+def _blocks(count: int, g: GridSpec) -> list:
+    """Slices of range(count) of about 2^16 samples of g each (at least one item): the
+    one block size in which (count, *g.shape) stacks are built and reduced."""
+    step = max(1, 2 ** 16 // g.size)
+    return [slice(i, i + step) for i in range(0, count, step)]
+
+
+def _instants(times) -> np.ndarray:
+    """times as a float array, checked to be 1-D, non-empty and strictly increasing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) == 0:
+        raise ValueError("times must be a non-empty 1-D array")
+    if not np.all(np.diff(times) > 0):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
 def _checked(values, shape: tuple) -> np.ndarray:
     """values as a complex array of the given shape, all finite."""
     values = np.asarray(values, dtype=complex)
@@ -150,8 +162,8 @@ class SampledField:
 class SpaceTimeField:
     """A field at T instants on one grid: ``values[k]`` is the slice at ``times[k]``.
 
-    ``values`` is one complex (T, *grid.shape) array, T * N^n * 16 bytes
-    (576 slices of 128^2 take 151 MB); it is checked once, on construction.
+    ``values`` is one complex (T, *grid.shape) array, T * N^n * 16 bytes, checked
+    once, on construction; strichartz_ratio, which evolves by _blocks, builds none.
     """
 
     grid: GridSpec
@@ -159,11 +171,7 @@ class SpaceTimeField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.ndim != 1 or len(self.times) == 0:
-            raise ValueError("times must be a non-empty 1-D array")
-        if len(self.times) > 1 and not np.all(np.diff(self.times) > 0):
-            raise ValueError("times must be strictly increasing")
+        self.times = _instants(self.times)
         self.values = _checked(self.values, self.times.shape + self.grid.shape)
 
 
@@ -244,17 +252,20 @@ def _lq(a: np.ndarray, q: float, axis=None, weight=1.0) -> np.ndarray:
     """(sum weight * a^q)^(1/q) over the given axes of a >= 0; the max for q = inf.
 
     a is overwritten: it is divided by its peak before the power, so a^q can
-    neither overflow nor underflow.  weight is a scalar or an array that
-    broadcasts along the reduced axes.
+    neither overflow nor underflow; a non-finite peak (an overflowed transform)
+    is a ValueError.  weight is a scalar or an array that broadcasts along the
+    reduced axes.  One ufunc takes the root, so a batch and one array round alike.
     """
     peak = a.max(axis=axis, keepdims=True)
+    if not np.all(np.isfinite(peak)):
+        raise ValueError("non-finite values (overflow?) reached a norm")
     if np.isinf(q):
         return np.squeeze(peak, axis)
     peak[peak == 0] = 1.0  # a zero slice stays zero
     a /= peak
     a **= q
     a *= weight
-    return np.squeeze(peak, axis) * np.sum(a, axis=axis) ** (1.0 / q)
+    return np.squeeze(peak, axis) * np.power(np.sum(a, axis=axis), 1.0 / q)
 
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
@@ -314,18 +325,6 @@ def boundary_mass_fraction(fld: SampledField) -> float:
     return float((_lq(np.abs(fld.values[near]), 2) / total) ** 2)
 
 
-def check_boundary_mass(fld: SampledField, tol: float = BOUNDARY_MASS_TOL) -> float:
-    """Warn when boundary mass exceeds tol (wrap-around pollutes decay)."""
-    frac = boundary_mass_fraction(fld)
-    if frac >= tol:
-        warnings.warn(
-            f"field {fld.label!r} has boundary mass fraction {frac:.3e} >= {tol:.1e}; "
-            "increase the box half-length",
-            stacklevel=2,
-        )
-    return frac
-
-
 # ---------------------------------------------------------------------------
 # Binary container: header (n, L, N, slice count), the instants, then the
 # (T, *shape) values as complex128 (each sample's re and im float64 side by
@@ -363,7 +362,3 @@ def read_spacetime(path) -> SpaceTimeField:
         return SpaceTimeField(grid, times, values.reshape((nslices,) + grid.shape))
     except ValueError as exc:
         raise ValueError(f"field container {path}: {exc}") from None
-
-
-def write_field(fld: SampledField, path, time: float = 0.0) -> None:
-    write_spacetime(SpaceTimeField(fld.grid, [time], fld.values[None]), path)

@@ -34,6 +34,7 @@ from .grid import (
     NormResult,
     SampledField,
     SpaceTimeField,
+    _blocks,
     _dft,
     _lq,
     _shells,
@@ -127,15 +128,14 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
     times = np.asarray(times, dtype=float)
     spec = spec.reshape(-1, g.size)
     out = np.empty((len(times), g.size), dtype=complex)
-    step = max(1, 2 ** 16 // g.size)  # instants per block of about 2^16 samples
-    for i in range(0, len(times), step):
-        table = np.multiply.outer(-1j * times[i:i + step], xi2)
+    for b in _blocks(len(times), g):
+        table = np.multiply.outer(-1j * times[b], xi2)
         np.exp(table, out=table)
         if sigma > 0:
             table *= damp
         # mode="clip" writes straight into out; the default "raise" buffers a copy
-        block = np.take(table, inv, axis=1, out=out[i:i + step], mode="clip")
-        block *= spec if len(spec) == 1 else spec[i:i + step]
+        block = np.take(table, inv, axis=1, out=out[b], mode="clip")
+        block *= spec if len(spec) == 1 else spec[b]
     out = out.reshape(times.shape + g.shape)
     if weights is not None:
         out = np.tensordot(weights, out, axes=1)

@@ -26,6 +26,7 @@ from .grid import (
     SpaceTimeField,
     _dft,
     _euclidean,
+    _instants,
     _lq,
     boundary_mass_fraction,
     lebesgue_norm,
@@ -42,11 +43,11 @@ from .propagator import (
 )
 from .wiener import (
     WindowSpec,
+    _spacetime_norm,
     amalgam_norm,
     holder_pairing,
     inclusion_check,
     interpolate_exponents,
-    spacetime_amalgam_norm,
     unit_cube_partition,
     weak_lorentz_norm,
 )
@@ -94,7 +95,7 @@ def band_limited_stack(grid: GridSpec, seeds, kmin: int = 1,
     """One (len(seeds), *shape) array whose row k is band_limited_field(grid, seeds[k]).
 
     Each seed draws from its own generator; the rows share one batched
-    inverse transform and are normalized row by row.
+    inverse transform and one normalization.
     """
     if kmax is None:
         kmax = grid.npts // 4
@@ -106,9 +107,8 @@ def band_limited_stack(grid: GridSpec, seeds, kmin: int = 1,
         rng = np.random.default_rng(seed)
         row[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     values = _dft(spec, grid, inverse=True, out=spec)
-    for row in values:
-        # a scalar root per row: an array's ** 0.5 takes sqrt, which can differ by an ulp
-        row /= _lq(np.abs(row), 2, None, grid.cell_volume)
+    axes = tuple(range(1, grid.n + 1))
+    values /= np.expand_dims(_lq(np.abs(values), 2, axes, grid.cell_volume), axes)
     return values
 
 
@@ -324,14 +324,14 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     if zfrac > 1e-8:
         raise ValueError(f"datum has zero-mode mass fraction {zfrac:.2e}; "
                          "use a zero-mode-free generator")
-    if times is None:
-        times = default_ratio_times()
-    stf = SpaceTimeField(g, times, _propagate(spec, times, 0.0, g))
-    num = spacetime_amalgam_norm(stf, tup.qt, tup.q, tup.rt, tup.r,
-                                 window_t, window_x, weak_outer_time=weak)
+    times = _instants(default_ratio_times() if times is None else times)
+    exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
+    # one block of instants at a time is evolved, then reduced to its spatial norms
+    num, _ = _spacetime_norm(lambda b: _propagate(spec, times[b], 0.0, g), g, times, *exps,
+                             window_t, window_x, weak)
     return RatioResult(
-        value=num.value / denom,
-        numerator=num.value,
+        value=num / denom,
+        numerator=num,
         denominator=denom,
         meta={"ntimes": len(times), "t_span": (float(times[0]), float(times[-1])),
               "weak_outer_time": weak, "label": fld.label,

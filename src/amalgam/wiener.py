@@ -35,6 +35,7 @@ from .grid import (
     NormResult,
     SampledField,
     SpaceTimeField,
+    _blocks,
     _euclidean,
     _lq,
     trapezoid_weights,
@@ -53,8 +54,6 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "smooth-bump", "cube-indicator")
-# samples per batch of slices in spacetime_amalgam_norm (4 MiB of complex values)
-_BATCH_SAMPLES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -236,6 +235,31 @@ def _time_translates(times: np.ndarray, window: WindowSpec) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
+def _spacetime_norm(slices, g: GridSpec, times: np.ndarray, qt: float, q: float, rt: float,
+                    r: float, window_t: WindowSpec, window_x: WindowSpec, weak: bool) -> tuple:
+    """spacetime_amalgam_norm of the slices at times, and its number of time translates.
+
+    slices(b) gives the slices of block b of _blocks, reduced at once to their
+    spatial norms; the time reduction then runs on the (T,) vector of those norms.
+    """
+    spatial = np.concatenate([_amalgam_norms(slices(b), rt, r, window_x, g)[0]
+                              for b in _blocks(len(times), g)])
+    ks = _time_translates(times, window_t)
+    if len(ks) == 0:
+        raise ValueError("no time-window translate fits inside the sampled span")
+    # one row per translate k: the window at center c_k on the instants
+    c = window_t.step * ks[:, None]
+    if window_t.is_partition:
+        phi = (times >= c - 0.5 * window_t.step) & (times < c + 0.5 * window_t.step)
+    else:
+        phi = window_t.profile(np.abs(times - c))
+    local = _lq(spatial * phi, qt, -1, trapezoid_weights(times))
+    if weak:
+        base = weak_lorentz_norm(local, q).value if not np.isinf(q) else float(local.max())
+        return base * window_t.step ** (0.0 if np.isinf(q) else 1.0 / q), len(ks)
+    return float(_lq(local, q, -1, window_t.step)), len(ks)
+
+
 def spacetime_amalgam_norm(
     stf: SpaceTimeField,
     qt, q, rt, r,
@@ -252,35 +276,15 @@ def spacetime_amalgam_norm(
     """
     qtf, qf, rtf, rf = (to_float(e) for e in (qt, q, rt, r))
     g = stf.grid
-    # batches of whole slices, so the temporaries stay a few MB at any slice count
-    batch = max(1, _BATCH_SAMPLES // g.size)
-    spatial = np.concatenate([_amalgam_norms(stf.values[i:i + batch], rtf, rf, window_x, g)[0]
-                              for i in range(0, len(stf.times), batch)])
-    times = stf.times
-    ks = _time_translates(times, window_t)
-    if len(ks) == 0:
-        raise ValueError("no time-window translate fits inside the sampled span")
-    # one row per translate k: the window at center c_k on the instants
-    c = window_t.step * ks[:, None]
-    if window_t.is_partition:
-        phi = (times >= c - 0.5 * window_t.step) & (times < c + 0.5 * window_t.step)
-    else:
-        phi = window_t.profile(np.abs(times - c))
-    local = _lq(spatial * phi, qtf, -1, trapezoid_weights(times))
-    if weak_outer_time:
-        base = weak_lorentz_norm(local, qf).value if not np.isinf(qf) else float(local.max())
-        value = base * window_t.step ** (0.0 if np.isinf(qf) else 1.0 / qf)
-        space = "spacetime-amalgam-weak"
-    else:
-        value = float(_lq(local, qf, -1, window_t.step))
-        space = "spacetime-amalgam"
+    value, translates = _spacetime_norm(lambda b: stf.values[b], g, stf.times, qtf, qf, rtf,
+                                        rf, window_t, window_x, weak_outer_time)
     return NormResult(
         value=value,
-        space=space,
+        space="spacetime-amalgam-weak" if weak_outer_time else "spacetime-amalgam",
         exponents={"qt": qtf, "q": qf, "rt": rtf, "r": rf},
-        meta={"n": stf.grid.n, "ntimes": len(times),
+        meta={"n": g.n, "ntimes": len(stf.times),
               "time_window": window_t.kind, "space_window": window_x.kind,
-              "translates": len(ks)},
+              "translates": translates},
     )
 
 

@@ -351,6 +351,24 @@ class TestCommands:
         # on unit cubes and in H^0 (the defaults p = q = 2, sigma = 0)
         assert float(out.split(":")[1]) == pytest.approx(1e300 * 8 ** 0.5, rel=1e-11)
 
+    @pytest.mark.parametrize("args", [["norm", "--kind", "hsigma", "--sigma", "0.3"],
+                                      ["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
+                                       "--q", "10", "--r", "inf"]])
+    def test_overflowing_transform_is_usage_error(self, tmp_path, capsys, args):
+        # finite samples of modulus 1e307 whose transform overflows
+        from amalgam.grid import SpaceTimeField, write_spacetime
+        from amalgam.verify import modulated_gaussian
+        g = amalgam.GridSpec(1, 16.0, 1024)
+        path = tmp_path / "huge.bin"
+        values = 1e307 * modulated_gaussian(g, mode=40).values[None]
+        write_spacetime(SpaceTimeField(g, [0.0], values), path)
+        capsys.readouterr()
+        assert invoke(args + ["--input", str(path)], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("usage error:") == 1 and "non-finite" in err
+        assert "Traceback" not in err
+
     def test_truncated_container_is_usage_error(self, tmp_path, capsys):
         assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
                        "--times", "0.2", "--save-field"], tmp_path) == 0

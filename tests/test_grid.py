@@ -6,16 +6,15 @@ from amalgam.grid import (
     SampledField,
     SpaceTimeField,
     _dft,
+    _lq,
     _phase,
     _shells,
     boundary_mass_fraction,
-    check_boundary_mass,
     lebesgue_norm,
     mixed_lebesgue_norm,
     read_spacetime,
     transform,
     trapezoid_weights,
-    write_field,
     write_spacetime,
 )
 from amalgam.propagator import hsigma_norm
@@ -257,7 +256,7 @@ class TestSerialization:
     def test_single_field_roundtrip(self, grid2d, rng, tmp_path):
         f = random_field(grid2d, rng)
         path = tmp_path / "f.bin"
-        write_field(f, path)
+        write_spacetime(SpaceTimeField(grid2d, [0.0], f.values[None]), path)
         back = read_spacetime(path)
         assert back.grid == grid2d
         assert np.array_equal(back.values[0], f.values)
@@ -266,7 +265,7 @@ class TestSerialization:
         g = GridSpec(1, 1.0, 8)
         f = SampledField(g, np.arange(8) + 1j * np.arange(8))
         path = tmp_path / "f.bin"
-        write_field(f, path)
+        write_spacetime(SpaceTimeField(g, [0.0], f.values[None]), path)
         raw = path.read_bytes()
         import struct
         n, L, N, nslices = struct.unpack_from("<qdqq", raw)
@@ -329,12 +328,17 @@ class TestInvariantsAndChecks:
         with pytest.raises(ValueError):
             SampledField(grid1d, vals)
 
-    def test_boundary_mass_warning(self):
+    @pytest.mark.parametrize("q", [2, 3.5, np.inf])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_lq_rejects_non_finite(self, q, bad):
+        # raised before the divide, so no RuntimeWarning comes first
+        with pytest.raises(ValueError, match="non-finite"):
+            _lq(np.array([[1.0, 2.0], [3.0, bad]]), q, 1)
+
+    def test_boundary_mass_of_wide_field(self):
         g = GridSpec(1, 8, 256)
         wide = gaussian_datum(g, width=5.0)
         assert boundary_mass_fraction(wide) > 1e-6
-        with pytest.warns(UserWarning, match="boundary mass"):
-            check_boundary_mass(wide)
 
     def test_boundary_mass_ok_for_narrow(self):
         g = GridSpec(1, 16, 256)

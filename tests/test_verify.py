@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from amalgam import cli
 from amalgam.exponents import ExponentTuple
 from amalgam.grid import GridSpec, SampledField, SpaceTimeField, lebesgue_norm, transform
-from amalgam.propagator import DecayProfile
+from amalgam.propagator import DecayProfile, evolve_series
 from amalgam.verify import (
     band_limited_field,
     band_limited_stack,
@@ -23,7 +24,7 @@ from amalgam.verify import (
     property_suite,
     strichartz_ratio,
 )
-from amalgam.wiener import WindowSpec, unit_cube_partition
+from amalgam.wiener import WindowSpec, spacetime_amalgam_norm, unit_cube_partition
 
 
 def synthetic_profile(exponent_small, exponent_large, n=1, sigma=0.3,
@@ -132,6 +133,38 @@ class TestStrichartzRatio:
         with pytest.raises(ValueError, match="outside"):
             strichartz_ratio(f, bad, unit_cube_partition(), unit_cube_partition())
 
+    def test_unsorted_times_rejected(self):
+        g = GridSpec(1, 16.0, 256)
+        f = modulated_gaussian(g, mode=40)
+        with pytest.raises(ValueError, match="increasing"):
+            strichartz_ratio(f, self.tuple_accept(), unit_cube_partition(),
+                             unit_cube_partition(), times=[0.1, 0.5, 0.3])
+
+    def test_overflowing_datum_rejected(self):
+        # finite samples of modulus 1e307 whose transform overflows
+        g = GridSpec(1, 16.0, 1024)
+        f = SampledField(g, 1e307 * modulated_gaussian(g, mode=40).values)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite"):
+            strichartz_ratio(f, self.tuple_accept(), unit_cube_partition(),
+                             unit_cube_partition())
+
+    def test_memory_is_one_block_of_instants(self):
+        # the ratio_n2 benchmark size: 576 slices of 128^2 would take 151 MB at once
+        g = GridSpec(2, 16.0, 128)
+        f = modulated_gaussian(g, mode=40)
+        tup = ExponentTuple(n=2, sigma="0.3", qt=2, rt="inf", q="20/7", r="inf")
+        times = default_ratio_times()
+        assert len(times) == 576
+        tracemalloc.start()
+        try:
+            res = strichartz_ratio(f, tup, unit_cube_partition(), unit_cube_partition(),
+                                   times=times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(res.value) and res.value > 0
+        assert peak < 16 * 2 ** 20
+
     def test_frequency_sweep_records_spread(self):
         g = GridSpec(1, 16.0, 1024)
         sweep = frequency_ratio_sweep(g, self.tuple_accept(),
@@ -217,13 +250,36 @@ def band_limited_reference(g, seed, kmax):
                                     (GridSpec(2, 8.0, 64), None), (GridSpec(2, 4.0, 16), 7),
                                     (GridSpec(3, 4.0, 32), None), (GridSpec(3, 4.0, 8), 3)])
 def test_band_limited_stack_rows_are_the_single_fields(g, kmax):
-    # seed 136 at N = 4096: a vectorized root (sqrt) of its norm is one ulp off the scalar one
+    # seed 136 at N = 4096: a sqrt root of its norm is one ulp off a pow root
     seeds = [136, 5, 4000, 7]
     stack = band_limited_stack(g, seeds, kmax=kmax)
     assert stack.shape == (len(seeds),) + g.shape
     for row, seed in zip(stack, seeds):
         assert np.array_equal(row, band_limited_field(g, seed, kmax=kmax).values)
         assert np.array_equal(row, band_limited_reference(g, seed, kmax))
+
+
+# one accepted theorem tuple per dimension
+RATIO_TUPLES = {1: ExponentTuple(n=1, sigma="0.3", qt=2, rt="inf", q=10, r="inf"),
+                2: ExponentTuple(n=2, sigma="0.3", qt=2, rt="inf", q="20/7", r="inf"),
+                3: ExponentTuple(n=3, sigma="0.7", qt=2, rt="inf", q="5/2", r="inf")}
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 8.0, 4096), GridSpec(2, 8.0, 64),
+                               GridSpec(3, 2.0, 16)])
+@pytest.mark.parametrize("window_x", [unit_cube_partition(),
+                                      WindowSpec("gaussian", radius=0.5, step=1.0)])
+@pytest.mark.parametrize("weak", [False, True])
+@pytest.mark.parametrize("ntimes", [1, 21, 55])
+def test_streamed_ratio_is_the_spacetime_norm(g, window_x, weak, ntimes):
+    # 4096 samples a slice: blocks of 16 instants, so 21 and 55 end on a partial block
+    times = np.linspace(0.05, 3.0, ntimes) if ntimes > 1 else np.array([0.5])
+    tup, win_t = RATIO_TUPLES[g.n], unit_cube_partition()
+    f = modulated_gaussian(g, width=1.0, mode=g.npts // 4)
+    res = strichartz_ratio(f, tup, win_t, window_x, times=times, weak=weak)
+    want = spacetime_amalgam_norm(evolve_series(f, times, 0.0), tup.qt, tup.q, tup.rt,
+                                  tup.r, win_t, window_x, weak_outer_time=weak)
+    assert res.numerator == want.value
 
 
 class TestBilinear:

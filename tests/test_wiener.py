@@ -11,11 +11,13 @@ from amalgam.grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _lq,
     lebesgue_norm,
     mixed_lebesgue_norm,
 )
 from amalgam.wiener import (
     WindowSpec,
+    _amalgam_norms,
     amalgam_norm,
     holder_pairing,
     inclusion_check,
@@ -25,7 +27,7 @@ from amalgam.wiener import (
     unit_cube_partition,
     weak_lorentz_norm,
 )
-from amalgam.verify import band_limited_field, spike_field
+from amalgam.verify import band_limited_field, band_limited_stack, spike_field
 
 
 def brute_force_amalgam(fld, p, q, window):
@@ -409,3 +411,19 @@ class TestInclusion:
         f = band_limited_field(grid1d, 2)
         with pytest.raises(ValueError):
             inclusion_check(f, 1, 4, 2, 4, unit_cube_partition())
+
+
+@pytest.mark.parametrize("g", [GridSpec(1, 8.0, 4096), GridSpec(2, 8.0, 64),
+                               GridSpec(3, 4.0, 16)])
+@pytest.mark.parametrize("window", [unit_cube_partition(),
+                                    WindowSpec("gaussian", radius=0.5, step=1.0)])
+@pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 10 / 3), (math.inf, 2)])
+def test_batched_norms_are_the_single_norms(g, window, p, q):
+    # exactly, not closely: seed 136 at N = 4096 is a case where a sqrt and a pow
+    # root of the same sum differ by an ulp
+    stack = band_limited_stack(g, [136, 5, 4000])
+    batched, _ = _amalgam_norms(stack, p, q, window, g)
+    lebesgue = _lq(np.abs(stack), p, tuple(range(1, g.n + 1)), g.cell_volume)
+    for k, row in enumerate(stack):
+        assert batched[k] == amalgam_norm(SampledField(g, row), p, q, window).value
+        assert lebesgue[k] == lebesgue_norm(SampledField(g, row), p).value
