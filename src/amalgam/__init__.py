@@ -17,7 +17,7 @@ _EXPORTS = {
                "weak_lorentz_norm"),
     "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve",
                    "evolve_series", "hsigma_norm", "kernel_amalgam_profile", "kernel_bound",
-                   "kernel_eval", "kernel_on_grid", "profile_times"),
+                   "kernel_eval", "profile_times"),
     "exponents": ("ExponentTuple", "RegionReport", "classical_sobolev_line",
                   "is_schrodinger_admissible", "predicted_kernel_decay", "sample_region",
                   "satisfies_cn2", "satisfies_corollary", "satisfies_prop_kernel",

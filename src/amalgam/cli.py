@@ -416,6 +416,8 @@ def _cmd_bilinear(args, outdir):
 
     from .grid import GridSpec
     from .verify import bilinear_form, factorized_bilinear_form
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     grid = GridSpec(args.grid_n, args.grid_l, args.grid_npts)
     times = np.linspace(-1.0, 1.0, args.ntimes)
     sigma = to_float(args.sigma)

@@ -248,13 +248,17 @@ def transform(fld: SampledField, direction: str = "forward") -> SampledField:
     return SampledField(fld.grid, _dft(fld.values, fld.grid, direction == "inverse"), fld.label)
 
 
+_FMAX = np.finfo(float).max
+
+
 def _lq(a: np.ndarray, q: float, axis=None, weight=1.0) -> np.ndarray:
     """(sum weight * a^q)^(1/q) over the given axes of a >= 0; the max for q = inf.
 
     a is overwritten: it is divided by its peak before the power, so a^q can
     neither overflow nor underflow; a non-finite peak (an overflowed transform)
-    is a ValueError.  weight is a scalar or an array that broadcasts along the
-    reduced axes.  One ufunc takes the root, so a batch and one array round alike.
+    or a norm beyond the float64 range is a ValueError.  weight is a scalar or
+    an array that broadcasts along the reduced axes.  One ufunc takes the root,
+    so a batch and one array round alike.
     """
     peak = a.max(axis=axis, keepdims=True)
     if not np.all(np.isfinite(peak)):
@@ -265,7 +269,12 @@ def _lq(a: np.ndarray, q: float, axis=None, weight=1.0) -> np.ndarray:
     a /= peak
     a **= q
     a *= weight
-    return np.squeeze(peak, axis) * np.power(np.sum(a, axis=axis), 1.0 / q)
+    peak = np.squeeze(peak, axis)
+    root = np.power(np.sum(a, axis=axis), 1.0 / q)
+    # peak * root overflows only if root > 1, and then _FMAX / root cannot
+    if (peak > _FMAX / np.maximum(root, 1.0)).any():
+        raise ValueError("the norm exceeds the float64 range")
+    return peak * root
 
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:

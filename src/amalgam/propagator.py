@@ -50,7 +50,6 @@ __all__ = [
     "evolve_series",
     "adjoint_accumulate",
     "kernel_eval",
-    "kernel_on_grid",
     "kernel_bound",
     "kernel_amalgam_profile",
     "profile_times",
@@ -215,8 +214,6 @@ class KernelSamples:
     xs: np.ndarray        # radial distances
     values: np.ndarray    # complex K_t at xs
     est_error: np.ndarray  # KERNEL_RTOL * envelope
-    converged: np.ndarray  # all true: every sample meets its bound
-    meta: dict = field(default_factory=dict)
 
 
 def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
@@ -254,24 +251,6 @@ def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
     return KernelSamples(
         n=n, gamma=2.0 * sigma, t=t, xs=radii, values=values,
         est_error=KERNEL_RTOL * envelope,
-        converged=np.ones(radii.shape, dtype=bool),
-        meta={"nodes": radii.size},
-    )
-
-
-def kernel_on_grid(grid: GridSpec, sigma: float, t: float) -> KernelSamples:
-    """K_t sampled on the full position lattice of a grid.
-
-    The kernel is radial, so it is evaluated once per distinct lattice
-    radius and scattered back; ``meta["nodes"]`` counts those evaluations.
-    """
-    uniq, inv = _shells(grid, frequency=False)
-    ks = kernel_eval(grid.n, sigma, t, uniq)
-    return KernelSamples(
-        n=grid.n, gamma=ks.gamma, t=ks.t, xs=uniq[inv],
-        values=ks.values[inv], est_error=ks.est_error[inv],
-        converged=ks.converged[inv],
-        meta=dict(ks.meta, grid=(grid.n, grid.length, grid.npts)),
     )
 
 
@@ -347,15 +326,18 @@ def kernel_amalgam_profile(n: int, sigma: float, rt, r, window: WindowSpec,
     values, ests = [], []
     p_in = np.inf if np.isinf(rtf) else rtf / 2.0
     q_out = np.inf if np.isinf(rf) else rf / 2.0
+    # K_t is radial: one evaluation per shell of equal |x|, gathered to the lattice
+    uniq, inv = _shells(grid, frequency=False)
     for t in times:
-        ks = kernel_on_grid(grid, sigma, float(t))
-        fld = SampledField(grid, ks.values.reshape(grid.shape))
+        ks = kernel_eval(n, sigma, float(t), uniq)
+        fld = SampledField(grid, ks.values[inv].reshape(grid.shape))
         nr = amalgam_norm(fld, p_in, q_out, window)
         values.append(nr.value)
-        # relative error bound over the samples above 1% of the peak
-        scale = np.abs(ks.values).max()
-        sig = np.abs(ks.values) >= 0.01 * scale
-        ests.append(float(np.max(ks.est_error[sig] / np.abs(ks.values[sig]))))
+        # relative error bound over the samples above 1% of the peak; every
+        # shell occurs on the lattice, so the max over shells is the lattice max
+        modulus = np.abs(ks.values)
+        sig = modulus >= 0.01 * modulus.max()
+        ests.append(float(np.max(ks.est_error[sig] / modulus[sig])))
     return DecayProfile(
         times=times,
         values=np.asarray(values),

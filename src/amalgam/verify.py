@@ -83,24 +83,23 @@ __all__ = [
 # seeded test-data generators (zero-mode-free where it matters)
 # ---------------------------------------------------------------------------
 
-def band_limited_field(grid: GridSpec, seed: int, kmin: int = 1,
-                       kmax: int | None = None, label: str = "") -> SampledField:
+def band_limited_field(grid: GridSpec, seed: int, kmax: int | None = None) -> SampledField:
     """Random band-limited field, zero mode removed, unit L2 norm."""
-    values = band_limited_stack(grid, [seed], kmin, kmax)[0]
-    return SampledField(grid, values, label or f"band-limited[{seed}]")
+    values = band_limited_stack(grid, [seed], kmax)[0]
+    return SampledField(grid, values, f"band-limited[{seed}]")
 
 
-def band_limited_stack(grid: GridSpec, seeds, kmin: int = 1,
-                       kmax: int | None = None) -> np.ndarray:
+def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.ndarray:
     """One (len(seeds), *shape) array whose row k is band_limited_field(grid, seeds[k]).
 
-    Each seed draws from its own generator; the rows share one batched
-    inverse transform and one normalization.
+    Each seed draws from its own generator over the lattice modes 1 <= |k| <=
+    kmax (default N/4); the rows share one batched inverse transform and one
+    normalization.
     """
     if kmax is None:
         kmax = grid.npts // 4
     rad = _euclidean(np.fft.fftfreq(grid.npts, d=1.0 / grid.npts), grid.n)
-    band = (rad >= kmin) & (rad <= kmax)
+    band = (rad >= 1) & (rad <= kmax)
     count = int(band.sum())
     spec = np.zeros((len(seeds),) + grid.shape, dtype=complex)
     for row, seed in zip(spec, seeds):
@@ -112,31 +111,27 @@ def band_limited_stack(grid: GridSpec, seeds, kmin: int = 1,
     return values
 
 
-def gaussian_datum(grid: GridSpec, width: float = 1.0, center=0.0,
-                   label: str = "gaussian") -> SampledField:
-    mesh = grid.meshgrid()
-    center = np.broadcast_to(np.asarray(center, float), (grid.n,))
-    r2 = sum((c - c0) ** 2 for c, c0 in zip(mesh, center))
-    return SampledField(grid, np.exp(-r2 / (2.0 * width ** 2)), label)
+def gaussian_datum(grid: GridSpec, width: float = 1.0) -> SampledField:
+    r2 = sum(c ** 2 for c in grid.meshgrid())
+    return SampledField(grid, np.exp(-r2 / (2.0 * width ** 2)), "gaussian")
 
 
-def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8,
-                       label: str = "") -> SampledField:
+def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> SampledField:
     """Gaussian modulated to a lattice frequency; zero-mode mass is
     exp(-(mode*dxi*width)^2)-small, so smoothing norms are safe."""
     g = gaussian_datum(grid, width=width)
     mesh = grid.meshgrid()
     xi0 = mode * grid.dxi
     phase = np.exp(1j * xi0 * sum(mesh))
-    return SampledField(grid, g.values * phase, label or f"modulated[{mode}]")
+    return SampledField(grid, g.values * phase, f"modulated[{mode}]")
 
 
-def spike_field(grid: GridSpec, seed: int = 0, label: str = "") -> SampledField:
+def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
     rng = np.random.default_rng(seed)
     vals = np.zeros(grid.shape, dtype=complex)
     idx = tuple(rng.integers(0, grid.npts, size=grid.n))
     vals[idx] = 1.0
-    return SampledField(grid, vals, label or f"spike[{seed}]")
+    return SampledField(grid, vals, f"spike[{seed}]")
 
 
 def remove_zero_mode(fld: SampledField) -> SampledField:
@@ -174,11 +169,12 @@ def _loglog_fit(ts: np.ndarray, vs: np.ndarray, regime: str,
                     r_squared=r2, predicted=predicted)
 
 
-def fit_decay(profile: DecayProfile, min_points: int = 12):
+def fit_decay(profile: DecayProfile):
     """Per-regime log-log slopes of h(t), split exactly at |t| = 1.
 
-    Equal weights on the log-spaced samples.  Predicted exponents come
-    from the profile metadata when it carries (n, sigma, rt, r).
+    Equal weights on the log-spaced samples, at least 12 per regime.
+    Predicted exponents come from the profile metadata when it carries
+    (n, sigma, rt, r).
     """
     ts = np.abs(np.asarray(profile.times, dtype=float))
     vs = np.asarray(profile.values, dtype=float)
@@ -186,9 +182,9 @@ def fit_decay(profile: DecayProfile, min_points: int = 12):
         raise ValueError("profile has non-positive values; nothing to fit")
     small = ts <= 1.0
     large = ts >= 1.0
-    if small.sum() < min_points or large.sum() < min_points:
+    if small.sum() < 12 or large.sum() < 12:
         raise ValueError(
-            f"need >= {min_points} points per regime, got {int(small.sum())} / {int(large.sum())}")
+            f"need >= 12 points per regime, got {int(small.sum())} / {int(large.sum())}")
     pred_s = pred_l = None
     m = profile.meta
     if all(k in m for k in ("n", "sigma", "rt", "r")):
@@ -215,8 +211,7 @@ class WindowNormReport:
 
 
 def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
-                       tail_exponent: float, t_floor: float = 1e-3,
-                       pts: int = 600) -> WindowNormReport:
+                       tail_exponent: float) -> WindowNormReport:
     """Sequence ||h * (window at k)||_{L^{qt/2}_t} and its piecewise bound.
 
     The window must be supported in |t| <= 1.  Returns the terms, the
@@ -237,15 +232,15 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
         c = k * window_t.step
         lo, hi = c - R, c + R
         hv, wts = [], []
-        # trapezoid rule on each side of t = 0 with log refinement near the
-        # kernel-time singularity
-        for a, b in ((lo, min(hi, -t_floor)), (max(lo, t_floor), hi)):
+        # 600-point trapezoid rule on each side of t = 0, outside |t| < 1e-3,
+        # with log refinement near the kernel-time singularity
+        for a, b in ((lo, min(hi, -1e-3)), (max(lo, 1e-3), hi)):
             if b <= a:
                 continue
             if a > 0:
-                tgrid = np.geomspace(a, b, pts) if a < b / 4 else np.linspace(a, b, pts)
+                tgrid = np.geomspace(a, b, 600) if a < b / 4 else np.linspace(a, b, 600)
             else:
-                tgrid = -np.geomspace(-b, -a, pts)[::-1] if b > a / 4 else np.linspace(a, b, pts)
+                tgrid = -np.geomspace(-b, -a, 600)[::-1] if b > a / 4 else np.linspace(a, b, 600)
             hv.append(h_fn(np.abs(tgrid)) * window_t.profile(np.abs(tgrid - c)))
             wts.append(trapezoid_weights(tgrid))
         terms[i] = _lq(np.concatenate(hv), qt2, None, np.concatenate(wts))
@@ -271,10 +266,9 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
 # space-time ratio experiments
 # ---------------------------------------------------------------------------
 
-def default_ratio_times(t_inner: float = 0.01, t_outer: float = 32.0,
-                        inner_pts: int = 40, outer_step: float = 0.125) -> np.ndarray:
-    """Symmetric instants: log-spaced inside |t| <= 1, uniform outside."""
-    inner = np.geomspace(t_inner, 1.0, inner_pts)
+def default_ratio_times(t_outer: float = 32.0, outer_step: float = 0.125) -> np.ndarray:
+    """Symmetric instants: 40 log-spaced in 0.01 <= |t| <= 1, uniform outside."""
+    inner = np.geomspace(0.01, 1.0, 40)
     outer = np.arange(1.0 + outer_step, t_outer + 1e-9, outer_step)
     pos = np.concatenate([inner, outer])
     return np.unique(np.concatenate([-pos[::-1], pos]))
@@ -341,9 +335,8 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
 
 def frequency_ratio_sweep(grid: GridSpec, tup: expo.ExponentTuple,
                           window_t: WindowSpec, window_x: WindowSpec,
-                          js=range(5), width: float = 1.0,
-                          times=None) -> RatioSweep:
-    """Ratio across the modulated family f_j = exp(i 2^j x) g(x).
+                          js=range(5), times=None) -> RatioSweep:
+    """Ratio across the modulated family f_j = exp(i 2^j x) g(x), g of unit width.
 
     Boundedness of the ratio is the claim under test at infinite
     resolution; the harness records the spread rather than asserting a
@@ -353,7 +346,7 @@ def frequency_ratio_sweep(grid: GridSpec, tup: expo.ExponentTuple,
     for j in js:
         # nearest lattice frequency to 2^j, zero mode projected out
         mode = max(1, int(round(2.0 ** j * grid.length / np.pi)))
-        f = remove_zero_mode(modulated_gaussian(grid, width=width, mode=mode))
+        f = remove_zero_mode(modulated_gaussian(grid, mode=mode))
         res = strichartz_ratio(f, tup, window_t, window_x, times=times)
         ratios.append(res.value)
         desc.append({"j": int(j), "mode": mode, "freq": mode * grid.dxi})
@@ -379,27 +372,26 @@ class ScalingSweep:
 
 
 def classical_scaling_sweep(datum_fn, lambdas, n: int, sigma, q, grid: GridSpec,
-                            times=None, r_override=None,
-                            mass_tol: float = 1e-6) -> ScalingSweep:
+                            r_override=None) -> ScalingSweep:
     """Mixed-norm/smoothing-norm ratio under dilation of the datum.
 
     With r solved from the scale-invariant line the ratio is
     dilation-invariant; ``r_override`` deliberately breaks the line for
-    control runs (the ratio then drifts monotonically in lambda).
+    control runs (the ratio then drifts monotonically in lambda).  A dilate
+    with boundary mass fraction 1e-6 or more is a ValueError.
     """
     r = expo.classical_sobolev_line(n, sigma, q) if r_override is None else as_extended(r_override)
-    if times is None:
-        times = default_ratio_times(t_outer=64.0, outer_step=0.25)
+    times = default_ratio_times(t_outer=64.0, outer_step=0.25)
     mesh = grid.meshgrid()
     ratios = []
     for lam in lambdas:
         vals = datum_fn(*[c / lam for c in mesh])
         fld = SampledField(grid, vals, f"scaled[{lam}]")
         frac = boundary_mass_fraction(fld)
-        if frac >= mass_tol:
+        if frac >= 1e-6:
             raise ValueError(
                 f"rescaling by {lam} pushes mass to the boundary "
-                f"(fraction {frac:.2e} >= {mass_tol:.0e}); enlarge the box")
+                f"(fraction {frac:.2e} >= 1e-06); enlarge the box")
         denom = hsigma_norm(fld, to_float(sigma)).value
         stf = evolve_series(fld, times, 0.0)
         num = mixed_lebesgue_norm(stf, to_float(q), to_float(r)).value
@@ -467,15 +459,15 @@ def _random_bump(tgrid: np.ndarray, rng) -> np.ndarray:
     return envelope * (1.0 + 0.5 * osc)
 
 
-def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0,
-                 span: float = 200.0, npts: int = 2 ** 14) -> HlsReport:
+def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
     """Convolution with |t|^-alpha from L^p into L^q, ratio statistics.
 
     The exponent relation 1/q + 1 = 1/p + alpha with 0 < alpha < 1 and
     1 <= p < q < infinity is checked exactly; violations are reported as
     a rejection, not an exception.  For admissible exponents the ratio
     ||kernel * g||_q / ||g||_p is collected over random compactly
-    supported g, at the working grid and at double resolution.
+    supported g on 2^14 uniform points of [-200, 200], and at double
+    resolution.
     """
     pf = as_rational(p)
     af = as_rational(alpha)
@@ -499,13 +491,13 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     ratios, max_ratio = [], -np.inf
-    tgrid = np.linspace(-span, span, npts)
+    tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
     for _ in range(trials):
         g = _random_bump(tgrid, rng)
         ratios.append(ratio(g, tgrid))
         if ratios[-1] > max_ratio:  # keep only the first extremal g, for the refinement pass
             max_ratio, worst = ratios[-1], g
-    t2 = np.linspace(-span, span, 2 * npts)
+    t2 = np.linspace(-200.0, 200.0, 2 ** 15)
     return HlsReport(True, "admissible", q=qf, ratios=ratios, max_ratio=max_ratio,
                      refined_max=ratio(np.interp(t2, tgrid, worst), t2))
 
@@ -581,16 +573,18 @@ def _suite_corpus(grid: GridSpec, seed: int, size: int):
 
 
 def property_suite(seed: int = 0, corpus_size: int = 100,
-                   grid: GridSpec | None = None,
                    amalgam_fn=None) -> SuiteReport:
-    """One-run driver for the unit-cube lattice identities and inequalities.
+    """One-run driver for the unit-cube lattice identities and inequalities,
+    over a corpus of corpus_size >= 2 fields on GridSpec(1, 16, 512).
 
     ``amalgam_fn`` may replace the amalgam-norm implementation; feeding a
     corrupted implementation must make the suite fail (that is the
     mutation hook for testing the tests).
     """
-    if grid is None:
-        grid = GridSpec(1, 16.0, 512)
+    if corpus_size < 2:
+        raise ValueError(f"corpus size must be >= 2 (the pairing check needs a pair), "
+                         f"got {corpus_size}")
+    grid = GridSpec(1, 16.0, 512)
     anorm = amalgam_fn if amalgam_fn is not None else amalgam_norm
     win = unit_cube_partition()
     fields = _suite_corpus(grid, seed, corpus_size)
@@ -660,7 +654,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
     # pairing inequality on space-time pairs built from corpus slices
     def holder_ok():
         times = np.linspace(-2.0, 2.0, 9)
-        for i in range(0, min(corpus_size, len(fields)) - 1, 2):
+        for i in range(0, corpus_size - 1, 2):
             rngi = np.random.default_rng(seed + 31 * i)
             mk = lambda base: SpaceTimeField(
                 grid, times, np.multiply.outer(0.2 + rngi.random(len(times)), base.values))
@@ -687,16 +681,14 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
     return SuiteReport(seed=seed, corpus_size=corpus_size, results=results)
 
 
-def window_equivalence_bracket(grid: GridSpec, p, q, seed: int = 0,
-                               count: int = 200,
-                               gaussian_radius: float = 0.5):
-    """Empirical bracket for the gaussian/cube window norm ratio.
+def window_equivalence_bracket(grid: GridSpec, p, q, seed: int = 0, count: int = 200):
+    """Empirical bracket for the radius-0.5 gaussian/cube window norm ratio.
 
     The equivalent-norm claim gives no constants; this records the
     observed ratio bracket over a seeded corpus.  Returned as
     (c_lo, c_hi, ratios).
     """
-    wg = WindowSpec("gaussian", radius=gaussian_radius, step=1.0, normalization="l2")
+    wg = WindowSpec("gaussian", radius=0.5, step=1.0, normalization="l2")
     wc = unit_cube_partition()
     ratios = []
     for i in range(count):

@@ -128,16 +128,15 @@ def _translate_shape(win: WindowSpec, grid: GridSpec) -> tuple[int, int]:
 
 
 def materialize_window(win: WindowSpec, grid: GridSpec) -> np.ndarray:
-    """Window centered at x = 0 on the grid, with periodic displacement."""
+    """Window centered at x = 0 on the grid."""
     if 2.0 * win.radius > 2.0 * grid.length + 1e-12:
         raise ValueError(
             "window support exceeds the torus; translates would self-overlap")
-    # periodic displacement from 0 along one axis, broadcast over the others
-    disp = ((grid.axis_points() + grid.length) % (2.0 * grid.length)) - grid.length
+    x = grid.axis_points()
     if win.kind == "cube-indicator":
-        dist = functools.reduce(np.maximum, np.ix_(*(np.abs(disp),) * grid.n))
+        dist = functools.reduce(np.maximum, np.ix_(*(np.abs(x),) * grid.n))
     else:
-        dist = _euclidean(disp, grid.n)
+        dist = _euclidean(x, grid.n)
     phi = win.profile(dist)
     if win.normalization == "l2":
         mass = _lq(np.abs(phi), 2, None, grid.cell_volume)

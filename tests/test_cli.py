@@ -351,6 +351,21 @@ class TestCommands:
         # on unit cubes and in H^0 (the defaults p = q = 2, sigma = 0)
         assert float(out.split(":")[1]) == pytest.approx(1e300 * 8 ** 0.5, rel=1e-11)
 
+    @pytest.mark.parametrize("args", [["--kind", "lebesgue", "--p", "2"],
+                                      ["--kind", "amalgam", "--p", "2", "--q", "2"]])
+    def test_norm_past_float64_range_is_usage_error(self, tmp_path, capsys, args):
+        # finite samples of modulus 1e308 whose norm, 1e308 * sqrt(8), is not finite
+        from amalgam.grid import SpaceTimeField, write_spacetime
+        g = amalgam.GridSpec(1, 4.0, 64)
+        path = tmp_path / "big.bin"
+        write_spacetime(SpaceTimeField(g, [0.0], np.full((1, 64), 1e308 + 0j)), path)
+        capsys.readouterr()
+        assert invoke(["norm", *args, "--input", str(path)], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        assert "float64 range" in err and "warning:" not in err
+
     @pytest.mark.parametrize("args", [["norm", "--kind", "hsigma", "--sigma", "0.3"],
                                       ["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
                                        "--q", "10", "--r", "inf"]])
@@ -384,6 +399,17 @@ class TestCommands:
         code = invoke(["suite", "--corpus-size", "8"], tmp_path)
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [["suite", "--corpus-size", "0"],
+                                      ["suite", "--corpus-size", "-3"],
+                                      ["suite", "--corpus-size", "1"],
+                                      ["bilinear", "--pairs", "0"]])
+    def test_check_over_too_few_cases_is_usage_error(self, tmp_path, capsys, args):
+        # a check with nothing to test must not print PASS
+        assert invoke(args, tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:")
 
     def test_hls_reject_and_accept(self, tmp_path):
         assert invoke(["hls", "--p", "2", "--alpha", "0.5"], tmp_path) == 0

@@ -335,6 +335,14 @@ class TestInvariantsAndChecks:
         with pytest.raises(ValueError, match="non-finite"):
             _lq(np.array([[1.0, 2.0], [3.0, bad]]), q, 1)
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_norm_past_float64_range_rejected(self, p):
+        # every sample is finite, but the norm 1e308 * 8^(1/p) >= 2e308 is not; raised
+        # before the multiply, so no RuntimeWarning comes first
+        f = SampledField(GridSpec(1, 4.0, 64), np.full(64, 1e308 + 0j))
+        with pytest.raises(ValueError, match="float64 range"):
+            lebesgue_norm(f, p)
+
     def test_boundary_mass_of_wide_field(self):
         g = GridSpec(1, 8, 256)
         wide = gaussian_datum(g, width=5.0)

@@ -341,6 +341,12 @@ class TestPropertySuite:
         rep = property_suite(seed=0, corpus_size=8, amalgam_fn=corrupted)
         assert not rep.passed
 
+    @pytest.mark.parametrize("size", [-3, 0, 1])
+    def test_fewer_than_two_fields_rejected(self, size):
+        # with no pair the pairing check would pass vacuously
+        with pytest.raises(ValueError, match="corpus size"):
+            property_suite(seed=0, corpus_size=size)
+
     def test_deterministic_given_seed(self):
         a = property_suite(seed=3, corpus_size=12)
         b = property_suite(seed=3, corpus_size=12)
