@@ -18,6 +18,7 @@ fixed summation order, so results are reproducible run to run.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import struct
@@ -163,7 +164,8 @@ class SpaceTimeField:
     """A field at T instants on one grid: ``values[k]`` is the slice at ``times[k]``.
 
     ``values`` is one complex (T, *grid.shape) array, T * N^n * 16 bytes, checked
-    once, on construction; strichartz_ratio, which evolves by _blocks, builds none.
+    once, on construction.  strichartz_ratio, the evolve command and the --input
+    reader work by _blocks and build none.
     """
 
     grid: GridSpec
@@ -337,37 +339,70 @@ def boundary_mass_fraction(fld: SampledField) -> float:
 # ---------------------------------------------------------------------------
 # Binary container: header (n, L, N, slice count), the instants, then the
 # (T, *shape) values as complex128 (each sample's re and im float64 side by
-# side), all little-endian.
+# side), all little-endian.  It is written and read one block of slices at a
+# time; write_spacetime and read_spacetime take the whole field as one block.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<qdqq")
 
 
-def write_spacetime(stf: SpaceTimeField, path) -> None:
-    g = stf.grid
+@contextlib.contextmanager
+def _naming(path):
+    """Prefix a ValueError raised in the block with the container's path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"field container {path}: {exc}") from None
+
+
+def _write_spacetime(path, g: GridSpec, times: np.ndarray, blocks) -> None:
+    """Write the header and instants, then each (k, *g.shape) block of the iterable
+    in turn; if a block fails, the partial file is removed."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(g.n, g.length, g.npts, len(stf.times)))
-        fh.write(np.asarray(stf.times, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(stf.values, dtype="<c16"))
+        try:
+            fh.write(_HEADER.pack(g.n, g.length, g.npts, len(times)))
+            fh.write(np.asarray(times, dtype="<f8").tobytes())
+            for block in blocks:
+                fh.write(np.ascontiguousarray(block, dtype="<c16"))
+        except BaseException:
+            fh.close()
+            os.unlink(path)
+            raise
+
+
+def _read_header(path) -> tuple:
+    """(grid, instants) of a container whose header, byte count and instants check out."""
+    with _naming(path), open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _HEADER.size:
+            raise ValueError(f"{size} bytes, shorter than the {_HEADER.size}-byte header")
+        n, length, npts, nslices = _HEADER.unpack(fh.read(_HEADER.size))
+        if n not in (1, 2, 3) or npts < 1 or nslices < 1:
+            raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
+        want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
+        if size != want:
+            raise ValueError(f"{size} bytes, but its header (n={n}, npts={npts}, "
+                             f"slices={nslices}) needs {want}")
+        grid = GridSpec(n=n, length=length, npts=npts)
+        return grid, _instants(np.fromfile(fh, dtype="<f8", count=nslices))
+
+
+def _read_slices(path, g: GridSpec, times: np.ndarray, b: slice) -> np.ndarray:
+    """Slices b of a container that _read_header checked, as a (k, *g.shape) array
+    checked to be finite."""
+    start, stop, _ = b.indices(len(times))
+    offset = _HEADER.size + 8 * len(times) + 16 * g.size * start
+    shape = (stop - start,) + g.shape
+    with _naming(path):
+        values = np.fromfile(path, dtype="<c16", count=(stop - start) * g.size, offset=offset)
+        return _checked(values.reshape(shape), shape)
+
+
+def write_spacetime(stf: SpaceTimeField, path) -> None:
+    _write_spacetime(path, stf.grid, stf.times, [stf.values])
 
 
 def read_spacetime(path) -> SpaceTimeField:
-    """Read a container; a bad header or byte count is a ValueError naming the file."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < _HEADER.size:
-                raise ValueError(f"{size} bytes, shorter than the {_HEADER.size}-byte header")
-            n, length, npts, nslices = _HEADER.unpack(fh.read(_HEADER.size))
-            if n not in (1, 2, 3) or npts < 1 or nslices < 1:
-                raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
-            want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
-            if size != want:
-                raise ValueError(f"{size} bytes, but its header (n={n}, npts={npts}, "
-                                 f"slices={nslices}) needs {want}")
-            grid = GridSpec(n=n, length=length, npts=npts)
-            times = np.fromfile(fh, dtype="<f8", count=nslices)
-            values = np.fromfile(fh, dtype="<c16", count=nslices * grid.size)
-        return SpaceTimeField(grid, times, values.reshape((nslices,) + grid.shape))
-    except ValueError as exc:
-        raise ValueError(f"field container {path}: {exc}") from None
+    """Read a container; a bad header, byte count or value is a ValueError naming the file."""
+    grid, times = _read_header(path)
+    return SpaceTimeField(grid, times, _read_slices(path, grid, times, slice(None)))

@@ -268,6 +268,8 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
 
 def default_ratio_times(t_outer: float = 32.0, outer_step: float = 0.125) -> np.ndarray:
     """Symmetric instants: 40 log-spaced in 0.01 <= |t| <= 1, uniform outside."""
+    if not t_outer >= 1.0:
+        raise ValueError(f"the outer time t_outer must be >= 1, got {t_outer}")
     inner = np.geomspace(0.01, 1.0, 40)
     outer = np.arange(1.0 + outer_step, t_outer + 1e-9, outer_step)
     pos = np.concatenate([inner, outer])

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -439,6 +440,132 @@ class TestCommands:
         with open(tmp_path / "results.csv") as fh:
             rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}
         assert manifest["r_squared"] == rows
+
+
+_RATIO = ["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10", "--r", "inf"]
+
+
+class TestStreaming:
+    """evolve and --input go one grid._blocks block of slices at a time and keep every check."""
+
+    def _container(self, tmp_path) -> Path:
+        # three zero-mode-free slices of 2^16 points: one slice per block
+        from amalgam.grid import SpaceTimeField, _blocks, write_spacetime
+        from amalgam.verify import modulated_gaussian
+        g = amalgam.GridSpec(1, 16.0, 2 ** 16)
+        assert len(_blocks(3, g)) == 3
+        values = np.repeat(modulated_gaussian(g, mode=40).values[None], 3, axis=0)
+        path = tmp_path / "three.bin"
+        write_spacetime(SpaceTimeField(g, [0.0, 0.5, 1.0], values), path)
+        return path
+
+    @staticmethod
+    def _usage_error(args, path, out, capsys) -> str:
+        """The one stderr line of a usage error that names the container."""
+        capsys.readouterr()
+        assert invoke(args + ["--input", str(path)], out) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:") and str(path) in err
+        return err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("args", [["norm", "--kind", "lebesgue"], ["evolve"], _RATIO])
+    def test_non_finite_last_slice_is_usage_error(self, tmp_path, capsys, bad, args):
+        path = self._container(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[-16:-8] = struct.pack("<d", bad)  # the real part of the last slice's last sample
+        path.write_bytes(bytes(raw))
+        assert "non-finite" in self._usage_error(args, path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("args", [["norm", "--kind", "lebesgue"], ["evolve"], _RATIO])
+    def test_instants_that_do_not_increase_are_usage_error(self, tmp_path, capsys, args):
+        path = self._container(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[48:56] = struct.pack("<d", 0.25)  # the instants become 0, 0.5, 0.25
+        path.write_bytes(bytes(raw))
+        assert "strictly increasing" in self._usage_error(args, path, tmp_path, capsys)
+
+    def test_failed_evolve_leaves_no_container(self, tmp_path, capsys):
+        # the container's header is written before the first block: a failure removes it
+        from amalgam.grid import SpaceTimeField, write_spacetime
+        from amalgam.verify import modulated_gaussian
+        g = amalgam.GridSpec(1, 16.0, 1024)
+        path = tmp_path / "huge.bin"
+        values = 1e307 * modulated_gaussian(g, mode=40).values[None]
+        write_spacetime(SpaceTimeField(g, [0.0], values), path)
+        out = tmp_path / "out"
+        assert invoke(["evolve", "--save-field", "--input", str(path)], out) == 2
+        err = capsys.readouterr().err
+        assert err.count("usage error:") == 1 and "non-finite" in err
+        assert not (out / "evolved.bin").exists()
+
+    def test_failure_in_a_later_block_leaves_no_container(self, tmp_path, capsys):
+        # blocks of 16 slices at 4096 points; the infinite instant, the 21st, makes the
+        # second block non-finite after the first was written
+        times = ",".join([f"{k / 10:g}" for k in range(20)] + ["inf"])
+        assert invoke(["evolve", "--save-field", "--grid-npts", "4096", "--times", times],
+                      tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("usage error:") == 1 and "non-finite" in err
+        assert not (tmp_path / "evolved.bin").exists()
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("sigma", ["0", "0.3"])
+    @pytest.mark.parametrize("n, npts", [(1, 4096), (2, 64), (3, 16)])
+    def test_streamed_evolve_is_bit_identical(self, tmp_path, n, npts, sigma):
+        # T = 37 instants in blocks of 16, 16 and 5 slices, against one evolve_series array
+        from amalgam.grid import _blocks, _lq, write_spacetime
+        from amalgam.propagator import evolve_series
+        from amalgam.verify import gaussian_datum
+        g = amalgam.GridSpec(n, 16.0, npts)
+        times = [k / 10 - 1 for k in range(37)]
+        assert [len(range(37)[b]) for b in _blocks(37, g)] == [16, 16, 5]
+        assert invoke(["evolve", "--save-field", "--grid-n", str(n), "--grid-npts", str(npts),
+                       "--sigma", sigma, "--times=" + ",".join(map(repr, times))],
+                      tmp_path / "cli") == 0
+        stf = evolve_series(gaussian_datum(g), times, float(sigma))
+        write_spacetime(stf, tmp_path / "evolved.bin")
+        axes = tuple(range(1, n + 1))
+        a = np.abs(stf.values)
+        sup = _lq(a, np.inf, axes)
+        cli.write_csv(tmp_path / "results.csv", ["t", "l2", "sup"],
+                      zip(stf.times, _lq(a, 2, axes, g.cell_volume), sup))
+        for name in ("results.csv", "evolved.bin"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_memory_is_one_block_of_slices(self, tmp_path):
+        # the benchmark's evolve: 64 slices of 256^2 take 67 MB as one array; holding it,
+        # evolve peaked at 105 MiB of Python heap and norm --input at 76 MiB
+        times = ",".join(f"{k / 10:g}" for k in range(64))
+        evolve = ["evolve", "--save-field", "--gen", "band-limited", "--grid-n", "2",
+                  "--times", times]
+        norm = ["norm", "--kind", "hsigma", "--sigma", "0.3", "--input"]
+        # a first run on a small grid does the imports, which tracemalloc would count
+        assert invoke(evolve + ["--grid-npts", "8"], tmp_path / "warm") == 0
+        assert invoke(norm + [str(tmp_path / "warm" / "evolved.bin")], tmp_path / "warm") == 0
+        for argv in (evolve + ["--grid-npts", "256"], norm + [str(tmp_path / "evolved.bin")]):
+            tracemalloc.start()
+            try:
+                code = invoke(argv, tmp_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 16 * 2 ** 20, (argv[0], peak)
+
+    def test_ratio_outer_time_below_one_is_usage_error(self, tmp_path, capsys):
+        assert invoke(_RATIO + ["--grid-npts", "512", "--t-outer", "0.5"], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:") and "t_outer" in err
+
+    def test_ratio_manifest_records_instants(self, tmp_path):
+        from amalgam.verify import default_ratio_times
+        assert invoke(_RATIO + ["--grid-npts", "512", "--t-outer", "2"], tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["t_span"] == [-2.0, 2.0]
+        assert manifest["ntimes"] == len(default_ratio_times(t_outer=2.0))
 
 
 class TestConsoleScript:

@@ -148,6 +148,12 @@ class TestStrichartzRatio:
             strichartz_ratio(f, self.tuple_accept(), unit_cube_partition(),
                              unit_cube_partition())
 
+    @pytest.mark.parametrize("t_outer", [0.5, 0.0, -4.0, float("nan")])
+    def test_outer_time_below_one_rejected(self, t_outer):
+        # below 1 there are no outer instants, and |t| <= 1 would be integrated instead
+        with pytest.raises(ValueError, match="t_outer"):
+            default_ratio_times(t_outer=t_outer)
+
     def test_memory_is_one_block_of_instants(self):
         # the ratio_n2 benchmark size: 576 slices of 128^2 would take 151 MB at once
         g = GridSpec(2, 16.0, 128)
