@@ -2,7 +2,7 @@
 
 The public names below resolve on first access (PEP 562), so importing
 the package, or a numpy-free module such as ``amalgam.exponents``, does
-not import numpy or scipy.
+not import numpy.
 """
 
 import importlib

@@ -128,10 +128,13 @@ def _blocks(count: int, g: GridSpec) -> list:
 
 
 def _instants(times) -> np.ndarray:
-    """times as a float array, checked to be 1-D, non-empty and strictly increasing."""
+    """times as a float array, checked to be 1-D, non-empty, finite and strictly increasing."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) == 0:
         raise ValueError("times must be a non-empty 1-D array")
+    bad = np.flatnonzero(~np.isfinite(times))
+    if len(bad):
+        raise ValueError(f"times must be finite, got {times[bad[0]]} at index {bad[0]}")
     if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     return times

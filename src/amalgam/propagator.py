@@ -13,16 +13,20 @@ transform, a confluent-hypergeometric (Kummer M) function of |x|^2 / 4t
              * M(a; b; i |x|^2 / 4t),     a = n/2 - sigma,  b = n/2.
 
 At sigma = 0 it reduces to the free kernel (4 pi i t)^{-n/2} exp(i|x|^2/4t).
-Every sample comes from one vectorized ``scipy.special.hyp1f1`` call and is
-exact to KERNEL_RTOL times the kernel's envelope (see kernel_eval);
-compared with mpmath, the worst deviation found is about 6e-8 of the
-envelope, near |x|^2/4t ~ 21.
+M is evaluated in numpy (_kummer_iy): its Maclaurin series below
+|x|^2/4t = 8, and above it the connection formula DLMF 13.2.41 with both U
+functions as Laplace integrals (DLMF 13.4.4) taken by a 16-node generalized
+Gauss-Laguerre rule.  Every sample is exact to KERNEL_RTOL times the
+kernel's envelope (see kernel_eval); compared with mpmath, the worst
+deviation found for n = 1..3, all sigma and |x|^2/4t up to 2e6 is 1.2e-13
+of the envelope, at the top of the series' range.
 
 Everything is pure; batch loops run in a fixed order.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -172,27 +176,73 @@ def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
 
 
 # ---------------------------------------------------------------------------
-# confluent-hypergeometric closed form for the mollified power symbol
+# Kummer's function on the imaginary axis
 # ---------------------------------------------------------------------------
 
-def mollified_power_ft(n: int, power: float, w, radii: np.ndarray) -> np.ndarray:
-    """(2 pi)^{-n} INT |xi|^{-power} exp(-w |xi|^2) exp(i x.xi) dxi.
+# M(b - sigma; b; iy) is its Maclaurin series below y = _SWITCH, where its largest
+# term is about e^8 and _TERMS terms reach 1e-19, and a _NODES-point quadrature
+# above it, _ROWS abscissae at a time
+_SWITCH, _TERMS, _NODES, _ROWS = 8.0, 50, 16, 2 ** 12
 
-        = (4 pi)^{-n/2} Gamma(a)/Gamma(b) w^{-a} M(a; b; -|x|^2/(4w)),
-          a = (n - power)/2,  b = n/2,
 
-    valid for power < n (the symbol is then locally integrable) and any
-    w != 0 with Re w >= 0.  Real w > 0 is a Gaussian mollifier; imaginary
-    w = i t continues it analytically to the kernel K_t, and the principal
-    branch of w^{-a} gives the complex conjugate for t < 0.
+def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarray:
+    """E[(1 + sign i u/y)^c] for u ~ Gamma(alpha + 1), in real arithmetic, by the
+    _NODES-point Gauss rule for u^alpha e^-u: its nodes and weights are the eigenvalues
+    and squared first eigenvector components of the Jacobi matrix (Golub-Welsch)."""
+    k = np.arange(_NODES)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    # eigh reads the lower triangle only
+    u, v = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, -1))
+    w = v[0] ** 2
+    out = np.empty(len(y), dtype=complex)
+    # in place, in pieces: these passes are most of the kernel's time, and their
+    # memory stays fixed however many abscissae there are
+    for b in range(0, len(y), _ROWS):
+        r = np.multiply.outer(1.0 / y[b:b + _ROWS], u)
+        phase = np.arctan(r)
+        phase *= sign * c
+        r *= r
+        r += 1.0
+        modulus = np.power(r, c / 2.0, out=r)
+        re = np.cos(phase)
+        re *= modulus
+        im = np.sin(phase, out=phase)
+        im *= modulus
+        out[b:b + _ROWS] = re @ w + 1j * (im @ w)
+    return out
+
+
+def _kummer_iy(b: float, sigma: float, y: np.ndarray) -> np.ndarray:
+    """M(a; b; iy) for a = b - sigma, 0 <= sigma < b and y >= 0 (DLMF 13.2.2).
+
+    Above _SWITCH, the connection formula DLMF 13.2.41 (lower signs) splits M into
+    two U functions, the Riesz-potential tail and the stationary-phase ridge of K_t.
+    Each U's Laplace integral (DLMF 13.4.4), turned onto the ray where it decays,
+    is an expectation E_a[f] = E[f(u)] over u ~ Gamma(a):
+
+        M / Gamma(b) = e^{i pi a/2} y^-a / Gamma(sigma) E_a[(1 - iu/y)^(sigma-1)]
+                     + e^{-i pi sigma/2} y^-sigma / Gamma(a) e^{iy} E_sigma[(1 + iu/y)^(a-1)].
     """
-    from scipy.special import gammaln, hyp1f1  # here, not at the top: slow to import
-    if w == 0 or np.real(w) < 0:
-        raise ValueError("Gaussian width must be nonzero with Re w >= 0")
-    a = (n - power) / 2.0
-    b = n / 2.0
-    pref = (4.0 * np.pi) ** (-n / 2.0) * np.exp(gammaln(a) - gammaln(b)) * w ** -a
-    return pref * hyp1f1(a, b, -np.asarray(radii, float) ** 2 / (4.0 * w))
+    if sigma == 0.0:
+        return np.exp(1j * y)
+    a = b - sigma
+    out = np.empty(y.shape, dtype=complex)
+    low = y < _SWITCH
+    # series: sum_k c_k (iy)^k = P(y^2) + i y Q(y^2), its two halves by Horner
+    k = np.arange(_TERMS - 1)
+    coef = np.cumprod(np.r_[1.0, (a + k) / ((b + k) * (k + 1.0))])
+    coef[2::4] *= -1.0
+    coef[3::4] *= -1.0
+    ys = y[low]
+    out[low] = np.polyval(coef[-2::-2], ys * ys) + 1j * ys * np.polyval(coef[::-2], ys * ys)
+    # quadrature
+    ys = y[~low]
+    tail = (math.exp(math.lgamma(b) - math.lgamma(sigma)) * np.exp(0.5j * math.pi * a)
+            * ys ** -a * _gamma_mean(sigma - 1.0, a - 1.0, -1.0, ys))
+    ridge = (math.exp(math.lgamma(b) - math.lgamma(a)) * np.exp(-0.5j * math.pi * sigma)
+             * ys ** -sigma * _gamma_mean(a - 1.0, sigma - 1.0, 1.0, ys))
+    out[~low] = tail + ridge * (np.cos(ys) + 1j * np.sin(ys))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +279,9 @@ def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
     the stationary-phase ridge plus the Riesz-potential tail.  The bound
     is not relative to |K_t| itself: where the two components interfere
     destructively K_t can vanish (exactly, at sigma = n/4, on the zeros
-    of a Bessel function), while hyp1f1's rounding error stays a fraction
+    of a Bessel function), while _kummer_iy's rounding error stays a fraction
     of the envelope.
     """
-    from scipy.special import gammaln
     n = int(n)
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
@@ -243,11 +292,17 @@ def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
     if t == 0.0:
         raise ValueError("t must be nonzero (kernel is singular at t = 0)")
     radii = np.abs(np.asarray(xs, dtype=float).ravel())
-    values = mollified_power_ft(n, 2.0 * sigma, 1j * t, radii)
-    y1 = 1.0 + radii ** 2 / (4.0 * abs(t))
-    tail = np.exp(gammaln(n / 2.0 - sigma) - gammaln(sigma))  # 0 at sigma = 0
-    envelope = ((4.0 * np.pi) ** (-n / 2.0) * abs(t) ** (sigma - n / 2.0)
-                * (y1 ** -sigma + tail * y1 ** (sigma - n / 2.0)))
+    a, b = n / 2.0 - sigma, n / 2.0
+    y = radii ** 2 / (4.0 * abs(t))
+    # (4 pi)^{-b} Gamma(a)/Gamma(b) (i|t|)^{-a}; t < 0 is the complex conjugate
+    pref = ((4.0 * np.pi) ** -b * math.exp(math.lgamma(a) - math.lgamma(b))
+            * abs(t) ** -a * np.exp(-0.5j * math.pi * a))
+    values = pref * _kummer_iy(b, sigma, y)
+    if t < 0:
+        values = values.conj()
+    tail = math.exp(math.lgamma(a) - math.lgamma(sigma)) if sigma > 0 else 0.0
+    envelope = ((4.0 * np.pi) ** -b * abs(t) ** -a
+                * ((1.0 + y) ** -sigma + tail * (1.0 + y) ** -a))
     return KernelSamples(
         n=n, gamma=2.0 * sigma, t=t, xs=radii, values=values,
         est_error=KERNEL_RTOL * envelope,

@@ -486,6 +486,22 @@ class TestStreaming:
         path.write_bytes(bytes(raw))
         assert "strictly increasing" in self._usage_error(args, path, tmp_path, capsys)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("args", [["norm", "--kind", "lebesgue"], ["evolve"], _RATIO])
+    def test_non_finite_instant_is_usage_error(self, tmp_path, capsys, bad, args):
+        path = self._container(tmp_path)
+        raw = bytearray(path.read_bytes())
+        raw[48:56] = struct.pack("<d", bad)  # the instants become 0, 0.5, bad
+        path.write_bytes(bytes(raw))
+        assert f"finite, got {bad} at index 2" in self._usage_error(args, path, tmp_path, capsys)
+
+    @pytest.mark.parametrize("bad", ["inf", "-inf", "nan"])
+    def test_non_finite_times_flag_is_usage_error(self, tmp_path, capsys, bad):
+        assert invoke(["evolve", "--save-field", "--times", f"0,0.1,{bad}"], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"finite, got {float(bad)} at index 2" in err
+        assert not (tmp_path / "evolved.bin").exists()
+
     def test_failed_evolve_leaves_no_container(self, tmp_path, capsys):
         # the container's header is written before the first block: a failure removes it
         from amalgam.grid import SpaceTimeField, write_spacetime
@@ -501,9 +517,9 @@ class TestStreaming:
         assert not (out / "evolved.bin").exists()
 
     def test_failure_in_a_later_block_leaves_no_container(self, tmp_path, capsys):
-        # blocks of 16 slices at 4096 points; the infinite instant, the 21st, makes the
-        # second block non-finite after the first was written
-        times = ",".join([f"{k / 10:g}" for k in range(20)] + ["inf"])
+        # blocks of 16 slices at 4096 points; the 21st instant, 1e308, overflows the
+        # phase t |xi|^2 and makes the second block non-finite after the first was written
+        times = ",".join([f"{k / 10:g}" for k in range(20)] + ["1e308"])
         assert invoke(["evolve", "--save-field", "--grid-npts", "4096", "--times", times],
                       tmp_path) == 2
         err = capsys.readouterr().err
@@ -622,11 +638,13 @@ class TestImportFootprint:
             ["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "2"],
         ], tmp_path) == ["numpy"]
 
-    def test_kernel_commands_load_scipy_special(self, tmp_path):
+    def test_kernel_commands_skip_scipy(self, tmp_path):
         assert _modules_after([
             ["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
              "--grid-l", "8", "--grid-npts", "64", "--per-decade", "2"],
-        ], tmp_path) == ["numpy", "scipy", "scipy.special"]
+            ["fit-decay", "--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", "inf",
+             "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8"],
+        ], tmp_path) == ["numpy"]
 
     def test_package_names_resolve_lazily(self):
         code = ("import sys, amalgam; assert 'numpy' not in sys.modules; "

@@ -318,6 +318,12 @@ class TestInvariantsAndChecks:
             SpaceTimeField(grid1d, np.array([0.0, 0.0]),
                            np.array([random_field(grid1d, rng).values] * 2))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_times_must_be_finite(self, grid1d, rng, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad} at index 1"):
+            SpaceTimeField(grid1d, np.array([0.0, bad]),
+                           np.array([random_field(grid1d, rng).values] * 2))
+
     def test_value_count(self, grid1d):
         with pytest.raises(ValueError):
             SampledField(grid1d, np.zeros(7))

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gamma
+from scipy.special import gamma, gammaln, hyp1f1
 
 from amalgam.grid import GridSpec, SampledField
 from amalgam.propagator import (
@@ -11,7 +11,6 @@ from amalgam.propagator import (
     kernel_amalgam_profile,
     kernel_bound,
     kernel_eval,
-    mollified_power_ft,
     profile_times,
 )
 from amalgam.wiener import amalgam_norm, unit_cube_partition
@@ -40,6 +39,37 @@ def mp_kernel(n, sigma, t, x, dps=30):
         val = ((4 * mp.pi) ** (-b) * mp.gamma(a) / mp.gamma(b)
                * mp.mpc(0, t) ** (-a) * mp.hyp1f1(a, b, mp.mpc(0, mp.mpf(x) ** 2 / (4 * t))))
         return complex(val)
+
+
+def mollified_power_ft(n, power, w, radii):
+    """(2 pi)^{-n} INT |xi|^{-power} exp(-w |xi|^2) exp(i x.xi) dxi for real w > 0 (test oracle).
+
+        = (4 pi)^{-n/2} Gamma(a)/Gamma(b) w^{-a} M(a; b; -|x|^2/(4w)),
+          a = (n - power)/2,  b = n/2,
+
+    for power < n, with scipy's Kummer function on the negative real axis.
+    """
+    a = (n - power) / 2.0
+    b = n / 2.0
+    pref = (4.0 * np.pi) ** (-n / 2.0) * np.exp(gammaln(a) - gammaln(b)) * w ** -a
+    return pref * hyp1f1(a, b, -np.asarray(radii, float) ** 2 / (4.0 * w))
+
+
+def chirp_z(g, h, x0, dx, m):
+    """S_k = sum_j g_j exp(i (x0 + k dx)(j + 1/2) h) for k < m (test oracle).
+
+    Bluestein's chirp-z transform: with theta = dx h, kj = (k^2 + j^2 - (k - j)^2)/2
+    turns the sum into a convolution with the chirp exp(-i theta l^2/2), which one
+    FFT of length >= len(g) + m - 1 evaluates.
+    """
+    j, k = np.arange(len(g)), np.arange(m)
+    theta = dx * h
+    a = g * np.exp(1j * (x0 * h * (j + 0.5) + 0.5 * theta * j ** 2))
+    size = 1 << (len(g) + m - 2).bit_length()
+    lags = np.arange(size)
+    lags = np.where(lags < m, lags, lags - size)  # k - j, modulo size
+    conv = np.fft.ifft(np.fft.fft(a, size) * np.fft.fft(np.exp(-0.5j * theta * lags ** 2)))
+    return np.exp(0.5j * theta * (k ** 2 + k)) * conv[:m]
 
 
 def mp_errors(ks):
@@ -118,7 +148,9 @@ class TestKernelEval:
     @given(n=st.integers(1, 3), frac=st.floats(0.0, 1.0, exclude_max=True),
            log_t=st.floats(-2.5, 2.0), sign=st.sampled_from([1.0, -1.0]),
            y=st.floats(0.0, 2e6))
-    # worst case seen, 5.2e-8 of the envelope
+    # scipy's hyp1f1 erred by 5.2e-8 of the envelope here, where it switches method;
+    # now 1e-15.  The worst seen is 2.6e-10, at y ~ 1.6e6: the rounding of
+    # y = |x|^2 / 4|t| itself, times y
     @example(n=3, frac=0.3, log_t=0.0, sign=1.0, y=21.348)
     # sigma = n/4 next to a zero of K_t: 1.4e-5 relative to |K_t|
     @example(n=1, frac=0.5, log_t=0.0, sign=1.0, y=29.07268)
@@ -133,6 +165,20 @@ class TestKernelEval:
         bound = KERNEL_RTOL * envelope(n, sigma, t, x)
         assert ks.est_error[0] == pytest.approx(bound, rel=1e-12)
         assert mp_errors(ks)[0][0] <= bound
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dense_sweep_within_1e9_of_envelope(self, n):
+        # sigma at 0, just above it, mid-range and just below n/2; y = |x|^2/4t on both
+        # sides of the series/quadrature switch at 8 and up to 2e6.  At t = 1/4 and with
+        # x on a 2^-12 lattice, y = x^2 is exact, so the error is the evaluator's alone
+        ys = np.r_[np.linspace(0.0, 16.0, 33), np.geomspace(16.0, 2e6, 25),
+                   7.999999, 8.000001, 21.348]
+        xs = np.round(np.sqrt(ys) * 4096.0) / 4096.0
+        for frac in (0.0, 1e-6, 0.5, 1.0 - 1e-6):
+            sigma = frac * n / 2.0
+            ks = kernel_eval(n, sigma, 0.25, xs)
+            err = np.abs(ks.values - [mp_kernel(n, sigma, 0.25, x) for x in xs])
+            assert np.all(err <= 1e-9 * envelope(n, sigma, 0.25, xs)), frac
 
 
 def lattice_radii(grid):
@@ -249,20 +295,21 @@ class TestKernelAmalgamProfile:
         times = np.array([2.0, 5.0, 10.0])
         prof = kernel_amalgam_profile(1, sigma, rt, r, unit_cube_partition(),
                                       times, g)
-        from amalgam.wiener import amalgam_norm
-        from amalgam.grid import SampledField
+        xs = np.abs(g.axis_points())
         for tval, pval in zip(times, prof.values):
             eps = 1e-4 * min(tval, 4 * tval ** 2 / 64.0)
             P = 8.0 + 2 * np.sqrt(np.log(1e9)) * (tval / np.sqrt(eps) + np.sqrt(eps))
             h = 2 * np.pi / P
             nodes = int(np.ceil((np.sqrt(np.log(1e9)) + 1.5) / np.sqrt(eps) / h))
             xi = (np.arange(nodes) + 0.5) * h
-            xs = np.abs(g.axis_points())
             u = tval - 1j * tval
             resid = np.exp(-(eps + 1j * tval) * xi ** 2) \
                 - (1.0 + u * xi ** 2) * np.exp(-(eps + tval) * xi ** 2)
             gvec = resid * xi ** (-2 * sigma)
-            mild = (h / np.pi) * (np.cos(np.outer(xs, xi)) @ gvec)
+            # the cosine sum at the lattice's x_m = -L + m dx is (S(x_m) + S(-x_m))/2,
+            # and -x_m = x_{N-m}, so S is taken at the N + 1 points -L, ..., L
+            S = chirp_z(gvec, h, -g.length, g.dx, g.npts + 1)
+            mild = (h / np.pi) * (S[:-1] + S[:0:-1]) / 2
             add = mollified_power_ft(1, 2 * sigma, eps + tval, xs) \
                 + u * mollified_power_ft(1, 2 * sigma - 2, eps + tval, xs)
             brute = SampledField(g, (mild + add).reshape(g.shape))
