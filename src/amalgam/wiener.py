@@ -214,14 +214,16 @@ def weak_lorentz_norm(sequence, p: float) -> NormResult:
     if not (0 < p < math.inf):
         raise ValueError(f"weak Lorentz exponent must be in (0, inf), got {p}")
     a = np.abs(np.asarray(sequence, dtype=float).ravel())
-    if a.size == 0:
-        value = 0.0
-    else:
-        srt = np.sort(a)[::-1]
-        m = np.arange(1, srt.size + 1, dtype=float)
-        value = float(np.max(m ** (1.0 / p) * srt))
+    value = float(_weak_lorentz(a, p)) if a.size else 0.0
     return NormResult(value=value, space="weak-lorentz", exponents={"p": p},
                       meta={"length": int(a.size)})
+
+
+def _weak_lorentz(a: np.ndarray, p: float) -> np.ndarray:
+    """weak_lorentz_norm of each sequence along the last axis of a non-empty a >= 0."""
+    srt = np.sort(a, axis=-1)[..., ::-1]
+    m = np.arange(1, a.shape[-1] + 1, dtype=float)
+    return np.max(m ** (1.0 / p) * srt, axis=-1)
 
 
 def _time_translates(times: np.ndarray, window: WindowSpec) -> np.ndarray:
@@ -352,7 +354,13 @@ def inclusion_check(fld: SampledField, p1, q1, p2, q2, window: WindowSpec):
             f"inclusion requires p1 >= p2 and q1 <= q2; got ({p1f},{q1f}) -> ({p2f},{q2f})")
     if not window.is_partition or not math.isclose(window.step, 1.0, rel_tol=1e-12):
         raise ValueError("inclusion_check requires unit-cube partition windows")
-    lhs = amalgam_norm(fld, p2f, q2f, window).value
-    rhs = amalgam_norm(fld, p1f, q1f, window).value
-    holds = lhs <= rhs * (1.0 + 1e-10) + 1e-12
-    return lhs, rhs, holds
+    lhs, rhs, holds = _inclusion(fld.values, p1f, q1f, p2f, q2f, window, fld.grid)
+    return float(lhs), float(rhs), bool(holds)
+
+
+def _inclusion(values: np.ndarray, p1: float, q1: float, p2: float, q2: float,
+               window: WindowSpec, g: GridSpec) -> tuple:
+    """inclusion_check's (lhs, rhs, holds) over the trailing grid axes of values."""
+    lhs = _amalgam_norms(values, p2, q2, window, g)[0]
+    rhs = _amalgam_norms(values, p1, q1, window, g)[0]
+    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10) + 1e-12

@@ -6,7 +6,7 @@ import pytest
 
 from amalgam import cli
 from amalgam.exponents import ExponentTuple
-from amalgam.grid import GridSpec, SampledField, SpaceTimeField, lebesgue_norm, transform
+from amalgam.grid import GridSpec, SampledField, SpaceTimeField, _lq, lebesgue_norm, transform
 from amalgam.propagator import DecayProfile, evolve_series
 from amalgam.verify import (
     band_limited_field,
@@ -24,7 +24,7 @@ from amalgam.verify import (
     property_suite,
     strichartz_ratio,
 )
-from amalgam.wiener import WindowSpec, spacetime_amalgam_norm, unit_cube_partition
+from amalgam.wiener import WindowSpec, _amalgam_norms, spacetime_amalgam_norm, unit_cube_partition
 
 
 def synthetic_profile(exponent_small, exponent_large, n=1, sigma=0.3,
@@ -204,6 +204,15 @@ class TestClassicalScaling:
             classical_scaling_sweep(datum, [8.0], 1, "0.3", 10, g)
 
 
+def _random_bump(tgrid, rng):
+    """Random smooth function supported in |t| <= 1, drawn as hls_check_1d draws it."""
+    envelope = np.where(np.abs(tgrid) < 1.0,
+                        np.exp(-1.0 / np.maximum(1.0 - tgrid ** 2, 1e-300)), 0.0)
+    coef = rng.standard_normal(4)
+    osc = sum(c * np.cos((k + 1) * np.pi * tgrid) for k, c in enumerate(coef))
+    return envelope * (1.0 + 0.5 * osc)
+
+
 class TestHls:
     def test_q_infinite_rejected(self):
         rep = hls_check_1d(2, "0.5")
@@ -220,6 +229,26 @@ class TestHls:
         assert rep.q == Fraction(4)
         assert rep.max_ratio > 0
         assert rep.refinement_stable
+
+    def test_cached_transforms_match_per_trial_convolutions(self):
+        # reference: a fresh bump and a fresh kernel transform for every trial
+        p, q, alpha = 4 / 3, 4.0, 0.5
+
+        def ratio(g, tgrid):
+            dt = tgrid[1] - tgrid[0]
+            conv = power_kernel_convolution(g, tgrid, alpha)
+            return float(_lq(np.abs(conv), q, None, dt) / _lq(np.abs(g), p, None, dt))
+
+        rng = np.random.default_rng(0)
+        tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
+        bumps = [_random_bump(tgrid, rng) for _ in range(4)]
+        ratios = [ratio(g, tgrid) for g in bumps]
+        worst = bumps[int(np.argmax(ratios))]
+        t2 = np.linspace(-200.0, 200.0, 2 ** 15)
+        rep = hls_check_1d("4/3", "0.5", trials=4, seed=0)
+        assert rep.ratios == ratios
+        assert rep.max_ratio == max(ratios)
+        assert rep.refined_max == ratio(np.interp(t2, tgrid, worst), t2)
 
     def test_narrow_bump_closed_form(self):
         # indicator bump convolved with |t|^(-1/2): with the cell-averaged
@@ -337,15 +366,32 @@ class TestPropertySuite:
         assert rep.passed
 
     def test_mutation_hook_fails_suite(self):
-        from amalgam.wiener import amalgam_norm
-
-        def corrupted(fld, p, q, window):
-            res = amalgam_norm(fld, p, q, window)
-            res.value = res.value * 0.9  # deliberately wrong
-            return res
+        def corrupted(values, p, q, window, grid):
+            return _amalgam_norms(values, p, q, window, grid)[0] * 0.9  # deliberately wrong
 
         rep = property_suite(seed=0, corpus_size=8, amalgam_fn=corrupted)
         assert not rep.passed
+        assert rep.results[0].counterexample["index"] == 0  # the first failing field
+
+    @pytest.mark.parametrize("k", [0, 3, 7])
+    def test_corrupted_row_is_the_counterexample(self, k):
+        # row k of every stack the hook sees: field k, or field k plus field k + 1 in
+        # the triangle check; 10 N + 1 is not homogeneous, so homogeneity fails too
+        def corrupted(values, p, q, window, grid):
+            norms = _amalgam_norms(values, p, q, window, grid)[0]
+            norms[k] = 10.0 * norms[k] + 1.0
+            return norms
+
+        rep = property_suite(seed=0, corpus_size=8, amalgam_fn=corrupted)
+        label = f"spike[{k}]" if k % 4 == 3 else f"band-limited[{k}]"
+        hooked = {"diagonal identity W(p,p) = L^p (unit cubes)",
+                  "homogeneity of the amalgam norm", "triangle inequality"}
+        assert {r.name for r in rep.results if not r.passed} == hooked
+        for r in rep.results:
+            if r.name in hooked:
+                assert (r.counterexample["index"], r.counterexample["label"]) == (k, label)
+        passed = {r.name for r in rep.results if r.passed}
+        assert {"weak Lorentz <= strong", "interpolation arithmetic exact"} <= passed
 
     @pytest.mark.parametrize("size", [-3, 0, 1])
     def test_fewer_than_two_fields_rejected(self, size):

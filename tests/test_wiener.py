@@ -427,3 +427,19 @@ def test_batched_norms_are_the_single_norms(g, window, p, q):
     for k, row in enumerate(stack):
         assert batched[k] == amalgam_norm(SampledField(g, row), p, q, window).value
         assert lebesgue[k] == lebesgue_norm(SampledField(g, row), p).value
+
+
+@pytest.mark.parametrize("g,k", [(GridSpec(1, 16.0, 512), 120), (GridSpec(2, 4.0, 32), 8),
+                                 (GridSpec(3, 2.0, 16), 4)])
+@pytest.mark.parametrize("window", [unit_cube_partition(),
+                                    WindowSpec("smooth-bump", radius=1.0, step=1.0)])
+def test_large_batch_equals_single_field_calls(g, k, window):
+    # at n = 1 the property suite's layout: one (k, 512) stack, zero rows included
+    stack = band_limited_stack(g, range(k))
+    stack[::4] = 0.0
+    for p in (1.0, 2.0, 4.0, math.inf):
+        for q in (1.0, 2.0, 4.0, math.inf):
+            batched, _ = _amalgam_norms(stack, p, q, window, g)
+            single = [_amalgam_norms(row, p, q, window, g)[0] for row in stack]
+            assert batched.shape == (k,)
+            assert np.array_equal(batched, single), (p, q)
