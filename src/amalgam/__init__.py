@@ -10,14 +10,13 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "transform",
-             "lebesgue_norm", "mixed_lebesgue_norm"),
-    "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "inclusion_check",
-               "interpolate_exponents", "spacetime_amalgam_norm", "unit_cube_partition",
-               "weak_lorentz_norm"),
-    "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve",
-                   "evolve_series", "hsigma_norm", "kernel_amalgam_profile", "kernel_bound",
-                   "kernel_eval", "profile_times"),
+    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "lebesgue_norm",
+             "mixed_lebesgue_norm"),
+    "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "interpolate_exponents",
+               "spacetime_amalgam_norm", "unit_cube_partition", "weak_lorentz_norm"),
+    "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve_blocks",
+                   "hsigma_norm", "kernel_amalgam_profile", "kernel_bound", "kernel_eval",
+                   "profile_times"),
     "exponents": ("ExponentTuple", "RegionReport", "classical_sobolev_line",
                   "is_schrodinger_admissible", "predicted_kernel_decay", "sample_region",
                   "satisfies_cn2", "satisfies_corollary", "satisfies_prop_kernel",

@@ -228,16 +228,16 @@ def _field_from(args) -> tuple:
     """(datum, source fields for report.json).
 
     A container's first slice is the datum; the source fields name its slice
-    count and instant, and a container of several slices draws a warning.  Every
-    slice is read, one _blocks block at a time, to be checked finite; none is held.
+    count and instant, and a container of several slices draws a warning.  The
+    remaining blocks are read only to be checked finite; none is held.
     """
     from . import verify
-    from .grid import GridSpec, SampledField, _blocks, _read_header, _read_slices
+    from .grid import GridSpec, SampledField, read_container
     if args.input:
-        grid, times = _read_header(args.input)
-        for b in _blocks(len(times), grid):
-            _read_slices(args.input, grid, times, b)
-        datum = SampledField(grid, _read_slices(args.input, grid, times, slice(1))[0])
+        grid, times, blocks = read_container(args.input)
+        datum = SampledField(grid, next(blocks)[0])
+        for _ in blocks:
+            pass
         slices, t0 = len(times), float(times[0])
         if slices > 1:
             warnings.warn(f"{args.input} holds {slices} slices; using the first, t = {t0:g}")
@@ -315,33 +315,31 @@ def _cmd_norm(args, outdir):
 
 
 def _cmd_evolve(args, outdir):
-    """evolve_series one _blocks block of instants at a time: each block is checked
-    to be finite, reduced to its l2 and sup rows and appended to the container."""
+    """evolve_blocks, one block at a time: each block is reduced to its l2 and sup
+    rows and appended to the container."""
     import numpy as np
 
-    from .grid import _blocks, _checked, _dft, _instants, _lq, _write_spacetime
-    from .propagator import _propagate
+    from .grid import _lq, write_container
+    from .propagator import evolve_blocks
     fld, _ = _field_from(args)
-    g, times, sigma = fld.grid, _instants(args.times), to_float(args.sigma)
-    spec = _dft(fld.values, g)
+    g = fld.grid
     axes = tuple(range(1, g.n + 1))
     rows = []
 
     def slices():
-        for b in _blocks(len(times), g):
-            block = _propagate(spec, times[b], sigma, g)
-            a = np.abs(_checked(block, block.shape))
+        for times, block in evolve_blocks(fld, args.times, to_float(args.sigma)):
+            a = np.abs(block)
             sup = _lq(a, np.inf, axes)  # leaves a intact; the l2 reduction then overwrites it
-            rows.extend(zip(times[b], _lq(a, 2, axes, g.cell_volume), sup))
+            rows.extend(zip(times, _lq(a, 2, axes, g.cell_volume), sup))
             yield block
 
     if args.save_field:
-        _write_spacetime(outdir / "evolved.bin", g, times, slices())
+        write_container(outdir / "evolved.bin", g, args.times, slices())
     else:
         for _ in slices():
             pass
     write_csv(outdir / "results.csv", ["t", "l2", "sup"], rows)
-    print(f"evolved {len(times)} slice(s) -> {outdir / 'results.csv'}")
+    print(f"evolved {len(rows)} slice(s) -> {outdir / 'results.csv'}")
     return 0, {}
 
 
@@ -370,6 +368,8 @@ def _cmd_kernel_profile(args, outdir):
 
 def _cmd_fit_decay(args, outdir):
     from .verify import fit_decay
+    if not 0 <= args.tol < math.inf:
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     prof, health = _profile_from(args)
     small, large = fit_decay(prof)
     write_csv(outdir / "results.csv",

@@ -33,13 +33,12 @@ __all__ = [
     "SampledField",
     "SpaceTimeField",
     "NormResult",
-    "transform",
     "lebesgue_norm",
     "mixed_lebesgue_norm",
     "trapezoid_weights",
     "boundary_mass_fraction",
-    "write_spacetime",
-    "read_spacetime",
+    "write_container",
+    "read_container",
 ]
 
 
@@ -167,8 +166,8 @@ class SpaceTimeField:
     """A field at T instants on one grid: ``values[k]`` is the slice at ``times[k]``.
 
     ``values`` is one complex (T, *grid.shape) array, T * N^n * 16 bytes, checked
-    once, on construction.  strichartz_ratio, the evolve command and the --input
-    reader work by _blocks and build none.
+    once, on construction.  strichartz_ratio, propagator.evolve_blocks and the
+    container's writer and reader work by _blocks and build none.
     """
 
     grid: GridSpec
@@ -224,11 +223,10 @@ def _phase(grid: GridSpec) -> np.ndarray:
 
 
 def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np.ndarray:
-    """transform() over the trailing grid axes of a (..., *g.shape) array.
-
-    All leading slices go through one batched FFT; ``out`` may be ``values``
-    itself, and the transform then runs in place.
-    """
+    """The transform over the trailing grid axes of a (..., *g.shape) array, forward onto
+    the frequency lattice in FFT order; the phase factor accounts for the position
+    lattice starting at -L.  All leading slices go through one batched FFT; ``out``
+    may be ``values`` itself, and the transform then runs in place."""
     axes = tuple(range(-g.n, 0))
     ph = _phase(g)
     if inverse:
@@ -240,17 +238,6 @@ def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np
         out = np.fft.fftn(values, axes=axes, out=out)
         out *= g.cell_volume * ph
     return out
-
-
-def transform(fld: SampledField, direction: str = "forward") -> SampledField:
-    """Forward ('forward') or inverse ('inverse') discrete Fourier transform.
-
-    Forward output lives on the frequency lattice in FFT order; the phase
-    factor accounts for the position lattice starting at -L.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be 'forward' or 'inverse', got {direction!r}")
-    return SampledField(fld.grid, _dft(fld.values, fld.grid, direction == "inverse"), fld.label)
 
 
 _FMAX = np.finfo(float).max
@@ -342,8 +329,8 @@ def boundary_mass_fraction(fld: SampledField) -> float:
 # ---------------------------------------------------------------------------
 # Binary container: header (n, L, N, slice count), the instants, then the
 # (T, *shape) values as complex128 (each sample's re and im float64 side by
-# side), all little-endian.  It is written and read one block of slices at a
-# time; write_spacetime and read_spacetime take the whole field as one block.
+# side), all little-endian.  It is written and read one _blocks block of
+# slices at a time; no whole-field array is built.
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<qdqq")
@@ -358,9 +345,11 @@ def _naming(path):
         raise ValueError(f"field container {path}: {exc}") from None
 
 
-def _write_spacetime(path, g: GridSpec, times: np.ndarray, blocks) -> None:
-    """Write the header and instants, then each (k, *g.shape) block of the iterable
-    in turn; if a block fails, the partial file is removed."""
+def write_container(path, g: GridSpec, times, blocks) -> None:
+    """Write the header and the instants, checked as SpaceTimeField checks them, then
+    each (k, *g.shape) block of the iterable in turn; if a block fails, the partial
+    file is removed."""
+    times = _instants(times)
     with open(path, "wb") as fh:
         try:
             fh.write(_HEADER.pack(g.n, g.length, g.npts, len(times)))
@@ -373,8 +362,10 @@ def _write_spacetime(path, g: GridSpec, times: np.ndarray, blocks) -> None:
             raise
 
 
-def _read_header(path) -> tuple:
-    """(grid, instants) of a container whose header, byte count and instants check out."""
+def read_container(path) -> tuple:
+    """(grid, instants, blocks) of a container whose header, byte count and instants check
+    out; blocks yields its slices one _blocks block at a time, each a (k, *grid.shape)
+    array checked finite.  Any fault is a ValueError that names the file."""
     with _naming(path), open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < _HEADER.size:
@@ -387,25 +378,14 @@ def _read_header(path) -> tuple:
             raise ValueError(f"{size} bytes, but its header (n={n}, npts={npts}, "
                              f"slices={nslices}) needs {want}")
         grid = GridSpec(n=n, length=length, npts=npts)
-        return grid, _instants(np.fromfile(fh, dtype="<f8", count=nslices))
+        times = _instants(np.fromfile(fh, dtype="<f8", count=nslices))
 
+    def blocks():
+        for b in _blocks(nslices, grid):
+            shape = (len(times[b]),) + grid.shape
+            offset = _HEADER.size + 8 * nslices + 16 * grid.size * b.start
+            with _naming(path):
+                values = np.fromfile(path, dtype="<c16", count=shape[0] * grid.size, offset=offset)
+                yield _checked(values.reshape(shape), shape)
 
-def _read_slices(path, g: GridSpec, times: np.ndarray, b: slice) -> np.ndarray:
-    """Slices b of a container that _read_header checked, as a (k, *g.shape) array
-    checked to be finite."""
-    start, stop, _ = b.indices(len(times))
-    offset = _HEADER.size + 8 * len(times) + 16 * g.size * start
-    shape = (stop - start,) + g.shape
-    with _naming(path):
-        values = np.fromfile(path, dtype="<c16", count=(stop - start) * g.size, offset=offset)
-        return _checked(values.reshape(shape), shape)
-
-
-def write_spacetime(stf: SpaceTimeField, path) -> None:
-    _write_spacetime(path, stf.grid, stf.times, [stf.values])
-
-
-def read_spacetime(path) -> SpaceTimeField:
-    """Read a container; a bad header, byte count or value is a ValueError naming the file."""
-    grid, times = _read_header(path)
-    return SpaceTimeField(grid, times, _read_slices(path, grid, times, slice(None)))
+    return grid, times, blocks()

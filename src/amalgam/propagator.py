@@ -26,6 +26,7 @@ Everything is pure; batch loops run in a fixed order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -39,7 +40,9 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _blocks,
+    _checked,
     _dft,
+    _instants,
     _lq,
     _shells,
     trapezoid_weights,
@@ -50,8 +53,7 @@ __all__ = [
     "KernelSamples",
     "DecayProfile",
     "hsigma_norm",
-    "evolve",
-    "evolve_series",
+    "evolve_blocks",
     "adjoint_accumulate",
     "kernel_eval",
     "kernel_bound",
@@ -145,21 +147,17 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
     return _dft(out, g, inverse=True, out=out)
 
 
-def evolve(fld: SampledField, t: float, sigma: float = 0.0) -> SampledField:
-    """Apply the free evolution with smoothing order sigma at time t.
-
-    For sigma = 0 the map is unitary on L2.  The zero frequency of the
-    smoothing weight is set to zero; callers should use data with
-    negligible zero-mode mass (generators in verify do).
-    """
+def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
+    """The free evolution with smoothing order sigma, one _blocks block of instants at a
+    time: yields (instants, block) pairs, block the (k, *shape) slices at those instants,
+    checked finite.  Unitary on L2 for sigma = 0.  The smoothing weight's zero frequency
+    is set to zero, so data should have negligible zero-mode mass (verify's generators do)."""
     g = fld.grid
-    return SampledField(g, _propagate(_dft(fld.values, g), [t], sigma, g)[0], fld.label)
-
-
-def evolve_series(fld: SampledField, times, sigma: float = 0.0) -> SpaceTimeField:
-    """evolve() at each instant: one forward transform, one batched inverse."""
-    g = fld.grid
-    return SpaceTimeField(g, times, _propagate(_dft(fld.values, g), times, sigma, g))
+    times = _instants(times)
+    spec = _dft(fld.values, g)
+    for b in _blocks(len(times), g):
+        block = _propagate(spec, times[b], sigma, g)
+        yield times[b], _checked(block, block.shape)
 
 
 def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
@@ -167,7 +165,7 @@ def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
 
     Discretizes INT exp(-i s Lap) |grad|^{-sigma} F(., s) ds with the
     trapezoid weights of the slice instants; adjoint (by construction) to
-    evolve_series under the discrete space-time pairing.
+    evolve_blocks under the discrete space-time pairing.
     """
     g = stf.grid
     acc = _propagate(_dft(stf.values, g), -stf.times, sigma, g,
@@ -185,15 +183,24 @@ def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
 _SWITCH, _TERMS, _NODES, _ROWS = 8.0, 50, 16, 2 ** 12
 
 
-def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarray:
-    """E[(1 + sign i u/y)^c] for u ~ Gamma(alpha + 1), in real arithmetic, by the
-    _NODES-point Gauss rule for u^alpha e^-u: its nodes and weights are the eigenvalues
-    and squared first eigenvector components of the Jacobi matrix (Golub-Welsch)."""
+@functools.lru_cache(maxsize=16)
+def _laguerre(alpha: float) -> tuple:
+    """Nodes and weights (cached, read-only) of the _NODES-point Gauss rule for u^alpha e^-u:
+    the Jacobi matrix's eigenvalues and squared first eigenvector parts (Golub-Welsch)."""
     k = np.arange(_NODES)
     off = np.sqrt(k[1:] * (k[1:] + alpha))
     # eigh reads the lower triangle only
     u, v = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, -1))
-    w = v[0] ** 2
+    rule = u, v[0] ** 2
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarray:
+    """E[(1 + sign i u/y)^c] for u ~ Gamma(alpha + 1), in real arithmetic, by the
+    _laguerre rule."""
+    u, w = _laguerre(alpha)
     out = np.empty(len(y), dtype=complex)
     # in place, in pieces: these passes are most of the kernel's time, and their
     # memory stays fixed however many abscissae there are
@@ -338,23 +345,14 @@ class DecayProfile:
     est_error: np.ndarray
     meta: dict = field(default_factory=dict)
 
-    def as_function(self):
-        """Log-log interpolant h(|t|), power-law accurate between samples."""
-        lt = np.log(self.times)
-        lv = np.log(self.values)
-
-        def h(t):
-            t = np.abs(np.asarray(t, dtype=float))
-            return np.exp(np.interp(np.log(t), lt, lv))
-
-        return h
-
 
 def profile_times(tmin: float = 0.02, tmax: float = 50.0,
                   per_decade: int = 24) -> np.ndarray:
     """Log-spaced instants, per_decade points per decade, split at t = 1."""
     if not (0 < tmin < 1 < tmax):
         raise ValueError("need 0 < tmin < 1 < tmax")
+    if per_decade < 1:
+        raise ValueError(f"per_decade must be >= 1, got {per_decade}")
     small = int(np.ceil(np.log10(1.0 / tmin) * per_decade)) + 1
     large = int(np.ceil(np.log10(tmax) * per_decade)) + 1
     ts = np.concatenate([np.geomspace(tmin, 1.0, small),

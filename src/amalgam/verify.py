@@ -1,7 +1,7 @@
 """Experiment harness tying the propagator to the quantitative claims.
 
 Each experiment is an independent, seeded, pure job: decay-slope
-regression, window-norm piecewise bounds, space-time ratio sweeps, the
+regression, window-norm piecewise bounds, space-time ratios, the
 fractional-integration sanity check, and the bilinear-form identities.
 The harness asserts slopes, identities and refinement stability — claims
 decidable at desk scale — and records constants instead of asserting
@@ -38,7 +38,7 @@ from .propagator import (
     _hsigma_norm,
     _propagate,
     adjoint_accumulate,
-    evolve_series,
+    evolve_blocks,
     hsigma_norm,
 )
 from .wiener import (
@@ -47,7 +47,6 @@ from .wiener import (
     _inclusion,
     _spacetime_norm,
     _weak_lorentz,
-    amalgam_norm,
     holder_pairing,
     interpolate_exponents,
     unit_cube_partition,
@@ -58,20 +57,17 @@ __all__ = [
     "DecayFit",
     "WindowNormReport",
     "RatioResult",
-    "RatioSweep",
     "ScalingSweep",
     "HlsReport",
     "SuiteReport",
     "fit_decay",
     "local_window_norms",
     "strichartz_ratio",
-    "frequency_ratio_sweep",
     "classical_scaling_sweep",
     "hls_check_1d",
     "bilinear_form",
     "factorized_bilinear_form",
     "property_suite",
-    "window_equivalence_bracket",
     "band_limited_field",
     "band_limited_stack",
     "gaussian_datum",
@@ -134,11 +130,6 @@ def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
     idx = tuple(rng.integers(0, grid.npts, size=grid.n))
     vals[idx] = 1.0
     return SampledField(grid, vals, f"spike[{seed}]")
-
-
-def remove_zero_mode(fld: SampledField) -> SampledField:
-    vals = fld.values - fld.values.mean()
-    return SampledField(fld.grid, vals, fld.label)
 
 
 # ---------------------------------------------------------------------------
@@ -286,25 +277,6 @@ class RatioResult:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass
-class RatioSweep:
-    tuple_json: dict
-    ratios: list
-    descriptors: list
-
-    @property
-    def max(self) -> float:
-        return max(self.ratios)
-
-    @property
-    def median(self) -> float:
-        return float(np.median(self.ratios))
-
-    @property
-    def spread(self) -> float:
-        return self.max / min(self.ratios)
-
-
 def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
                      window_t: WindowSpec, window_x: WindowSpec,
                      times=None, weak: bool = False) -> RatioResult:
@@ -335,26 +307,6 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
               "weak_outer_time": weak, "label": fld.label,
               "grid": (fld.grid.n, fld.grid.length, fld.grid.npts)},
     )
-
-
-def frequency_ratio_sweep(grid: GridSpec, tup: expo.ExponentTuple,
-                          window_t: WindowSpec, window_x: WindowSpec,
-                          js=range(5), times=None) -> RatioSweep:
-    """Ratio across the modulated family f_j = exp(i 2^j x) g(x), g of unit width.
-
-    Boundedness of the ratio is the claim under test at infinite
-    resolution; the harness records the spread rather than asserting a
-    threshold.
-    """
-    ratios, desc = [], []
-    for j in js:
-        # nearest lattice frequency to 2^j, zero mode projected out
-        mode = max(1, int(round(2.0 ** j * grid.length / np.pi)))
-        f = remove_zero_mode(modulated_gaussian(grid, mode=mode))
-        res = strichartz_ratio(f, tup, window_t, window_x, times=times)
-        ratios.append(res.value)
-        desc.append({"j": int(j), "mode": mode, "freq": mode * grid.dxi})
-    return RatioSweep(tuple_json=tup.to_json_dict(), ratios=ratios, descriptors=desc)
 
 
 @dataclass
@@ -397,7 +349,7 @@ def classical_scaling_sweep(datum_fn, lambdas, n: int, sigma, q, grid: GridSpec,
                 f"rescaling by {lam} pushes mass to the boundary "
                 f"(fraction {frac:.2e} >= 1e-06); enlarge the box")
         denom = hsigma_norm(fld, to_float(sigma)).value
-        stf = evolve_series(fld, times, 0.0)
+        stf = SpaceTimeField(grid, times, np.concatenate([v for _, v in evolve_blocks(fld, times)]))
         num = mixed_lebesgue_norm(stf, to_float(q), to_float(r)).value
         ratios.append(num / denom)
     base = ratios[0]
@@ -443,21 +395,13 @@ def _power_kernel_ft(tgrid: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _convolve(gvals: np.ndarray, kern_ft: np.ndarray, dt: float) -> np.ndarray:
-    """power_kernel_convolution with the kernel transform from _power_kernel_ft."""
+    """(|t|^-alpha * g) on a uniform grid of step dt, with the kernel transform from
+    _power_kernel_ft.  Output samples nk - 1 .. 2 nk - 2 of the real FFT product pair g
+    only with kernel lags inside its 2 nk - 1 samples, so the circular wrap-around
+    never reaches them."""
     nk, L = len(gvals), 2 * (len(kern_ft) - 1)
     full = np.fft.irfft(np.fft.rfft(gvals, L) * kern_ft, L)
     return full[nk - 1:2 * nk - 1] * dt
-
-
-def power_kernel_convolution(gvals: np.ndarray, tgrid: np.ndarray,
-                             alpha: float) -> np.ndarray:
-    """(|t|^-alpha * g) on a uniform grid, exact cell-averaged kernel.
-
-    A real FFT product of length L, the least power of two >= 2 nk - 1: output
-    samples nk - 1 .. 2 nk - 2 pair g only with kernel lags inside its 2 nk - 1
-    samples, so the circular wrap-around never reaches them.
-    """
-    return _convolve(gvals, _power_kernel_ft(tgrid, alpha), tgrid[1] - tgrid[0])
 
 
 def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
@@ -690,21 +634,3 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
     ok, detail = interp_ok()
     results.append(PropertyResult("interpolation arithmetic exact", ok, detail))
     return SuiteReport(seed=seed, corpus_size=corpus_size, results=results)
-
-
-def window_equivalence_bracket(grid: GridSpec, p, q, seed: int = 0, count: int = 200):
-    """Empirical bracket for the radius-0.5 gaussian/cube window norm ratio.
-
-    The equivalent-norm claim gives no constants; this records the
-    observed ratio bracket over a seeded corpus.  Returned as
-    (c_lo, c_hi, ratios).
-    """
-    wg = WindowSpec("gaussian", radius=0.5, step=1.0, normalization="l2")
-    wc = unit_cube_partition()
-    ratios = []
-    for i in range(count):
-        f = band_limited_field(grid, seed + i)
-        a = amalgam_norm(f, p, q, wg).value
-        b = amalgam_norm(f, p, q, wc).value
-        ratios.append(a / b)
-    return min(ratios), max(ratios), ratios

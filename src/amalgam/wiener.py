@@ -50,7 +50,6 @@ __all__ = [
     "spacetime_amalgam_norm",
     "holder_pairing",
     "interpolate_exponents",
-    "inclusion_check",
 ]
 
 _KINDS = ("gaussian", "smooth-bump", "cube-indicator")
@@ -121,7 +120,7 @@ def _translate_shape(win: WindowSpec, grid: GridSpec) -> tuple[int, int]:
             f"window step {win.step} is not a multiple of the lattice step {grid.dx}")
     s = int(round(s))
     K = 2.0 * grid.length / win.step
-    if abs(K - round(K)) > 1e-9:
+    if abs(K - round(K)) > 1e-9 or round(K) < 1:
         raise ValueError(
             f"window step {win.step} does not divide the torus side {2 * grid.length}")
     return s, int(round(K))
@@ -342,25 +341,11 @@ def interpolate_exponents(p0, q0, p1, q1, theta):
     return p, q
 
 
-def inclusion_check(fld: SampledField, p1, q1, p2, q2, window: WindowSpec):
-    """W(L^p1, L^q1) into W(L^p2, L^q2): norm comparison with constant 1.
-
-    Requires p1 >= p2 and q1 <= q2 (the inclusion direction) and unit-cube
-    partition windows, so the comparison constant is exactly 1.
-    """
-    p1f, q1f, p2f, q2f = (to_float(e) for e in (p1, q1, p2, q2))
-    if p1f < p2f or q1f > q2f:
-        raise ValueError(
-            f"inclusion requires p1 >= p2 and q1 <= q2; got ({p1f},{q1f}) -> ({p2f},{q2f})")
-    if not window.is_partition or not math.isclose(window.step, 1.0, rel_tol=1e-12):
-        raise ValueError("inclusion_check requires unit-cube partition windows")
-    lhs, rhs, holds = _inclusion(fld.values, p1f, q1f, p2f, q2f, window, fld.grid)
-    return float(lhs), float(rhs), bool(holds)
-
-
 def _inclusion(values: np.ndarray, p1: float, q1: float, p2: float, q2: float,
                window: WindowSpec, g: GridSpec) -> tuple:
-    """inclusion_check's (lhs, rhs, holds) over the trailing grid axes of values."""
+    """W(L^p1, L^q1) into W(L^p2, L^q2), for p1 >= p2 and q1 <= q2: (lhs, rhs, holds) of
+    the comparison with constant 1 over the trailing grid axes of values, exact for
+    unit-cube partition windows."""
     lhs = _amalgam_norms(values, p2, q2, window, g)[0]
     rhs = _amalgam_norms(values, p1, q1, window, g)[0]
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-10) + 1e-12

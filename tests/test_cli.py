@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import amalgam
@@ -340,10 +340,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("kind", ["lebesgue", "amalgam", "hsigma"])
     def test_norm_of_huge_container_is_finite(self, tmp_path, capsys, kind):
-        from amalgam.grid import SpaceTimeField, write_spacetime
+        from amalgam.grid import write_container
         g = amalgam.GridSpec(1, 4.0, 64)
         path = tmp_path / "big.bin"
-        write_spacetime(SpaceTimeField(g, [0.0], np.full((1, 64), 1e300 + 0j)), path)
+        write_container(path, g, [0.0], [np.full((1, 64), 1e300 + 0j)])
         capsys.readouterr()
         assert invoke(["norm", "--kind", kind, "--input", str(path)], tmp_path) == 0
         out, err = capsys.readouterr()
@@ -356,10 +356,10 @@ class TestCommands:
                                       ["--kind", "amalgam", "--p", "2", "--q", "2"]])
     def test_norm_past_float64_range_is_usage_error(self, tmp_path, capsys, args):
         # finite samples of modulus 1e308 whose norm, 1e308 * sqrt(8), is not finite
-        from amalgam.grid import SpaceTimeField, write_spacetime
+        from amalgam.grid import write_container
         g = amalgam.GridSpec(1, 4.0, 64)
         path = tmp_path / "big.bin"
-        write_spacetime(SpaceTimeField(g, [0.0], np.full((1, 64), 1e308 + 0j)), path)
+        write_container(path, g, [0.0], [np.full((1, 64), 1e308 + 0j)])
         capsys.readouterr()
         assert invoke(["norm", *args, "--input", str(path)], tmp_path) == 2
         out, err = capsys.readouterr()
@@ -372,12 +372,11 @@ class TestCommands:
                                        "--q", "10", "--r", "inf"]])
     def test_overflowing_transform_is_usage_error(self, tmp_path, capsys, args):
         # finite samples of modulus 1e307 whose transform overflows
-        from amalgam.grid import SpaceTimeField, write_spacetime
+        from amalgam.grid import write_container
         from amalgam.verify import modulated_gaussian
         g = amalgam.GridSpec(1, 16.0, 1024)
         path = tmp_path / "huge.bin"
-        values = 1e307 * modulated_gaussian(g, mode=40).values[None]
-        write_spacetime(SpaceTimeField(g, [0.0], values), path)
+        write_container(path, g, [0.0], [1e307 * modulated_gaussian(g, mode=40).values[None]])
         capsys.readouterr()
         assert invoke(args + ["--input", str(path)], tmp_path) == 2
         out, err = capsys.readouterr()
@@ -441,6 +440,30 @@ class TestCommands:
             rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}
         assert manifest["r_squared"] == rows
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-0.01"])
+    def test_fit_decay_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        # inf used to pass both slopes whatever they were, and nan to fail both
+        assert invoke(["fit-decay", "--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", "inf",
+                       "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8",
+                       "--tol", tol], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:") and "--tol" in err
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("command", ["kernel-profile", "fit-decay"])
+    @pytest.mark.parametrize("per_decade", ["0", "-2"])
+    def test_per_decade_below_one_is_usage_error(self, tmp_path, capsys, command, per_decade):
+        # 0 used to give a profile of 2 instants, and -2 numpy's message
+        assert invoke([command, "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
+                       "--grid-l", "8", "--grid-npts", "64", "--per-decade", per_decade],
+                      tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("usage error:")
+        assert f"per_decade must be >= 1, got {per_decade}" in err
+        assert not (tmp_path / "results.csv").exists()
+
 
 _RATIO = ["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10", "--r", "inf"]
 
@@ -450,13 +473,13 @@ class TestStreaming:
 
     def _container(self, tmp_path) -> Path:
         # three zero-mode-free slices of 2^16 points: one slice per block
-        from amalgam.grid import SpaceTimeField, _blocks, write_spacetime
+        from amalgam.grid import _blocks, write_container
         from amalgam.verify import modulated_gaussian
         g = amalgam.GridSpec(1, 16.0, 2 ** 16)
         assert len(_blocks(3, g)) == 3
         values = np.repeat(modulated_gaussian(g, mode=40).values[None], 3, axis=0)
         path = tmp_path / "three.bin"
-        write_spacetime(SpaceTimeField(g, [0.0, 0.5, 1.0], values), path)
+        write_container(path, g, [0.0, 0.5, 1.0], [values])
         return path
 
     @staticmethod
@@ -504,12 +527,11 @@ class TestStreaming:
 
     def test_failed_evolve_leaves_no_container(self, tmp_path, capsys):
         # the container's header is written before the first block: a failure removes it
-        from amalgam.grid import SpaceTimeField, write_spacetime
+        from amalgam.grid import write_container
         from amalgam.verify import modulated_gaussian
         g = amalgam.GridSpec(1, 16.0, 1024)
         path = tmp_path / "huge.bin"
-        values = 1e307 * modulated_gaussian(g, mode=40).values[None]
-        write_spacetime(SpaceTimeField(g, [0.0], values), path)
+        write_container(path, g, [0.0], [1e307 * modulated_gaussian(g, mode=40).values[None]])
         out = tmp_path / "out"
         assert invoke(["evolve", "--save-field", "--input", str(path)], out) == 2
         err = capsys.readouterr().err
@@ -530,9 +552,10 @@ class TestStreaming:
     @pytest.mark.parametrize("sigma", ["0", "0.3"])
     @pytest.mark.parametrize("n, npts", [(1, 4096), (2, 64), (3, 16)])
     def test_streamed_evolve_is_bit_identical(self, tmp_path, n, npts, sigma):
-        # T = 37 instants in blocks of 16, 16 and 5 slices, against one evolve_series array
-        from amalgam.grid import _blocks, _lq, write_spacetime
-        from amalgam.propagator import evolve_series
+        # T = 37 instants in blocks of 16, 16 and 5 slices, against one array of all 37
+        # evolved by one batched inverse transform, and the container's bytes packed here
+        from amalgam.grid import _blocks, _dft, _lq
+        from amalgam.propagator import _propagate
         from amalgam.verify import gaussian_datum
         g = amalgam.GridSpec(n, 16.0, npts)
         times = [k / 10 - 1 for k in range(37)]
@@ -540,13 +563,15 @@ class TestStreaming:
         assert invoke(["evolve", "--save-field", "--grid-n", str(n), "--grid-npts", str(npts),
                        "--sigma", sigma, "--times=" + ",".join(map(repr, times))],
                       tmp_path / "cli") == 0
-        stf = evolve_series(gaussian_datum(g), times, float(sigma))
-        write_spacetime(stf, tmp_path / "evolved.bin")
+        values = _propagate(_dft(gaussian_datum(g).values, g), times, float(sigma), g)
+        (tmp_path / "evolved.bin").write_bytes(
+            struct.pack("<qdqq", n, 16.0, npts, 37) + np.array(times, dtype="<f8").tobytes()
+            + values.astype("<c16").tobytes())
         axes = tuple(range(1, n + 1))
-        a = np.abs(stf.values)
+        a = np.abs(values)
         sup = _lq(a, np.inf, axes)
         cli.write_csv(tmp_path / "results.csv", ["t", "l2", "sup"],
-                      zip(stf.times, _lq(a, 2, axes, g.cell_volume), sup))
+                      zip(np.array(times), _lq(a, 2, axes, g.cell_volume), sup))
         for name in ("results.csv", "evolved.bin"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / name).read_bytes()
 
@@ -682,16 +707,18 @@ class TestFuzz:
            patch=st.lists(st.tuples(st.integers(0, 47), st.integers(0, 255)), max_size=6),
            length=st.one_of(st.none(), st.floats()))
     @settings(max_examples=200, deadline=None)
+    # a torus side of 2e-12 rounds to 0 unit cubes, and once made a 4e12-sample window
+    @example(n=1, kind="amalgam", cut=None, tail=b"", patch=[], length=1e-12)
     def test_corrupted_container(self, n, kind, cut, tail, patch, length):
         # two zero-mean slices on 8^n points; the header (n, L, N, slices) is 32
         # bytes and the two instants fill bytes 32..47
-        from amalgam.grid import SpaceTimeField, read_spacetime, write_spacetime
+        from amalgam.grid import SpaceTimeField, read_container, write_container
         g = amalgam.GridSpec(n, 2.0, 8)
         values = np.cos(np.arange(2 * g.size)).reshape((2,) + g.shape) * (0.5 - 0.25j)
         values -= values.mean(axis=tuple(range(1, n + 1)), keepdims=True)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "field.bin"
-            write_spacetime(SpaceTimeField(g, [0.0, 0.5], values), path)
+            write_container(path, g, [0.0, 0.5], [values])
             raw = bytearray(path.read_bytes())
             if length is not None:
                 raw[8:16] = struct.pack("<d", length)
@@ -699,7 +726,8 @@ class TestFuzz:
                 raw[pos] = byte
             path.write_bytes(bytes(raw[:cut]) + tail)
             try:
-                stf = read_spacetime(path)
+                grid, times, blocks = read_container(path)
+                stf = SpaceTimeField(grid, times, np.concatenate(list(blocks)))
             except ValueError as exc:
                 assert path.name in str(exc)
             else:

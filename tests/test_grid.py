@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from amalgam.grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _blocks,
     _dft,
     _lq,
     _phase,
@@ -12,10 +15,9 @@ from amalgam.grid import (
     boundary_mass_fraction,
     lebesgue_norm,
     mixed_lebesgue_norm,
-    read_spacetime,
-    transform,
+    read_container,
     trapezoid_weights,
-    write_spacetime,
+    write_container,
 )
 from amalgam.propagator import hsigma_norm
 from amalgam.verify import band_limited_field, gaussian_datum
@@ -25,6 +27,21 @@ from amalgam.wiener import WindowSpec, amalgam_norm, spacetime_amalgam_norm, uni
 def random_field(grid, rng):
     vals = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     return SampledField(grid, vals)
+
+
+def transform(fld, direction):
+    """The "forward" or "inverse" transform of one field."""
+    return SampledField(fld.grid, _dft(fld.values, fld.grid, direction == "inverse"))
+
+
+def write_spacetime(stf, path):
+    write_container(path, stf.grid, stf.times, [stf.values])
+
+
+def read_spacetime(path):
+    """A container as one field: its blocks, concatenated."""
+    grid, times, blocks = read_container(path)
+    return SpaceTimeField(grid, times, np.concatenate(list(blocks)))
 
 
 class TestMakeGrid:
@@ -267,7 +284,6 @@ class TestSerialization:
         path = tmp_path / "f.bin"
         write_spacetime(SpaceTimeField(g, [0.0], f.values[None]), path)
         raw = path.read_bytes()
-        import struct
         n, L, N, nslices = struct.unpack_from("<qdqq", raw)
         assert (n, L, N, nslices) == (1, 1.0, 8, 1)
         data = np.frombuffer(raw, dtype="<f8", offset=struct.calcsize("<qdqq") + 8)
@@ -302,8 +318,28 @@ class TestSerialization:
         with pytest.raises(ValueError, match=path.name):
             read_spacetime(path)
 
+    def test_blocks_are_read_and_checked_one_at_a_time(self, tmp_path):
+        # three slices of 2^16 points: one slice per block, written as three blocks
+        g = GridSpec(1, 16.0, 2 ** 16)
+        assert len(_blocks(3, g)) == 3
+        values = np.arange(3 * g.size).reshape((3,) + g.shape) * (1 - 1j)
+        path = tmp_path / "three.bin"
+        write_container(path, g, [0.0, 0.5, 1.0], iter(values[:, None]))
+        grid, times, blocks = read_container(path)
+        blocks = list(blocks)
+        assert grid == g and np.array_equal(times, [0.0, 0.5, 1.0])
+        assert [b.shape for b in blocks] == [(1,) + g.shape] * 3
+        assert np.array_equal(np.concatenate(blocks), values)
+        raw = bytearray(path.read_bytes())
+        raw[-16:-8] = struct.pack("<d", np.nan)  # the last slice's last sample
+        path.write_bytes(bytes(raw))
+        blocks = read_container(path)[2]
+        assert np.array_equal(next(blocks)[0], values[0])
+        assert np.array_equal(next(blocks)[0], values[1])
+        with pytest.raises(ValueError, match=f"{path.name}.*non-finite"):
+            next(blocks)
+
     def test_bad_header_values_rejected(self, tmp_path, rng):
-        import struct
         path = self._container(tmp_path, rng)
         raw = path.read_bytes()
         for header in ((4, 1.0, 8, 2), (1, 1.0, 0, 2), (1, 1.0, 8, 0), (1, float("nan"), 8, 2)):

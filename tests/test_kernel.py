@@ -8,6 +8,7 @@ from scipy.special import gamma, gammaln, hyp1f1
 from amalgam.grid import GridSpec, SampledField
 from amalgam.propagator import (
     KERNEL_RTOL,
+    _laguerre,
     kernel_amalgam_profile,
     kernel_bound,
     kernel_eval,
@@ -179,6 +180,20 @@ class TestKernelEval:
             ks = kernel_eval(n, sigma, 0.25, xs)
             err = np.abs(ks.values - [mp_kernel(n, sigma, 0.25, x) for x in xs])
             assert np.all(err <= 1e-9 * envelope(n, sigma, 0.25, xs)), frac
+
+
+@pytest.mark.parametrize("alpha", [-0.7, -0.2, 0.3, 0.5])
+def test_laguerre_rule_is_cached_exact_and_read_only(alpha):
+    # the 16-node rule for u^alpha e^-u, weights summing to 1, integrates u^k exactly
+    # for k <= 31: E[u^k] = Gamma(alpha + 1 + k) / Gamma(alpha + 1) for u ~ Gamma(alpha + 1)
+    u, w = _laguerre(alpha)
+    assert _laguerre(alpha)[0] is u
+    for k in range(9):
+        want = mp.gamma(alpha + 1 + k) / mp.gamma(alpha + 1)
+        assert float(np.sum(w * u ** k)) == pytest.approx(float(want), rel=1e-12)
+    for a in (u, w):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def lattice_radii(grid):

@@ -15,12 +15,11 @@ from amalgam.grid import (
     SampledField,
     SpaceTimeField,
     _dft,
-    read_spacetime,
-    transform,
+    read_container,
     trapezoid_weights,
-    write_spacetime,
+    write_container,
 )
-from amalgam.propagator import _propagate, adjoint_accumulate, evolve, evolve_series
+from amalgam.propagator import _propagate, adjoint_accumulate, evolve_blocks
 from amalgam.verify import band_limited_field, bilinear_form
 from amalgam.wiener import spacetime_inner_product
 
@@ -41,8 +40,7 @@ def evolve_reference(fld, t, sigma):
     if sigma > 0:
         with np.errstate(divide="ignore"):
             mult = mult * np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
-    spec = transform(fld, "forward").values
-    return transform(SampledField(g, mult * spec), "inverse").values
+    return _dft(mult * _dft(fld.values, g), g, inverse=True)
 
 
 def adjoint_reference(stf, sigma):
@@ -91,11 +89,14 @@ def close(got, want, rtol=1e-12):
 class TestBatchedEvolution:
     def test_series_slices_match_evolve(self, g, sigma):
         f = band_limited_field(g, 3, kmax=g.npts // 2 - 1)
-        stf = evolve_series(f, TIMES, sigma)
-        assert stf.values.shape == (len(TIMES),) + g.shape
+        pairs = list(evolve_blocks(f, TIMES, sigma))
+        values = np.concatenate([block for _, block in pairs])
+        assert values.shape == (len(TIMES),) + g.shape
+        assert np.array_equal(np.concatenate([t for t, _ in pairs]), TIMES)
         for k, t in enumerate(TIMES):
-            assert close(stf.values[k], evolve(f, t, sigma).values)
-            assert close(stf.values[k], evolve_reference(f, t, sigma))
+            ((_, one),) = evolve_blocks(f, [t], sigma)
+            assert close(values[k], one[0])
+            assert close(values[k], evolve_reference(f, t, sigma))
 
     def test_adjoint_matches_slice_loop(self, g, sigma):
         stf = random_stf(g, TIMES, 40)
@@ -155,9 +156,9 @@ class TestSpaceTimeField:
 def test_container_roundtrip(g, tmp_path):
     stf = random_stf(g, TIMES, 11)
     path = tmp_path / "field.bin"
-    write_spacetime(stf, path)
+    write_container(path, g, stf.times, [stf.values[:2], stf.values[2:]])
     assert path.stat().st_size == 32 + 8 * len(TIMES) + 16 * len(TIMES) * g.size
-    back = read_spacetime(path)
-    assert back.grid == g
-    assert np.array_equal(back.times, stf.times)
-    assert np.array_equal(back.values, stf.values)
+    grid, times, blocks = read_container(path)
+    assert grid == g
+    assert np.array_equal(times, stf.times)
+    assert np.array_equal(np.concatenate(list(blocks)), stf.values)
