@@ -7,8 +7,10 @@ names the flag.  The token ``inf`` denotes infinity in every exponent
 flag; exponents parse as exact rationals (``10``, ``10/3``, ``0.3``).  A
 config file of ``key = value`` lines may supply any flag (``key = true``
 sets a flag that takes no value); explicit command-line flags override it.
-The output directory comes from --out, else $AMALGAM_OUT, else
-./amalgam-out.
+A flag with no default is required, except --out and --input.  The output
+directory comes from --out, else $AMALGAM_OUT, else ./amalgam-out.  Every
+JSON file written is standard JSON, with exponents and non-finite floats as
+text.
 """
 
 from __future__ import annotations
@@ -110,53 +112,54 @@ def _build_parser() -> tuple:
     p.add_argument("--config", help="key = value file supplying default flags")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, help_):
+    def add(name, help_, handler):
         sp = sub.add_parser(name, help=help_, allow_abbrev=False)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--out", help="output directory (default $AMALGAM_OUT or ./amalgam-out)")
         _flags(sp, seed="0")
         return sp
 
-    sp = add("check-tuple", "run an admissibility predicate on one tuple")
+    sp = add("check-tuple", "run an admissibility predicate on one tuple", _cmd_check_tuple)
     sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS)
     _flags(sp, n=None, sigma="0", qt="2", rt="2", q="2", r="2")
 
-    sp = add("region", "scan an admissibility region in reciprocal coordinates")
+    sp = add("region", "scan an admissibility region in reciprocal coordinates", _cmd_region)
     sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS)
     _flags(sp, n=None, sigma="0", free=None, fixed="", resolution="64")
 
-    sp = add("norm", "compute a norm of a generated or loaded field")
+    sp = add("norm", "compute a norm of a generated or loaded field", _cmd_norm)
     sp.add_argument("--kind", choices=["lebesgue", "hsigma", "amalgam"])
     _field_flags(sp)
     _flags(sp, p="2", q="2", sigma="0", window_radius="0.5", window_step="1")
     sp.add_argument("--window", default="cube", choices=["cube", "gaussian", "bump"])
     sp.add_argument("--window-norm", default="partition", choices=["l2", "partition"])
 
-    sp = add("evolve", "free evolution of a datum over a time list")
+    sp = add("evolve", "free evolution of a datum over a time list", _cmd_evolve)
     _field_flags(sp)
     _flags(sp, sigma="0", times="0.5")
     sp.add_argument("--save-field", action="store_true",
                     help="also write the evolved slices as a binary container")
 
-    for name, help_ in (("kernel-profile", "windowed kernel norm h(t) over log-spaced times"),
-                        ("fit-decay", "kernel profile plus two-regime slope fit")):
-        sp = add(name, help_)
+    for sp in (add("kernel-profile", "windowed kernel norm h(t) over log-spaced times",
+                   _cmd_kernel_profile),
+               add("fit-decay", "kernel profile plus two-regime slope fit", _cmd_fit_decay)):
         _flags(sp, n="1", sigma=None, rt=None, r=None, grid_l="64", grid_npts="4096",
                tmin="0.02", tmax="50", per_decade="24")
     _flags(sp, tol="0.05")  # fit-decay's
 
-    sp = add("ratio", "space-time amalgam norm over data norm for one tuple")
+    sp = add("ratio", "space-time amalgam norm over data norm for one tuple", _cmd_ratio)
     _field_flags(sp)
     sp.set_defaults(gen="modulated")  # ratio needs zero-mode-free data
     _flags(sp, n="1", sigma=None, qt=None, rt=None, q=None, r=None, t_outer="32")
     sp.add_argument("--weak", action="store_true")
 
-    sp = add("suite", "lattice identity / inequality property suite")
+    sp = add("suite", "lattice identity / inequality property suite", _cmd_suite)
     _flags(sp, corpus_size="100")
 
-    sp = add("hls", "1-D fractional-integration ratio check")
+    sp = add("hls", "1-D fractional-integration ratio check", _cmd_hls)
     _flags(sp, p=None, alpha=None, trials="200")
 
-    sp = add("bilinear", "double-integral vs factorized bilinear form")
+    sp = add("bilinear", "double-integral vs factorized bilinear form", _cmd_bilinear)
     _flags(sp, grid_n="1", grid_l="8", grid_npts="64", sigma="0.3", ntimes="9", pairs="10")
     return p, sub.choices
 
@@ -205,16 +208,10 @@ def _parse(argv) -> argparse.Namespace:
             except _UsageError as exc:
                 raise _UsageError(f"config file {known.config}: {exc}") from None
     args = parser.parse_args(rest)
-    for name in _REQUIRED.get(args.command, ()):
-        if getattr(args, name, None) is None:
-            flag = "--set" if name == "condition_set" else f"--{name.replace('_', '-')}"
-            raise _UsageError(f"{flag} is required for {args.command}")
+    for action in commands[args.command]._actions:  # a flag with no default is required
+        if action.dest not in ("help", "out", "input") and getattr(args, action.dest) is None:
+            raise _UsageError(f"{action.option_strings[0]} is required for {args.command}")
     return args
-
-
-def _outdir(args) -> Path:
-    out = args.out or os.environ.get("AMALGAM_OUT") or "amalgam-out"
-    return Path(out)
 
 
 def _window_from(args):
@@ -261,18 +258,26 @@ def _tuple_from(args) -> expo.ExponentTuple:
 # (exit code, extra manifest fields)
 # ---------------------------------------------------------------------------
 
+def _approx(x) -> float:
+    """float(x); an exact value beyond the float64 range is +-inf."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _cmd_check_tuple(args, outdir):
-    if args.condition_set == "classical":
-        rep = expo.is_schrodinger_admissible(args.q, args.r, args.n)
-    elif args.condition_set == "proposition":
-        rep = expo.satisfies_prop_kernel(args.n, args.sigma, args.rt, args.r)
-    else:
-        rep = expo.predicate_for(args.condition_set)(_tuple_from(args))
-    (outdir / "report.json").write_text(json.dumps(rep.to_json_dict(), indent=2) + "\n")
+    rep = expo.predicate_for(args.condition_set)(_tuple_from(args))
+    verdict = "accept" if rep.verdict else "reject"
+    _write_json(outdir / "report.json", {
+        "label": rep.label, "verdict": verdict, "case": rep.case,
+        "constraints": [{"name": c.name, "passed": c.passed, "slack": c.slack,
+                         "slack_float": None if c.slack is None else _approx(c.slack)}
+                        for c in rep.constraints]})
     rows = [(c.name, int(c.passed), "" if c.slack is None else fmt(c.slack))
             for c in rep.constraints]
     write_csv(outdir / "results.csv", ["constraint", "passed", "slack"], rows)
-    print(f"{args.condition_set}: {'accept' if rep.verdict else 'reject'}")
+    print(f"{args.condition_set}: {verdict}")
     for c in rep.constraints:
         mark = "ok " if c.passed else "VIOLATED"
         print(f"  [{mark}] {c.name}" + ("" if c.slack is None else f"  (slack {fmt(c.slack)})"))
@@ -307,8 +312,7 @@ def _cmd_norm(args, outdir):
         res = hsigma_norm(fld, to_float(args.sigma))
     else:
         res = amalgam_norm(fld, args.p, args.q, _window_from(args))
-    report = {**res.to_json_dict(), **source}
-    (outdir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
+    _write_json(outdir / "report.json", {**vars(res), **source})
     write_csv(outdir / "results.csv", ["space", "value"], [(res.space, res.value)])
     print(f"{res.space}: {res.value:.12g}")
     return 0, {}
@@ -350,7 +354,7 @@ def _profile_from(args):
     from .wiener import unit_cube_partition
     grid = GridSpec(args.n, args.grid_l, args.grid_npts)
     times = profile_times(args.tmin, args.tmax, args.per_decade)
-    prof = kernel_amalgam_profile(args.n, to_float(args.sigma), args.rt, args.r,
+    prof = kernel_amalgam_profile(to_float(args.sigma), args.rt, args.r,
                                   unit_cube_partition(), times, grid)
     return prof, {"max_est_error": float(prof.est_error.max())}
 
@@ -359,9 +363,8 @@ def _cmd_kernel_profile(args, outdir):
     prof, health = _profile_from(args)
     write_csv(outdir / "results.csv", ["t", "value", "est_error"],
               list(zip(prof.times, prof.values, prof.est_error)))
-    (outdir / "profile.json").write_text(json.dumps(
-        {"meta": prof.meta, "times": list(prof.times), "values": list(prof.values),
-         "est_error": list(prof.est_error)}, indent=2, default=float) + "\n")
+    _write_json(outdir / "profile.json", {"meta": prof.meta, "times": prof.times,
+                                          "values": prof.values, "est_error": prof.est_error})
     print(f"profile over {len(prof.times)} instants -> {outdir / 'results.csv'}")
     return 0, health
 
@@ -463,7 +466,7 @@ def _random_stf(grid, times, seed):
 
 
 # ---------------------------------------------------------------------------
-# run manifests / CSV output
+# run manifests / CSV and JSON output
 # ---------------------------------------------------------------------------
 
 def _fmt_float(x) -> str:
@@ -480,7 +483,10 @@ def write_csv(path, header, rows) -> None:
 
 
 def _plain(v):
-    """v for JSON: exact exponents and non-finite floats as text (``10/3``, ``inf``)."""
+    """v for JSON: numpy scalars and arrays as Python numbers and lists, exact exponents
+    and non-finite floats as text (``10/3``, ``inf``)."""
+    if type(v).__module__ == "numpy":  # told apart without importing numpy
+        v = v.tolist()
     if isinstance(v, dict):
         return {k: _plain(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -490,34 +496,10 @@ def _plain(v):
     return v
 
 
-def _write_manifest(outdir: Path, manifest: dict) -> None:
-    text = json.dumps(_plain(manifest), indent=2, sort_keys=True, default=str)
-    (outdir / "manifest.json").write_text(text + "\n")
-
-
-_REQUIRED = {
-    "check-tuple": ("condition_set", "n"),
-    "region": ("condition_set", "n", "free"),
-    "norm": ("kind",),
-    "kernel-profile": ("sigma", "rt", "r"),
-    "fit-decay": ("sigma", "rt", "r"),
-    "ratio": ("sigma", "qt", "rt", "q", "r"),
-    "hls": ("p", "alpha"),
-}
-
-
-_HANDLERS = {
-    "check-tuple": _cmd_check_tuple,
-    "region": _cmd_region,
-    "norm": _cmd_norm,
-    "evolve": _cmd_evolve,
-    "kernel-profile": _cmd_kernel_profile,
-    "fit-decay": _cmd_fit_decay,
-    "ratio": _cmd_ratio,
-    "suite": _cmd_suite,
-    "hls": _cmd_hls,
-    "bilinear": _cmd_bilinear,
-}
+def _write_json(path, data, sort_keys: bool = False) -> None:
+    """data as standard JSON: no NaN or Infinity token is ever written."""
+    text = json.dumps(_plain(data), indent=2, sort_keys=sort_keys, allow_nan=False)
+    Path(path).write_text(text + "\n")
 
 
 def run(argv) -> int:
@@ -533,8 +515,9 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    outdir = _outdir(args)
-    params = {k: v for k, v in vars(args).items() if k != "command" and v is not None}
+    outdir = Path(args.out or os.environ.get("AMALGAM_OUT") or "amalgam-out")
+    params = {k: v for k, v in vars(args).items()
+              if k not in ("command", "handler") and v is not None}
     manifest = {"command": args.command, "params": params, "seed": args.seed,
                 "status": "incomplete", "tool_version": __version__, "wall_time_s": None}
     started = time.time()
@@ -543,9 +526,9 @@ def run(argv) -> int:
         warnings.simplefilter("always")
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            _write_manifest(outdir, manifest)
+            _write_json(outdir / "manifest.json", manifest, sort_keys=True)
             written = True
-            code, extra = _HANDLERS[args.command](args, outdir)
+            code, extra = args.handler(args, outdir)
             manifest.update(extra, status="complete")
         except Exception as exc:
             error = exc
@@ -555,7 +538,7 @@ def run(argv) -> int:
         print(f"warning: {note}", file=sys.stderr)
     manifest.update(warnings=notes, wall_time_s=round(time.time() - started, 3))
     if written:
-        _write_manifest(outdir, manifest)
+        _write_json(outdir / "manifest.json", manifest, sort_keys=True)
     if error is None:
         return code
     if not isinstance(error, (ValueError, OSError)):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .extreal import INF, as_extended, as_rational, fmt, from_recip, recip
+from .extreal import INF, as_extended, as_rational, from_recip, recip
 
 __all__ = [
     "CONDITION_SETS",
@@ -82,27 +82,12 @@ class ExponentTuple:
     def reciprocals(self) -> dict:
         return {name: recip(getattr(self, name)) for name in AXES}
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, **{name: fmt(getattr(self, name)) for name in ("sigma", *AXES)}}
-
 
 @dataclass(frozen=True)
 class ConstraintCheck:
     name: str
     passed: bool
     slack: Fraction | None = None  # margin in reciprocal coordinates
-
-    def to_json_dict(self) -> dict:
-        try:
-            approx = None if self.slack is None else float(self.slack)
-        except OverflowError:  # an exact slack beyond float64, written as NormResult writes inf
-            approx = "inf" if self.slack > 0 else "-inf"
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "slack": None if self.slack is None else fmt(self.slack),
-            "slack_float": approx,
-        }
 
 
 @dataclass
@@ -117,14 +102,6 @@ class RegionReport:
 
     def failed(self) -> list:
         return [c for c in self.constraints if not c.passed]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "verdict": "accept" if self.verdict else "reject",
-            "case": self.case,
-            "constraints": [c.to_json_dict() for c in self.constraints],
-        }
 
 
 def _form(const=0, **coef) -> tuple:

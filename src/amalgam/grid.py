@@ -193,22 +193,6 @@ class NormResult:
     meta: dict = field(default_factory=dict)
     est_error: float | None = None
 
-    def to_json_dict(self) -> dict:
-        def enc(v):
-            if isinstance(v, float) and np.isinf(v):
-                return "inf"
-            if isinstance(v, (np.floating, np.integer)):
-                return v.item()
-            return v
-
-        return {
-            "value": float(self.value),
-            "space": self.space,
-            "exponents": {k: enc(v) for k, v in self.exponents.items()},
-            "meta": {k: enc(v) for k, v in self.meta.items()},
-            "est_error": self.est_error,
-        }
-
 
 @functools.lru_cache(maxsize=16)
 def _phase(grid: GridSpec) -> np.ndarray:
@@ -347,15 +331,25 @@ def _naming(path):
 
 def write_container(path, g: GridSpec, times, blocks) -> None:
     """Write the header and the instants, checked as SpaceTimeField checks them, then
-    each (k, *g.shape) block of the iterable in turn; if a block fails, the partial
-    file is removed."""
+    each (k, *g.shape) block of the iterable in turn.  A block of another shape, or
+    blocks that do not hold len(times) slices in all, is a ValueError that names the
+    file; if anything fails, the partial file is removed."""
     times = _instants(times)
     with open(path, "wb") as fh:
         try:
             fh.write(_HEADER.pack(g.n, g.length, g.npts, len(times)))
             fh.write(np.asarray(times, dtype="<f8").tobytes())
+            count = 0
             for block in blocks:
-                fh.write(np.ascontiguousarray(block, dtype="<c16"))
+                block = np.ascontiguousarray(block, dtype="<c16")
+                if block.shape[1:] != g.shape:
+                    raise ValueError(f"field container {path}: a block of shape "
+                                     f"{block.shape}, not (k, *{g.shape})")
+                count += len(block)
+                fh.write(block)
+            if count != len(times):
+                raise ValueError(f"field container {path}: the blocks hold {count} slices, "
+                                 f"the instants {len(times)}")
         except BaseException:
             fh.close()
             os.unlink(path)

@@ -85,13 +85,11 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     data with significant zero-mode mass get a warning (the smoothing
     weight is singular there and the lattice convention matters).
     """
-    return _hsigma_norm(_dft(fld.values, fld.grid), fld.grid, sigma)
-
-
-def _hsigma_norm(spec: np.ndarray, g: GridSpec, sigma: float) -> NormResult:
     sigma = float(sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
+    g = fld.grid
+    spec = _dft(fld.values, g)
     w = (g.dxi / (2.0 * np.pi)) ** g.n
     if sigma > 0:
         xi, inv = _shells(g)
@@ -102,7 +100,7 @@ def _hsigma_norm(spec: np.ndarray, g: GridSpec, sigma: float) -> NormResult:
         warnings.warn(
             f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; "
             "the smoothing weight drops it, so the norm undercounts this field",
-            stacklevel=3,
+            stacklevel=2,
         )
     return NormResult(
         value=value,
@@ -360,16 +358,16 @@ def profile_times(tmin: float = 0.02, tmax: float = 50.0,
     return np.unique(ts)
 
 
-def kernel_amalgam_profile(n: int, sigma: float, rt, r, window: WindowSpec,
+def kernel_amalgam_profile(sigma: float, rt, r, window: WindowSpec,
                            times, grid: GridSpec) -> DecayProfile:
-    """h(t) = windowed amalgam norm of K_t with exponents (rt/2, r/2).
+    """h(t) = windowed amalgam norm of K_t with exponents (rt/2, r/2), in the grid's
+    dimension n.
 
     The region conditions are checkable (exponents.satisfies_prop_kernel)
     but deliberately not enforced: probing outside the region is part of
     the point.  Kernel error bounds propagate into the profile.
     """
-    if grid.n != n:
-        raise ValueError("grid dimension must match n")
+    n = grid.n
     rtf, rf = to_float(rt), to_float(r)
     if rtf < 2 or rf < 2:
         raise ValueError("rt and r must lie in [2, inf]")

@@ -35,7 +35,6 @@ from .grid import (
 )
 from .propagator import (
     DecayProfile,
-    _hsigma_norm,
     _propagate,
     adjoint_accumulate,
     evolve_blocks,
@@ -280,14 +279,15 @@ class RatioResult:
 def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
                      window_t: WindowSpec, window_x: WindowSpec,
                      times=None, weak: bool = False) -> RatioResult:
-    """Space-time amalgam norm of the free evolution over the data norm."""
+    """Space-time amalgam norm of the free evolution over the data norm; the tuple's
+    dimension must be the field's."""
+    if tup.n != fld.grid.n:
+        raise ValueError(f"the tuple's dimension n = {tup.n} is not the field's, {fld.grid.n}")
     rep = expo.satisfies_theorem(tup)
     if not rep.verdict:
         failed = ", ".join(c.name for c in rep.failed())
         raise ValueError(f"tuple outside the admissible region: {failed}")
-    g = fld.grid
-    spec = _dft(fld.values, g)
-    data = _hsigma_norm(spec, g, float(tup.sigma))  # sigma > 0: meta has the zero-mode fraction
+    data = hsigma_norm(fld, float(tup.sigma))  # sigma > 0: meta has the zero-mode fraction
     denom, zfrac = data.value, data.meta["zero_mode_fraction"]
     if denom == 0.0:
         raise ValueError("degenerate datum: zero smoothing norm (f = 0?)")
@@ -297,8 +297,8 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     times = _instants(default_ratio_times() if times is None else times)
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
     # one block of instants at a time is evolved, then reduced to its spatial norms
-    num, _ = _spacetime_norm(lambda b: _propagate(spec, times[b], 0.0, g), g, times, *exps,
-                             window_t, window_x, weak)
+    blocks = (block for _, block in evolve_blocks(fld, times))
+    num, _ = _spacetime_norm(blocks, fld.grid, times, *exps, window_t, window_x, weak)
     return RatioResult(
         value=num / denom,
         numerator=num,
@@ -327,16 +327,18 @@ class ScalingSweep:
         return bool(np.all(diffs > 0) or np.all(diffs < 0))
 
 
-def classical_scaling_sweep(datum_fn, lambdas, n: int, sigma, q, grid: GridSpec,
+def classical_scaling_sweep(datum_fn, lambdas, sigma, q, grid: GridSpec,
                             r_override=None) -> ScalingSweep:
-    """Mixed-norm/smoothing-norm ratio under dilation of the datum.
+    """Mixed-norm/smoothing-norm ratio under dilation of the datum, in the grid's
+    dimension n.
 
     With r solved from the scale-invariant line the ratio is
     dilation-invariant; ``r_override`` deliberately breaks the line for
     control runs (the ratio then drifts monotonically in lambda).  A dilate
     with boundary mass fraction 1e-6 or more is a ValueError.
     """
-    r = expo.classical_sobolev_line(n, sigma, q) if r_override is None else as_extended(r_override)
+    r = (expo.classical_sobolev_line(grid.n, sigma, q) if r_override is None
+         else as_extended(r_override))
     times = default_ratio_times(t_outer=64.0, outer_step=0.25)
     mesh = grid.meshgrid()
     ratios = []

@@ -235,15 +235,15 @@ def _time_translates(times: np.ndarray, window: WindowSpec) -> np.ndarray:
     return np.arange(lo, hi + 1)
 
 
-def _spacetime_norm(slices, g: GridSpec, times: np.ndarray, qt: float, q: float, rt: float,
+def _spacetime_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float, rt: float,
                     r: float, window_t: WindowSpec, window_x: WindowSpec, weak: bool) -> tuple:
     """spacetime_amalgam_norm of the slices at times, and its number of time translates.
 
-    slices(b) gives the slices of block b of _blocks, reduced at once to their
-    spatial norms; the time reduction then runs on the (T,) vector of those norms.
+    blocks yields the slices in order, a (k, *g.shape) block at a time; each block is
+    reduced at once to its spatial norms, and the time reduction then runs on the (T,)
+    vector of those norms.
     """
-    spatial = np.concatenate([_amalgam_norms(slices(b), rt, r, window_x, g)[0]
-                              for b in _blocks(len(times), g)])
+    spatial = np.concatenate([_amalgam_norms(b, rt, r, window_x, g)[0] for b in blocks])
     ks = _time_translates(times, window_t)
     if len(ks) == 0:
         raise ValueError("no time-window translate fits inside the sampled span")
@@ -276,8 +276,9 @@ def spacetime_amalgam_norm(
     """
     qtf, qf, rtf, rf = (to_float(e) for e in (qt, q, rt, r))
     g = stf.grid
-    value, translates = _spacetime_norm(lambda b: stf.values[b], g, stf.times, qtf, qf, rtf,
-                                        rf, window_t, window_x, weak_outer_time)
+    blocks = (stf.values[b] for b in _blocks(len(stf.times), g))
+    value, translates = _spacetime_norm(blocks, g, stf.times, qtf, qf, rtf, rf,
+                                        window_t, window_x, weak_outer_time)
     return NormResult(
         value=value,
         space="spacetime-amalgam-weak" if weak_outer_time else "spacetime-amalgam",

@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from amalgam.grid import GridSpec
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a commit's result does not
+# change from run to run; local runs keep drawing new ones.  Each test sets its own
+# example count, and both profiles keep it.
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture

@@ -65,7 +65,7 @@ def decay_fits():
     times = profile_times(0.02, 50.0, per_decade=24)
     out = {}
     for label, (sigma, rt, r) in CASES.items():
-        prof = kernel_amalgam_profile(1, sigma, rt, r, unit_cube_partition(),
+        prof = kernel_amalgam_profile(sigma, rt, r, unit_cube_partition(),
                                       times, grid)
         out[label] = fit_decay(prof)
     return out
@@ -245,7 +245,7 @@ def test_criterion_7_window_norm_tail():
     assert satisfies_theorem(tup).verdict
     grid = GridSpec(1, 64.0, 4096)
     times = profile_times(0.01, 66.0, per_decade=24)
-    prof = kernel_amalgam_profile(1, 0.3, "inf", "inf", unit_cube_partition(),
+    prof = kernel_amalgam_profile(0.3, "inf", "inf", unit_cube_partition(),
                                   times, grid)
     # log-log interpolant of h(|t|), power-law accurate between samples
     lt, lv = np.log(prof.times), np.log(prof.values)
@@ -274,9 +274,9 @@ def test_criterion_7_window_norm_tail():
 def test_criterion_8_classical_scaling():
     g = GridSpec(1, 32.0, 1024)
     datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
-    sweep = classical_scaling_sweep(datum, [1.0, 2.0], 1, "0.3", 10, g)
+    sweep = classical_scaling_sweep(datum, [1.0, 2.0], "0.3", 10, g)
     invariant_ok = sweep.invariant_within <= 0.10
-    control = classical_scaling_sweep(datum, [1.0, 2.0, 4.0], 1, "0.3", 10, g,
+    control = classical_scaling_sweep(datum, [1.0, 2.0, 4.0], "0.3", 10, g,
                                       r_override=10)
     control_ok = control.monotone and control.max_drift > sweep.invariant_within
     ok = invariant_ok and control_ok

@@ -56,7 +56,25 @@ class TestCheckTuple:
         assert report["verdict"] == "accept"
 
 
+# a valid value for each flag that has no default
+_VALID = {"--set": "theorem", "--n": "1", "--free": "qt,q", "--kind": "lebesgue",
+          "--sigma": "0.3", "--qt": "2", "--rt": "inf", "--q": "10", "--r": "inf",
+          "--p": "4/3", "--alpha": "0.5"}
+_NO_DEFAULT = [(name, action.option_strings[0])
+               for name, sp in cli._build_parser()[1].items() for action in sp._actions
+               if action.default is None and action.dest not in ("out", "input")]
+
+
 class TestUsageErrors:
+    @pytest.mark.parametrize("command,flag", _NO_DEFAULT,
+                             ids=[f"{c}/{f}" for c, f in _NO_DEFAULT])
+    def test_flag_without_default_is_required(self, tmp_path, capsys, command, flag):
+        given = [tok for other, value in _VALID.items() if other != flag
+                 and (command, other) in _NO_DEFAULT for tok in (other, value)]
+        assert invoke([command, *given], tmp_path) == 2
+        assert capsys.readouterr().err == f"usage error: {flag} is required for {command}\n"
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_unknown_flag(self, tmp_path):
         assert invoke(["check-tuple", "--set", "theorem", "--n", "1",
                        "--bogus", "3"], tmp_path) == 2
@@ -84,8 +102,12 @@ class TestExponentErrors:
         ["check-tuple", "--set", "proposition", "--n", "1", "--sigma", "inf",
          "--rt", "inf", "--r", "10"],
         ["hls", "--p", "inf", "--alpha", "0.5"],
+        # every set checks the whole tuple, the exponents its clauses do not use included
+        ["check-tuple", "--set", "classical", "--n", "2", "--q", "1/2", "--r", "2"],
+        ["check-tuple", "--set", "proposition", "--n", "1", "--sigma", "-1",
+         "--rt", "inf", "--r", "10"],
     ], ids=["classical-q0", "proposition-r0", "norm-p-1/0", "norm-p-1e400",
-            "proposition-sigma-inf", "hls-p-inf"])
+            "proposition-sigma-inf", "hls-p-inf", "classical-q-half", "proposition-sigma-neg"])
     def test_exit_two_with_one_line(self, tmp_path, capsys, argv):
         assert invoke(argv, tmp_path) == 2
         err = capsys.readouterr().err
@@ -96,11 +118,12 @@ class TestExponentErrors:
         assert "'1/0'" in capsys.readouterr().err
 
     def test_slack_beyond_float_range(self, tmp_path):
-        # 2/q + n/r = n/2 misses by about 1e400, exactly; its float form is "inf"
-        assert invoke(["check-tuple", "--set", "classical", "--q", "4", "--r", "1e-400",
-                       "--n", "2"], tmp_path) == 0
+        # sigma > 0 and sigma < n/2 hold by about +1e400 and -1e400, exactly; their
+        # float forms are "inf" and "-inf"
+        assert invoke(["check-tuple", "--set", "theorem", "--n", "1", "--sigma", "1e400"],
+                      tmp_path) == 0
         report = json.loads((tmp_path / "report.json").read_text())
-        assert [c["slack_float"] for c in report["constraints"]][1:3] == ["-inf", "inf"]
+        assert [c["slack_float"] for c in report["constraints"]][5:7] == ["inf", "-inf"]
 
     def test_region_fixed_without_value(self, tmp_path, capsys):
         code = invoke(["region", "--set", "theorem", "--n", "1", "--sigma", "0.3",
@@ -180,6 +203,33 @@ class TestFlagTypes:
                               parse_constant=no_constants)
         assert manifest["params"]["q"] == "10/3" and manifest["params"]["r"] == "inf"
         assert manifest["params"]["n"] == 2 and manifest["params"]["qt"] == "2"
+
+
+class TestStrictJson:
+    """Every JSON file a command writes is standard JSON: inf and rationals are text."""
+
+    @pytest.mark.parametrize("argv,name,key,want", [
+        (["norm", "--kind", "lebesgue", "--p", "inf", "--grid-npts", "64"],
+         "report.json", ("exponents", "p"), "inf"),
+        (["check-tuple", "--set", "theorem", "--n", "1", "--sigma", "1e400"],
+         "report.json", ("constraints", 6, "slack_float"), "-inf"),
+        (["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
+          "--grid-l", "8", "--grid-npts", "64", "--per-decade", "2"],
+         "profile.json", ("meta", "rt"), "inf"),
+        (["check-tuple", "--set", "classical", "--n", "2", "--q", "10/3", "--r", "5"],
+         "manifest.json", ("params", "q"), "10/3"),
+    ], ids=["norm", "check-tuple", "kernel-profile", "manifest"])
+    def test_no_json_constants(self, tmp_path, argv, name, key, want):
+        def constant(token):
+            raise AssertionError(f"{name} holds the JSON constant {token}")
+
+        assert invoke(argv, tmp_path) == 0
+        for path in tmp_path.glob("*.json"):
+            json.loads(path.read_text(), parse_constant=constant)
+        value = json.loads((tmp_path / name).read_text())
+        for k in key:
+            value = value[k]
+        assert value == want
 
 
 class TestManifest:
@@ -600,6 +650,19 @@ class TestStreaming:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("usage error:") and "t_outer" in err
+
+    def test_ratio_of_another_dimension_is_usage_error(self, tmp_path, capsys):
+        # admissible at n = 1, rejected by the theorem at n = 2: generated and loaded fields
+        from amalgam.grid import write_container
+        from amalgam.verify import modulated_gaussian
+        g = amalgam.GridSpec(2, 16.0, 64)
+        path = tmp_path / "n2.bin"
+        write_container(path, g, [0.0], [modulated_gaussian(g, mode=20).values[None]])
+        for field in (["--grid-n", "2", "--grid-npts", "64"], ["--input", str(path)]):
+            assert invoke(_RATIO + ["--n", "1", "--t-outer", "2"] + field, tmp_path) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.count("\n") == 1 and "dimension n = 1 is not the field's, 2" in err
 
     def test_ratio_manifest_records_instants(self, tmp_path):
         from amalgam.verify import default_ratio_times

@@ -339,6 +339,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{path.name}.*non-finite"):
             next(blocks)
 
+    @pytest.mark.parametrize("blocks,match", [
+        ([np.ones((1, 8))], "blocks hold 1 slices, the instants 2"),
+        ([np.ones((2, 8)), np.ones((1, 8))], "blocks hold 3 slices, the instants 2"),
+        ([np.ones((2, 4))], r"shape \(2, 4\)"),
+        ([np.ones((1, 8)), np.ones((1, 1, 8))], r"shape \(1, 1, 8\)"),
+        ([np.ones(8)], r"shape \(8,\)"),
+    ], ids=["too-few", "too-many", "short-slices", "extra-axis", "no-slice-axis"])
+    def test_blocks_that_do_not_fit_are_rejected(self, tmp_path, blocks, match):
+        # a reader would reject each of these files; none is left behind
+        path = tmp_path / "bad.bin"
+        with pytest.raises(ValueError, match=f"{path.name}: .*{match}"):
+            write_container(path, GridSpec(1, 2.0, 8), [0.0, 1.0], blocks)
+        assert not path.exists()
+
     def test_bad_header_values_rejected(self, tmp_path, rng):
         path = self._container(tmp_path, rng)
         raw = path.read_bytes()

@@ -212,7 +212,7 @@ class TestProfileOnLattice:
     def test_matches_kernel_eval_at_every_radius(self, sigma, grid):
         times = np.array([0.05, 1.3, 7.0])
         win = unit_cube_partition()
-        prof = kernel_amalgam_profile(grid.n, sigma, "inf", 10, win, times, grid)
+        prof = kernel_amalgam_profile(sigma, "inf", 10, win, times, grid)
         for t, value, est in zip(times, prof.values, prof.est_error):
             ks = kernel_eval(grid.n, sigma, t, lattice_radii(grid))
             fld = SampledField(grid, ks.values.reshape(grid.shape))
@@ -289,7 +289,7 @@ class TestKernelAmalgamProfile:
     def test_sigma0_reference(self):
         g = GridSpec(1, 32.0, 1024)
         times = np.geomspace(0.1, 10.0, 7)
-        prof = kernel_amalgam_profile(1, 0.0, "inf", "inf",
+        prof = kernel_amalgam_profile(0.0, "inf", "inf",
                                       unit_cube_partition(), times, g)
         want = (4.0 * np.pi * times) ** -0.5
         assert np.max(np.abs(prof.values - want) / want) < 1e-4
@@ -297,7 +297,7 @@ class TestKernelAmalgamProfile:
     def test_positive_decreasing(self):
         g = GridSpec(1, 32.0, 1024)
         times = profile_times(0.01, 100.0, per_decade=6)
-        prof = kernel_amalgam_profile(1, 0.3, "inf", "inf",
+        prof = kernel_amalgam_profile(0.3, "inf", "inf",
                                       unit_cube_partition(), times, g)
         assert np.all(prof.values > 0)
         assert np.all(np.diff(prof.values) < 0)
@@ -308,7 +308,7 @@ class TestKernelAmalgamProfile:
         g = GridSpec(1, 8.0, 256)
         sigma, rt, r = 0.3, np.inf, 10.0
         times = np.array([2.0, 5.0, 10.0])
-        prof = kernel_amalgam_profile(1, sigma, rt, r, unit_cube_partition(),
+        prof = kernel_amalgam_profile(sigma, rt, r, unit_cube_partition(),
                                       times, g)
         xs = np.abs(g.axis_points())
         for tval, pval in zip(times, prof.values):
@@ -336,7 +336,7 @@ class TestKernelAmalgamProfile:
     def test_multidimensional_lattice(self, n, sigma, grid):
         # the 2-D case once asked for a 27 GiB outer product at t = 0.02
         times = profile_times(0.02, 50.0, 8)
-        prof = kernel_amalgam_profile(n, sigma, "inf", 10, unit_cube_partition(),
+        prof = kernel_amalgam_profile(sigma, "inf", 10, unit_cube_partition(),
                                       times, grid)
         assert np.all(np.isfinite(prof.values)) and np.all(prof.values > 0)
         t = float(times[0])
@@ -348,7 +348,7 @@ class TestKernelAmalgamProfile:
     def test_rejects_nonpositive_times(self):
         g = GridSpec(1, 8.0, 256)
         with pytest.raises(ValueError):
-            kernel_amalgam_profile(1, 0.3, "inf", "inf", unit_cube_partition(),
+            kernel_amalgam_profile(0.3, "inf", "inf", unit_cube_partition(),
                                    [0.0, 1.0], g)
 
 

@@ -55,7 +55,7 @@ class TestFitDecay:
         from amalgam.grid import GridSpec
         from amalgam.propagator import kernel_amalgam_profile, profile_times
         g = GridSpec(1, 32.0, 1024)
-        prof = kernel_amalgam_profile(1, 0.0, np.inf, np.inf,
+        prof = kernel_amalgam_profile(0.0, np.inf, np.inf,
                                       unit_cube_partition(),
                                       profile_times(0.02, 50.0, 8), g)
         small, large = fit_decay(prof)
@@ -133,6 +133,12 @@ class TestStrichartzRatio:
         with pytest.raises(ValueError, match="outside"):
             strichartz_ratio(f, bad, unit_cube_partition(), unit_cube_partition())
 
+    def test_tuple_of_another_dimension_refused(self):
+        # the tuple is admissible at n = 1, but not at the field's n = 2
+        f = modulated_gaussian(GridSpec(2, 16.0, 64), mode=20)
+        with pytest.raises(ValueError, match="dimension n = 1 is not the field's, 2"):
+            strichartz_ratio(f, self.tuple_accept(), unit_cube_partition(), unit_cube_partition())
+
     def test_unsorted_times_rejected(self):
         g = GridSpec(1, 16.0, 256)
         f = modulated_gaussian(g, mode=40)
@@ -190,13 +196,13 @@ class TestClassicalScaling:
     def test_invariance_on_line(self):
         g = GridSpec(1, 32.0, 1024)
         datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
-        sweep = classical_scaling_sweep(datum, [1.0, 2.0], 1, "0.3", 10, g)
+        sweep = classical_scaling_sweep(datum, [1.0, 2.0], "0.3", 10, g)
         assert sweep.invariant_within < 0.10
 
     def test_control_breaks_monotonically(self):
         g = GridSpec(1, 32.0, 1024)
         datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
-        sweep = classical_scaling_sweep(datum, [1.0, 2.0, 4.0], 1, "0.3", 10, g,
+        sweep = classical_scaling_sweep(datum, [1.0, 2.0, 4.0], "0.3", 10, g,
                                         r_override=10)
         assert sweep.monotone
         assert sweep.max_drift > 0.10
@@ -205,7 +211,7 @@ class TestClassicalScaling:
         g = GridSpec(1, 8.0, 256)
         datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
         with pytest.raises(ValueError, match="boundary"):
-            classical_scaling_sweep(datum, [8.0], 1, "0.3", 10, g)
+            classical_scaling_sweep(datum, [8.0], "0.3", 10, g)
 
 
 def _random_bump(tgrid, rng):
@@ -418,7 +424,7 @@ class TestManifests:
             seen.append(json.loads((outdir / "manifest.json").read_text()))
             return 0, {"value": 1.5}
 
-        monkeypatch.setitem(cli._HANDLERS, "suite", handler)
+        monkeypatch.setattr(cli, "_cmd_suite", handler)
         assert cli.run(["suite", "--seed", "1", "--out", str(tmp_path)]) == 0
         (during,) = seen
         assert during["status"] == "incomplete" and during["wall_time_s"] is None
