@@ -17,10 +17,8 @@ _EXPORTS = {
     "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve_blocks",
                    "hsigma_norm", "kernel_amalgam_profile", "kernel_bound", "kernel_eval",
                    "profile_times"),
-    "exponents": ("ExponentTuple", "RegionReport", "classical_sobolev_line",
-                  "is_schrodinger_admissible", "predicted_kernel_decay", "sample_region",
-                  "satisfies_cn2", "satisfies_corollary", "satisfies_prop_kernel",
-                  "satisfies_theorem"),
+    "exponents": ("ExponentTuple", "RegionReport", "check", "classical_sobolev_line",
+                  "predicted_kernel_decay", "sample_region"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

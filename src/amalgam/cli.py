@@ -55,6 +55,15 @@ def _exponent(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite(text: str) -> float:
+    try:
+        if math.isfinite(val := float(text)):
+            return val
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+
+
 def _axis(name: str) -> str:
     name = name.strip()
     if name not in expo.AXES:
@@ -90,7 +99,7 @@ _TYPES = {
     **dict.fromkeys(("seed", "n", "resolution", "grid-n", "grid-npts", "mode", "per-decade",
                      "corpus-size", "trials", "ntimes", "pairs"), int),
     **dict.fromkeys(("grid-l", "width", "window-radius", "window-step", "tmin", "tmax",
-                     "tol", "t-outer"), float),
+                     "tol", "t-outer"), _finite),
     **dict.fromkeys(("sigma", "qt", "rt", "q", "r", "p", "alpha"), _exponent),
     "free": _axes, "fixed": _fixed, "times": _times,
 }
@@ -267,20 +276,18 @@ def _approx(x) -> float:
 
 
 def _cmd_check_tuple(args, outdir):
-    rep = expo.predicate_for(args.condition_set)(_tuple_from(args))
+    rep = expo.check(args.condition_set, _tuple_from(args))
     verdict = "accept" if rep.verdict else "reject"
     _write_json(outdir / "report.json", {
         "label": rep.label, "verdict": verdict, "case": rep.case,
         "constraints": [{"name": c.name, "passed": c.passed, "slack": c.slack,
-                         "slack_float": None if c.slack is None else _approx(c.slack)}
-                        for c in rep.constraints]})
-    rows = [(c.name, int(c.passed), "" if c.slack is None else fmt(c.slack))
-            for c in rep.constraints]
-    write_csv(outdir / "results.csv", ["constraint", "passed", "slack"], rows)
+                         "slack_float": _approx(c.slack)} for c in rep.constraints]})
+    write_csv(outdir / "results.csv", ["constraint", "passed", "slack"],
+              [(c.name, int(c.passed), fmt(c.slack)) for c in rep.constraints])
     print(f"{args.condition_set}: {verdict}")
     for c in rep.constraints:
         mark = "ok " if c.passed else "VIOLATED"
-        print(f"  [{mark}] {c.name}" + ("" if c.slack is None else f"  (slack {fmt(c.slack)})"))
+        print(f"  [{mark}] {c.name}  (slack {fmt(c.slack)})")
     return 0, {"verdict": rep.verdict}
 
 
@@ -371,8 +378,8 @@ def _cmd_kernel_profile(args, outdir):
 
 def _cmd_fit_decay(args, outdir):
     from .verify import fit_decay
-    if not 0 <= args.tol < math.inf:
-        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    if args.tol < 0:
+        raise ValueError(f"--tol must be >= 0, got {args.tol}")
     prof, health = _profile_from(args)
     small, large = fit_decay(prof)
     write_csv(outdir / "results.csv",

@@ -2,16 +2,17 @@
 
 Every condition is affine in the reciprocals 1/exponent (1/inf = 0).  A
 condition set is one table of clauses over (1, 1/qt, 1/rt, 1/q, 1/r), each
-a name, exact Fraction coefficients and a kind (>=, > or =); a clause's
-slack is the exact value of its form, so no verdict depends on floating
-point.  The classical endpoint exclusion (kind !=) removes one point and
-has no slack.  A region scan clears denominators, which makes every
-clause an integer affine function of the lattice indices, and finds each
-scan row's accepted indices by floor division.
+a name, a kind (>=, > or =) and one affine form with exact Fraction
+coefficients; a clause's slack is the exact value of its form, so no
+verdict depends on floating point.  ``check`` is the one verdict on a
+tuple.  A region scan clears denominators, which makes every clause an
+integer affine function of the lattice indices, and finds each scan
+row's accepted indices by floor division.
 
 Condition sets
 --------------
-classical    : the scale-invariant pair condition for L^q_t L^r_x bounds.
+classical    : the scale-invariant pair condition for L^q_t L^r_x bounds; at
+               n = 2 the clause r < inf excludes the endpoint (2, inf).
 cn2          : the interpolated amalgam region with independent local /
                global exponents (local vs decay decoupling).
 theorem      : the Sobolev-data amalgam region; strict lower bound on the
@@ -41,11 +42,7 @@ __all__ = [
     "RegionScan",
     "constraint_table",
     "evaluate",
-    "is_schrodinger_admissible",
-    "satisfies_cn2",
-    "satisfies_theorem",
-    "satisfies_prop_kernel",
-    "satisfies_corollary",
+    "check",
     "predicted_kernel_decay",
     "classical_sobolev_line",
     "sample_region",
@@ -53,7 +50,7 @@ __all__ = [
 
 AXES = ("qt", "rt", "q", "r")
 CONDITION_SETS = ("classical", "cn2", "theorem", "proposition", "corollary")
-GE, GT, EQ, NE = ">=", ">", "=", "!="
+GE, GT, EQ = ">=", ">", "="
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,7 @@ class ExponentTuple:
 class ConstraintCheck:
     name: str
     passed: bool
-    slack: Fraction | None = None  # margin in reciprocal coordinates
+    slack: Fraction  # the clause's form at the point: its margin in reciprocal coordinates
 
 
 @dataclass
@@ -110,13 +107,12 @@ def _form(const=0, **coef) -> tuple:
 
 
 def _row(name: str, kind: str, const=0, **coef) -> tuple:
-    return name, kind, (_form(const, **coef),)
+    return name, kind, _form(const, **coef)
 
 
 @dataclass(frozen=True)
 class ConstraintTable:
-    """A condition set's clauses (name, kind, forms): one form, whose value is the
-    slack, for >=, > and =; for != the forms that all vanish at the excluded point."""
+    """A condition set's clauses (name, kind, form); the form's value is the slack."""
 
     label: str
     axes: tuple              # the reciprocals the set constrains
@@ -139,12 +135,13 @@ def constraint_table(condition_set: str, n: int, sigma=0) -> ConstraintTable:
         raise ValueError(f"dimension must be >= 1, got {n}")
     sigma = as_rational(sigma)
     half, h = Fraction(1, 2), Fraction(n, 2)
+    r_finite = [_row("r < inf (n = 2)", GT, r=1)] if n == 2 else []
     if condition_set == "classical":
         return ConstraintTable("classical", ("q", "r"), (
             _row("q >= 2", GE, half, q=-1),
             _row("r >= 2", GE, half, r=-1),
             _row("2/q + n/r = n/2", EQ, -h, q=2, r=n),
-            ("(q, r, n) != (2, inf, 2)", NE, (_form(-half, q=1), _form(r=1), _form(n - 2))),
+            *r_finite,
         ))
     if condition_set == "cn2":
         rows = [
@@ -157,7 +154,7 @@ def constraint_table(condition_set: str, n: int, sigma=0) -> ConstraintTable:
             _row("n/2 <= 2/qt + n/rt", GE, -h, qt=2, rt=n),
         ]
         if n == 2:
-            rows += [_row("rt < inf (n = 2)", GT, rt=1), _row("r < inf (n = 2)", GT, r=1)]
+            rows += [_row("rt < inf (n = 2)", GT, rt=1), *r_finite]
         if n >= 3:
             rows.append(_row("rt <= 2n/(n-2)", GE, -Fraction(n - 2, 2 * n), rt=1))
         return ConstraintTable("cn2", AXES, tuple(rows))
@@ -171,7 +168,7 @@ def constraint_table(condition_set: str, n: int, sigma=0) -> ConstraintTable:
             _row("sigma > max(0, (n-2)/4)", GT, sigma - max(0, Fraction(n - 2, 4))),
             _row("sigma < n/2", GT, h - sigma),
             _row("2/qt + (n-1)/rt > n/2 - sigma", GT, sigma - h, qt=2, rt=n - 1),
-            ("2/q + n/r = n/2 - sigma - (n-1)/rt", EQ, (_trade_off(n, sigma),)),
+            ("2/q + n/r = n/2 - sigma - (n-1)/rt", EQ, _trade_off(n, sigma)),
         ))
     if condition_set == "proposition":
         load = {"rt": 1 - n, "r": -n}  # minus (n-1)/rt + n/r
@@ -200,9 +197,8 @@ def constraint_table(condition_set: str, n: int, sigma=0) -> ConstraintTable:
         _row("1/q < 1/qt + 1/4", GT, Fraction(1, 4), qt=1, q=-1),
         _row("1/qt + 1/4 <= 1/2", GE, Fraction(1, 4), qt=-1),
         _row("r >= 2", GE, half, r=-1),
+        *r_finite,
     ]
-    if n == 2:
-        rows.append(_row("r < inf (n = 2)", GT, r=1))
     return ConstraintTable("corollary", AXES, tuple(rows))
 
 
@@ -217,63 +213,18 @@ def evaluate(table: ConstraintTable, u: dict) -> RegionReport:
     """
     x = (1,) + tuple(u.get(a, 0) for a in AXES)
     rep = RegionReport(label=table.label)
-    for k, (name, kind, forms) in enumerate(table.clauses):
+    for k, (name, kind, form) in enumerate(table.clauses):
         if k == table.gate and not rep.verdict:
             return rep
-        values = [sum(c * v for c, v in zip(form, x)) for form in forms]
-        rep.constraints.append(ConstraintCheck(name, any(values)) if kind == NE else
-                               ConstraintCheck(name, _PASSES[kind](values[0]), values[0]))
+        slack = sum(c * v for c, v in zip(form, x))
+        rep.constraints.append(ConstraintCheck(name, _PASSES[kind](slack), slack))
     rep.case = table.case
     return rep
 
 
-def is_schrodinger_admissible(q, r, n: int) -> RegionReport:
-    """q, r >= 2, 2/q + n/r = n/2, (q, r, n) != (2, inf, 2)."""
-    return evaluate(constraint_table("classical", n), {"q": recip(q), "r": recip(r)})
-
-
-def satisfies_cn2(t: ExponentTuple) -> RegionReport:
-    """The interpolated region: local and global exponents decoupled
-    except rt <= r, with the endpoint caveats in dimensions 2 and >= 3."""
-    return evaluate(constraint_table("cn2", t.n, t.sigma), t.reciprocals())
-
-
-def satisfies_theorem(t: ExponentTuple) -> RegionReport:
-    """Sobolev-data amalgam region: exponent ordering, the sigma window,
-    the strict time-local lower bound and the trade-off equality."""
-    return evaluate(constraint_table("theorem", t.n, t.sigma), t.reciprocals())
-
-
-def satisfies_prop_kernel(n: int, sigma, rt, r) -> RegionReport:
-    """Two-regime kernel-decay region in (rt, r).
-
-    For sigma <= n/4 the small-order case applies, for sigma >= n/4 the
-    large-order case; exactly at n/4 either strict inequality suffices.
-    """
-    return evaluate(constraint_table("proposition", n, sigma), {"rt": recip(rt), "r": recip(r)})
-
-
-def satisfies_corollary(t: ExponentTuple) -> RegionReport:
-    """Bilinear-interpolation region with the inner spatial exponent 4."""
-    return evaluate(constraint_table("corollary", t.n, t.sigma), t.reciprocals())
-
-
-_PREDICATES = dict(zip(CONDITION_SETS, (
-    lambda t: is_schrodinger_admissible(t.q, t.r, t.n),
-    satisfies_cn2,
-    satisfies_theorem,
-    lambda t: satisfies_prop_kernel(t.n, t.sigma, t.rt, t.r),
-    satisfies_corollary,
-)))
-
-
-def predicate_for(condition_set: str):
-    try:
-        return _PREDICATES[condition_set]
-    except KeyError:
-        raise ValueError(
-            f"unknown condition set {condition_set!r}; "
-            f"choose from {sorted(CONDITION_SETS)}") from None
+def check(condition_set: str, t: ExponentTuple) -> RegionReport:
+    """One condition set's verdict on a tuple, clause by clause with exact slacks."""
+    return evaluate(constraint_table(condition_set, t.n, t.sigma), t.reciprocals())
 
 
 def predicted_kernel_decay(n: int, sigma, rt, r):
@@ -284,10 +235,10 @@ def predicted_kernel_decay(n: int, sigma, rt, r):
     kernel-decay region, in which case the exponents are formal.
     """
     sigma = as_rational(sigma)
-    urt, ur = recip(rt), recip(r)
-    small = -Fraction(n, 2) + sigma + (n - 1) * urt
-    large = small + n * ur
-    inside = satisfies_prop_kernel(n, sigma, rt, r).verdict
+    u = {"rt": recip(rt), "r": recip(r)}
+    small = -Fraction(n, 2) + sigma + (n - 1) * u["rt"]
+    large = small + n * u["r"]
+    inside = evaluate(constraint_table("proposition", n, sigma), u).verdict
     return small, large, (not inside)
 
 
@@ -349,7 +300,7 @@ class RegionScan:
 
 
 def _interval(rows: list, head: tuple, resolution: int) -> tuple:
-    """(lo, hi): the last index j in [0, resolution] at which every integer
+    """(lo, hi): the range of indices j in [0, resolution] at which every integer
     row c + a . (head, j) is >= 0; (1, 0) if there is none."""
     lo, hi = 0, resolution
     for row in rows:
@@ -391,10 +342,10 @@ def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
     if missing:
         (solved,) = missing
         k = 1 + AXES.index(solved)
-        eq = next((forms[0] for _, kind, forms in clauses if kind == EQ and forms[0][k]), None)
+        eq = next((form for _, kind, form in clauses if kind == EQ and form[k]), None)
         if eq is None:
             raise ValueError(f"the {condition_set} region has no equality to solve {solved} from")
-        clauses += [("", GE, (_form(**{solved: 1}),)), ("", GE, (_form(1, **{solved: -1}),))]
+        clauses += [("", GE, _form(**{solved: 1})), ("", GE, _form(1, **{solved: -1}))]
 
     def rows(form: tuple, kind: str) -> list:
         """The clause as integer rows (c, a_1, ..), each c + a . indices >= 0."""
@@ -416,19 +367,12 @@ def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
                 return None
         return ExponentTuple(n, sigma, *(from_recip(u.get(a, 0)) for a in AXES))
 
-    terms = [row for _, kind, forms in clauses if kind != NE for row in rows(forms[0], kind)]
-    holes = [[row for f in forms for row in rows(f, EQ)]
-             for _, kind, forms in clauses if kind == NE]
+    terms = [row for _, kind, form in clauses for row in rows(form, kind)]
     w = resolution + 1
     verdicts = []
     for head in itertools.product(range(w), repeat=len(free) - 1):
-        line = [False] * w
         lo, hi = _interval(terms, head, resolution)
-        line[lo:hi + 1] = [True] * (hi + 1 - lo)
-        for hole in holes:
-            lo, hi = _interval(hole, head, resolution)
-            line[lo:hi + 1] = [False] * (hi + 1 - lo)
-        verdicts += line
+        verdicts += [False] * lo + [True] * (hi + 1 - lo) + [False] * (resolution - hi)
     strides = [w ** d for d in range(len(free))]
     edge = [k for k in itertools.compress(range(len(verdicts)), verdicts)
             if not all(0 < k // s % w < resolution and verdicts[k - s] and verdicts[k + s]

@@ -363,7 +363,7 @@ def kernel_amalgam_profile(sigma: float, rt, r, window: WindowSpec,
     """h(t) = windowed amalgam norm of K_t with exponents (rt/2, r/2), in the grid's
     dimension n.
 
-    The region conditions are checkable (exponents.satisfies_prop_kernel)
+    The region conditions are checkable (exponents.check("proposition", ...))
     but deliberately not enforced: probing outside the region is part of
     the point.  Kernel error bounds propagate into the profile.
     """

@@ -43,6 +43,7 @@ from .propagator import (
 from .wiener import (
     WindowSpec,
     _amalgam_norms,
+    _gaussian_scale,
     _inclusion,
     _spacetime_norm,
     _weak_lorentz,
@@ -110,7 +111,7 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
 
 def gaussian_datum(grid: GridSpec, width: float = 1.0) -> SampledField:
     r2 = sum(c ** 2 for c in grid.meshgrid())
-    return SampledField(grid, np.exp(-r2 / (2.0 * width ** 2)), "gaussian")
+    return SampledField(grid, np.exp(-r2 / _gaussian_scale(width, "width")), "gaussian")
 
 
 def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> SampledField:
@@ -283,7 +284,7 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     dimension must be the field's."""
     if tup.n != fld.grid.n:
         raise ValueError(f"the tuple's dimension n = {tup.n} is not the field's, {fld.grid.n}")
-    rep = expo.satisfies_theorem(tup)
+    rep = expo.check("theorem", tup)
     if not rep.verdict:
         failed = ", ".join(c.name for c in rep.failed())
         raise ValueError(f"tuple outside the admissible region: {failed}")

@@ -25,11 +25,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .extreal import conjugate, from_recip, recip, to_float
+from .extreal import as_rational, conjugate, from_recip, recip, to_float
 from .grid import (
     GridSpec,
     NormResult,
@@ -55,6 +54,15 @@ __all__ = [
 _KINDS = ("gaussian", "smooth-bump", "cube-indicator")
 
 
+def _gaussian_scale(x: float, name: str) -> float:
+    """2 x^2, the denominator of a gaussian of scale x; raises unless x > 0 and 2 x^2 is
+    a positive finite float."""
+    if not (x > 0 and 0 < 2.0 * x * x < math.inf):  # x * x, unlike x ** 2, cannot raise
+        raise ValueError(f"the gaussian {name} must be > 0 with 2 {name}^2 a positive "
+                         f"finite float, got {x}")
+    return 2.0 * x ** 2
+
+
 @dataclass(frozen=True)
 class WindowSpec:
     """Test window and its translation lattice.
@@ -76,6 +84,8 @@ class WindowSpec:
             raise ValueError(f"unknown window kind {self.kind!r}")
         if self.radius <= 0 or self.step <= 0:
             raise ValueError("radius and step must be positive")
+        if self.kind == "gaussian":
+            _gaussian_scale(self.radius, "radius")
         if self.normalization not in ("l2", "partition"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.normalization == "partition":
@@ -96,7 +106,7 @@ class WindowSpec:
         """
         dist = np.asarray(dist, dtype=float)
         if self.kind == "gaussian":
-            return np.exp(-(dist ** 2) / (2.0 * self.radius ** 2))
+            return np.exp(-(dist ** 2) / _gaussian_scale(self.radius, "radius"))
         if self.kind == "smooth-bump":
             out = np.zeros_like(dist)
             inside = dist < self.radius
@@ -331,7 +341,7 @@ def interpolate_exponents(p0, q0, p1, q1, theta):
     1/p = theta/p0 + (1-theta)/p1 and likewise for q, with 1/inf = 0.
     Requires 0 < theta < 1 and q0 < inf or q1 < inf.
     """
-    theta = Fraction(theta) if not isinstance(theta, float) else Fraction(str(theta))
+    theta = as_rational(theta)
     if not (0 < theta < 1):
         raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
     u0, v0, u1, v1 = recip(p0), recip(q0), recip(p1), recip(q1)

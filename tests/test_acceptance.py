@@ -12,13 +12,9 @@ import pytest
 
 from amalgam.exponents import (
     ExponentTuple,
-    is_schrodinger_admissible,
+    check,
     predicted_kernel_decay,
     sample_region,
-    satisfies_cn2,
-    satisfies_corollary,
-    satisfies_prop_kernel,
-    satisfies_theorem,
 )
 from amalgam.grid import GridSpec, SpaceTimeField
 from amalgam.propagator import (
@@ -197,25 +193,19 @@ def test_criterion_5_property_suite():
 
 def test_criterion_6_exponent_engine():
     checks = []
-    checks.append(satisfies_theorem(
-        ExponentTuple(1, "0.3", 2, "inf", 10, "inf")).verdict is True)
-    checks.append(satisfies_theorem(
-        ExponentTuple(1, "0.3", 10, "inf", 10, "inf")).verdict is False)
-    checks.append(satisfies_theorem(
-        ExponentTuple(1, "0.5", 2, "inf", 10, "inf")).verdict is False)
-    rep = satisfies_prop_kernel(1, "0.2", "inf", 10)
+    checks.append(check("theorem", ExponentTuple(1, "0.3", 2, "inf", 10, "inf")).verdict is True)
+    checks.append(check("theorem", ExponentTuple(1, "0.3", 10, "inf", 10, "inf")).verdict is False)
+    checks.append(check("theorem", ExponentTuple(1, "0.5", 2, "inf", 10, "inf")).verdict is False)
+    rep = check("proposition", ExponentTuple(1, "0.2", 2, "inf", 2, 10))
     checks.append(rep.verdict is True and rep.case == "c3")
-    rep = satisfies_prop_kernel(1, "0.3", "inf", 4)
+    rep = check("proposition", ExponentTuple(1, "0.3", 2, "inf", 2, 4))
     checks.append(rep.verdict is False and rep.case == "c4")
-    checks.append(satisfies_corollary(
-        ExponentTuple(1, "0.2", 4, 4, 10, 10)).verdict is True)
-    checks.append(is_schrodinger_admissible(2, "inf", 2).verdict is False)
-    checks.append(is_schrodinger_admissible("inf", 2, 3).verdict is True)
-    checks.append(is_schrodinger_admissible(4, 4, 2).verdict is True)
-    checks.append(satisfies_cn2(
-        ExponentTuple(3, 0, 2, 6, 2, 6)).verdict is True)
-    checks.append(satisfies_cn2(
-        ExponentTuple(2, 0, 2, 2, 2, "inf")).verdict is False)
+    checks.append(check("corollary", ExponentTuple(1, "0.2", 4, 4, 10, 10)).verdict is True)
+    checks.append(check("classical", ExponentTuple(2, 0, 2, 2, 2, "inf")).verdict is False)
+    checks.append(check("classical", ExponentTuple(3, 0, 2, 2, "inf", 2)).verdict is True)
+    checks.append(check("classical", ExponentTuple(2, 0, 2, 2, 4, 4)).verdict is True)
+    checks.append(check("cn2", ExponentTuple(3, 0, 2, 6, 2, 6)).verdict is True)
+    checks.append(check("cn2", ExponentTuple(2, 0, 2, 2, 2, "inf")).verdict is False)
     # region scan at resolution 1/64, re-verified point by point
     scan = sample_region("theorem", n=1, sigma="0.3", free=("qt", "q"),
                          fixed={"rt": "inf"}, resolution=64)
@@ -225,7 +215,7 @@ def test_criterion_6_exponent_engine():
             if verdict:
                 disagreements += 1
             continue
-        if satisfies_theorem(tup).verdict != verdict:
+        if check("theorem", tup).verdict != verdict:
             disagreements += 1
     checks.append(disagreements == 0)
     checks.append(len(scan.accepted) > 0)
@@ -242,7 +232,7 @@ def test_criterion_6_exponent_engine():
 def test_criterion_7_window_norm_tail():
     # accepted tuple with flat spatial exponents: clean power-law h
     tup = ExponentTuple(1, "0.3", 2, "inf", 10, "inf")
-    assert satisfies_theorem(tup).verdict
+    assert check("theorem", tup).verdict
     grid = GridSpec(1, 64.0, 4096)
     times = profile_times(0.01, 66.0, per_decade=24)
     prof = kernel_amalgam_profile(0.3, "inf", "inf", unit_cube_partition(),

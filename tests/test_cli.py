@@ -169,12 +169,43 @@ class TestFlagTypes:
          "--fixed"),
         (["region", "--set", "theorem", "--n", "1", "--free", "qt,x", "--fixed", "rt=inf"],
          "--free"),
-    ], ids=["int", "float", "exponent", "times", "fixed", "free"])
+        # float flags are finite: inf used to end in a traceback or in numpy's
+        # "Maximum allowed size exceeded"
+        (["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
+          "--tmax", "inf"], "--tmax"),
+        (["norm", "--kind", "amalgam", "--window", "gaussian", "--window-norm", "l2",
+          "--window-step", "inf", "--grid-npts", "64"], "--window-step"),
+        (["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10", "--r", "inf",
+          "--t-outer", "inf"], "--t-outer"),
+        (["norm", "--kind", "lebesgue", "--grid-npts", "64", "--width", "nan"], "--width"),
+        (["norm", "--kind", "lebesgue", "--grid-npts", "64", "--width", "1e400"], "--width"),
+    ], ids=["int", "float", "exponent", "times", "fixed", "free", "tmax-inf",
+            "window-step-inf", "t-outer-inf", "width-nan", "width-1e400"])
     def test_bad_value_is_a_parse_error(self, tmp_path, capsys, argv, flag):
         assert invoke(argv, tmp_path) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"usage error: argument {flag}:")
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("extra,name", [
+        (["--kind", "lebesgue", "--width", "1e200"], "width"),
+        (["--kind", "lebesgue", "--width", "0"], "width"),
+        (["--kind", "lebesgue", "--width", "1e-300"], "width"),
+        (["--kind", "hsigma", "--width", "1e-300"], "width"),
+        (["--kind", "lebesgue", "--width", "-1"], "width"),
+        (["--kind", "amalgam", "--window", "gaussian", "--window-norm", "l2",
+          "--window-radius", "1e-200"], "radius"),
+        (["--kind", "amalgam", "--window", "gaussian", "--window-norm", "l2",
+          "--window-radius", "1e200"], "radius"),
+    ], ids=["width-1e200", "width-0", "width-1e-300", "hsigma-width-1e-300", "width-neg",
+            "radius-1e-200", "radius-1e200"])
+    def test_gaussian_scale_has_a_finite_square(self, tmp_path, capsys, extra, name):
+        # these printed numpy warnings and then a message that did not name the flag,
+        # a traceback, or (--width -1) the width-1 norm
+        assert invoke(["norm", "--grid-npts", "64", "--grid-l", "8", *extra], tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error:") and name in err
+        assert "warning:" not in err
 
     def test_one_type_per_flag_name(self):
         # a --config file goes through every subcommand's parser

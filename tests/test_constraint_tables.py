@@ -17,13 +17,10 @@ from amalgam.exponents import (
     ConstraintCheck,
     ExponentTuple,
     RegionReport,
+    check,
     constraint_table,
-    is_schrodinger_admissible,
+    evaluate,
     sample_region,
-    satisfies_cn2,
-    satisfies_corollary,
-    satisfies_prop_kernel,
-    satisfies_theorem,
 )
 from amalgam.extreal import as_extended, as_rational, from_recip, recip
 
@@ -53,8 +50,8 @@ def ref_classical(q, r, n):
     rep.constraints.append(_ge("q >= 2", F(1, 2), uq))
     rep.constraints.append(_ge("r >= 2", F(1, 2), ur))
     rep.constraints.append(_eq("2/q + n/r = n/2", 2 * uq + n * ur, F(n, 2)))
-    endpoint = (uq == F(1, 2) and ur == 0 and n == 2)
-    rep.constraints.append(ConstraintCheck("(q, r, n) != (2, inf, 2)", not endpoint))
+    if n == 2:
+        rep.constraints.append(_gt("r < inf (n = 2)", ur, F(0)))
     return rep
 
 
@@ -151,13 +148,6 @@ REFERENCE = {
     "proposition": lambda t: ref_prop_kernel(t.n, t.sigma, t.rt, t.r),
     "corollary": ref_corollary,
 }
-TABLED = {
-    "classical": lambda t: is_schrodinger_admissible(t.q, t.r, t.n),
-    "cn2": satisfies_cn2,
-    "theorem": satisfies_theorem,
-    "proposition": lambda t: satisfies_prop_kernel(t.n, t.sigma, t.rt, t.r),
-    "corollary": satisfies_corollary,
-}
 NAMES = {"classical": ("q", "r"), "proposition": ("rt", "r")}
 
 
@@ -167,7 +157,7 @@ def _same_report(got, want):
     assert got.verdict == want.verdict
     assert [(c.name, c.passed, c.slack) for c in got.constraints] == \
         [(c.name, c.passed, c.slack) for c in want.constraints]
-    # the slack types too: exact Fractions, or None for the endpoint exclusion
+    # the slack types too: exact Fractions
     assert [type(c.slack) for c in got.constraints] == [type(c.slack) for c in want.constraints]
 
 
@@ -186,7 +176,7 @@ _RECIPS = st.one_of(st.sampled_from([F(0), F(1, 4), F(1, 2), F(1)]),
 def test_tables_match_reference(n, sigma, uqt, urt, uq, ur):
     t = ExponentTuple(n, sigma, from_recip(uqt), from_recip(urt), from_recip(uq), from_recip(ur))
     for name in REFERENCE:
-        _same_report(TABLED[name](t), REFERENCE[name](t))
+        _same_report(check(name, t), REFERENCE[name](t))
 
 
 @given(n=st.integers(1, 5), sigma=st.fractions(-2, 3, max_denominator=16),
@@ -194,20 +184,31 @@ def test_tables_match_reference(n, sigma, uqt, urt, uq, ur):
 @example(n=2, sigma=F(1, 2), urt=F(1, 4), ur=F(1, 8))
 @settings(max_examples=100, deadline=None)
 def test_proposition_outside_the_tuple_ranges(n, sigma, urt, ur):
-    # the proposition takes any order and any nonzero exponents, as before
-    if urt == 0 or ur == 0:
-        return
-    _same_report(satisfies_prop_kernel(n, sigma, 1 / urt, 1 / ur),
-                 ref_prop_kernel(n, sigma, 1 / urt, 1 / ur))
-    _same_report(is_schrodinger_admissible(1 / urt, 1 / ur, n), ref_classical(1 / urt, 1 / ur, n))
+    # a table takes any order and any reciprocals, outside the tuple's ranges too
+    _same_report(evaluate(constraint_table("proposition", n, sigma), {"rt": urt, "r": ur}),
+                 ref_prop_kernel(n, sigma, from_recip(urt), from_recip(ur)))
+    _same_report(evaluate(constraint_table("classical", n), {"q": urt, "r": ur}),
+                 ref_classical(from_recip(urt), from_recip(ur), n))
+
+
+def test_classical_endpoint_is_the_excluded_point():
+    """At n = 2 the clause r < inf rejects exactly the point (q, r) = (2, inf)
+    that the exclusion (q, r, n) != (2, inf, 2) removed: on 2/q + 2/r = 1,
+    1/r = 0 holds exactly when 1/q = 1/2."""
+    recips = sorted({F(i, d) for d in range(1, 13) for i in range(d + 1)})
+    for n, uq, ur in itertools.product(range(1, 6), recips, recips):
+        excluded = (uq, ur, n) == (F(1, 2), 0, 2)
+        want = uq <= F(1, 2) and ur <= F(1, 2) and 2 * uq + n * ur == F(n, 2) and not excluded
+        t = ExponentTuple(n, 0, 2, 2, from_recip(uq), from_recip(ur))
+        assert check("classical", t).verdict == want, (n, uq, ur)
 
 
 def test_quarter_row_is_both_inequalities():
     for n in range(1, 6):
-        (row,) = [forms[0] for name, _, forms in constraint_table("proposition", n, F(n, 4)).clauses
+        (row,) = [form for name, _, form in constraint_table("proposition", n, F(n, 4)).clauses
                   if name.startswith("either")]
-        c3 = constraint_table("proposition", n, F(n, 4) - F(1, 10**9)).clauses[-1][2][0]
-        c4 = constraint_table("proposition", n, F(n, 4) + F(1, 10**9)).clauses[-1][2][0]
+        c3 = constraint_table("proposition", n, F(n, 4) - F(1, 10**9)).clauses[-1][2]
+        c4 = constraint_table("proposition", n, F(n, 4) + F(1, 10**9)).clauses[-1][2]
         # both bound the same form; only the constant moves with sigma
         assert row[1:] == c3[1:] == c4[1:]
         assert row[0] == F(n, 4)

@@ -5,14 +5,10 @@ import pytest
 
 from amalgam.exponents import (
     ExponentTuple,
+    check,
     classical_sobolev_line,
-    is_schrodinger_admissible,
     predicted_kernel_decay,
     sample_region,
-    satisfies_cn2,
-    satisfies_corollary,
-    satisfies_prop_kernel,
-    satisfies_theorem,
 )
 from amalgam.extreal import INF, conjugate, from_recip, recip
 from amalgam.wiener import interpolate_exponents
@@ -24,19 +20,43 @@ def tup(n, sigma, qt, rt, q, r):
     return ExponentTuple(n=n, sigma=sigma, qt=qt, rt=rt, q=q, r=r)
 
 
+def classical(q, r, n):
+    return check("classical", tup(n, 0, 2, 2, q, r))
+
+
+def proposition(n, sigma, rt, r):
+    return check("proposition", tup(n, sigma, 2, rt, 2, r))
+
+
+class TestCheck:
+    def test_unknown_set(self):
+        with pytest.raises(ValueError) as err:
+            check("bogus", tup(1, 0, 2, 2, 2, 2))
+        assert str(err.value) == ("unknown condition set 'bogus'; choose from "
+                                  "['classical', 'cn2', 'corollary', 'proposition', 'theorem']")
+
+    def test_classical_endpoint_clause(self):
+        # at n = 2 the endpoint (2, inf) fails r < inf with slack 0; at n != 2 there is no clause
+        rep = classical(2, "inf", 2)
+        assert [(c.name, c.passed, c.slack) for c in rep.failed()] == [
+            ("r < inf (n = 2)", False, 0)]
+        assert [c.name for c in classical(4, "inf", 1).constraints] == [
+            "q >= 2", "r >= 2", "2/q + n/r = n/2"]
+
+
 class TestClassical:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_endpoint_accepts_every_n(self, n):
-        assert is_schrodinger_admissible("inf", 2, n).verdict
+        assert classical("inf", 2, n).verdict
 
     def test_forbidden_endpoint(self):
-        assert not is_schrodinger_admissible(2, "inf", 2).verdict
+        assert not classical(2, "inf", 2).verdict
 
     def test_44_in_2d(self):
-        assert is_schrodinger_admissible(4, 4, 2).verdict
+        assert classical(4, 4, 2).verdict
 
     def test_off_line_rejected(self):
-        rep = is_schrodinger_admissible(4, 4, 1)
+        rep = classical(4, 4, 1)
         assert not rep.verdict
         names = [c.name for c in rep.failed()]
         assert any("n/2" in nm for nm in names)
@@ -44,38 +64,38 @@ class TestClassical:
 
 class TestCn2:
     def test_symmetric_3d_point(self):
-        assert satisfies_cn2(tup(3, 0, 2, 6, 2, 6)).verdict
+        assert check("cn2", tup(3, 0, 2, 6, 2, 6)).verdict
 
     def test_r_infinite_in_2d_rejected(self):
-        assert not satisfies_cn2(tup(2, 0, 2, 2, 2, "inf")).verdict
+        assert not check("cn2", tup(2, 0, 2, 2, 2, "inf")).verdict
 
     def test_rt_above_r_rejected(self):
-        assert not satisfies_cn2(tup(1, 0, 2, 6, 4, 4)).verdict
+        assert not check("cn2", tup(1, 0, 2, 6, 4, 4)).verdict
 
     def test_rt_cap_in_3d(self):
-        assert not satisfies_cn2(tup(3, 0, 2, 8, 2, 8)).verdict  # 8 > 2n/(n-2) = 6
+        assert not check("cn2", tup(3, 0, 2, 8, 2, 8)).verdict  # 8 > 2n/(n-2) = 6
 
 
 class TestTheorem:
     def test_worked_accept(self):
-        rep = satisfies_theorem(tup(1, "0.3", 2, "inf", 10, "inf"))
+        rep = check("theorem", tup(1, "0.3", 2, "inf", 10, "inf"))
         assert rep.verdict
 
     def test_qt_equal_q_rejected(self):
-        assert not satisfies_theorem(tup(1, "0.3", 10, "inf", 10, "inf")).verdict
+        assert not check("theorem", tup(1, "0.3", 10, "inf", 10, "inf")).verdict
 
     def test_sigma_at_upper_end_rejected(self):
-        assert not satisfies_theorem(tup(1, "0.5", 2, "inf", 10, "inf")).verdict
+        assert not check("theorem", tup(1, "0.5", 2, "inf", 10, "inf")).verdict
 
     def test_strict_boundary_rejected(self):
         # time-local clause exactly at equality: 2/qt = n/2 - sigma
-        rep = satisfies_theorem(tup(1, "0.3", 10, "inf", 20, "inf"))
+        rep = check("theorem", tup(1, "0.3", 10, "inf", 20, "inf"))
         assert not rep.verdict
         bad = [c.name for c in rep.failed()]
         assert any("2/qt" in nm for nm in bad)
 
     def test_slack_values_exact(self):
-        rep = satisfies_theorem(tup(1, "0.3", 2, "inf", 10, "inf"))
+        rep = check("theorem", tup(1, "0.3", 2, "inf", 10, "inf"))
         by_name = {c.name: c.slack for c in rep.constraints}
         assert by_name["2/qt + (n-1)/rt > n/2 - sigma"] == F(4, 5)
         assert by_name["2/q + n/r = n/2 - sigma - (n-1)/rt"] == 0
@@ -83,43 +103,43 @@ class TestTheorem:
 
 class TestProposition:
     def test_small_order_case(self):
-        rep = satisfies_prop_kernel(1, "0.2", "inf", 10)
+        rep = proposition(1, "0.2", "inf", 10)
         assert rep.verdict and rep.case == "c3"
 
     def test_large_order_case_reject(self):
-        rep = satisfies_prop_kernel(1, "0.3", "inf", 4)
+        rep = proposition(1, "0.3", "inf", 4)
         assert rep.case == "c4" and not rep.verdict
 
     def test_sigma_out_of_range(self):
-        assert not satisfies_prop_kernel(1, "0.6", "inf", 10).verdict
-        assert not satisfies_prop_kernel(1, 0, "inf", 10).verdict
+        assert not proposition(1, "0.6", "inf", 10).verdict
+        assert not proposition(1, 0, "inf", 10).verdict
 
     def test_quarter_point_either_case(self):
         # at sigma = n/4 both case inequalities coincide in strength here
-        rep = satisfies_prop_kernel(1, F(1, 4), "inf", 10)
+        rep = proposition(1, F(1, 4), "inf", 10)
         assert rep.case == "c3|c4"
         assert rep.verdict  # 1/10 < 1/4 on both sides
 
     def test_exact_boundary_rejected(self):
         # (n-1)/rt + n/r exactly equals sigma: strict inequality fails
-        rep = satisfies_prop_kernel(1, F(1, 5), "inf", 5)
+        rep = proposition(1, F(1, 5), "inf", 5)
         assert not rep.verdict
 
 
 class TestCorollary:
     def test_worked_accept(self):
-        assert satisfies_corollary(tup(1, "0.2", 4, 4, 10, 10)).verdict
+        assert check("corollary", tup(1, "0.2", 4, 4, 10, 10)).verdict
 
     def test_r_infinite_in_2d_rejected(self):
-        assert not satisfies_corollary(tup(2, "0.3", 4, 4, 8, "inf")).verdict
+        assert not check("corollary", tup(2, "0.3", 4, 4, 8, "inf")).verdict
 
     def test_qt_2_rejected(self):
-        rep = satisfies_corollary(tup(1, "0.2", 2, 4, 10, 10))
+        rep = check("corollary", tup(1, "0.2", 2, 4, 10, 10))
         assert not rep.verdict
         assert any("1/qt + 1/4 <= 1/2" in c.name for c in rep.failed())
 
     def test_rt_must_be_4(self):
-        assert not satisfies_corollary(tup(1, "0.2", 4, 6, 10, 10)).verdict
+        assert not check("corollary", tup(1, "0.2", 4, 6, 10, 10)).verdict
 
 
 class TestPredictedDecay:
@@ -168,8 +188,8 @@ class TestContainment:
 
     def test_witness_gap_below_quarter(self):
         witness = tup(1, "0.2", 4, "inf", 40, 4)
-        assert satisfies_theorem(witness).verdict
-        assert not satisfies_prop_kernel(1, "0.2", "inf", 4).verdict
+        assert check("theorem", witness).verdict
+        assert not proposition(1, "0.2", "inf", 4).verdict
 
     def test_scan(self):
         count = 0
@@ -188,10 +208,10 @@ class TestContainment:
                                 continue
                             t = tup(n, sigma, from_recip(uqt), from_recip(urt),
                                     from_recip(uq), from_recip(ur))
-                            if not satisfies_theorem(t).verdict:
+                            if not check("theorem", t).verdict:
                                 continue
                             checked += 1
-                            prop = satisfies_prop_kernel(n, sigma, t.rt, t.r).verdict
+                            prop = check("proposition", t).verdict
                             # always implied: the large-order inequality
                             assert (n - 1) * urt + n * ur < F(n, 2) - sigma
                             if sigma >= F(n, 4):
@@ -249,7 +269,7 @@ class TestInterpolationConsistency:
             sigma, uqt1, uq1, ur1, uq2, ur2 = pick
             qt1, q1, r1 = from_recip(uqt1), from_recip(uq1), from_recip(ur1)
             q2, r2 = from_recip(uq2), from_recip(ur2)
-            assert is_schrodinger_admissible(q2, r2, n).verdict
+            assert classical(q2, r2, n).verdict
             th = F(1, 2)
             # interpolate the dual-side spaces, then dualize back
             ti, to = interpolate_exponents(conjugate(qt1), conjugate(q1), 1, conjugate(q2), th)
@@ -261,7 +281,7 @@ class TestInterpolationConsistency:
             assert recip(rt) == F(1, 4)
             assert recip(r) == (ur1 + ur2) / 2
             combined = tup(n, sigma, qt, rt, q, r)
-            assert satisfies_corollary(combined).verdict, combined
+            assert check("corollary", combined).verdict, combined
             done += 1
 
 
@@ -271,7 +291,7 @@ class TestSampleRegion:
                              fixed={"rt": "inf"}, resolution=16)
         assert len(scan.accepted) > 0
         for t in scan.accepted:
-            rep = satisfies_theorem(t)
+            rep = check("theorem", t)
             assert rep.verdict
             assert recip(t.qt) > recip(t.q)  # qt < q
 
