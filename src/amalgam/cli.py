@@ -358,11 +358,9 @@ def _profile_from(args):
     """The kernel's decay profile, and its health fields for the manifest."""
     from .grid import GridSpec
     from .propagator import kernel_amalgam_profile, profile_times
-    from .wiener import unit_cube_partition
     grid = GridSpec(args.n, args.grid_l, args.grid_npts)
     times = profile_times(args.tmin, args.tmax, args.per_decade)
-    prof = kernel_amalgam_profile(to_float(args.sigma), args.rt, args.r,
-                                  unit_cube_partition(), times, grid)
+    prof = kernel_amalgam_profile(to_float(args.sigma), args.rt, args.r, times, grid)
     return prof, {"max_est_error": float(prof.est_error.max())}
 
 
@@ -399,12 +397,10 @@ def _cmd_fit_decay(args, outdir):
 
 def _cmd_ratio(args, outdir):
     from .verify import default_ratio_times, strichartz_ratio
-    from .wiener import unit_cube_partition
     tup = _tuple_from(args)
     fld, _ = _field_from(args)
     times = default_ratio_times(t_outer=args.t_outer)
-    res = strichartz_ratio(fld, tup, unit_cube_partition(),
-                           unit_cube_partition(), times=times, weak=args.weak)
+    res = strichartz_ratio(fld, tup, times=times, weak=args.weak)
     write_csv(outdir / "results.csv", ["ratio", "numerator", "denominator"],
               [(res.value, res.numerator, res.denominator)])
     print(f"ratio = {res.value:.6g}  (numerator {res.numerator:.6g}, "

@@ -47,7 +47,7 @@ from .grid import (
     _shells,
     trapezoid_weights,
 )
-from .wiener import WindowSpec, amalgam_norm
+from .wiener import amalgam_norm, unit_cube_partition
 
 __all__ = [
     "KernelSamples",
@@ -358,9 +358,8 @@ def profile_times(tmin: float = 0.02, tmax: float = 50.0,
     return np.unique(ts)
 
 
-def kernel_amalgam_profile(sigma: float, rt, r, window: WindowSpec,
-                           times, grid: GridSpec) -> DecayProfile:
-    """h(t) = windowed amalgam norm of K_t with exponents (rt/2, r/2), in the grid's
+def kernel_amalgam_profile(sigma: float, rt, r, times, grid: GridSpec) -> DecayProfile:
+    """h(t) = amalgam norm of K_t on unit cubes with exponents (rt/2, r/2), in the grid's
     dimension n.
 
     The region conditions are checkable (exponents.check("proposition", ...))
@@ -375,6 +374,7 @@ def kernel_amalgam_profile(sigma: float, rt, r, window: WindowSpec,
     if np.any(times <= 0):
         raise ValueError("profile times must be positive")
     values, ests = [], []
+    window = unit_cube_partition()
     p_in = np.inf if np.isinf(rtf) else rtf / 2.0
     q_out = np.inf if np.isinf(rf) else rf / 2.0
     # K_t is radial: one evaluation per shell of equal |x|, gathered to the lattice

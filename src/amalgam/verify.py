@@ -203,27 +203,23 @@ class WindowNormReport:
     weak_converged: bool
 
 
-def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
-                       tail_exponent: float) -> WindowNormReport:
+def local_window_norms(h_fn, ks, qt, q, tail_exponent: float) -> WindowNormReport:
     """Sequence ||h * (window at k)||_{L^{qt/2}_t} and its piecewise bound.
 
-    The window must be supported in |t| <= 1.  Returns the terms, the
-    single fitted constant C such that every term is <= C * bound(k) with
-    bound(k) = 1 for |k| <= 2 and (|k|-1)^tail_exponent for |k| >= 2, the
-    tail regression slope over 4 <= |k| <= 64, and the weak Lorentz
-    l^{q/2, inf} norm of the sequence together with a truncation
+    The window is the smooth bump of radius 1, centred at the integer k.
+    Returns the terms, the single fitted constant C such that every term is
+    <= C * bound(k) with bound(k) = 1 for |k| <= 2 and (|k|-1)^tail_exponent
+    for |k| >= 2, the tail regression slope over 4 <= |k| <= 64, and the weak
+    Lorentz l^{q/2, inf} norm of the sequence together with a truncation
     convergence flag (half-range vs full-range comparison).
     """
-    if window_t.radius > 1.0 + 1e-12:
-        raise ValueError("time window must be supported in |t| <= 1")
+    bump = WindowSpec("smooth-bump", radius=1.0, step=1.0)
     qt2 = to_float(qt) / 2.0
     q2 = to_float(q) / 2.0
     ks = np.asarray(sorted(ks), dtype=int)
     terms = np.empty(len(ks), dtype=float)
-    R = window_t.radius
     for i, k in enumerate(ks):
-        c = k * window_t.step
-        lo, hi = c - R, c + R
+        lo, hi = k - 1.0, k + 1.0
         hv, wts = [], []
         # 600-point trapezoid rule on each side of t = 0, outside |t| < 1e-3,
         # with log refinement near the kernel-time singularity
@@ -234,7 +230,7 @@ def local_window_norms(h_fn, window_t: WindowSpec, ks, qt, q,
                 tgrid = np.geomspace(a, b, 600) if a < b / 4 else np.linspace(a, b, 600)
             else:
                 tgrid = -np.geomspace(-b, -a, 600)[::-1] if b > a / 4 else np.linspace(a, b, 600)
-            hv.append(h_fn(np.abs(tgrid)) * window_t.profile(np.abs(tgrid - c)))
+            hv.append(h_fn(np.abs(tgrid)) * bump.profile(np.abs(tgrid - k)))
             wts.append(trapezoid_weights(tgrid))
         terms[i] = _lq(np.concatenate(hv), qt2, None, np.concatenate(wts))
     absk = np.abs(ks)
@@ -278,10 +274,9 @@ class RatioResult:
 
 
 def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
-                     window_t: WindowSpec, window_x: WindowSpec,
                      times=None, weak: bool = False) -> RatioResult:
-    """Space-time amalgam norm of the free evolution over the data norm; the tuple's
-    dimension must be the field's."""
+    """Space-time amalgam norm (unit cubes) of the free evolution over the data norm; the
+    tuple's dimension must be the field's."""
     if tup.n != fld.grid.n:
         raise ValueError(f"the tuple's dimension n = {tup.n} is not the field's, {fld.grid.n}")
     rep = expo.check("theorem", tup)
@@ -299,7 +294,7 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
     # one block of instants at a time is evolved, then reduced to its spatial norms
     blocks = (block for _, block in evolve_blocks(fld, times))
-    num, _ = _spacetime_norm(blocks, fld.grid, times, *exps, window_t, window_x, weak)
+    num, _ = _spacetime_norm(blocks, fld.grid, times, *exps, weak)
     return RatioResult(
         value=num / denom,
         numerator=num,
@@ -315,7 +310,6 @@ class ScalingSweep:
     lambdas: list
     ratios: list
     r_used: object
-    invariant_within: float
 
     @property
     def max_drift(self) -> float:
@@ -355,10 +349,7 @@ def classical_scaling_sweep(datum_fn, lambdas, sigma, q, grid: GridSpec,
         stf = SpaceTimeField(grid, times, np.concatenate([v for _, v in evolve_blocks(fld, times)]))
         num = mixed_lebesgue_norm(stf, to_float(q), to_float(r)).value
         ratios.append(num / denom)
-    base = ratios[0]
-    within = max(abs(rr / base - 1.0) for rr in ratios)
-    return ScalingSweep(lambdas=list(lambdas), ratios=ratios, r_used=r,
-                        invariant_within=within)
+    return ScalingSweep(lambdas=list(lambdas), ratios=ratios, r_used=r)
 
 
 # ---------------------------------------------------------------------------
@@ -533,30 +524,22 @@ def _suite_corpus(grid: GridSpec, seed: int, size: int):
 _isclose = np.vectorize(partial(math.isclose, rel_tol=1e-12, abs_tol=1e-300), otypes=[bool])
 
 
-def property_suite(seed: int = 0, corpus_size: int = 100,
-                   amalgam_fn=None) -> SuiteReport:
+def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
     """One-run driver for the unit-cube lattice identities and inequalities,
     over a corpus of corpus_size >= 2 fields on GridSpec(1, 16, 512).
 
     The corpus is one (corpus_size, 512) stack, and each property compares
     whole vectors of norms; a failing property reports its first failing
-    field and that field's first failing check.  ``amalgam_fn(values, p, q,
-    window, grid)`` may replace the amalgam norms of a (k, *grid.shape)
-    stack, returning the k norms, in the diagonal, homogeneity and triangle
-    properties; feeding a corrupted implementation must make the suite fail
-    (that is the mutation hook for testing the tests).
+    field and that field's first failing check.
     """
     if corpus_size < 2:
         raise ValueError(f"corpus size must be >= 2 (the pairing check needs a pair), "
                          f"got {corpus_size}")
     grid = GridSpec(1, 16.0, 512)
     win = unit_cube_partition()
-    if amalgam_fn is None:
-        def amalgam_fn(values, p, q, window, g):
-            return _amalgam_norms(values, p, q, window, g)[0]
 
     def anorm(values, p, q):
-        return amalgam_fn(values, p, q, win, grid)
+        return _amalgam_norms(values, p, q, win, grid)[0]
 
     stack, labels = _suite_corpus(grid, seed, corpus_size)
     rng = np.random.default_rng(seed + 987)
@@ -579,7 +562,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
         return _isclose(a, b), lambda i: f"p={p}: {a[i]} vs {b[i]}"
 
     def inclusion(p1, q1, p2, q2):
-        lhs, rhs, holds = _inclusion(stack, p1, q1, p2, q2, win, grid)
+        lhs, rhs, holds = _inclusion(stack, p1, q1, p2, q2, grid)
         return holds, lambda i: f"({p1},{q1})->({p2},{q2}): {lhs[i]} > {rhs[i]}"
 
     def homogeneity():
@@ -617,7 +600,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100,
             mk = lambda base: SpaceTimeField(
                 grid, times, np.multiply.outer(0.2 + rngi.random(len(times)), base))
             F, G = mk(stack[i]), mk(stack[i + 1])
-            pairing, bound, ok = holder_pairing(F, G, 2, 4, 2, 6, win, win)
+            pairing, bound, ok = holder_pairing(F, G, 2, 4, 2, 6)
             if not ok:
                 return False, f"pair {i}: {pairing} > {bound}"
         return True, ""

@@ -9,13 +9,12 @@ piece, and then the outer norm
 The a^(n/q) weight makes the outer sum a Riemann sum of the continuum
 outer integral.
 
-Two window regimes are supported on purpose:
-
-* smooth windows (gaussian / smooth-bump) with unit L2 normalization, for
-  decay measurements where only equivalence constants matter;
-* exact cube partitions (side == step), where the window translates tile
-  the lattice and identities such as W(L^p, L^p) = L^p or the Holder
-  pairing hold with constant exactly 1 (for unit cubes).
+Any fixed window gives an equivalent norm.  amalgam_norm takes any window:
+smooth ones (gaussian / smooth-bump) with unit L2 normalization, or an exact
+cube partition (side == step), whose translates tile the lattice.  The
+space-time norm, the Holder pairing and the inclusion comparison fix unit
+cubes, where identities such as W(L^p, L^p) = L^p and the pairing
+inequality hold with constant exactly 1.
 
 Everything here is pure; amalgam sums visit window blocks in a fixed order.
 """
@@ -235,49 +234,37 @@ def _weak_lorentz(a: np.ndarray, p: float) -> np.ndarray:
     return np.max(m ** (1.0 / p) * srt, axis=-1)
 
 
-def _time_translates(times: np.ndarray, window: WindowSpec) -> np.ndarray:
-    """Translate indices k (centers k*step) for the sampled span."""
-    a = window.step
-    if window.is_partition:
-        return np.unique(np.floor(times / a + 0.5).astype(int))
-    lo = math.ceil((times[0] + window.radius) / a - 1e-12)
-    hi = math.floor((times[-1] - window.radius) / a + 1e-12)
-    return np.arange(lo, hi + 1)
-
-
 def _spacetime_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float, rt: float,
-                    r: float, window_t: WindowSpec, window_x: WindowSpec, weak: bool) -> tuple:
-    """spacetime_amalgam_norm of the slices at times, and its number of time translates.
+                    r: float, weak: bool) -> tuple:
+    """spacetime_amalgam_norm of the slices at the increasing instants times, and its
+    number of unit cubes in time.
 
     blocks yields the slices in order, a (k, *g.shape) block at a time; each block is
     reduced at once to its spatial norms, and the time reduction then runs on the (T,)
     vector of those norms.
     """
-    spatial = np.concatenate([_amalgam_norms(b, rt, r, window_x, g)[0] for b in blocks])
-    ks = _time_translates(times, window_t)
-    if len(ks) == 0:
-        raise ValueError("no time-window translate fits inside the sampled span")
-    # one row per translate k: the window at center c_k on the instants
-    c = window_t.step * ks[:, None]
-    if window_t.is_partition:
-        phi = (times >= c - 0.5 * window_t.step) & (times < c + 0.5 * window_t.step)
-    else:
-        phi = window_t.profile(np.abs(times - c))
-    local = _lq(spatial * phi, qt, -1, trapezoid_weights(times))
+    spatial = np.concatenate([_amalgam_norms(b, rt, r, unit_cube_partition(), g)[0]
+                              for b in blocks])
+    # cube k is [k - 1/2, k + 1/2), and its instants are the run times[lo:hi]; the runs,
+    # zero-padded to the longest, are the rows of one (cubes, longest run) array
+    ks = np.unique(np.floor(times + 0.5).astype(int))
+    lo, hi = np.searchsorted(times, ks - 0.5), np.searchsorted(times, ks + 0.5)
+    idx = lo[:, None] + np.arange((hi - lo).max())
+    inside = idx < hi[:, None]
+    idx[~inside] = 0
+    local = _lq(spatial[idx] * inside, qt, -1, trapezoid_weights(times)[idx])
     if weak:
-        base = weak_lorentz_norm(local, q).value if not np.isinf(q) else float(local.max())
-        return base * window_t.step ** (0.0 if np.isinf(q) else 1.0 / q), len(ks)
-    return float(_lq(local, q, -1, window_t.step)), len(ks)
+        return float(_weak_lorentz(local, q)), len(ks)
+    return float(_lq(local, q, -1)), len(ks)
 
 
 def spacetime_amalgam_norm(
     stf: SpaceTimeField,
     qt, q, rt, r,
-    window_t: WindowSpec,
-    window_x: WindowSpec,
     weak_outer_time: bool = False,
 ) -> NormResult:
-    """W(L^qt, L^q)_t W(L^rt, L^r)_x norm of a space-time field.
+    """W(L^qt, L^q)_t W(L^rt, L^r)_x norm of a space-time field, on unit cubes in space
+    and in time.
 
     Per slice the spatial amalgam norm is taken, giving a scalar function
     of t; that function then gets the temporal amalgam treatment.  With
@@ -288,14 +275,12 @@ def spacetime_amalgam_norm(
     g = stf.grid
     blocks = (stf.values[b] for b in _blocks(len(stf.times), g))
     value, translates = _spacetime_norm(blocks, g, stf.times, qtf, qf, rtf, rf,
-                                        window_t, window_x, weak_outer_time)
+                                        weak_outer_time)
     return NormResult(
         value=value,
         space="spacetime-amalgam-weak" if weak_outer_time else "spacetime-amalgam",
         exponents={"qt": qtf, "q": qf, "rt": rtf, "r": rf},
-        meta={"n": g.n, "ntimes": len(stf.times),
-              "time_window": window_t.kind, "space_window": window_x.kind,
-              "translates": translates},
+        meta={"n": g.n, "ntimes": len(stf.times), "translates": translates},
     )
 
 
@@ -312,24 +297,16 @@ def holder_pairing(
     F: SpaceTimeField,
     G: SpaceTimeField,
     qt, q, rt, r,
-    window_t: WindowSpec,
-    window_x: WindowSpec,
 ):
     """|<F, G>| against the product of dual amalgam norms.
 
-    Requires exact cube partitions (side 1) so the inequality constant is
-    exactly 1; with other windows the constant would depend on the window
-    and nothing sharp could be asserted.
+    Both norms are taken on unit cubes in space and in time, which tile space-time,
+    so the inequality holds with constant exactly 1.
     """
-    for win, side in ((window_t, "time"), (window_x, "space")):
-        if not win.is_partition:
-            raise ValueError(f"holder_pairing requires a partition window in {side}")
-        if not math.isclose(win.step, 1.0, rel_tol=1e-12):
-            raise ValueError("holder_pairing requires unit cubes (constant-1 inequality)")
     qtc, qc, rtc, rc = (conjugate(e) for e in (qt, q, rt, r))
     pairing = abs(spacetime_inner_product(F, G))
-    lhs_norm = spacetime_amalgam_norm(F, qt, q, rt, r, window_t, window_x).value
-    rhs_norm = spacetime_amalgam_norm(G, qtc, qc, rtc, rc, window_t, window_x).value
+    lhs_norm = spacetime_amalgam_norm(F, qt, q, rt, r).value
+    rhs_norm = spacetime_amalgam_norm(G, qtc, qc, rtc, rc).value
     bound = lhs_norm * rhs_norm
     holds = pairing <= bound * (1.0 + 1e-10) + 1e-12
     return pairing, bound, holds
@@ -353,10 +330,9 @@ def interpolate_exponents(p0, q0, p1, q1, theta):
 
 
 def _inclusion(values: np.ndarray, p1: float, q1: float, p2: float, q2: float,
-               window: WindowSpec, g: GridSpec) -> tuple:
+               g: GridSpec) -> tuple:
     """W(L^p1, L^q1) into W(L^p2, L^q2), for p1 >= p2 and q1 <= q2: (lhs, rhs, holds) of
-    the comparison with constant 1 over the trailing grid axes of values, exact for
-    unit-cube partition windows."""
-    lhs = _amalgam_norms(values, p2, q2, window, g)[0]
-    rhs = _amalgam_norms(values, p1, q1, window, g)[0]
+    the comparison with constant 1 on unit cubes, over the trailing grid axes of values."""
+    lhs = _amalgam_norms(values, p2, q2, unit_cube_partition(), g)[0]
+    rhs = _amalgam_norms(values, p1, q1, unit_cube_partition(), g)[0]
     return lhs, rhs, lhs <= rhs * (1.0 + 1e-10) + 1e-12

@@ -6,11 +6,13 @@ from hypothesis import settings
 
 from amalgam.grid import GridSpec
 
-# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a commit's result does not
-# change from run to run; local runs keep drawing new ones.  Each test sets its own
-# example count, and both profiles keep it.
+# The ci profile, loaded unless HYPOTHESIS_PROFILE names another, draws the same examples
+# on every run, so a commit's result does not change from run to run.  HYPOTHESIS_PROFILE=
+# explore draws new examples on each run.  Each test sets its own example count, and both
+# profiles keep it.
 settings.register_profile("ci", derandomize=True)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+settings.register_profile("explore", derandomize=False)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "ci"))
 
 
 @pytest.fixture

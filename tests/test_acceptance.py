@@ -35,7 +35,7 @@ from amalgam.verify import (
     local_window_norms,
     property_suite,
 )
-from amalgam.wiener import WindowSpec, spacetime_inner_product, unit_cube_partition
+from amalgam.wiener import spacetime_inner_product
 
 SLOPE_TOL = 0.05
 
@@ -61,8 +61,7 @@ def decay_fits():
     times = profile_times(0.02, 50.0, per_decade=24)
     out = {}
     for label, (sigma, rt, r) in CASES.items():
-        prof = kernel_amalgam_profile(sigma, rt, r, unit_cube_partition(),
-                                      times, grid)
+        prof = kernel_amalgam_profile(sigma, rt, r, times, grid)
         out[label] = fit_decay(prof)
     return out
 
@@ -235,20 +234,16 @@ def test_criterion_7_window_norm_tail():
     assert check("theorem", tup).verdict
     grid = GridSpec(1, 64.0, 4096)
     times = profile_times(0.01, 66.0, per_decade=24)
-    prof = kernel_amalgam_profile(0.3, "inf", "inf", unit_cube_partition(),
-                                  times, grid)
+    prof = kernel_amalgam_profile(0.3, "inf", "inf", times, grid)
     # log-log interpolant of h(|t|), power-law accurate between samples
     lt, lv = np.log(prof.times), np.log(prof.values)
     h = lambda t: np.exp(np.interp(np.log(np.abs(t)), lt, lv))
     small_exp, large_exp, _ = predicted_kernel_decay(1, "0.3", "inf", "inf")
-    window = WindowSpec("smooth-bump", radius=1.0, step=1.0)
-    rep = local_window_norms(h, window, range(-64, 65), qt=2, q=10,
-                             tail_exponent=float(large_exp))
+    rep = local_window_norms(h, range(-64, 65), qt=2, q=10, tail_exponent=float(large_exp))
     slope_ok = abs(rep.tail_slope - float(large_exp)) <= 0.07
     weak_ok = rep.weak_converged and np.isfinite(rep.weak_norm)
     # control: breaking the trade-off equality must blow the weak norm
-    bad = local_window_norms(h, window, range(-64, 65), qt=2, q=4,
-                             tail_exponent=float(large_exp))
+    bad = local_window_norms(h, range(-64, 65), qt=2, q=4, tail_exponent=float(large_exp))
     control_ok = not bad.weak_converged
     ok = slope_ok and weak_ok and control_ok
     report(f"criterion 7: tail slope {rep.tail_slope:+.4f} vs {float(large_exp):+.2f} "
@@ -265,12 +260,12 @@ def test_criterion_8_classical_scaling():
     g = GridSpec(1, 32.0, 1024)
     datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
     sweep = classical_scaling_sweep(datum, [1.0, 2.0], "0.3", 10, g)
-    invariant_ok = sweep.invariant_within <= 0.10
+    invariant_ok = sweep.max_drift <= 0.10
     control = classical_scaling_sweep(datum, [1.0, 2.0, 4.0], "0.3", 10, g,
                                       r_override=10)
-    control_ok = control.monotone and control.max_drift > sweep.invariant_within
+    control_ok = control.monotone and control.max_drift > sweep.max_drift
     ok = invariant_ok and control_ok
-    report(f"criterion 8: scaling drift {sweep.invariant_within:.3%} (tol 10%), "
+    report(f"criterion 8: scaling drift {sweep.max_drift:.3%} (tol 10%), "
            f"control monotone drift {control.max_drift:.3%}", ok)
     assert ok
 

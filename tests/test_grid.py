@@ -231,13 +231,12 @@ class TestMixedNorm:
         times = np.linspace(0.0, 2.0, 5)
         stf = SpaceTimeField(grid1d, times, np.full((5,) + grid1d.shape, scale + 0j))
         unit = SpaceTimeField(grid1d, times, np.ones((5,) + grid1d.shape, dtype=complex))
-        win = unit_cube_partition()
         for q, r in ((2, 2), (3, 1.5), (np.inf, 4)):
             want = scale * (2 * grid1d.length) ** (1 / r) * 2 ** (1 / q)
             assert mixed_lebesgue_norm(stf, q, r).value == pytest.approx(want, rel=1e-13, abs=0)
-            got = spacetime_amalgam_norm(stf, q, 4, 2, r, win, win).value
+            got = spacetime_amalgam_norm(stf, q, 4, 2, r).value
             assert got == pytest.approx(
-                scale * spacetime_amalgam_norm(unit, q, 4, 2, r, win, win).value, rel=1e-13, abs=0)
+                scale * spacetime_amalgam_norm(unit, q, 4, 2, r).value, rel=1e-13, abs=0)
 
     def test_q2_r2_is_flat_l2(self, grid1d, rng):
         times = np.linspace(0.0, 2.0, 9)

@@ -211,12 +211,11 @@ class TestProfileOnLattice:
                              ids=["n1", "n2", "n3"])
     def test_matches_kernel_eval_at_every_radius(self, sigma, grid):
         times = np.array([0.05, 1.3, 7.0])
-        win = unit_cube_partition()
-        prof = kernel_amalgam_profile(sigma, "inf", 10, win, times, grid)
+        prof = kernel_amalgam_profile(sigma, "inf", 10, times, grid)
         for t, value, est in zip(times, prof.values, prof.est_error):
             ks = kernel_eval(grid.n, sigma, t, lattice_radii(grid))
             fld = SampledField(grid, ks.values.reshape(grid.shape))
-            assert value == amalgam_norm(fld, np.inf, 5.0, win).value
+            assert value == amalgam_norm(fld, np.inf, 5.0, unit_cube_partition()).value
             modulus = np.abs(ks.values)
             sig = modulus >= 0.01 * modulus.max()
             assert est == np.max(ks.est_error[sig] / modulus[sig])
@@ -289,16 +288,14 @@ class TestKernelAmalgamProfile:
     def test_sigma0_reference(self):
         g = GridSpec(1, 32.0, 1024)
         times = np.geomspace(0.1, 10.0, 7)
-        prof = kernel_amalgam_profile(0.0, "inf", "inf",
-                                      unit_cube_partition(), times, g)
+        prof = kernel_amalgam_profile(0.0, "inf", "inf", times, g)
         want = (4.0 * np.pi * times) ** -0.5
         assert np.max(np.abs(prof.values - want) / want) < 1e-4
 
     def test_positive_decreasing(self):
         g = GridSpec(1, 32.0, 1024)
         times = profile_times(0.01, 100.0, per_decade=6)
-        prof = kernel_amalgam_profile(0.3, "inf", "inf",
-                                      unit_cube_partition(), times, g)
+        prof = kernel_amalgam_profile(0.3, "inf", "inf", times, g)
         assert np.all(prof.values > 0)
         assert np.all(np.diff(prof.values) < 0)
 
@@ -308,8 +305,7 @@ class TestKernelAmalgamProfile:
         g = GridSpec(1, 8.0, 256)
         sigma, rt, r = 0.3, np.inf, 10.0
         times = np.array([2.0, 5.0, 10.0])
-        prof = kernel_amalgam_profile(sigma, rt, r, unit_cube_partition(),
-                                      times, g)
+        prof = kernel_amalgam_profile(sigma, rt, r, times, g)
         xs = np.abs(g.axis_points())
         for tval, pval in zip(times, prof.values):
             eps = 1e-4 * min(tval, 4 * tval ** 2 / 64.0)
@@ -336,8 +332,7 @@ class TestKernelAmalgamProfile:
     def test_multidimensional_lattice(self, n, sigma, grid):
         # the 2-D case once asked for a 27 GiB outer product at t = 0.02
         times = profile_times(0.02, 50.0, 8)
-        prof = kernel_amalgam_profile(sigma, "inf", 10, unit_cube_partition(),
-                                      times, grid)
+        prof = kernel_amalgam_profile(sigma, "inf", 10, times, grid)
         assert np.all(np.isfinite(prof.values)) and np.all(prof.values > 0)
         t = float(times[0])
         radii = lattice_radii(grid)[[0, 5, 137, grid.npts ** n // 2, grid.npts ** n - 1]]
@@ -348,8 +343,7 @@ class TestKernelAmalgamProfile:
     def test_rejects_nonpositive_times(self):
         g = GridSpec(1, 8.0, 256)
         with pytest.raises(ValueError):
-            kernel_amalgam_profile(0.3, "inf", "inf", unit_cube_partition(),
-                                   [0.0, 1.0], g)
+            kernel_amalgam_profile(0.3, "inf", "inf", [0.0, 1.0], g)
 
 
 class TestProfileTimes:

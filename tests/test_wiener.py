@@ -264,8 +264,7 @@ class TestSpacetimeAmalgam:
         g = GridSpec(1, 8.0, 256)
         times = np.linspace(-3.0, 3.0, 25)
         stf = _random_stf(g, times, 17)
-        win = unit_cube_partition()
-        got = spacetime_amalgam_norm(stf, 2, 2, 4, 4, win, win).value
+        got = spacetime_amalgam_norm(stf, 2, 2, 4, 4).value
         want = mixed_lebesgue_norm(stf, 2, 4).value
         assert got == pytest.approx(want, rel=1e-12)
 
@@ -274,46 +273,38 @@ class TestSpacetimeAmalgam:
         f = band_limited_field(g, 3)
         stf = SpaceTimeField(g, np.array([0.2]), np.array([f.values]))
         win = unit_cube_partition()
-        got = spacetime_amalgam_norm(stf, 2, 4, 2, 6, win, win).value
-        spatial = amalgam_norm(f, 2, 6, win).value
+        got = spacetime_amalgam_norm(stf, 2, 4, 2, 6).value
+        spatial = amalgam_norm(f, 2, 6, unit_cube_partition()).value
         assert got == pytest.approx(spatial, rel=1e-12)  # unit time-window factor
 
     def test_brute_force_small_case(self):
-        # nested-loop oracle over time translates and slices
+        # nested-loop oracle over time translates and slices; the second set of instants
+        # leaves cubes empty between them and puts instants on the cube edges k +- 1/2
         g = GridSpec(1, 4.0, 128)
-        times = np.linspace(-2.0, 2.0, 17)
-        stf = _random_stf(g, times, 23)
         win = unit_cube_partition()
         qt, q, rt, r = 3, 5, 2, 4
         from amalgam.grid import trapezoid_weights
-        w = trapezoid_weights(times)
-        spatial = np.array([brute_force_amalgam(SampledField(g, stf.values[k]), rt, r, win)
-                            for k in range(len(times))])
-        ks = sorted({int(np.floor(t + 0.5)) for t in times})
-        locs = []
-        for k in ks:
-            mask = (times >= k - 0.5) & (times < k + 0.5)
-            locs.append(np.sum(w[mask] * spatial[mask] ** qt) ** (1 / qt))
-        want = float(np.sum(np.asarray(locs) ** q) ** (1 / q))
-        got = spacetime_amalgam_norm(stf, qt, q, rt, r, win, win).value
-        assert got == pytest.approx(want, rel=1e-10)
-        # a smooth time window: translates whose support fits in [-2, 2], and
-        # every instant weighted by the window
-        gauss = WindowSpec("gaussian", radius=0.5, step=1.0)
-        locs = [np.sum(w * (spatial * gauss.profile(np.abs(times - k))) ** qt) ** (1 / qt)
-                for k in (-1, 0, 1)]
-        want = float(np.sum(np.asarray(locs) ** q) ** (1 / q))
-        got = spacetime_amalgam_norm(stf, qt, q, rt, r, gauss, win).value
-        assert got == pytest.approx(want, rel=1e-10)
+        for times in (np.linspace(-2.0, 2.0, 17),
+                      np.array([-3.2, -2.5, 0.1, 0.4, 0.5, 2.49, 2.5, 7.0])):
+            stf = _random_stf(g, times, 23)
+            w = trapezoid_weights(times)
+            spatial = np.array([brute_force_amalgam(SampledField(g, stf.values[k]), rt, r, win)
+                                for k in range(len(times))])
+            ks = sorted({int(np.floor(t + 0.5)) for t in times})
+            locs = []
+            for k in ks:
+                mask = (times >= k - 0.5) & (times < k + 0.5)
+                locs.append(np.sum(w[mask] * spatial[mask] ** qt) ** (1 / qt))
+            want = float(np.sum(np.asarray(locs) ** q) ** (1 / q))
+            got = spacetime_amalgam_norm(stf, qt, q, rt, r).value
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_weak_outer_flag(self):
         g = GridSpec(1, 4.0, 128)
         times = np.linspace(-4.0, 4.0, 33)
         stf = _random_stf(g, times, 5)
-        win = unit_cube_partition()
-        strong = spacetime_amalgam_norm(stf, 2, 4, 2, 4, win, win).value
-        weak = spacetime_amalgam_norm(stf, 2, 4, 2, 4, win, win,
-                                      weak_outer_time=True).value
+        strong = spacetime_amalgam_norm(stf, 2, 4, 2, 4).value
+        weak = spacetime_amalgam_norm(stf, 2, 4, 2, 4, weak_outer_time=True).value
         assert 0 < weak <= strong * (1 + 1e-12)
 
 
@@ -322,8 +313,7 @@ class TestHolderPairing:
         g = GridSpec(1, 8.0, 256)
         times = np.linspace(-2.0, 2.0, 17)
         F = _random_stf(g, times, 31)
-        win = unit_cube_partition()
-        pairing, bound, holds = holder_pairing(F, F, 2, 2, 2, 2, win, win)
+        pairing, bound, holds = holder_pairing(F, F, 2, 2, 2, 2)
         assert holds
         assert pairing == pytest.approx(bound, rel=1e-10)
 
@@ -335,8 +325,7 @@ class TestHolderPairing:
         right = SampledField(g, np.where(x > 1, 1.0 + 0j, 0))
         F = SpaceTimeField(g, times, np.array([left.values] * 9))
         G = SpaceTimeField(g, times, np.array([right.values] * 9))
-        win = unit_cube_partition()
-        pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6, win, win)
+        pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6)
         assert pairing == 0.0
         assert bound > 0
         assert holds
@@ -344,20 +333,11 @@ class TestHolderPairing:
     def test_random_pairs_constant_one(self):
         g = GridSpec(1, 4.0, 128)
         times = np.linspace(-2.0, 2.0, 9)
-        win = unit_cube_partition()
         for seed in range(500):
             F = _random_stf(g, times, 13 * seed)
             G = _random_stf(g, times, 7000 + 13 * seed)
-            pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6, win, win)
+            pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6)
             assert holds, (seed, pairing, bound)
-
-    def test_rejects_non_partition_window(self):
-        g = GridSpec(1, 4.0, 128)
-        times = np.linspace(-1.0, 1.0, 5)
-        F = _random_stf(g, times, 1)
-        smooth = WindowSpec("gaussian", radius=0.5, step=1.0)
-        with pytest.raises(ValueError):
-            holder_pairing(F, F, 2, 2, 2, 2, smooth, unit_cube_partition())
 
 
 class TestInterpolateExponents:
@@ -391,7 +371,7 @@ class TestInterpolateExponents:
 
 def inclusion_check(f, p1, q1, p2, q2):
     """W(L^p1, L^q1) into W(L^p2, L^q2) on unit cubes for one field: the suite's check."""
-    lhs, rhs, holds = _inclusion(f.values, p1, q1, p2, q2, unit_cube_partition(), f.grid)
+    lhs, rhs, holds = _inclusion(f.values, p1, q1, p2, q2, f.grid)
     return float(lhs), float(rhs), bool(holds)
 
 
