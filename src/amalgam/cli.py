@@ -4,10 +4,12 @@ Exit codes: 0 success (a reject verdict is still a success), 1 when an
 asserted invariant fails, 2 on usage errors.  Every flag is typed: its
 value is parsed once, and a value it cannot take is a usage error that
 names the flag.  The token ``inf`` denotes infinity in every exponent
-flag; exponents parse as exact rationals (``10``, ``10/3``, ``0.3``).  A
-config file of ``key = value`` lines may supply any flag (``key = true``
-sets a flag that takes no value); explicit command-line flags override it.
-A flag with no default is required, except --out and --input.  The output
+flag; exponents parse as exact rationals (``10``, ``10/3``, ``0.3``).  The
+orders --sigma and --alpha are finite exact rationals.  A config file of
+``key = value`` lines may supply any flag (``key = true`` sets a flag that
+takes no value); explicit command-line flags override it.  A flag with no
+default is required, except --out, --input and --window-norm, which follows
+--window (partition for cube, l2 for gaussian and bump).  The output
 directory comes from --out, else $AMALGAM_OUT, else ./amalgam-out.  Every
 JSON file written is standard JSON, with exponents and non-finite floats as
 text.
@@ -28,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from . import exponents as expo
-from .extreal import as_extended, fmt, to_float
+from .extreal import as_extended, as_rational, fmt, to_float
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -51,6 +53,14 @@ def _exponent(text: str):
     """An exact rational, or inf."""
     try:
         return as_extended(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _order(text: str) -> Fraction:
+    """An exact rational; an order, unlike an exponent, is never inf."""
+    try:
+        return as_rational(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -100,7 +110,8 @@ _TYPES = {
                      "corpus-size", "trials", "ntimes", "pairs"), int),
     **dict.fromkeys(("grid-l", "width", "window-radius", "window-step", "tmin", "tmax",
                      "tol", "t-outer"), _finite),
-    **dict.fromkeys(("sigma", "qt", "rt", "q", "r", "p", "alpha"), _exponent),
+    **dict.fromkeys(("qt", "rt", "q", "r", "p"), _exponent),
+    "sigma": _order, "alpha": _order,
     "free": _axes, "fixed": _fixed, "times": _times,
 }
 _HELP = {"free": "comma list, e.g. qt,q", "fixed": "comma list name=value",
@@ -141,7 +152,8 @@ def _build_parser() -> tuple:
     _field_flags(sp)
     _flags(sp, p="2", q="2", sigma="0", window_radius="0.5", window_step="1")
     sp.add_argument("--window", default="cube", choices=["cube", "gaussian", "bump"])
-    sp.add_argument("--window-norm", default="partition", choices=["l2", "partition"])
+    sp.add_argument("--window-norm", choices=["l2", "partition"],
+                    help="default: partition for cube, l2 for gaussian and bump")
 
     sp = add("evolve", "free evolution of a datum over a time list", _cmd_evolve)
     _field_flags(sp)
@@ -217,6 +229,8 @@ def _parse(argv) -> argparse.Namespace:
             except _UsageError as exc:
                 raise _UsageError(f"config file {known.config}: {exc}") from None
     args = parser.parse_args(rest)
+    if args.command == "norm" and args.window_norm is None:  # partition needs cube indicators
+        args.window_norm = "partition" if args.window == "cube" else "l2"
     for action in commands[args.command]._actions:  # a flag with no default is required
         if action.dest not in ("help", "out", "input") and getattr(args, action.dest) is None:
             raise _UsageError(f"{action.option_strings[0]} is required for {args.command}")

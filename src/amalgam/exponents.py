@@ -30,7 +30,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .extreal import INF, as_extended, as_rational, from_recip, recip
 
@@ -227,19 +226,14 @@ def check(condition_set: str, t: ExponentTuple) -> RegionReport:
     return evaluate(constraint_table(condition_set, t.n, t.sigma), t.reciprocals())
 
 
-def predicted_kernel_decay(n: int, sigma, rt, r):
+def predicted_kernel_decay(n: int, sigma, rt, r) -> tuple:
     """Exact two-regime decay exponents of the windowed kernel norm.
 
-    Returns (small_time_exponent, large_time_exponent, extrapolated);
-    ``extrapolated`` is True when (n, sigma, rt, r) lies outside the
-    kernel-decay region, in which case the exponents are formal.
+    Returns (small_time_exponent, large_time_exponent); outside the
+    kernel-decay region (check("proposition", ...) rejects) they are formal.
     """
-    sigma = as_rational(sigma)
-    u = {"rt": recip(rt), "r": recip(r)}
-    small = -Fraction(n, 2) + sigma + (n - 1) * u["rt"]
-    large = small + n * u["r"]
-    inside = evaluate(constraint_table("proposition", n, sigma), u).verdict
-    return small, large, (not inside)
+    small = -Fraction(n, 2) + as_rational(sigma) + (n - 1) * recip(rt)
+    return small, small + n * recip(r)
 
 
 def _solve(form: tuple, u: dict, name: str) -> Fraction:
@@ -271,32 +265,12 @@ def classical_sobolev_line(n: int, sigma, q):
 
 @dataclass
 class RegionScan:
-    """Verdicts over the lattice {0, 1/resolution, ..., 1}^d of the free reciprocals,
-    in row-major order of the index tuples; coordinates and tuples are built on access."""
+    """Verdicts over the lattice {0, 1/resolution, ..., 1}^d of the free reciprocals
+    ``axes``, in row-major order of the index tuples."""
 
-    condition_set: str
     axes: tuple
-    resolution: int
     verdicts: list        # bool per point
     edge: list            # indices of accepted points with a rejected or missing neighbour
-    tuple_at: object = field(repr=False)  # free reciprocals -> ExponentTuple, None if unassemblable
-
-    @cached_property
-    def coords(self) -> list:
-        steps = [Fraction(k, self.resolution) for k in range(self.resolution + 1)]
-        return [dict(zip(self.axes, p)) for p in itertools.product(steps, repeat=len(self.axes))]
-
-    @cached_property
-    def tuples(self) -> list:
-        return [self.tuple_at(point) for point in self.coords]
-
-    @property
-    def accepted(self) -> list:
-        return [t for t, v in zip(self.tuples, self.verdicts) if v and t is not None]
-
-    @property
-    def boundary(self) -> list:
-        return [self.coords[k] for k in self.edge]
 
 
 def _interval(rows: list, head: tuple, resolution: int) -> tuple:
@@ -359,14 +333,6 @@ def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
         row[0] -= kind == GT  # integer values: > 0 is >= 1
         return [row, [-c for c in row]] if kind == EQ else [row]
 
-    def tuple_at(point: dict):
-        u = {**base, **point}
-        if eq is not None:
-            u[solved] = _solve(eq, u, solved)
-            if not 0 <= u[solved] <= 1:
-                return None
-        return ExponentTuple(n, sigma, *(from_recip(u.get(a, 0)) for a in AXES))
-
     terms = [row for _, kind, form in clauses for row in rows(form, kind)]
     w = resolution + 1
     verdicts = []
@@ -377,4 +343,4 @@ def sample_region(condition_set: str, *, n: int, sigma=0, free, resolution: int,
     edge = [k for k in itertools.compress(range(len(verdicts)), verdicts)
             if not all(0 < k // s % w < resolution and verdicts[k - s] and verdicts[k + s]
                        for s in strides)]
-    return RegionScan(condition_set, free, resolution, verdicts, edge, tuple_at)
+    return RegionScan(free, verdicts, edge)

@@ -155,7 +155,6 @@ class SampledField:
 
     grid: GridSpec
     values: np.ndarray
-    label: str = ""
 
     def __post_init__(self):
         self.values = _checked(self.values, self.grid.shape)

@@ -168,7 +168,7 @@ def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
     g = stf.grid
     acc = _propagate(_dft(stf.values, g), -stf.times, sigma, g,
                      weights=trapezoid_weights(stf.times))
-    return SampledField(g, acc, "adjoint-accumulated")
+    return SampledField(g, acc)
 
 
 # ---------------------------------------------------------------------------
@@ -263,11 +263,7 @@ KERNEL_RTOL = 1e-7
 class KernelSamples:
     """Kernel values on sample abscissae with their error bounds."""
 
-    n: int
-    gamma: float          # symbol exponent, = 2 sigma
-    t: float
-    xs: np.ndarray        # radial distances
-    values: np.ndarray    # complex K_t at xs
+    values: np.ndarray    # complex K_t at the abscissae
     est_error: np.ndarray  # KERNEL_RTOL * envelope
 
 
@@ -308,10 +304,7 @@ def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
     tail = math.exp(math.lgamma(a) - math.lgamma(sigma)) if sigma > 0 else 0.0
     envelope = ((4.0 * np.pi) ** -b * abs(t) ** -a
                 * ((1.0 + y) ** -sigma + tail * (1.0 + y) ** -a))
-    return KernelSamples(
-        n=n, gamma=2.0 * sigma, t=t, xs=radii, values=values,
-        est_error=KERNEL_RTOL * envelope,
-    )
+    return KernelSamples(values=values, est_error=KERNEL_RTOL * envelope)
 
 
 def kernel_bound(n: int, gamma: float, t, x):

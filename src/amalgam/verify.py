@@ -84,7 +84,7 @@ __all__ = [
 def band_limited_field(grid: GridSpec, seed: int, kmax: int | None = None) -> SampledField:
     """Random band-limited field, zero mode removed, unit L2 norm."""
     values = band_limited_stack(grid, [seed], kmax)[0]
-    return SampledField(grid, values, f"band-limited[{seed}]")
+    return SampledField(grid, values)
 
 
 def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.ndarray:
@@ -111,7 +111,7 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
 
 def gaussian_datum(grid: GridSpec, width: float = 1.0) -> SampledField:
     r2 = sum(c ** 2 for c in grid.meshgrid())
-    return SampledField(grid, np.exp(-r2 / _gaussian_scale(width, "width")), "gaussian")
+    return SampledField(grid, np.exp(-r2 / _gaussian_scale(width, "width")))
 
 
 def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> SampledField:
@@ -121,7 +121,7 @@ def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> Sam
     mesh = grid.meshgrid()
     xi0 = mode * grid.dxi
     phase = np.exp(1j * xi0 * sum(mesh))
-    return SampledField(grid, g.values * phase, f"modulated[{mode}]")
+    return SampledField(grid, g.values * phase)
 
 
 def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
@@ -129,7 +129,7 @@ def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
     vals = np.zeros(grid.shape, dtype=complex)
     idx = tuple(rng.integers(0, grid.npts, size=grid.n))
     vals[idx] = 1.0
-    return SampledField(grid, vals, f"spike[{seed}]")
+    return SampledField(grid, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +140,6 @@ def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
 class DecayFit:
     regime: str                  # "small" (|t| <= 1) or "large" (|t| >= 1)
     slope: float
-    intercept: float
     r_squared: float
     predicted: float | None = None
 
@@ -158,8 +157,7 @@ def _loglog_fit(ts: np.ndarray, vs: np.ndarray, regime: str,
     resid = lv - (slope * lt + intercept)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(regime=regime, slope=float(slope), intercept=float(intercept),
-                    r_squared=r2, predicted=predicted)
+    return DecayFit(regime=regime, slope=float(slope), r_squared=r2, predicted=predicted)
 
 
 def fit_decay(profile: DecayProfile):
@@ -181,7 +179,7 @@ def fit_decay(profile: DecayProfile):
     pred_s = pred_l = None
     m = profile.meta
     if all(k in m for k in ("n", "sigma", "rt", "r")):
-        s, l, _ = expo.predicted_kernel_decay(m["n"], m["sigma"], m["rt"], m["r"])
+        s, l = expo.predicted_kernel_decay(m["n"], m["sigma"], m["rt"], m["r"])
         pred_s, pred_l = float(s), float(l)
     return (_loglog_fit(ts[small], vs[small], "small", pred_s),
             _loglog_fit(ts[large], vs[large], "large", pred_l))
@@ -197,8 +195,6 @@ class WindowNormReport:
     terms: np.ndarray
     fitted_constant: float
     tail_slope: float | None
-    tail_exponent: float
-    weak_exponent: float
     weak_norm: float
     weak_converged: bool
 
@@ -246,7 +242,6 @@ def local_window_norms(h_fn, ks, qt, q, tail_exponent: float) -> WindowNormRepor
     weak_conv = weak_full <= weak_half * 1.05 + 1e-12
     return WindowNormReport(
         ks=ks, terms=terms, fitted_constant=fitted_c, tail_slope=tail_slope,
-        tail_exponent=float(tail_exponent), weak_exponent=q2,
         weak_norm=weak_full, weak_converged=weak_conv,
     )
 
@@ -294,22 +289,18 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
     # one block of instants at a time is evolved, then reduced to its spatial norms
     blocks = (block for _, block in evolve_blocks(fld, times))
-    num, _ = _spacetime_norm(blocks, fld.grid, times, *exps, weak)
+    num = _spacetime_norm(blocks, fld.grid, times, *exps, weak)
     return RatioResult(
         value=num / denom,
         numerator=num,
         denominator=denom,
-        meta={"ntimes": len(times), "t_span": (float(times[0]), float(times[-1])),
-              "weak_outer_time": weak, "label": fld.label,
-              "grid": (fld.grid.n, fld.grid.length, fld.grid.npts)},
+        meta={"ntimes": len(times), "t_span": (float(times[0]), float(times[-1]))},
     )
 
 
 @dataclass
 class ScalingSweep:
-    lambdas: list
     ratios: list
-    r_used: object
 
     @property
     def max_drift(self) -> float:
@@ -339,7 +330,7 @@ def classical_scaling_sweep(datum_fn, lambdas, sigma, q, grid: GridSpec,
     ratios = []
     for lam in lambdas:
         vals = datum_fn(*[c / lam for c in mesh])
-        fld = SampledField(grid, vals, f"scaled[{lam}]")
+        fld = SampledField(grid, vals)
         frac = boundary_mass_fraction(fld)
         if frac >= 1e-6:
             raise ValueError(
@@ -349,7 +340,7 @@ def classical_scaling_sweep(datum_fn, lambdas, sigma, q, grid: GridSpec,
         stf = SpaceTimeField(grid, times, np.concatenate([v for _, v in evolve_blocks(fld, times)]))
         num = mixed_lebesgue_norm(stf, to_float(q), to_float(r)).value
         ratios.append(num / denom)
-    return ScalingSweep(lambdas=list(lambdas), ratios=ratios, r_used=r)
+    return ScalingSweep(ratios=ratios)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +483,6 @@ class PropertyResult:
 
 @dataclass
 class SuiteReport:
-    seed: int
-    corpus_size: int
     results: list
 
     @property
@@ -619,4 +608,4 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
 
     ok, detail = interp_ok()
     results.append(PropertyResult("interpolation arithmetic exact", ok, detail))
-    return SuiteReport(seed=seed, corpus_size=corpus_size, results=results)
+    return SuiteReport(results=results)

@@ -235,9 +235,8 @@ def _weak_lorentz(a: np.ndarray, p: float) -> np.ndarray:
 
 
 def _spacetime_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float, rt: float,
-                    r: float, weak: bool) -> tuple:
-    """spacetime_amalgam_norm of the slices at the increasing instants times, and its
-    number of unit cubes in time.
+                    r: float, weak: bool) -> float:
+    """spacetime_amalgam_norm of the slices at the increasing instants times.
 
     blocks yields the slices in order, a (k, *g.shape) block at a time; each block is
     reduced at once to its spatial norms, and the time reduction then runs on the (T,)
@@ -254,8 +253,8 @@ def _spacetime_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float,
     idx[~inside] = 0
     local = _lq(spatial[idx] * inside, qt, -1, trapezoid_weights(times)[idx])
     if weak:
-        return float(_weak_lorentz(local, q)), len(ks)
-    return float(_lq(local, q, -1)), len(ks)
+        return float(_weak_lorentz(local, q))
+    return float(_lq(local, q, -1))
 
 
 def spacetime_amalgam_norm(
@@ -274,13 +273,12 @@ def spacetime_amalgam_norm(
     qtf, qf, rtf, rf = (to_float(e) for e in (qt, q, rt, r))
     g = stf.grid
     blocks = (stf.values[b] for b in _blocks(len(stf.times), g))
-    value, translates = _spacetime_norm(blocks, g, stf.times, qtf, qf, rtf, rf,
-                                        weak_outer_time)
+    value = _spacetime_norm(blocks, g, stf.times, qtf, qf, rtf, rf, weak_outer_time)
     return NormResult(
         value=value,
         space="spacetime-amalgam-weak" if weak_outer_time else "spacetime-amalgam",
         exponents={"qt": qtf, "q": qf, "rt": rtf, "r": rf},
-        meta={"n": g.n, "ntimes": len(stf.times), "translates": translates},
+        meta={"n": g.n, "ntimes": len(stf.times)},
     )
 
 

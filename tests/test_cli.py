@@ -62,7 +62,7 @@ _VALID = {"--set": "theorem", "--n": "1", "--free": "qt,q", "--kind": "lebesgue"
           "--p": "4/3", "--alpha": "0.5"}
 _NO_DEFAULT = [(name, action.option_strings[0])
                for name, sp in cli._build_parser()[1].items() for action in sp._actions
-               if action.default is None and action.dest not in ("out", "input")]
+               if action.default is None and action.dest not in ("out", "input", "window_norm")]
 
 
 class TestUsageErrors:
@@ -179,8 +179,12 @@ class TestFlagTypes:
           "--t-outer", "inf"], "--t-outer"),
         (["norm", "--kind", "lebesgue", "--grid-npts", "64", "--width", "nan"], "--width"),
         (["norm", "--kind", "lebesgue", "--grid-npts", "64", "--width", "1e400"], "--width"),
+        # orders are finite rationals: inf used to end in a message that named no flag
+        (["norm", "--kind", "hsigma", "--sigma", "inf", "--grid-npts", "64"], "--sigma"),
+        (["hls", "--p", "4/3", "--alpha", "inf"], "--alpha"),
     ], ids=["int", "float", "exponent", "times", "fixed", "free", "tmax-inf",
-            "window-step-inf", "t-outer-inf", "width-nan", "width-1e400"])
+            "window-step-inf", "t-outer-inf", "width-nan", "width-1e400", "sigma-inf",
+            "alpha-inf"])
     def test_bad_value_is_a_parse_error(self, tmp_path, capsys, argv, flag):
         assert invoke(argv, tmp_path) == 2
         err = capsys.readouterr().err
@@ -418,6 +422,18 @@ class TestCommands:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["input_slices"] == 2
         assert report["input_time"] == 0.2
+
+    @pytest.mark.parametrize("window,radius", [("bump", "1"), ("gaussian", "0.5")])
+    def test_window_norm_default_follows_window(self, tmp_path, window, radius):
+        # the default was partition, which both smooth windows refuse (exit 2)
+        argv = ["norm", "--kind", "amalgam", "--window", window, "--window-radius", radius,
+                "--grid-npts", "256"]
+        assert invoke(argv, tmp_path / "default") == 0
+        assert invoke(argv + ["--window-norm", "l2"], tmp_path / "l2") == 0
+        assert ((tmp_path / "default" / "results.csv").read_text()
+                == (tmp_path / "l2" / "results.csv").read_text())
+        manifest = json.loads((tmp_path / "default" / "manifest.json").read_text())
+        assert manifest["params"]["window_norm"] == "l2"
 
     @pytest.mark.parametrize("kind", ["lebesgue", "amalgam", "hsigma"])
     def test_norm_of_huge_container_is_finite(self, tmp_path, capsys, kind):
@@ -681,6 +697,16 @@ class TestStreaming:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("usage error:") and "t_outer" in err
+
+    def test_ratio_of_zero_mode_datum_is_usage_error(self, tmp_path, capsys):
+        assert invoke(["ratio", "--gen", "gaussian", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
+                       "--q", "10", "--r", "inf", "--grid-npts", "256"], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("warning: zero-mode mass fraction 1.11e-01 >= 1e-10; the smoothing weight "
+                       "drops it, so the norm undercounts this field\n"
+                       "usage error: datum has zero-mode mass fraction 1.11e-01; "
+                       "use a zero-mode-free generator\n")
 
     def test_ratio_of_another_dimension_is_usage_error(self, tmp_path, capsys):
         # admissible at n = 1, rejected by the theorem at n = 2: generated and loaded fields

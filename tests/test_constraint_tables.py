@@ -231,13 +231,10 @@ def _ref_solve_missing(condition_set, n, sigma, urec):
         return urec
     name = missing[0]
     out = dict(urec)
-    if condition_set == "classical":
-        rhs = F(n, 2)
-    elif condition_set == "theorem":
-        rhs = F(n, 2) - as_rational(sigma) - (n - 1) * urec["rt"]
-    else:
-        rhs = F(n, 2) - as_rational(sigma)
-    val = (rhs - 2 * urec["q"]) / n if name == "r" else (rhs - n * urec["r"]) / 2
+    # the set's equality: 2/q + n/r (+ (n-1)/rt in the theorem's trade-off) = rhs
+    coef = {"q": 2, "r": n, "rt": n - 1 if condition_set == "theorem" else 0}
+    rhs = F(n, 2) if condition_set == "classical" else F(n, 2) - as_rational(sigma)
+    val = (rhs - sum(c * urec[a] for a, c in coef.items() if a != name and a in urec)) / coef[name]
     if val < 0 or val > 1:
         return None
     out[name] = val
@@ -302,6 +299,9 @@ SCANS = [
     ("corollary", 3, "0.6", ("q",), {"rt": 4, "qt": 5}),
     ("corollary", 2, "0.3", ("r",), {"rt": 4, "qt": 4}),
     ("corollary", 1, "0.2", ("q", "r"), {"qt": 4, "rt": 4}),
+    # the theorem's trade-off has a (n-1)/rt term, so rt can be the solved coordinate
+    ("theorem", 2, "0.6", ("qt", "q"), {"r": 10}),
+    ("theorem", 3, "0.6", ("qt", "q"), {"r": 10}),
 ]
 
 
@@ -310,12 +310,10 @@ SCANS = [
 def test_scan_matches_reference(condition_set, n, sigma, free, fixed, resolution):
     scan = sample_region(condition_set, n=n, sigma=sigma, free=free, fixed=fixed,
                          resolution=resolution)
-    coords, tuples, verdicts, boundary = ref_scan(condition_set, n, sigma, free, resolution, fixed)
+    coords, _, verdicts, boundary = ref_scan(condition_set, n, sigma, free, resolution, fixed)
     assert scan.verdicts == verdicts
     assert all(type(v) is bool for v in scan.verdicts)
-    assert scan.coords == coords
-    assert scan.tuples == tuples
-    assert scan.boundary == boundary
+    assert [coords[k] for k in scan.edge] == boundary
 
 
 @st.composite
@@ -340,8 +338,8 @@ def test_random_scans_match_reference(setup):
     condition_set, n, sigma, free, fixed, resolution = setup
     scan = sample_region(condition_set, n=n, sigma=sigma, free=free, fixed=fixed,
                          resolution=resolution)
-    coords, tuples, verdicts, boundary = ref_scan(condition_set, n, sigma, free, resolution, fixed)
-    assert (scan.verdicts, scan.tuples, scan.boundary) == (verdicts, tuples, boundary)
+    coords, _, verdicts, boundary = ref_scan(condition_set, n, sigma, free, resolution, fixed)
+    assert (scan.verdicts, [coords[k] for k in scan.edge]) == (verdicts, boundary)
 
 
 def test_theorem_scan_hand_count():
@@ -361,16 +359,6 @@ def test_theorem_scan_hand_count():
         return 0 < j < i and 10 * j <= 256 < 10 * i and 2 * i <= 256
 
     assert scan.verdicts == [accept(i, j) for i in range(257) for j in range(257)]
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_solved_rt_matches_predicate(n):
-    # the theorem's trade-off has a (n-1)/rt term, so rt can be the solved coordinate
-    scan = sample_region("theorem", n=n, sigma="0.6", free=("qt", "q"), fixed={"r": 10},
-                         resolution=24)
-    assert sum(scan.verdicts) > 0
-    for tup, verdict in zip(scan.tuples, scan.verdicts):
-        assert verdict == (tup is not None and ref_theorem(tup).verdict)
 
 
 @pytest.mark.parametrize("kwargs,match", [

@@ -12,6 +12,7 @@ from amalgam.exponents import (
 )
 from amalgam.extreal import INF, conjugate, from_recip, recip
 from amalgam.wiener import interpolate_exponents
+from test_constraint_tables import ref_scan  # the tests' one reference scan
 
 F = Fraction
 
@@ -144,21 +145,15 @@ class TestCorollary:
 
 class TestPredictedDecay:
     def test_flat_case(self):
-        s, l, extr = predicted_kernel_decay(1, "0.3", "inf", "inf")
+        s, l = predicted_kernel_decay(1, "0.3", "inf", "inf")
         assert (s, l) == (F(-1, 5), F(-1, 5))
-        assert not extr  # zero load, inside the region
-
-    def test_extrapolated_flag(self):
-        _, _, extr = predicted_kernel_decay(1, "0.3", "inf", 4)
-        assert extr
 
     def test_two_regimes(self):
-        s, l, extr = predicted_kernel_decay(1, "0.3", "inf", 10)
+        s, l = predicted_kernel_decay(1, "0.3", "inf", 10)
         assert (s, l) == (F(-1, 5), F(-1, 10))
-        assert not extr
 
     def test_small_order(self):
-        s, l, _ = predicted_kernel_decay(1, "0.2", "inf", 10)
+        s, l = predicted_kernel_decay(1, "0.2", "inf", 10)
         assert (s, l) == (F(-3, 10), F(-1, 5))
 
 
@@ -289,8 +284,10 @@ class TestSampleRegion:
     def test_theorem_scan_reverified(self):
         scan = sample_region("theorem", n=1, sigma="0.3", free=("qt", "q"),
                              fixed={"rt": "inf"}, resolution=16)
-        assert len(scan.accepted) > 0
-        for t in scan.accepted:
+        _, tuples, _, _ = ref_scan("theorem", 1, "0.3", ("qt", "q"), 16, {"rt": "inf"})
+        accepted = [t for t, ok in zip(tuples, scan.verdicts) if ok]
+        assert len(accepted) > 0
+        for t in accepted:
             rep = check("theorem", t)
             assert rep.verdict
             assert recip(t.qt) > recip(t.q)  # qt < q
@@ -298,23 +295,24 @@ class TestSampleRegion:
     def test_empty_region(self):
         scan = sample_region("theorem", n=1, sigma="0.9", free=("qt", "q"),
                              fixed={"rt": "inf"}, resolution=8)
-        assert scan.accepted == []
+        assert not any(scan.verdicts)
 
     def test_refinement_monotone(self):
         coarse = sample_region("proposition", n=1, sigma="0.3", free=("rt", "r"),
                                resolution=8)
         fine = sample_region("proposition", n=1, sigma="0.3", free=("rt", "r"),
                              resolution=16)
+        coords = [ref_scan("proposition", 1, "0.3", ("rt", "r"), res, {})[0] for res in (8, 16)]
         acc_coarse = {tuple(sorted((k, v) for k, v in c.items()))
-                      for c, ok in zip(coarse.coords, coarse.verdicts) if ok}
+                      for c, ok in zip(coords[0], coarse.verdicts) if ok}
         acc_fine = {tuple(sorted((k, v) for k, v in c.items()))
-                    for c, ok in zip(fine.coords, fine.verdicts) if ok}
+                    for c, ok in zip(coords[1], fine.verdicts) if ok}
         assert acc_coarse <= acc_fine
 
     def test_boundary_nonempty(self):
         scan = sample_region("proposition", n=1, sigma="0.3", free=("rt", "r"),
                              resolution=16)
-        assert len(scan.boundary) > 0
+        assert len(scan.edge) > 0
 
     def test_overdimensional_rejected(self):
         with pytest.raises(ValueError):

@@ -73,9 +73,10 @@ def chirp_z(g, h, x0, dx, m):
     return np.exp(0.5j * theta * (k ** 2 + k)) * conv[:m]
 
 
-def mp_errors(ks):
-    """Absolute errors of ks against mpmath, and the exact moduli."""
-    want = np.array([mp_kernel(ks.n, ks.gamma / 2, ks.t, x) for x in ks.xs])
+def mp_errors(ks, n, sigma, t, xs):
+    """Absolute errors of ks = kernel_eval(n, sigma, t, xs) against mpmath, and the
+    exact moduli."""
+    want = np.array([mp_kernel(n, sigma, t, x) for x in xs])
     return np.abs(ks.values - want), np.abs(want)
 
 
@@ -135,8 +136,9 @@ class TestKernelEval:
 
     def test_far_field_accurate(self):
         # small t, large x: |x|^2/4t reaches 51200 on the stationary-phase ridge
-        ks = kernel_eval(1, 0.3, 0.02, np.linspace(0, 64, 9))
-        err, modulus = mp_errors(ks)
+        xs = np.linspace(0, 64, 9)
+        ks = kernel_eval(1, 0.3, 0.02, xs)
+        err, modulus = mp_errors(ks, 1, 0.3, 0.02, xs)
         assert np.all(err <= KERNEL_RTOL * modulus)
 
     def test_sigma0_free_kernel_exact(self):
@@ -165,7 +167,7 @@ class TestKernelEval:
         ks = kernel_eval(n, sigma, t, [x])
         bound = KERNEL_RTOL * envelope(n, sigma, t, x)
         assert ks.est_error[0] == pytest.approx(bound, rel=1e-12)
-        assert mp_errors(ks)[0][0] <= bound
+        assert mp_errors(ks, n, sigma, t, [x])[0][0] <= bound
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dense_sweep_within_1e9_of_envelope(self, n):

@@ -18,6 +18,7 @@ from amalgam.verify import (
     default_ratio_times,
     factorized_bilinear_form,
     fit_decay,
+    gaussian_datum,
     hls_check_1d,
     local_window_norms,
     modulated_gaussian,
@@ -110,6 +111,13 @@ class TestStrichartzRatio:
         g = GridSpec(1, 16.0, 256)
         f = SampledField(g, np.zeros(g.shape))
         with pytest.raises(ValueError, match="degenerate"):
+            strichartz_ratio(f, self.tuple_accept())
+
+    def test_zero_mode_datum_rejected(self):
+        # the smoothing weight drops the zero mode, so the ratio would undercount the datum
+        f = gaussian_datum(GridSpec(1, 16.0, 256), width=1.0)
+        with pytest.warns(UserWarning, match="zero-mode mass fraction"), \
+                pytest.raises(ValueError, match="zero-mode mass fraction .*zero-mode-free"):
             strichartz_ratio(f, self.tuple_accept())
 
     def test_rejected_tuple_refused(self):
