@@ -192,7 +192,7 @@ def _field_flags(sp):
     _flags(sp, width="1", mode="40", grid_n="1", grid_l="16", grid_npts="1024")
 
 
-def _load_config(path) -> dict:
+def _load_config(path, flags) -> dict:
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -205,7 +205,10 @@ def _load_config(path) -> dict:
         if "=" not in line:
             raise _UsageError(f"config file {path}: line without '=': {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        out[key.replace("_", "-")] = val
+        key = key.replace("_", "-")
+        if f"--{key}" not in flags:
+            raise _UsageError(f"config file {path}: no command takes --{key}")
+        out[key] = val
     return out
 
 
@@ -214,15 +217,16 @@ def _parse(argv) -> argparse.Namespace:
 
     Each subcommand parses the config entries it knows as flags, so its own
     types and choices check them; the results become its defaults, which
-    explicit flags override.
+    explicit flags override.  A key that no subcommand knows is a usage error.
     """
     parser, commands = _build_parser()
     pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if known.config:
+        flags = {opt for sp in commands.values() for a in sp._actions for opt in a.option_strings}
         tokens = [f"--{key}" if val == "true" else f"--{key}={val}"
-                  for key, val in _load_config(known.config).items()]
+                  for key, val in _load_config(known.config, flags).items()]
         for sp in commands.values():
             try:
                 sp.set_defaults(**vars(sp.parse_known_args(tokens)[0]))
@@ -393,14 +397,15 @@ def _cmd_fit_decay(args, outdir):
     if args.tol < 0:
         raise ValueError(f"--tol must be >= 0, got {args.tol}")
     prof, health = _profile_from(args)
-    small, large = fit_decay(prof)
+    predicted = expo.predicted_kernel_decay(args.n, args.sigma, args.rt, args.r)
+    small, large = fit_decay(prof, predicted)
     write_csv(outdir / "results.csv",
               ["regime", "slope", "predicted", "abs_error", "r_squared"],
               [(f.regime, f.slope, f.predicted, f.abs_error, f.r_squared)
                for f in (small, large)])
     ok = True
     for f in (small, large):
-        status = "ok" if (f.abs_error is not None and f.abs_error <= args.tol) else "FAIL"
+        status = "ok" if f.abs_error <= args.tol else "FAIL"
         ok = ok and status == "ok"
         print(f"{f.regime}-time: slope {f.slope:+.4f}  predicted "
               f"{f.predicted:+.4f}  |err| {f.abs_error:.4f}  [{status}]")

@@ -165,7 +165,7 @@ class SpaceTimeField:
     """A field at T instants on one grid: ``values[k]`` is the slice at ``times[k]``.
 
     ``values`` is one complex (T, *grid.shape) array, T * N^n * 16 bytes, checked
-    once, on construction.  strichartz_ratio, propagator.evolve_blocks and the
+    once, on construction.  propagator.evolve_blocks, the space-time norms and the
     container's writer and reader work by _blocks and build none.
     """
 
@@ -180,7 +180,7 @@ class SpaceTimeField:
 
 @dataclass
 class NormResult:
-    """A computed norm plus the metadata needed to reproduce it.
+    """The record that the norm command writes: a computed norm and the metadata to reproduce it.
 
     ``est_error`` is a relative discretization/quadrature estimate when one
     is available (None otherwise).
@@ -282,20 +282,14 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def mixed_lebesgue_norm(stf: SpaceTimeField, q: float, r: float) -> NormResult:
-    """L^q in time of the spatial L^r norms, with trapezoid time weights."""
-    q, r = to_float(q), to_float(r)
+def mixed_lebesgue_norm(blocks, g: GridSpec, times: np.ndarray, q: float, r: float) -> float:
+    """L^q in time, with trapezoid weights at the instants times, of the spatial L^r norms
+    of the slices that blocks yields in order, a (k, *g.shape) block at a time."""
     if q < 1 or r < 1:
         raise ValueError("exponents must be in [1, inf]")
-    spatial = _lq(np.abs(stf.values), r, tuple(range(1, stf.grid.n + 1)), stf.grid.cell_volume)
-    value = float(_lq(spatial, q, 0, trapezoid_weights(stf.times)))
-    return NormResult(
-        value=value,
-        space="mixed-lebesgue",
-        exponents={"q": q, "r": r},
-        meta={"n": stf.grid.n, "L": stf.grid.length, "N": stf.grid.npts,
-              "ntimes": len(stf.times)},
-    )
+    axes = tuple(range(1, g.n + 1))
+    spatial = np.concatenate([_lq(np.abs(b), r, axes, g.cell_volume) for b in blocks])
+    return float(_lq(spatial, q, 0, trapezoid_weights(times)))
 
 
 def boundary_mass_fraction(fld: SampledField) -> float:

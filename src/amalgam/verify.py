@@ -44,11 +44,9 @@ from .wiener import (
     WindowSpec,
     _amalgam_norms,
     _gaussian_scale,
-    _inclusion,
-    _spacetime_norm,
-    _weak_lorentz,
     holder_pairing,
     interpolate_exponents,
+    spacetime_amalgam_norm,
     unit_cube_partition,
     weak_lorentz_norm,
 )
@@ -138,34 +136,32 @@ def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
 
 @dataclass
 class DecayFit:
+    """A regime's log-log slope against the exponent the theory predicts for it."""
+
     regime: str                  # "small" (|t| <= 1) or "large" (|t| >= 1)
     slope: float
     r_squared: float
-    predicted: float | None = None
+    predicted: float
 
     @property
-    def abs_error(self) -> float | None:
-        if self.predicted is None:
-            return None
+    def abs_error(self) -> float:
         return abs(self.slope - self.predicted)
 
 
-def _loglog_fit(ts: np.ndarray, vs: np.ndarray, regime: str,
-                predicted: float | None) -> DecayFit:
+def _loglog_fit(ts: np.ndarray, vs: np.ndarray, regime: str, predicted) -> DecayFit:
     lt, lv = np.log(ts), np.log(vs)
     slope, intercept = np.polyfit(lt, lv, 1)
     resid = lv - (slope * lt + intercept)
     ss_tot = float(np.sum((lv - lv.mean()) ** 2))
     r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot if ss_tot > 0 else 1.0
-    return DecayFit(regime=regime, slope=float(slope), r_squared=r2, predicted=predicted)
+    return DecayFit(regime=regime, slope=float(slope), r_squared=r2, predicted=float(predicted))
 
 
-def fit_decay(profile: DecayProfile):
-    """Per-regime log-log slopes of h(t), split exactly at |t| = 1.
+def fit_decay(profile: DecayProfile, predicted) -> tuple:
+    """Per-regime log-log slopes of h(t), split exactly at |t| = 1, as (small, large) fits.
 
-    Equal weights on the log-spaced samples, at least 12 per regime.
-    Predicted exponents come from the profile metadata when it carries
-    (n, sigma, rt, r).
+    Equal weights on the log-spaced samples, at least 12 per regime.  predicted is
+    the exact (small, large) exponent pair of exponents.predicted_kernel_decay.
     """
     ts = np.abs(np.asarray(profile.times, dtype=float))
     vs = np.asarray(profile.values, dtype=float)
@@ -176,13 +172,8 @@ def fit_decay(profile: DecayProfile):
     if small.sum() < 12 or large.sum() < 12:
         raise ValueError(
             f"need >= 12 points per regime, got {int(small.sum())} / {int(large.sum())}")
-    pred_s = pred_l = None
-    m = profile.meta
-    if all(k in m for k in ("n", "sigma", "rt", "r")):
-        s, l = expo.predicted_kernel_decay(m["n"], m["sigma"], m["rt"], m["r"])
-        pred_s, pred_l = float(s), float(l)
-    return (_loglog_fit(ts[small], vs[small], "small", pred_s),
-            _loglog_fit(ts[large], vs[large], "large", pred_l))
+    return (_loglog_fit(ts[small], vs[small], "small", predicted[0]),
+            _loglog_fit(ts[large], vs[large], "large", predicted[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +227,9 @@ def local_window_norms(h_fn, ks, qt, q, tail_exponent: float) -> WindowNormRepor
     tail_slope = None
     if tail.sum() >= 4:
         tail_slope = float(np.polyfit(np.log(absk[tail] - 1.0), np.log(terms[tail]), 1)[0])
-    weak_full = weak_lorentz_norm(terms, q2).value
+    weak_full = float(weak_lorentz_norm(terms, q2))
     half = absk <= max(2, absk.max() // 2)
-    weak_half = weak_lorentz_norm(terms[half], q2).value
+    weak_half = float(weak_lorentz_norm(terms[half], q2))
     weak_conv = weak_full <= weak_half * 1.05 + 1e-12
     return WindowNormReport(
         ks=ks, terms=terms, fitted_constant=fitted_c, tail_slope=tail_slope,
@@ -289,7 +280,7 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
     # one block of instants at a time is evolved, then reduced to its spatial norms
     blocks = (block for _, block in evolve_blocks(fld, times))
-    num = _spacetime_norm(blocks, fld.grid, times, *exps, weak)
+    num = spacetime_amalgam_norm(blocks, fld.grid, times, *exps, weak)
     return RatioResult(
         value=num / denom,
         numerator=num,
@@ -337,8 +328,8 @@ def classical_scaling_sweep(datum_fn, lambdas, sigma, q, grid: GridSpec,
                 f"rescaling by {lam} pushes mass to the boundary "
                 f"(fraction {frac:.2e} >= 1e-06); enlarge the box")
         denom = hsigma_norm(fld, to_float(sigma)).value
-        stf = SpaceTimeField(grid, times, np.concatenate([v for _, v in evolve_blocks(fld, times)]))
-        num = mixed_lebesgue_norm(stf, to_float(q), to_float(r)).value
+        blocks = (block for _, block in evolve_blocks(fld, times))
+        num = mixed_lebesgue_norm(blocks, grid, times, to_float(q), to_float(r))
         ratios.append(num / denom)
     return ScalingSweep(ratios=ratios)
 
@@ -551,7 +542,9 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
         return _isclose(a, b), lambda i: f"p={p}: {a[i]} vs {b[i]}"
 
     def inclusion(p1, q1, p2, q2):
-        lhs, rhs, holds = _inclusion(stack, p1, q1, p2, q2, grid)
+        # W(L^p1, L^q1) into W(L^p2, L^q2), for p1 >= p2 and q1 <= q2
+        lhs, rhs = anorm(stack, p2, q2), anorm(stack, p1, q1)
+        holds = lhs <= rhs * (1.0 + 1e-10) + 1e-12
         return holds, lambda i: f"({p1},{q1})->({p2},{q2}): {lhs[i]} > {rhs[i]}"
 
     def homogeneity():
@@ -569,7 +562,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
 
     def weak(p):
         seq = np.abs(stack[:, :256])
-        wk = _weak_lorentz(seq, p)
+        wk = weak_lorentz_norm(seq, p)
         st = _lq(seq, p, -1)
         return ~(wk > st * (1 + 1e-12)), lambda i: f"p={p}: weak {wk[i]} > strong {st[i]}"
 

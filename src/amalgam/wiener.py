@@ -12,9 +12,8 @@ outer integral.
 Any fixed window gives an equivalent norm.  amalgam_norm takes any window:
 smooth ones (gaussian / smooth-bump) with unit L2 normalization, or an exact
 cube partition (side == step), whose translates tile the lattice.  The
-space-time norm, the Holder pairing and the inclusion comparison fix unit
-cubes, where identities such as W(L^p, L^p) = L^p and the pairing
-inequality hold with constant exactly 1.
+space-time norm and the Holder pairing fix unit cubes, where identities such
+as W(L^p, L^p) = L^p and the pairing inequality hold with constant exactly 1.
 
 Everything here is pure; amalgam sums visit window blocks in a fixed order.
 """
@@ -33,7 +32,6 @@ from .grid import (
     NormResult,
     SampledField,
     SpaceTimeField,
-    _blocks,
     _euclidean,
     _lq,
     trapezoid_weights,
@@ -216,31 +214,25 @@ def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> N
     )
 
 
-def weak_lorentz_norm(sequence, p: float) -> NormResult:
-    """Discrete weak L^{p,inf} norm: sup_m m^(1/p) a*_m, a* nonincreasing."""
-    p = to_float(p)
+def weak_lorentz_norm(a, p: float):
+    """Discrete weak L^{p,inf} norm sup_m m^(1/p) a*_m of |a| along its last axis, a* the
+    nonincreasing rearrangement; 0 for an empty sequence.  Requires 0 < p < inf."""
     if not (0 < p < math.inf):
         raise ValueError(f"weak Lorentz exponent must be in (0, inf), got {p}")
-    a = np.abs(np.asarray(sequence, dtype=float).ravel())
-    value = float(_weak_lorentz(a, p)) if a.size else 0.0
-    return NormResult(value=value, space="weak-lorentz", exponents={"p": p},
-                      meta={"length": int(a.size)})
+    srt = np.sort(np.abs(a), axis=-1)[..., ::-1]
+    m = np.arange(1, srt.shape[-1] + 1, dtype=float)
+    return np.max(m ** (1.0 / p) * srt, axis=-1, initial=0.0)
 
 
-def _weak_lorentz(a: np.ndarray, p: float) -> np.ndarray:
-    """weak_lorentz_norm of each sequence along the last axis of a non-empty a >= 0."""
-    srt = np.sort(a, axis=-1)[..., ::-1]
-    m = np.arange(1, a.shape[-1] + 1, dtype=float)
-    return np.max(m ** (1.0 / p) * srt, axis=-1)
+def spacetime_amalgam_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float,
+                           rt: float, r: float, weak: bool = False) -> float:
+    """W(L^qt, L^q)_t W(L^rt, L^r)_x norm, on unit cubes in space and in time, of the
+    slices at the increasing instants times.
 
-
-def _spacetime_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float, rt: float,
-                    r: float, weak: bool) -> float:
-    """spacetime_amalgam_norm of the slices at the increasing instants times.
-
-    blocks yields the slices in order, a (k, *g.shape) block at a time; each block is
-    reduced at once to its spatial norms, and the time reduction then runs on the (T,)
-    vector of those norms.
+    blocks yields the slices in order, a (k, *g.shape) block at a time (a whole
+    (T, *g.shape) array is one block); each block is reduced at once to its spatial
+    norms, and the time reduction then runs on the (T,) vector of those norms.  With
+    weak, the outer norm over time translates is the weak Lorentz norm of exponent q.
     """
     spatial = np.concatenate([_amalgam_norms(b, rt, r, unit_cube_partition(), g)[0]
                               for b in blocks])
@@ -253,33 +245,8 @@ def _spacetime_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float,
     idx[~inside] = 0
     local = _lq(spatial[idx] * inside, qt, -1, trapezoid_weights(times)[idx])
     if weak:
-        return float(_weak_lorentz(local, q))
+        return float(weak_lorentz_norm(local, q))
     return float(_lq(local, q, -1))
-
-
-def spacetime_amalgam_norm(
-    stf: SpaceTimeField,
-    qt, q, rt, r,
-    weak_outer_time: bool = False,
-) -> NormResult:
-    """W(L^qt, L^q)_t W(L^rt, L^r)_x norm of a space-time field, on unit cubes in space
-    and in time.
-
-    Per slice the spatial amalgam norm is taken, giving a scalar function
-    of t; that function then gets the temporal amalgam treatment.  With
-    ``weak_outer_time`` the outer norm over time translates is replaced by
-    the weak Lorentz norm of exponent q.
-    """
-    qtf, qf, rtf, rf = (to_float(e) for e in (qt, q, rt, r))
-    g = stf.grid
-    blocks = (stf.values[b] for b in _blocks(len(stf.times), g))
-    value = _spacetime_norm(blocks, g, stf.times, qtf, qf, rtf, rf, weak_outer_time)
-    return NormResult(
-        value=value,
-        space="spacetime-amalgam-weak" if weak_outer_time else "spacetime-amalgam",
-        exponents={"qt": qtf, "q": qf, "rt": rtf, "r": rf},
-        meta={"n": g.n, "ntimes": len(stf.times)},
-    )
 
 
 def spacetime_inner_product(F: SpaceTimeField, G: SpaceTimeField) -> complex:
@@ -301,10 +268,11 @@ def holder_pairing(
     Both norms are taken on unit cubes in space and in time, which tile space-time,
     so the inequality holds with constant exactly 1.
     """
-    qtc, qc, rtc, rc = (conjugate(e) for e in (qt, q, rt, r))
+    exps = (qt, q, rt, r)
     pairing = abs(spacetime_inner_product(F, G))
-    lhs_norm = spacetime_amalgam_norm(F, qt, q, rt, r).value
-    rhs_norm = spacetime_amalgam_norm(G, qtc, qc, rtc, rc).value
+    lhs_norm = spacetime_amalgam_norm([F.values], F.grid, F.times, *map(to_float, exps))
+    rhs_norm = spacetime_amalgam_norm([G.values], G.grid, G.times,
+                                      *(to_float(conjugate(e)) for e in exps))
     bound = lhs_norm * rhs_norm
     holds = pairing <= bound * (1.0 + 1e-10) + 1e-12
     return pairing, bound, holds
@@ -326,11 +294,3 @@ def interpolate_exponents(p0, q0, p1, q1, theta):
     q = from_recip(theta * v0 + (1 - theta) * v1)
     return p, q
 
-
-def _inclusion(values: np.ndarray, p1: float, q1: float, p2: float, q2: float,
-               g: GridSpec) -> tuple:
-    """W(L^p1, L^q1) into W(L^p2, L^q2), for p1 >= p2 and q1 <= q2: (lhs, rhs, holds) of
-    the comparison with constant 1 on unit cubes, over the trailing grid axes of values."""
-    lhs = _amalgam_norms(values, p2, q2, unit_cube_partition(), g)[0]
-    rhs = _amalgam_norms(values, p1, q1, unit_cube_partition(), g)[0]
-    return lhs, rhs, lhs <= rhs * (1.0 + 1e-10) + 1e-12

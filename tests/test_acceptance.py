@@ -63,7 +63,7 @@ def decay_fits():
     out = {}
     for label, (sigma, rt, r) in CASES.items():
         prof = kernel_amalgam_profile(sigma, rt, r, times, grid)
-        out[label] = fit_decay(prof)
+        out[label] = fit_decay(prof, predicted_kernel_decay(1, sigma, rt, r))
     return out
 
 

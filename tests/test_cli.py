@@ -381,6 +381,17 @@ class TestConfigFile:
         assert code == 2
         assert err.count("\n") == 1 and "invalid choice: 'foo'" in err and str(cfg) in err
 
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys):
+        # a misspelt key used to be dropped, and this printed the sigma = 0 norm
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigmaa = 0.3\n")
+        code = run(["--config", str(cfg), "norm", "--kind", "hsigma", "--grid-npts", "64",
+                    "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(cfg) in err and "--sigmaa" in err
+        assert not (tmp_path / "report.json").exists()
+
     def test_config_sets_valueless_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("save-field = true\ngrid_npts = 64\n")
@@ -536,6 +547,15 @@ class TestCommands:
         with open(tmp_path / "results.csv") as fh:
             rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}
         assert manifest["r_squared"] == rows
+
+    def test_fit_decay_predicts_from_the_exact_tuple(self, tmp_path):
+        # -1/6 rounds to -0.16666666666666666; the float sigma's round trip through str
+        # gave -0.16666666666666671
+        invoke(["fit-decay", "--n", "1", "--sigma", "1/3", "--rt", "inf", "--r", "inf",
+                "--grid-l", "32", "--grid-npts", "1024", "--per-decade", "8"], tmp_path)
+        with open(tmp_path / "results.csv") as fh:
+            predicted = [r["predicted"] for r in csv.DictReader(fh)]
+        assert predicted == [repr(-1 / 6)] * 2
 
     @pytest.mark.parametrize("tol", ["inf", "nan", "-0.01"])
     def test_fit_decay_tolerance_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):

@@ -222,7 +222,7 @@ class TestMixedNorm:
         f = random_field(grid1d, rng)
         stf = SpaceTimeField(grid1d, np.array([0.7]), np.array([f.values]))
         for q in (1, 2, 7):
-            got = mixed_lebesgue_norm(stf, q, 2).value
+            got = mixed_lebesgue_norm([stf.values], grid1d, stf.times, q, 2)
             assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
@@ -233,16 +233,18 @@ class TestMixedNorm:
         unit = SpaceTimeField(grid1d, times, np.ones((5,) + grid1d.shape, dtype=complex))
         for q, r in ((2, 2), (3, 1.5), (np.inf, 4)):
             want = scale * (2 * grid1d.length) ** (1 / r) * 2 ** (1 / q)
-            assert mixed_lebesgue_norm(stf, q, r).value == pytest.approx(want, rel=1e-13, abs=0)
-            got = spacetime_amalgam_norm(stf, q, 4, 2, r).value
+            got = mixed_lebesgue_norm([stf.values], grid1d, times, q, r)
+            assert got == pytest.approx(want, rel=1e-13, abs=0)
+            got = spacetime_amalgam_norm([stf.values], grid1d, times, q, 4, 2, r)
             assert got == pytest.approx(
-                scale * spacetime_amalgam_norm(unit, q, 4, 2, r).value, rel=1e-13, abs=0)
+                scale * spacetime_amalgam_norm([unit.values], grid1d, times, q, 4, 2, r),
+                rel=1e-13, abs=0)
 
     def test_q2_r2_is_flat_l2(self, grid1d, rng):
         times = np.linspace(0.0, 2.0, 9)
         slices = [random_field(grid1d, rng) for _ in times]
         stf = SpaceTimeField(grid1d, times, np.array([s.values for s in slices]))
-        got = mixed_lebesgue_norm(stf, 2, 2).value
+        got = mixed_lebesgue_norm([stf.values], grid1d, times, 2, 2)
         w = trapezoid_weights(times)
         flat = np.sqrt(sum(
             wi * lebesgue_norm(s, 2).value ** 2 for wi, s in zip(w, slices)))
@@ -252,7 +254,7 @@ class TestMixedNorm:
         f = random_field(grid1d, rng)
         times = np.linspace(0.0, 1.0, 33)
         stf = SpaceTimeField(grid1d, times, np.array([f.values] * len(times)))
-        got = mixed_lebesgue_norm(stf, 4, 2).value
+        got = mixed_lebesgue_norm([stf.values], grid1d, times, 4, 2)
         assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from amalgam import cli, verify
-from amalgam.exponents import ExponentTuple
+from amalgam.exponents import ExponentTuple, predicted_kernel_decay
+from amalgam.extreal import to_float
 from amalgam.grid import GridSpec, SampledField, SpaceTimeField, _dft, _lq, lebesgue_norm
 from amalgam.propagator import DecayProfile, evolve_blocks
 from amalgam.verify import (
@@ -40,7 +41,7 @@ def synthetic_profile(exponent_small, exponent_large, n=1, sigma=0.3,
 class TestFitDecay:
     def test_exact_power_law(self):
         prof = synthetic_profile(-0.2, -0.2)
-        small, large = fit_decay(prof)
+        small, large = fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
         assert small.slope == pytest.approx(-0.2, abs=1e-10)
         assert large.slope == pytest.approx(-0.2, abs=1e-10)
         assert small.predicted == pytest.approx(-0.2)
@@ -48,7 +49,7 @@ class TestFitDecay:
 
     def test_two_regimes(self):
         prof = synthetic_profile(-0.3, -0.1)
-        small, large = fit_decay(prof)
+        small, large = fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
         assert small.slope == pytest.approx(-0.3, abs=1e-10)
         assert large.slope == pytest.approx(-0.1, abs=1e-10)
 
@@ -57,7 +58,7 @@ class TestFitDecay:
         from amalgam.propagator import kernel_amalgam_profile, profile_times
         g = GridSpec(1, 32.0, 1024)
         prof = kernel_amalgam_profile(0.0, np.inf, np.inf, profile_times(0.02, 50.0, 8), g)
-        small, large = fit_decay(prof)
+        small, large = fit_decay(prof, predicted_kernel_decay(1, 0, np.inf, np.inf))
         assert small.slope == pytest.approx(-0.5, abs=0.02)
         assert large.slope == pytest.approx(-0.5, abs=0.02)
 
@@ -66,13 +67,13 @@ class TestFitDecay:
         prof = DecayProfile(times=times, values=times ** -0.5,
                             est_error=np.zeros_like(times), meta={})
         with pytest.raises(ValueError, match="points per regime"):
-            fit_decay(prof)
+            fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
 
     def test_rejects_nonpositive_values(self):
         prof = synthetic_profile(-0.2, -0.2)
         prof.values[3] = 0.0
         with pytest.raises(ValueError):
-            fit_decay(prof)
+            fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
 
 
 class TestLocalWindowNorms:
@@ -329,9 +330,9 @@ def test_streamed_ratio_is_the_spacetime_norm(g, weak, ntimes):
     f = modulated_gaussian(g, width=1.0, mode=g.npts // 4)
     res = strichartz_ratio(f, tup, times=times, weak=weak)
     values = np.concatenate([block for _, block in evolve_blocks(f, times)])
-    want = spacetime_amalgam_norm(SpaceTimeField(g, times, values), tup.qt, tup.q, tup.rt,
-                                  tup.r, weak_outer_time=weak)
-    assert res.numerator == want.value
+    exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
+    want = spacetime_amalgam_norm([values], g, times, *exps, weak=weak)
+    assert res.numerator == want
 
 
 class TestBilinear:
@@ -396,7 +397,8 @@ class TestPropertySuite:
     def test_corrupted_row_is_the_counterexample(self, k, monkeypatch):
         # row k of every stack the suite's norms see: field k, or field k plus field k + 1
         # in the triangle check; 10 N + 1 is not homogeneous, so homogeneity fails too.
-        # The inclusion check takes its norms inside wiener, so it does not see the patch
+        # The inclusion check compares two norms of one field, and a monotone corruption
+        # of both keeps the comparison's outcome, so it passes
         def corrupted(values, p, q, window, grid):
             norms, blocks = _amalgam_norms(values, p, q, window, grid)
             norms[k] = 10.0 * norms[k] + 1.0
@@ -413,6 +415,18 @@ class TestPropertySuite:
                 assert (r.counterexample["index"], r.counterexample["label"]) == (k, label)
         passed = {r.name for r in rep.results if r.passed}
         assert {"weak Lorentz <= strong", "interpolation arithmetic exact"} <= passed
+
+    def test_mutation_hook_reaches_the_inclusion_check(self, monkeypatch):
+        # only the W(L^2, L^4) norms are wrong: the inclusion into W(L^2, L^4) fails, and
+        # homogeneity and the triangle inequality, which scale by 1000 on both sides, hold
+        def corrupted(values, p, q, window, grid):
+            norms, blocks = _amalgam_norms(values, p, q, window, grid)
+            return (norms * 1000.0 if (p, q) == (2.0, 4.0) else norms), blocks
+
+        monkeypatch.setattr(verify, "_amalgam_norms", corrupted)
+        rep = property_suite(seed=0, corpus_size=8)
+        assert [r.name for r in rep.results if not r.passed] == [
+            "inclusion with constant 1 (unit cubes)"]
 
     @pytest.mark.parametrize("size", [-3, 0, 1])
     def test_fewer_than_two_fields_rejected(self, size):
