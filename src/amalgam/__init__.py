@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "lebesgue_norm",
              "mixed_lebesgue_norm"),
-    "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "interpolate_exponents",
-               "spacetime_amalgam_norm", "unit_cube_partition", "weak_lorentz_norm"),
+    "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "spacetime_amalgam_norm",
+               "unit_cube_partition", "weak_lorentz_norm"),
     "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve_blocks",
                    "hsigma_norm", "kernel_amalgam_profile", "kernel_bound", "kernel_eval",
                    "profile_times"),

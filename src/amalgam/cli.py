@@ -217,14 +217,16 @@ def _parse(argv) -> argparse.Namespace:
 
     Each subcommand parses the config entries it knows as flags, so its own
     types and choices check them; the results become its defaults, which
-    explicit flags override.  A key that no subcommand knows is a usage error.
+    explicit flags override.  A key that no subcommand knows, help included, is a
+    usage error.
     """
     parser, commands = _build_parser()
     pre = _Parser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, rest = pre.parse_known_args(argv)
     if known.config:
-        flags = {opt for sp in commands.values() for a in sp._actions for opt in a.option_strings}
+        flags = {opt for sp in commands.values() for a in sp._actions if a.dest != "help"
+                 for opt in a.option_strings}
         tokens = [f"--{key}" if val == "true" else f"--{key}={val}"
                   for key, val in _load_config(known.config, flags).items()]
         for sp in commands.values():
@@ -332,11 +334,11 @@ def _cmd_norm(args, outdir):
     from .wiener import amalgam_norm
     fld, source = _field_from(args)
     if args.kind == "lebesgue":
-        res = lebesgue_norm(fld, args.p)
+        res = lebesgue_norm(fld, to_float(args.p))
     elif args.kind == "hsigma":
         res = hsigma_norm(fld, to_float(args.sigma))
     else:
-        res = amalgam_norm(fld, args.p, args.q, _window_from(args))
+        res = amalgam_norm(fld, to_float(args.p), to_float(args.q), _window_from(args))
     _write_json(outdir / "report.json", {**vars(res), **source})
     write_csv(outdir / "results.csv", ["space", "value"], [(res.space, res.value)])
     print(f"{res.space}: {res.value:.12g}")
@@ -378,7 +380,8 @@ def _profile_from(args):
     from .propagator import kernel_amalgam_profile, profile_times
     grid = GridSpec(args.n, args.grid_l, args.grid_npts)
     times = profile_times(args.tmin, args.tmax, args.per_decade)
-    prof = kernel_amalgam_profile(to_float(args.sigma), args.rt, args.r, times, grid)
+    prof = kernel_amalgam_profile(to_float(args.sigma), to_float(args.rt), to_float(args.r),
+                                  times, grid)
     return prof, {"max_est_error": float(prof.est_error.max())}
 
 

@@ -67,14 +67,6 @@ def from_recip(u) -> ExtReal:
     return Fraction(1) / u
 
 
-def conjugate(p) -> ExtReal:
-    """Holder conjugate: 1/p + 1/p' = 1.  conjugate(1) = inf."""
-    u = recip(p)
-    if u > 1 or u < 0:
-        raise ValueError(f"exponent {p} outside [1, inf]")
-    return from_recip(1 - u)
-
-
 def to_float(x) -> float:
     x = as_extended(x)
     if x is INF:

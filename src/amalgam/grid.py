@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extreal import to_float
-
 __all__ = [
     "GridSpec",
     "SampledField",
@@ -254,8 +252,8 @@ def _lq(a: np.ndarray, q: float, axis=None, weight=1.0) -> np.ndarray:
 
 def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
     """Riemann-sum L^p norm; lattice max for p = inf."""
-    p = to_float(p)
-    if p < 1:
+    p = float(p)
+    if not p >= 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
     value = float(_lq(np.abs(fld.values), p, None, fld.grid.cell_volume))
     return NormResult(
@@ -289,6 +287,8 @@ def mixed_lebesgue_norm(blocks, g: GridSpec, times: np.ndarray, q: float, r: flo
         raise ValueError("exponents must be in [1, inf]")
     axes = tuple(range(1, g.n + 1))
     spatial = np.concatenate([_lq(np.abs(b), r, axes, g.cell_volume) for b in blocks])
+    if len(spatial) != len(times):
+        raise ValueError(f"{len(spatial)} slices for {len(times)} instants")
     return float(_lq(spatial, q, 0, trapezoid_weights(times)))
 
 

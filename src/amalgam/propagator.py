@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .extreal import to_float
 from .grid import (
     GridSpec,
     NormResult,
@@ -351,7 +350,8 @@ def profile_times(tmin: float = 0.02, tmax: float = 50.0,
     return np.unique(ts)
 
 
-def kernel_amalgam_profile(sigma: float, rt, r, times, grid: GridSpec) -> DecayProfile:
+def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,
+                           grid: GridSpec) -> DecayProfile:
     """h(t) = amalgam norm of K_t on unit cubes with exponents (rt/2, r/2), in the grid's
     dimension n.
 
@@ -360,23 +360,20 @@ def kernel_amalgam_profile(sigma: float, rt, r, times, grid: GridSpec) -> DecayP
     the point.  Kernel error bounds propagate into the profile.
     """
     n = grid.n
-    rtf, rf = to_float(rt), to_float(r)
-    if rtf < 2 or rf < 2:
+    rt, r = float(rt), float(r)
+    if not (rt >= 2 and r >= 2):
         raise ValueError("rt and r must lie in [2, inf]")
     times = np.asarray(times, dtype=float)
     if np.any(times <= 0):
         raise ValueError("profile times must be positive")
     values, ests = [], []
     window = unit_cube_partition()
-    p_in = np.inf if np.isinf(rtf) else rtf / 2.0
-    q_out = np.inf if np.isinf(rf) else rf / 2.0
     # K_t is radial: one evaluation per shell of equal |x|, gathered to the lattice
     uniq, inv = _shells(grid, frequency=False)
     for t in times:
         ks = kernel_eval(n, sigma, float(t), uniq)
         fld = SampledField(grid, ks.values[inv].reshape(grid.shape))
-        nr = amalgam_norm(fld, p_in, q_out, window)
-        values.append(nr.value)
+        values.append(amalgam_norm(fld, rt / 2, r / 2, window).value)
         # relative error bound over the samples above 1% of the peak; every
         # shell occurs on the lattice, so the max over shells is the lattice max
         modulus = np.abs(ks.values)
@@ -386,7 +383,7 @@ def kernel_amalgam_profile(sigma: float, rt, r, times, grid: GridSpec) -> DecayP
         times=times,
         values=np.asarray(values),
         est_error=np.asarray(ests),
-        meta={"n": n, "sigma": sigma, "rt": rtf, "r": rf,
+        meta={"n": n, "sigma": sigma, "rt": rt, "r": r,
               "window": window.kind, "window_step": window.step,
               "grid": (grid.n, grid.length, grid.npts)},
     )

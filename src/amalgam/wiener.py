@@ -15,7 +15,9 @@ cube partition (side == step), whose translates tile the lattice.  The
 space-time norm and the Holder pairing fix unit cubes, where identities such
 as W(L^p, L^p) = L^p and the pairing inequality hold with constant exactly 1.
 
-Everything here is pure; amalgam sums visit window blocks in a fixed order.
+Exponents are floats in [1, inf]; exact exponent arithmetic stays in the
+exponents module.  Everything here is pure; amalgam sums visit window blocks
+in a fixed order.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .extreal import as_rational, conjugate, from_recip, recip, to_float
 from .grid import (
     GridSpec,
     NormResult,
@@ -45,7 +46,6 @@ __all__ = [
     "weak_lorentz_norm",
     "spacetime_amalgam_norm",
     "holder_pairing",
-    "interpolate_exponents",
 ]
 
 _KINDS = ("gaussian", "smooth-bump", "cube-indicator")
@@ -163,7 +163,7 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
                    g: GridSpec) -> tuple:
     """W(L^p, L^q) norms over the trailing grid axes of a (..., *g.shape) array,
     and the number of window blocks visited."""
-    if p < 1 or q < 1:
+    if not (p >= 1 and q >= 1):
         raise ValueError("exponents must lie in [1, inf]")
     s, K = _translate_shape(window, g)
     n = g.n
@@ -197,7 +197,7 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:
     """W(L^p, L^q) norm of a field with the given window."""
-    p, q = to_float(p), to_float(q)
+    p, q = float(p), float(q)
     g = fld.grid
     value, nblocks = _amalgam_norms(fld.values, p, q, window, g)
     meta = {"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
@@ -236,6 +236,8 @@ def spacetime_amalgam_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q:
     """
     spatial = np.concatenate([_amalgam_norms(b, rt, r, unit_cube_partition(), g)[0]
                               for b in blocks])
+    if len(spatial) != len(times):
+        raise ValueError(f"{len(spatial)} slices for {len(times)} instants")
     # cube k is [k - 1/2, k + 1/2), and its instants are the run times[lo:hi]; the runs,
     # zero-padded to the longest, are the rows of one (cubes, longest run) array
     ks = np.unique(np.floor(times + 0.5).astype(int))
@@ -258,39 +260,18 @@ def spacetime_inner_product(F: SpaceTimeField, G: SpaceTimeField) -> complex:
     return complex(trapezoid_weights(F.times) @ per_slice * F.grid.cell_volume)
 
 
-def holder_pairing(
-    F: SpaceTimeField,
-    G: SpaceTimeField,
-    qt, q, rt, r,
-):
-    """|<F, G>| against the product of dual amalgam norms.
+def holder_pairing(F: SpaceTimeField, G: SpaceTimeField, qt, q, rt, r):
+    """|<F, G>| against the product of dual amalgam norms, for float exponents.
 
-    Both norms are taken on unit cubes in space and in time, which tile space-time,
-    so the inequality holds with constant exactly 1.
+    G's norm takes the Holder duals p / (p - 1) of F's exponents, 1 and inf being each
+    other's duals.  Both norms are taken on unit cubes in space and in time,
+    which tile space-time, so the inequality holds with constant exactly 1.
     """
-    exps = (qt, q, rt, r)
+    exps = [float(e) for e in (qt, q, rt, r)]
+    duals = [math.inf if e == 1 else 1.0 if e == math.inf else e / (e - 1) for e in exps]
     pairing = abs(spacetime_inner_product(F, G))
-    lhs_norm = spacetime_amalgam_norm([F.values], F.grid, F.times, *map(to_float, exps))
-    rhs_norm = spacetime_amalgam_norm([G.values], G.grid, G.times,
-                                      *(to_float(conjugate(e)) for e in exps))
+    lhs_norm = spacetime_amalgam_norm([F.values], F.grid, F.times, *exps)
+    rhs_norm = spacetime_amalgam_norm([G.values], G.grid, G.times, *duals)
     bound = lhs_norm * rhs_norm
     holds = pairing <= bound * (1.0 + 1e-10) + 1e-12
     return pairing, bound, holds
-
-
-def interpolate_exponents(p0, q0, p1, q1, theta):
-    """Reciprocal-affine exponent interpolation, exact in rationals.
-
-    1/p = theta/p0 + (1-theta)/p1 and likewise for q, with 1/inf = 0.
-    Requires 0 < theta < 1 and q0 < inf or q1 < inf.
-    """
-    theta = as_rational(theta)
-    if not (0 < theta < 1):
-        raise ValueError(f"theta must lie strictly inside (0, 1), got {theta}")
-    u0, v0, u1, v1 = recip(p0), recip(q0), recip(p1), recip(q1)
-    if v0 == 0 and v1 == 0:
-        raise ValueError("interpolation requires q0 < inf or q1 < inf")
-    p = from_recip(theta * u0 + (1 - theta) * u1)
-    q = from_recip(theta * v0 + (1 - theta) * v1)
-    return p, q
-

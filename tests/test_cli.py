@@ -392,6 +392,16 @@ class TestConfigFile:
         assert err.count("\n") == 1 and str(cfg) in err and "--sigmaa" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_help_key_is_usage_error(self, tmp_path, capsys):
+        # help is no flag a config file may set: its action would print a usage and exit 0
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("help = true\n")
+        code = run(["--config", str(cfg), "norm", "--kind", "lebesgue", "--grid-npts", "64",
+                    "--out", str(tmp_path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and str(cfg) in err and "--help" in err
+
     def test_config_sets_valueless_flag(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("save-field = true\ngrid_npts = 64\n")
@@ -810,6 +820,15 @@ class TestImportFootprint:
             ["fit-decay", "--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", "inf",
              "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8"],
         ], tmp_path) == ["numpy"]
+
+    def test_numeric_layers_skip_extreal(self):
+        # exact exponent arithmetic stays in the engine and the command line
+        code = ("import sys, amalgam.propagator; "
+                "assert {'amalgam.grid', 'amalgam.wiener'} <= set(sys.modules); "
+                "assert 'amalgam.extreal' not in sys.modules")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_SRC_ENV)
+        assert proc.returncode == 0, proc.stderr
 
     def test_package_names_resolve_lazily(self):
         code = ("import sys, amalgam; assert 'numpy' not in sys.modules; "

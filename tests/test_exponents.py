@@ -10,8 +10,7 @@ from amalgam.exponents import (
     predicted_kernel_decay,
     sample_region,
 )
-from amalgam.extreal import INF, conjugate, from_recip, recip
-from amalgam.wiener import interpolate_exponents
+from amalgam.extreal import INF, from_recip, recip
 from test_constraint_tables import ref_scan  # the tests' one reference scan
 
 F = Fraction
@@ -266,11 +265,14 @@ class TestInterpolationConsistency:
             q2, r2 = from_recip(uq2), from_recip(ur2)
             assert classical(q2, r2, n).verdict
             th = F(1, 2)
-            # interpolate the dual-side spaces, then dualize back
-            ti, to = interpolate_exponents(conjugate(qt1), conjugate(q1), 1, conjugate(q2), th)
-            si, so = interpolate_exponents(1, conjugate(r1), 2, conjugate(r2), th)
-            qt, q = conjugate(ti), conjugate(to)
-            rt, r = conjugate(si), conjugate(so)
+
+            # interpolate the dual-side spaces, then dualize back: in reciprocals the
+            # conjugate of u is 1 - u, and interpolation is the th-weighted average
+            def dual_mean(u0, u1):
+                return from_recip(1 - (th * (1 - u0) + (1 - th) * (1 - u1)))
+
+            qt, q = dual_mean(uqt1, 0), dual_mean(uq1, uq2)
+            rt, r = dual_mean(0, F(1, 2)), dual_mean(ur1, ur2)
             assert recip(qt) == uqt1 / 2
             assert recip(q) == (uq1 + uq2) / 2
             assert recip(rt) == F(1, 4)

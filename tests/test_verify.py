@@ -398,7 +398,8 @@ class TestPropertySuite:
         # row k of every stack the suite's norms see: field k, or field k plus field k + 1
         # in the triangle check; 10 N + 1 is not homogeneous, so homogeneity fails too.
         # The inclusion check compares two norms of one field, and a monotone corruption
-        # of both keeps the comparison's outcome, so it passes
+        # of both keeps the comparison's outcome, so it passes; log(10 N + 1) is a convex
+        # increasing function of log N, so log-convexity passes too
         def corrupted(values, p, q, window, grid):
             norms, blocks = _amalgam_norms(values, p, q, window, grid)
             norms[k] = 10.0 * norms[k] + 1.0
@@ -414,7 +415,7 @@ class TestPropertySuite:
             if r.name in hooked:
                 assert (r.counterexample["index"], r.counterexample["label"]) == (k, label)
         passed = {r.name for r in rep.results if r.passed}
-        assert {"weak Lorentz <= strong", "interpolation arithmetic exact"} <= passed
+        assert {"weak Lorentz <= strong", "log-convexity in (1/p, 1/q) (interpolation)"} <= passed
 
     def test_mutation_hook_reaches_the_inclusion_check(self, monkeypatch):
         # only the W(L^2, L^4) norms are wrong: the inclusion into W(L^2, L^4) fails, and
@@ -427,6 +428,19 @@ class TestPropertySuite:
         rep = property_suite(seed=0, corpus_size=8)
         assert [r.name for r in rep.results if not r.passed] == [
             "inclusion with constant 1 (unit cubes)"]
+
+    def test_only_log_convexity_catches_an_exponent_dependent_factor(self, monkeypatch):
+        # exp(-5 (1/p - 1/q)^2) is 1 on the diagonal, and every other property compares
+        # norms whose exponent pairs share |1/p - 1/q|; on the line from (1/p, 1/q) =
+        # (0, 1) to (1, 0) it lifts the interior norms above the endpoints' geometric mean
+        def corrupted(values, p, q, window, grid):
+            norms, blocks = _amalgam_norms(values, p, q, window, grid)
+            return norms * np.exp(-5.0 * (1 / p - 1 / q) ** 2), blocks
+
+        monkeypatch.setattr(verify, "_amalgam_norms", corrupted)
+        rep = property_suite(seed=0, corpus_size=100)
+        assert [r.name for r in rep.results if not r.passed] == [
+            "log-convexity in (1/p, 1/q) (interpolation)"]
 
     @pytest.mark.parametrize("size", [-3, 0, 1])
     def test_fewer_than_two_fields_rejected(self, size):

@@ -1,11 +1,8 @@
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from amalgam.grid import (
     GridSpec,
@@ -20,13 +17,19 @@ from amalgam.wiener import (
     _amalgam_norms,
     amalgam_norm,
     holder_pairing,
-    interpolate_exponents,
     materialize_window,
     spacetime_amalgam_norm,
     unit_cube_partition,
     weak_lorentz_norm,
 )
-from amalgam.verify import band_limited_field, band_limited_stack, spike_field
+from amalgam.propagator import evolve_blocks
+from amalgam.verify import (
+    band_limited_field,
+    band_limited_stack,
+    default_ratio_times,
+    modulated_gaussian,
+    spike_field,
+)
 
 
 def brute_force_amalgam(fld, p, q, window):
@@ -306,6 +309,35 @@ class TestSpacetimeAmalgam:
         weak = spacetime_amalgam_norm([stf.values], g, times, 2, 4, 2, 4, weak=True)
         assert 0 < weak <= strong * (1 + 1e-12)
 
+    @pytest.mark.parametrize("slices", [3, 7])
+    @pytest.mark.parametrize("norm", [
+        lambda blocks, g, times: spacetime_amalgam_norm(blocks, g, times, 2, 4, 2, 4),
+        lambda blocks, g, times: mixed_lebesgue_norm(blocks, g, times, 2, 4),
+    ], ids=["spacetime", "mixed"])
+    def test_slices_must_match_instants(self, norm, slices):
+        # a slice count other than the instant count is refused, not cut or mis-indexed
+        g = GridSpec(1, 4.0, 64)
+        with pytest.raises(ValueError, match=f"^{slices} slices for 5 instants$"):
+            norm([np.ones((slices, 64))], g, np.linspace(0.0, 1.0, 5))
+
+    def test_log_convex_in_the_four_reciprocals(self):
+        # a four-level mixed norm: Holder's inequality at each level makes log ||u||
+        # convex along every line in (1/qt, 1/q, 1/rt, 1/r); the first lines start at
+        # corners, where reciprocals are 0 (inf) or 1
+        g = GridSpec(1, 16.0, 1024)
+        times = default_ratio_times(t_outer=8.0)
+        blocks = [block for _, block in evolve_blocks(modulated_gaussian(g, mode=40), times)]
+        rng = np.random.default_rng(3)
+        for k in range(24):
+            u0, u1 = rng.random((2, 4))
+            if k < 6:
+                u0 = np.round(u0)
+            theta = 0.05 + 0.9 * rng.random()
+            logs = [np.log(spacetime_amalgam_norm(
+                        blocks, g, times, *(1 / float(x) if x else math.inf for x in u)))
+                    for u in (u0, u1, (1 - theta) * u0 + theta * u1)]
+            assert logs[2] <= (1 - theta) * logs[0] + theta * logs[1] + 1e-12, (k, logs)
+
 
 class TestHolderPairing:
     def test_cauchy_schwarz_saturation(self):
@@ -337,35 +369,6 @@ class TestHolderPairing:
             G = _random_stf(g, times, 7000 + 13 * seed)
             pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6)
             assert holds, (seed, pairing, bound)
-
-
-class TestInterpolateExponents:
-    def test_reciprocal_average(self):
-        p, q = interpolate_exponents(2, 2, "inf", "inf", Fraction(1, 2))
-        assert (p, q) == (Fraction(4), Fraction(4))
-
-    def test_exact_rationals(self):
-        p, q = interpolate_exponents(3, 5, 7, 2, Fraction(1, 3))
-        assert p == Fraction(63, 13)  # 1/p = (1/3)/3 + (2/3)/7 = 13/63
-        assert q == Fraction(5, 2)    # 1/q = (1/3)/5 + (2/3)/2 = 2/5
-
-    def test_endpoint_theta_rejected(self):
-        for theta in (0, 1, Fraction(3, 2), -1):
-            with pytest.raises(ValueError):
-                interpolate_exponents(2, 2, 4, 4, theta)
-
-    def test_double_infinity_rejected(self):
-        with pytest.raises(ValueError):
-            interpolate_exponents(2, "inf", 4, "inf", Fraction(1, 2))
-
-    @given(st.integers(2, 40), st.integers(2, 40), st.integers(2, 40),
-           st.integers(2, 40), st.integers(1, 9))
-    @settings(max_examples=200, deadline=None)
-    def test_reciprocal_affine_identity(self, p0, q0, p1, q1, knum):
-        theta = Fraction(knum, 10)
-        p, q = interpolate_exponents(p0, q0, p1, q1, theta)
-        assert Fraction(1, 1) / p == theta / p0 + (1 - theta) / p1
-        assert Fraction(1, 1) / q == theta / q0 + (1 - theta) / q1
 
 
 def inclusion_check(f, p1, q1, p2, q2):
