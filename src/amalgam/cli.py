@@ -501,10 +501,10 @@ def _fmt_float(x) -> str:
 
 
 def write_csv(path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_float(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    import csv  # here, so that --help imports nothing more
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [header] + [[_fmt_float(v) for v in row] for row in rows])
 
 
 def _plain(v):
@@ -531,9 +531,9 @@ def run(argv) -> int:
     """Run one command; its manifest is written before the handler and again after it.
 
     A handler that raises leaves the manifest ``failed`` with the error; a
-    ValueError or OSError (bad input) is a one-line usage error.  Every
-    distinct warning raised is listed in the manifest and echoed as one
-    ``warning:`` line on stderr.
+    ValueError, OSError or MemoryError (bad input, or a grid too large to hold)
+    is a one-line usage error.  Every distinct warning raised is listed in the
+    manifest and echoed as one ``warning:`` line on stderr.
     """
     try:
         args = _parse(argv)
@@ -566,9 +566,9 @@ def run(argv) -> int:
         _write_json(outdir / "manifest.json", manifest, sort_keys=True)
     if error is None:
         return code
-    if not isinstance(error, (ValueError, OSError)):
+    if not isinstance(error, (ValueError, OSError, MemoryError)):
         raise error
-    print(f"usage error: {error}", file=sys.stderr)
+    print(f"usage error: {error or 'out of memory'}", file=sys.stderr)
     return USAGE_ERROR
 
 

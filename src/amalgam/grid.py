@@ -96,9 +96,9 @@ class GridSpec:
         return np.meshgrid(*axes, indexing="ij")
 
 
-def _euclidean(axis: np.ndarray, n: int) -> np.ndarray:
-    """|(a_1, .., a_n)| over the n-fold product of a 1-D axis, summed in axis order."""
-    squares = sum(c ** 2 for c in np.ix_(*(axis,) * n))
+def _euclidean(*axes: np.ndarray) -> np.ndarray:
+    """|(a_1, .., a_n)| over the product of 1-D axes, summed in axis order."""
+    squares = sum(c ** 2 for c in np.ix_(*axes))
     return np.sqrt(squares, out=squares)
 
 
@@ -111,7 +111,7 @@ def _shells(grid: GridSpec, frequency: bool = True) -> tuple:
     index.  Cached per grid; both arrays are read-only.
     """
     axis = grid.axis_frequencies() if frequency else grid.axis_points()
-    shells = np.unique(_euclidean(axis, grid.n).ravel(), return_inverse=True)
+    shells = np.unique(_euclidean(*(axis,) * grid.n).ravel(), return_inverse=True)
     for a in shells:
         a.setflags(write=False)
     return shells

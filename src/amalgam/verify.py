@@ -92,7 +92,7 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
     """
     if kmax is None:
         kmax = grid.npts // 4
-    rad = _euclidean(np.fft.fftfreq(grid.npts, d=1.0 / grid.npts), grid.n)
+    rad = _euclidean(*(np.fft.fftfreq(grid.npts, d=1.0 / grid.npts),) * grid.n)
     band = (rad >= 1) & (rad <= kmax)
     count = int(band.sum())
     spec = np.zeros((len(seeds),) + grid.shape, dtype=complex)
@@ -106,18 +106,24 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
 
 
 def gaussian_datum(grid: GridSpec, width: float = 1.0) -> SampledField:
-    r2 = sum(c ** 2 for c in grid.meshgrid())
-    return SampledField(grid, np.exp(-r2 / _gaussian_scale(width, "width")))
+    """exp(-|x|^2 / (2 width^2)) on open grids, in one array allocated before any work."""
+    *head, last = np.ix_(*(grid.axis_points(),) * grid.n)
+    r2 = np.empty(grid.shape)
+    np.add(sum(c ** 2 for c in head), last ** 2, out=r2)
+    r2 /= -_gaussian_scale(width, "width")
+    return SampledField(grid, np.exp(r2, out=r2))
 
 
 def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> SampledField:
-    """Gaussian modulated to a lattice frequency; zero-mode mass is
-    exp(-(mode*dxi*width)^2)-small, so smoothing norms are safe."""
-    g = gaussian_datum(grid, width=width)
-    mesh = grid.meshgrid()
-    xi0 = mode * grid.dxi
-    phase = np.exp(1j * xi0 * sum(mesh))
-    return SampledField(grid, g.values * phase)
+    """Gaussian modulated to a lattice frequency, on open grids in one complex array;
+    zero-mode mass is exp(-(mode*dxi*width)^2)-small, so smoothing norms are safe."""
+    axes = np.ix_(*(grid.axis_points(),) * grid.n)
+    vals = np.empty(grid.shape, dtype=complex)
+    vals.real = sum(c ** 2 for c in axes)
+    vals.real /= -_gaussian_scale(width, "width")
+    vals.imag = sum(axes)
+    vals.imag *= mode * grid.dxi
+    return SampledField(grid, np.exp(vals, out=vals))
 
 
 def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:

@@ -23,6 +23,7 @@ in a fixed order.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,6 +50,7 @@ __all__ = [
 ]
 
 _KINDS = ("gaussian", "smooth-bump", "cube-indicator")
+_NEGLIGIBLE = 1e-16  # window blocks go while their summed bounds on a norm's share stay below
 
 
 def _gaussian_scale(x: float, name: str) -> float:
@@ -133,30 +135,44 @@ def _translate_shape(win: WindowSpec, grid: GridSpec) -> tuple[int, int]:
     return s, int(round(K))
 
 
-def materialize_window(win: WindowSpec, grid: GridSpec) -> np.ndarray:
-    """Window centered at x = 0 on the grid."""
-    if 2.0 * win.radius > 2.0 * grid.length + 1e-12:
-        raise ValueError(
-            "window support exceeds the torus; translates would self-overlap")
-    x = grid.axis_points()
-    if win.kind == "cube-indicator":
-        dist = functools.reduce(np.maximum, np.ix_(*(np.abs(x),) * grid.n))
-    else:
-        dist = _euclidean(x, grid.n)
-    phi = win.profile(dist)
-    if win.normalization == "l2":
-        mass = _lq(np.abs(phi), 2, None, grid.cell_volume)
-        if mass == 0:
-            raise ValueError("window vanishes on this grid; radius below lattice step")
-        phi = phi / mass
-    return phi
+def _window_blocks(win: WindowSpec, g: GridSpec, p: float, q: float):
+    """Yield (j, phi_j) in order for the blocks j in range(K)^n that count in the window
+    centered at 0, phi_j its L2-normalized (s,)*n values.  Dropping block j moves the norm
+    by at most s^(n/p) K^(n/q) top_j / bottom of it, top_j its value nearest 0 and bottom
+    the largest block minimum: the lowest blocks go while these sum to _NEGLIGIBLE."""
+    if 2.0 * win.radius > 2.0 * g.length + 1e-12:
+        raise ValueError("window support exceeds the torus; translates would self-overlap")
+    s, K = _translate_shape(win, g)
+    x = np.abs(g.axis_points()).reshape(K, s)  # |x| on each axis, one row per block
+    dist = _euclidean if win.kind != "cube-indicator" else (
+        lambda *axes: functools.reduce(np.maximum, np.ix_(*axes)))
+    top = win.profile(dist(*(x.min(axis=1),) * g.n)).reshape(-1)
+    bottom = win.profile(dist(*(x.max(axis=1),) * g.n)).max()
+    order = np.argsort(top)
+    bound = np.cumsum(top[order]) * (s ** (g.n / p) * K ** (g.n / q))
+    top[order[bound <= _NEGLIGIBLE * bottom]] = 0.0
+    kept = np.argwhere(top.reshape((K,) * g.n) > 0)
+    mass = math.sqrt(g.cell_volume * sum(np.sum(win.profile(dist(*x[j])) ** 2) for j in kept))
+    for j in kept:
+        yield j, win.profile(dist(*x[j])) / mass
 
 
-def _block_view(values: np.ndarray, n: int, K: int, s: int) -> np.ndarray:
-    """View (..., N,)*n as (..., K,)*n + (s,)*n: block index, then offset in the block."""
+def _offset_major(values: np.ndarray, n: int, K: int, s: int, h: int) -> np.ndarray:
+    """|values| over (..., N,)*n as one (..., s^n, K^n) array, offset r in a block and
+    then block k, holding the lattice point k s + r - h (mod N) on each axis."""
     m = values.ndim - n
-    order = (*range(m), *range(m, m + 2 * n, 2), *range(m + 1, m + 2 * n, 2))
-    return values.reshape(values.shape[:m] + (K, s) * n).transpose(order)
+    out = np.empty(values.shape[:m] + (s,) * n + (K,) * n)
+    order = (*range(m), *range(m + 1, m + 2 * n, 2), *range(m, m + 2 * n, 2))
+    src = values.reshape(values.shape[:m] + (K, s) * n).transpose(order)
+    # per axis: offsets r >= h are block k's r - h, offsets r < h block k - 1's r + s - h
+    cuts = [(slice(h, None), slice(None), slice(None, s - h), slice(None))]
+    if h:
+        cuts += [(slice(None, h), slice(1, None), slice(s - h, None), slice(None, -1)),
+                 (slice(None, h), slice(None, 1), slice(s - h, None), slice(-1, None))]
+    for cut in itertools.product(cuts, repeat=n):
+        r, k, r0, k0 = zip(*cut)
+        np.abs(src[(..., *r0, *k0)], out=out[(..., *r, *k)])
+    return out.reshape(values.shape[:m] + (s ** n, K ** n))
 
 
 def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
@@ -168,31 +184,24 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
     s, K = _translate_shape(window, g)
     n = g.n
     lead = values.shape[:-n]
-    axes = tuple(range(-n, 0))
-    a = np.abs(values)
-    # with x = (k + j) a + r (block k + j, offset r), the local norm of translate k
-    # is the L^p norm over (j, r) of |f|[k + j, r] |phi|[j, r], and only blocks j
-    # where phi is non-zero count: one L^p reduction over r per block, rolled back
-    # by -j, folded into the running result (local[k]^p = sum_j local_j[k]^p; max
-    # of maxes at p = inf), so memory stays at one block's worth at any block count
-    if window.is_partition:
-        # cube k is [k a - a/2, k a + a/2): rolling by s//2 makes it block k, so
-        # the window is the single block 0 with weight 1
-        a = np.roll(a, (s // 2,) * n, axis=axes)
-        Phi = np.ones((1,) * n + (s,) * n)
-    else:
-        Phi = _block_view(materialize_window(window, g), n, K, s)
-    blocks = np.argwhere(Phi.any(axis=tuple(range(n, 2 * n))))
-    # offsets first and blocks last, so each per-block sum runs along whole rows
-    F = np.moveaxis(_block_view(a, n, K, s), axes, range(-2 * n, -n))
-    F = F.reshape(lead + (s ** n, K ** n))
+    # with x = (k + j) a + r (block k + j, offset r), translate k's local norm is the L^p
+    # norm over (j, r) of |f|[k + j, r] phi[j, r]: per block j that counts, L^p reductions
+    # over r on contiguous slabs of rows of about 2^16 samples, each rolled back by -j and
+    # folded in (local[k]^p = sum_j local_j[k]^p; max of maxes at p = inf).  Partition
+    # cube k, [k a - a/2, k a + a/2), is block k of |f| shifted by s//2, reduced in place.
+    F = _offset_major(values, n, K, s, s // 2 if window.is_partition else 0)
+    rows = max(1, 2 ** 16 // (math.prod(lead) * K ** n))
+    blocks = [(np.zeros(n, int), None)] if window.is_partition else _window_blocks(
+        window, g, p, q)
     local = None
-    for j in blocks:
-        part = _lq(F * Phi[tuple(j)].reshape(-1, 1), p, -2, g.cell_volume)
-        part = np.roll(part.reshape(lead + (K,) * n), tuple(-j), axis=axes)
-        part = part.reshape(lead + (K ** n,))
-        local = part if local is None else _lq(np.stack((local, part)), p, 0)
-    return _lq(local, q, -1, window.step ** n), len(blocks)
+    for count, (j, phi) in enumerate(blocks, 1):
+        for r in range(0, s ** n, rows):
+            a = F[..., r:r + rows, :]
+            part = _lq(a if phi is None else a * phi.reshape(-1, 1)[r:r + rows], p, -2,
+                       g.cell_volume)
+            part = np.roll(part.reshape(lead + (K,) * n), tuple(-j), axis=tuple(range(-n, 0)))
+            local = part if local is None else _lq(np.stack((local, part)), p, 0)
+    return _lq(local.reshape(lead + (K ** n,)), q, -1, window.step ** n), count
 
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:

@@ -89,6 +89,15 @@ class TestUsageErrors:
         assert invoke(["check-tuple", "--set", "classical", "--q", "spam",
                        "--r", "2", "--n", "1"], tmp_path) == 2
 
+    def test_grid_too_large_to_hold(self, tmp_path, capsys):
+        # 65536^3 samples: the datum's first allocation, 2 PiB, fails before any work
+        assert invoke(["norm", "--kind", "lebesgue", "--grid-n", "3", "--grid-npts", "65536"],
+                      tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error: Unable to allocate")
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "failed" and "MemoryError" in manifest["error"]
+
 
 class TestExponentErrors:
     """Exponent text that cannot be an exponent is a one-line usage error."""
@@ -517,6 +526,15 @@ class TestCommands:
         code = invoke(["suite", "--corpus-size", "8"], tmp_path)
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_results_csv_quotes_commas(self, tmp_path):
+        # three property names hold a comma; each row is still (property, passed)
+        assert invoke(["suite", "--corpus-size", "20"], tmp_path) == 0
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["property", "passed"] and len(rows) == 8
+        assert all(len(row) == 2 and row[1] == "1" for row in rows[1:])
+        assert any("," in row[0] for row in rows[1:])
 
     @pytest.mark.parametrize("args", [["suite", "--corpus-size", "0"],
                                       ["suite", "--corpus-size", "-3"],

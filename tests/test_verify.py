@@ -310,6 +310,29 @@ def test_band_limited_stack_rows_are_the_single_fields(g, kmax):
         assert np.array_equal(row, band_limited_reference(g, seed, kmax))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_data_match_the_meshgrid_formulas(n):
+    g = GridSpec(n, 4.0, 16)
+    mesh = g.meshgrid()
+    gauss = np.exp(-sum(c ** 2 for c in mesh) / 2.0)
+    assert np.array_equal(gaussian_datum(g).values, gauss)
+    np.testing.assert_allclose(modulated_gaussian(g).values,
+                               gauss * np.exp(1j * 8 * g.dxi * sum(mesh)), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("make", [gaussian_datum, modulated_gaussian])
+def test_data_memory_per_lattice_point(make):
+    # built on open grids: the field's 16 bytes per point and one 8-byte temporary
+    g = GridSpec(3, 4.0, 64)
+    tracemalloc.start()
+    try:
+        f = make(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * f.values.nbytes
+
+
 # one accepted theorem tuple per dimension
 RATIO_TUPLES = {1: ExponentTuple(n=1, sigma="0.3", qt=2, rt="inf", q=10, r="inf"),
                 2: ExponentTuple(n=2, sigma="0.3", qt=2, rt="inf", q="20/7", r="inf"),

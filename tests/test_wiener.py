@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from amalgam import wiener
 from amalgam.grid import (
     GridSpec,
     SampledField,
@@ -15,9 +16,10 @@ from amalgam.grid import (
 from amalgam.wiener import (
     WindowSpec,
     _amalgam_norms,
+    _translate_shape,
+    _window_blocks,
     amalgam_norm,
     holder_pairing,
-    materialize_window,
     spacetime_amalgam_norm,
     unit_cube_partition,
     weak_lorentz_norm,
@@ -32,38 +34,39 @@ from amalgam.verify import (
 )
 
 
+def brute_force_window(g, window, idx):
+    """The window of translate idx (centered at idx * step), with explicit distance
+    arithmetic on the periodic lattice."""
+    L, dx = g.length, g.dx
+    s = int(round(window.step / dx))
+    mesh = np.meshgrid(*[g.axis_points()] * g.n, indexing="ij")
+    center = [((L + i * s * dx) % (2 * L)) - L for i in idx]
+    disp = [((c - c0 + L) % (2 * L)) - L for c, c0 in zip(mesh, center)]
+    if window.kind == "cube-indicator":
+        # half-open cube so translates tile lattice points exactly
+        inside = np.ones_like(disp[0], dtype=bool)
+        for d in disp:
+            inside &= (d >= -window.radius) & (d < window.radius)
+        phi = inside.astype(float)
+    else:
+        phi = window.profile(np.sqrt(sum(d ** 2 for d in disp)))
+    if window.normalization == "l2":
+        ref = [((c + L) % (2 * L)) - L for c in mesh]
+        if window.kind == "cube-indicator":
+            dref = np.max(np.stack([np.abs(d) for d in ref]), axis=0)
+        else:
+            dref = np.sqrt(sum(d ** 2 for d in ref))
+        phi = phi / np.sqrt(np.sum(window.profile(dref) ** 2) * g.cell_volume)
+    return phi
+
+
 def brute_force_amalgam(fld, p, q, window):
     """Translate-by-translate oracle with explicit distance arithmetic."""
     g = fld.grid
-    L, dx = g.length, g.dx
-    s = int(round(window.step / dx))
-    K = int(round(2 * L / window.step))
-    axes = [g.axis_points()] * g.n
-    mesh = np.meshgrid(*axes, indexing="ij")
-    phi_norm = None
+    K = int(round(2 * g.length / window.step))
     locals_ = []
     for flat in range(K ** g.n):
-        idx = np.unravel_index(flat, (K,) * g.n)
-        center = [((L + i * s * dx) % (2 * L)) - L for i in idx]
-        disp = [((c - c0 + L) % (2 * L)) - L for c, c0 in zip(mesh, center)]
-        if window.kind == "cube-indicator":
-            # half-open cube so translates tile lattice points exactly
-            inside = np.ones_like(disp[0], dtype=bool)
-            for d in disp:
-                inside &= (d >= -window.radius) & (d < window.radius)
-            phi = inside.astype(float)
-        else:
-            dist = np.sqrt(sum(d ** 2 for d in disp))
-            phi = window.profile(dist)
-        if window.normalization == "l2":
-            if phi_norm is None:
-                ref = [((c + L) % (2 * L)) - L for c in mesh]
-                if window.kind == "cube-indicator":
-                    dref = np.max(np.stack([np.abs(d) for d in ref]), axis=0)
-                else:
-                    dref = np.sqrt(sum(d ** 2 for d in ref))
-                phi_norm = np.sqrt(np.sum(window.profile(dref) ** 2) * g.cell_volume)
-            phi = phi / phi_norm
+        phi = brute_force_window(g, window, np.unravel_index(flat, (K,) * g.n))
         prod = np.abs(fld.values * phi)
         if math.isinf(p):
             locals_.append(prod.max())
@@ -73,6 +76,16 @@ def brute_force_amalgam(fld, p, q, window):
     if math.isinf(q):
         return locals_.max()
     return (window.step ** g.n * np.sum(locals_ ** q)) ** (1 / q)
+
+
+def block_built_window(window, g, p=2.0, q=2.0):
+    """The window on the whole grid, assembled from the blocks the norm visits."""
+    s, K = _translate_shape(window, g)
+    out = np.zeros(g.shape)
+    blocks = out.reshape((K, s) * g.n)
+    for j, phi in _window_blocks(window, g, p, q):
+        blocks[tuple(x for k in j for x in (k, slice(None)))] = phi
+    return out
 
 
 class TestWindowSpec:
@@ -88,11 +101,11 @@ class TestWindowSpec:
         g = GridSpec(1, 2.0, 64)
         win = WindowSpec("smooth-bump", radius=3.0, step=1.0)
         with pytest.raises(ValueError, match="self-overlap"):
-            materialize_window(win, g)
+            amalgam_norm(SampledField(g, np.ones(g.shape)), 2, 2, win)
 
     def test_l2_normalization(self, grid1d):
         win = WindowSpec("gaussian", radius=0.7, step=1.0)
-        phi = materialize_window(win, grid1d)
+        phi = block_built_window(win, grid1d)
         assert np.sum(phi ** 2) * grid1d.cell_volume == pytest.approx(1.0, rel=1e-12)
 
     def test_step_must_divide(self, grid1d):
@@ -178,12 +191,38 @@ class TestAmalgamNorm:
         metas = [amalgam_norm(f, p, 2, win).meta for p in (2, np.inf, 2)]
         assert [m["window_blocks"] for m in metas] == [2 ** n] * 3
 
-    def test_many_blocks_memory_stays_bounded(self):
-        # s = 2 and K^2 = 4096 blocks, about 1200 of them under the gaussian:
-        # keeping one K^2-sized result per block would take about 40 MB
+    @pytest.mark.parametrize("kind", ["gaussian", "smooth-bump", "cube-indicator"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_built_window_matches_brute_force(self, n, kind):
+        # the blocks the norm visits, put together, are the window of translate 0; the
+        # gaussian's dropped blocks hold values below 1e-16 of its peak
+        g = self.SMALL_GRIDS[n]
+        win = self.SMOOTH_WINDOWS[kind]
+        want = brute_force_window(g, win, (0,) * n)
+        got = block_built_window(win, g)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16 * want.max())
+
+    @pytest.mark.parametrize("p", [2, 40, np.inf])
+    def test_gaussian_skips_negligible_blocks(self, monkeypatch, p):
+        # radius 0.5 on 128^2 (s = 2, K = 64): the blocks where phi is non-zero number
+        # 1212, but far fewer carry a share of 1e-16 of the norm, at any p
         g = GridSpec(2, 32.0, 128)
         f = band_limited_field(g, 5)
         win = WindowSpec("gaussian", radius=0.5, step=1.0)
+        got = amalgam_norm(f, p, 4, win)
+        monkeypatch.setattr(wiener, "_NEGLIGIBLE", 0.0)
+        every = amalgam_norm(f, p, 4, win)
+        assert every.meta["window_blocks"] == 1212
+        assert got.meta["window_blocks"] < 100
+        assert got.value == pytest.approx(every.value, rel=1e-15, abs=0)
+
+    def test_many_blocks_memory_stays_bounded(self):
+        # s = 2 and K^2 = 4096 blocks, about 800 of them under the bump: keeping one
+        # K^2-sized result per block would take about 26 MB.  At this size the fixed
+        # 2^16-sample slab and the K^2-sized results, not |f|, set the peak.
+        g = GridSpec(2, 32.0, 128)
+        f = band_limited_field(g, 5)
+        win = WindowSpec("smooth-bump", radius=16.0, step=1.0)
         tracemalloc.start()
         try:
             got = amalgam_norm(f, 2, 4, win)
@@ -192,7 +231,24 @@ class TestAmalgamNorm:
             tracemalloc.stop()
         assert got.meta["window_blocks"] > 500
         assert np.isfinite(got.value) and got.value > 0
-        assert peak < 16 * f.values.nbytes
+        assert peak < 3 * f.values.nbytes
+
+    @pytest.mark.parametrize("win", [unit_cube_partition(),
+                                     WindowSpec("smooth-bump", radius=1.0, step=1.0),
+                                     WindowSpec("gaussian", radius=0.25, step=1.0)],
+                             ids=["cube", "bump", "gaussian"])
+    def test_memory_per_lattice_point(self, win):
+        # beyond the field's 16 bytes per point, |f| takes 8 and a few slabs of 2^16
+        # samples the rest: at 64^3, at most 12 bytes per point beyond the field
+        g = GridSpec(3, 4.0, 64)
+        f = band_limited_field(g, 5)
+        tracemalloc.start()
+        try:
+            amalgam_norm(f, 2, 4, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * f.values.nbytes
 
     def test_homogeneity(self, grid1d, rng):
         f = band_limited_field(grid1d, 9)
