@@ -10,8 +10,7 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "lebesgue_norm",
-             "mixed_lebesgue_norm"),
+    "grid": ("GridSpec", "NormResult", "SampledField", "SpaceTimeField", "lebesgue_norm"),
     "wiener": ("WindowSpec", "amalgam_norm", "holder_pairing", "spacetime_amalgam_norm",
                "unit_cube_partition", "weak_lorentz_norm"),
     "propagator": ("DecayProfile", "KernelSamples", "adjoint_accumulate", "evolve_blocks",

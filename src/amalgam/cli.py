@@ -420,6 +420,10 @@ def _cmd_fit_decay(args, outdir):
 def _cmd_ratio(args, outdir):
     from .verify import default_ratio_times, strichartz_ratio
     tup = _tuple_from(args)
+    rep = expo.check("theorem", tup)
+    if not rep.verdict:
+        failed = ", ".join(c.name for c in rep.failed())
+        raise ValueError(f"tuple outside the admissible region: {failed}")
     fld, _ = _field_from(args)
     times = default_ratio_times(t_outer=args.t_outer)
     res = strichartz_ratio(fld, tup, times=times, weak=args.weak)
@@ -427,7 +431,8 @@ def _cmd_ratio(args, outdir):
               [(res.value, res.numerator, res.denominator)])
     print(f"ratio = {res.value:.6g}  (numerator {res.numerator:.6g}, "
           f"denominator {res.denominator:.6g})")
-    return 0, {"ratio": res.value, "t_span": res.meta["t_span"], "ntimes": res.meta["ntimes"]}
+    return 0, {"ratio": res.value, "t_span": (float(times[0]), float(times[-1])),
+               "ntimes": len(times)}
 
 
 def _cmd_suite(args, outdir):

@@ -32,7 +32,6 @@ __all__ = [
     "SpaceTimeField",
     "NormResult",
     "lebesgue_norm",
-    "mixed_lebesgue_norm",
     "trapezoid_weights",
     "boundary_mass_fraction",
     "write_container",
@@ -117,10 +116,10 @@ def _shells(grid: GridSpec, frequency: bool = True) -> tuple:
     return shells
 
 
-def _blocks(count: int, g: GridSpec) -> list:
-    """Slices of range(count) of about 2^16 samples of g each (at least one item): the
-    one block size in which (count, *g.shape) stacks are built and reduced."""
-    step = max(1, 2 ** 16 // g.size)
+def _blocks(count: int, size: int) -> list:
+    """Slices of range(count), items of size samples each, of about 2^16 samples (at least
+    one item): the one block size in which stacks are built and reduced."""
+    step = max(1, 2 ** 16 // size)
     return [slice(i, i + step) for i in range(0, count, step)]
 
 
@@ -280,18 +279,6 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     return w
 
 
-def mixed_lebesgue_norm(blocks, g: GridSpec, times: np.ndarray, q: float, r: float) -> float:
-    """L^q in time, with trapezoid weights at the instants times, of the spatial L^r norms
-    of the slices that blocks yields in order, a (k, *g.shape) block at a time."""
-    if q < 1 or r < 1:
-        raise ValueError("exponents must be in [1, inf]")
-    axes = tuple(range(1, g.n + 1))
-    spatial = np.concatenate([_lq(np.abs(b), r, axes, g.cell_volume) for b in blocks])
-    if len(spatial) != len(times):
-        raise ValueError(f"{len(spatial)} slices for {len(times)} instants")
-    return float(_lq(spatial, q, 0, trapezoid_weights(times)))
-
-
 def boundary_mass_fraction(fld: SampledField) -> float:
     """Fraction of |f|^2 mass within distance L/4 of the torus boundary."""
     g = fld.grid
@@ -368,7 +355,7 @@ def read_container(path) -> tuple:
         times = _instants(np.fromfile(fh, dtype="<f8", count=nslices))
 
     def blocks():
-        for b in _blocks(nslices, grid):
+        for b in _blocks(nslices, grid.size):
             shape = (len(times[b]),) + grid.shape
             offset = _HEADER.size + 8 * nslices + 16 * grid.size * b.start
             with _naming(path):

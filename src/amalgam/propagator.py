@@ -130,7 +130,7 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
     times = np.asarray(times, dtype=float)
     spec = spec.reshape(-1, g.size)
     out = np.empty((len(times), g.size), dtype=complex)
-    for b in _blocks(len(times), g):
+    for b in _blocks(len(times), g.size):
         table = np.multiply.outer(-1j * times[b], xi2)
         np.exp(table, out=table)
         if sigma > 0:
@@ -152,7 +152,7 @@ def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
     g = fld.grid
     times = _instants(times)
     spec = _dft(fld.values, g)
-    for b in _blocks(len(times), g):
+    for b in _blocks(len(times), g.size):
         block = _propagate(spec, times[b], sigma, g)
         yield times[b], _checked(block, block.shape)
 
@@ -176,8 +176,8 @@ def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
 
 # M(b - sigma; b; iy) is its Maclaurin series below y = _SWITCH, where its largest
 # term is about e^8 and _TERMS terms reach 1e-19, and a _NODES-point quadrature
-# above it, _ROWS abscissae at a time
-_SWITCH, _TERMS, _NODES, _ROWS = 8.0, 50, 16, 2 ** 12
+# above it, one _blocks block of abscissae at a time
+_SWITCH, _TERMS, _NODES = 8.0, 50, 16
 
 
 @functools.lru_cache(maxsize=16)
@@ -201,8 +201,8 @@ def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarra
     out = np.empty(len(y), dtype=complex)
     # in place, in pieces: these passes are most of the kernel's time, and their
     # memory stays fixed however many abscissae there are
-    for b in range(0, len(y), _ROWS):
-        r = np.multiply.outer(1.0 / y[b:b + _ROWS], u)
+    for b in _blocks(len(y), _NODES):
+        r = np.multiply.outer(1.0 / y[b], u)
         phase = np.arctan(r)
         phase *= sign * c
         r *= r
@@ -212,7 +212,7 @@ def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarra
         re *= modulus
         im = np.sin(phase, out=phase)
         im *= modulus
-        out[b:b + _ROWS] = re @ w + 1j * (im @ w)
+        out[b] = re @ w + 1j * (im @ w)
     return out
 
 

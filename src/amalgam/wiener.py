@@ -34,7 +34,9 @@ from .grid import (
     NormResult,
     SampledField,
     SpaceTimeField,
+    _blocks,
     _euclidean,
+    _instants,
     _lq,
     trapezoid_weights,
 )
@@ -186,18 +188,18 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
     lead = values.shape[:-n]
     # with x = (k + j) a + r (block k + j, offset r), translate k's local norm is the L^p
     # norm over (j, r) of |f|[k + j, r] phi[j, r]: per block j that counts, L^p reductions
-    # over r on contiguous slabs of rows of about 2^16 samples, each rolled back by -j and
+    # over r on contiguous _blocks slabs of offset rows, each rolled back by -j and
     # folded in (local[k]^p = sum_j local_j[k]^p; max of maxes at p = inf).  Partition
     # cube k, [k a - a/2, k a + a/2), is block k of |f| shifted by s//2, reduced in place.
     F = _offset_major(values, n, K, s, s // 2 if window.is_partition else 0)
-    rows = max(1, 2 ** 16 // (math.prod(lead) * K ** n))
+    slabs = _blocks(s ** n, math.prod(lead) * K ** n)
     blocks = [(np.zeros(n, int), None)] if window.is_partition else _window_blocks(
         window, g, p, q)
     local = None
     for count, (j, phi) in enumerate(blocks, 1):
-        for r in range(0, s ** n, rows):
-            a = F[..., r:r + rows, :]
-            part = _lq(a if phi is None else a * phi.reshape(-1, 1)[r:r + rows], p, -2,
+        for r in slabs:
+            a = F[..., r, :]
+            part = _lq(a if phi is None else a * phi.reshape(-1, 1)[r], p, -2,
                        g.cell_volume)
             part = np.roll(part.reshape(lead + (K,) * n), tuple(-j), axis=tuple(range(-n, 0)))
             local = part if local is None else _lq(np.stack((local, part)), p, 0)
@@ -242,7 +244,11 @@ def spacetime_amalgam_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q:
     (T, *g.shape) array is one block); each block is reduced at once to its spatial
     norms, and the time reduction then runs on the (T,) vector of those norms.  With
     weak, the outer norm over time translates is the weak Lorentz norm of exponent q.
+    At qt = q and rt = r it is the mixed norm L^q_t L^r_x with trapezoid weights.
     """
+    if not (qt >= 1 and q >= 1):
+        raise ValueError("exponents must lie in [1, inf]")
+    times = _instants(times)
     spatial = np.concatenate([_amalgam_norms(b, rt, r, unit_cube_partition(), g)[0]
                               for b in blocks])
     if len(spatial) != len(times):

@@ -13,6 +13,7 @@ import pytest
 from amalgam.exponents import (
     ExponentTuple,
     check,
+    classical_sobolev_line,
     predicted_kernel_decay,
     sample_region,
 )
@@ -28,12 +29,12 @@ from amalgam.propagator import (
 from amalgam.verify import (
     band_limited_field,
     bilinear_form,
-    classical_scaling_sweep,
     factorized_bilinear_form,
     fit_decay,
     hls_check_1d,
     local_window_norms,
     property_suite,
+    scaling_sweep,
 )
 from amalgam.wiener import spacetime_inner_product
 from test_constraint_tables import ref_scan  # the tests' one reference scan
@@ -261,10 +262,10 @@ def test_criterion_7_window_norm_tail():
 def test_criterion_8_classical_scaling():
     g = GridSpec(1, 32.0, 1024)
     datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
-    sweep = classical_scaling_sweep(datum, [1.0, 2.0], "0.3", 10, g)
+    r = classical_sobolev_line(1, "0.3", 10)
+    sweep = scaling_sweep(datum, [1.0, 2.0], ExponentTuple(1, "0.3", 10, r, 10, r), g)
     invariant_ok = sweep.max_drift <= 0.10
-    control = classical_scaling_sweep(datum, [1.0, 2.0, 4.0], "0.3", 10, g,
-                                      r_override=10)
+    control = scaling_sweep(datum, [1.0, 2.0, 4.0], ExponentTuple(1, "0.3", 10, 10, 10, 10), g)
     control_ok = control.monotone and control.max_drift > sweep.max_drift
     ok = invariant_ok and control_ok
     report(f"criterion 8: scaling drift {sweep.max_drift:.3%} (tol 10%), "

@@ -621,7 +621,7 @@ class TestStreaming:
         from amalgam.grid import _blocks, write_container
         from amalgam.verify import modulated_gaussian
         g = amalgam.GridSpec(1, 16.0, 2 ** 16)
-        assert len(_blocks(3, g)) == 3
+        assert len(_blocks(3, g.size)) == 3
         values = np.repeat(modulated_gaussian(g, mode=40).values[None], 3, axis=0)
         path = tmp_path / "three.bin"
         write_container(path, g, [0.0, 0.5, 1.0], [values])
@@ -704,7 +704,7 @@ class TestStreaming:
         from amalgam.verify import gaussian_datum
         g = amalgam.GridSpec(n, 16.0, npts)
         times = [k / 10 - 1 for k in range(37)]
-        assert [len(range(37)[b]) for b in _blocks(37, g)] == [16, 16, 5]
+        assert [len(range(37)[b]) for b in _blocks(37, g.size)] == [16, 16, 5]
         assert invoke(["evolve", "--save-field", "--grid-n", str(n), "--grid-npts", str(npts),
                        "--sigma", sigma, "--times=" + ",".join(map(repr, times))],
                       tmp_path / "cli") == 0
@@ -768,6 +768,17 @@ class TestStreaming:
             out, err = capsys.readouterr()
             assert out == ""
             assert err.count("\n") == 1 and "dimension n = 1 is not the field's, 2" in err
+
+    def test_ratio_of_rejected_tuple_is_usage_error(self, tmp_path, capsys):
+        # the theorem's region is checked before any datum is built
+        argv = ["ratio", "--sigma", "0.3", "--qt", "10", "--rt", "inf", "--q", "10", "--r", "inf"]
+        assert invoke(argv, tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage error: tuple outside the admissible region: "
+                       "qt < q, 2/qt + (n-1)/rt > n/2 - sigma\n")
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "failed"
+        assert not (tmp_path / "results.csv").exists()
 
     def test_ratio_manifest_records_instants(self, tmp_path):
         from amalgam.verify import default_ratio_times

@@ -14,7 +14,6 @@ from amalgam.grid import (
     _shells,
     boundary_mass_fraction,
     lebesgue_norm,
-    mixed_lebesgue_norm,
     read_container,
     trapezoid_weights,
     write_container,
@@ -218,11 +217,13 @@ class TestLebesgueNorm:
 
 
 class TestMixedNorm:
+    """The classical L^q_t L^r_x norm is the space-time amalgam norm at qt = q, rt = r."""
+
     def test_single_slice(self, grid1d, rng):
         f = random_field(grid1d, rng)
         stf = SpaceTimeField(grid1d, np.array([0.7]), np.array([f.values]))
         for q in (1, 2, 7):
-            got = mixed_lebesgue_norm([stf.values], grid1d, stf.times, q, 2)
+            got = spacetime_amalgam_norm([stf.values], grid1d, stf.times, q, q, 2, 2)
             assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
 
     @pytest.mark.parametrize("scale", [1e300, 1e-300])
@@ -233,7 +234,7 @@ class TestMixedNorm:
         unit = SpaceTimeField(grid1d, times, np.ones((5,) + grid1d.shape, dtype=complex))
         for q, r in ((2, 2), (3, 1.5), (np.inf, 4)):
             want = scale * (2 * grid1d.length) ** (1 / r) * 2 ** (1 / q)
-            got = mixed_lebesgue_norm([stf.values], grid1d, times, q, r)
+            got = spacetime_amalgam_norm([stf.values], grid1d, times, q, q, r, r)
             assert got == pytest.approx(want, rel=1e-13, abs=0)
             got = spacetime_amalgam_norm([stf.values], grid1d, times, q, 4, 2, r)
             assert got == pytest.approx(
@@ -241,20 +242,23 @@ class TestMixedNorm:
                 rel=1e-13, abs=0)
 
     def test_q2_r2_is_flat_l2(self, grid1d, rng):
-        times = np.linspace(0.0, 2.0, 9)
+        # brute force: L^2 in time, trapezoid weights, of each slice's L^r norm, over
+        # seven time cubes; r = 4 is L^2_t L^4_x
+        times = np.linspace(-3.0, 3.0, 25)
         slices = [random_field(grid1d, rng) for _ in times]
         stf = SpaceTimeField(grid1d, times, np.array([s.values for s in slices]))
-        got = mixed_lebesgue_norm([stf.values], grid1d, times, 2, 2)
         w = trapezoid_weights(times)
-        flat = np.sqrt(sum(
-            wi * lebesgue_norm(s, 2).value ** 2 for wi, s in zip(w, slices)))
-        assert got == pytest.approx(flat, rel=1e-12)
+        for r in (2, 4):
+            got = spacetime_amalgam_norm([stf.values], grid1d, times, 2, 2, r, r)
+            flat = np.sqrt(sum(
+                wi * lebesgue_norm(s, r).value ** 2 for wi, s in zip(w, slices)))
+            assert got == pytest.approx(flat, rel=1e-12)
 
     def test_time_constant_over_unit_interval(self, grid1d, rng):
         f = random_field(grid1d, rng)
         times = np.linspace(0.0, 1.0, 33)
         stf = SpaceTimeField(grid1d, times, np.array([f.values] * len(times)))
-        got = mixed_lebesgue_norm([stf.values], grid1d, times, 4, 2)
+        got = spacetime_amalgam_norm([stf.values], grid1d, times, 4, 4, 2, 2)
         assert got == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
 
 
@@ -322,7 +326,7 @@ class TestSerialization:
     def test_blocks_are_read_and_checked_one_at_a_time(self, tmp_path):
         # three slices of 2^16 points: one slice per block, written as three blocks
         g = GridSpec(1, 16.0, 2 ** 16)
-        assert len(_blocks(3, g)) == 3
+        assert len(_blocks(3, g.size)) == 3
         values = np.arange(3 * g.size).reshape((3,) + g.shape) * (1 - 1j)
         path = tmp_path / "three.bin"
         write_container(path, g, [0.0, 0.5, 1.0], iter(values[:, None]))

@@ -11,7 +11,6 @@ from amalgam.grid import (
     SpaceTimeField,
     _lq,
     lebesgue_norm,
-    mixed_lebesgue_norm,
 )
 from amalgam.wiener import (
     WindowSpec,
@@ -318,14 +317,6 @@ def _random_stf(grid, times, seed):
 
 
 class TestSpacetimeAmalgam:
-    def test_diagonal_matches_mixed_norm(self, rng):
-        g = GridSpec(1, 8.0, 256)
-        times = np.linspace(-3.0, 3.0, 25)
-        stf = _random_stf(g, times, 17)
-        got = spacetime_amalgam_norm([stf.values], g, times, 2, 2, 4, 4)
-        want = mixed_lebesgue_norm([stf.values], g, times, 2, 4)
-        assert got == pytest.approx(want, rel=1e-12)
-
     def test_single_slice_reduces_to_spatial(self, rng):
         g = GridSpec(1, 8.0, 256)
         f = band_limited_field(g, 3)
@@ -366,15 +357,31 @@ class TestSpacetimeAmalgam:
         assert 0 < weak <= strong * (1 + 1e-12)
 
     @pytest.mark.parametrize("slices", [3, 7])
-    @pytest.mark.parametrize("norm", [
-        lambda blocks, g, times: spacetime_amalgam_norm(blocks, g, times, 2, 4, 2, 4),
-        lambda blocks, g, times: mixed_lebesgue_norm(blocks, g, times, 2, 4),
-    ], ids=["spacetime", "mixed"])
-    def test_slices_must_match_instants(self, norm, slices):
+    @pytest.mark.parametrize("weak", [False, True], ids=["spacetime", "weak"])
+    def test_slices_must_match_instants(self, weak, slices):
         # a slice count other than the instant count is refused, not cut or mis-indexed
         g = GridSpec(1, 4.0, 64)
         with pytest.raises(ValueError, match=f"^{slices} slices for 5 instants$"):
-            norm([np.ones((slices, 64))], g, np.linspace(0.0, 1.0, 5))
+            spacetime_amalgam_norm([np.ones((slices, 64))], g, np.linspace(0.0, 1.0, 5),
+                                   2, 4, 2, 4, weak)
+
+    @pytest.mark.parametrize("times, match", [
+        ([0.0, 2.0, 1.0], "strictly increasing"),
+        ([1.0, 0.5, 0.0], "strictly increasing"),
+        ([0.0, np.nan, 1.0], "finite, got nan at index 1"),
+    ], ids=["unsorted", "decreasing", "nan"])
+    def test_instants_are_checked(self, times, match):
+        # each is refused with its own message before any slice is reduced
+        g = GridSpec(1, 4.0, 64)
+        with pytest.raises(ValueError, match=match):
+            spacetime_amalgam_norm([np.ones((3, 64))], g, times, 2, 4, 2, 4)
+
+    @pytest.mark.parametrize("exps", [(0.5, 2, 2, 2), (2, 0.5, 2, 2), (2, 2, 0.5, 2),
+                                      (2, 2, 2, 0.5)])
+    def test_exponents_below_one_refused(self, exps):
+        g = GridSpec(1, 4.0, 64)
+        with pytest.raises(ValueError, match=r"exponents must lie in \[1, inf\]"):
+            spacetime_amalgam_norm([np.ones((3, 64))], g, np.linspace(0.0, 1.0, 3), *exps)
 
     def test_log_convex_in_the_four_reciprocals(self):
         # a four-level mixed norm: Holder's inequality at each level makes log ||u||
