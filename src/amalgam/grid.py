@@ -96,9 +96,12 @@ class GridSpec:
 
 
 def _euclidean(*axes: np.ndarray) -> np.ndarray:
-    """|(a_1, .., a_n)| over the product of 1-D axes, summed in axis order."""
-    squares = sum(c ** 2 for c in np.ix_(*axes))
-    return np.sqrt(squares, out=squares)
+    """|(a_1, .., a_n)| over the product of 1-D axes: the output is allocated first, and
+    each axis's squares are added into it in axis order."""
+    out = np.zeros(tuple(map(len, axes)))
+    for c in np.ix_(*axes):
+        out += c ** 2
+    return np.sqrt(out, out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -137,8 +140,9 @@ def _instants(times) -> np.ndarray:
 
 
 def _checked(values, shape: tuple) -> np.ndarray:
-    """values as a complex array of the given shape, all finite."""
-    values = np.asarray(values, dtype=complex)
+    """values as an array of the given shape, all finite: float64 if they are real,
+    complex128 otherwise.  A float64 array is neither cast nor copied."""
+    values = np.asarray(values, dtype=complex if np.iscomplexobj(values) else float)
     if values.shape != shape:
         raise ValueError(f"value shape {values.shape} does not match {shape}")
     if not np.all(np.isfinite(values)):
@@ -148,7 +152,8 @@ def _checked(values, shape: tuple) -> np.ndarray:
 
 @dataclass
 class SampledField:
-    """One complex amplitude per lattice point."""
+    """One amplitude per lattice point: float64 values, 8 bytes per point, when the data
+    are real, complex128 values, 16 bytes, otherwise."""
 
     grid: GridSpec
     values: np.ndarray
@@ -172,7 +177,8 @@ class SpaceTimeField:
 
     def __post_init__(self):
         self.times = _instants(self.times)
-        self.values = _checked(self.values, self.times.shape + self.grid.shape)
+        self.values = _checked(np.asarray(self.values, dtype=complex),
+                               self.times.shape + self.grid.shape)
 
 
 @dataclass

@@ -39,7 +39,6 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _blocks,
-    _checked,
     _dft,
     _instants,
     _lq,
@@ -154,7 +153,10 @@ def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
     spec = _dft(fld.values, g)
     for b in _blocks(len(times), g.size):
         block = _propagate(spec, times[b], sigma, g)
-        yield times[b], _checked(block, block.shape)
+        finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"field contains non-finite entries at t = {times[b][~finite][0]}")
+        yield times[b], block
 
 
 def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
@@ -372,11 +374,12 @@ def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,
     uniq, inv = _shells(grid, frequency=False)
     for t in times:
         ks = kernel_eval(n, sigma, float(t), uniq)
-        fld = SampledField(grid, ks.values[inv].reshape(grid.shape))
+        # the norm reads only |K_t|, so the lattice holds it as a real field
+        modulus = np.abs(ks.values)
+        fld = SampledField(grid, modulus[inv].reshape(grid.shape))
         values.append(amalgam_norm(fld, rt / 2, r / 2, window).value)
         # relative error bound over the samples above 1% of the peak; every
         # shell occurs on the lattice, so the max over shells is the lattice max
-        modulus = np.abs(ks.values)
         sig = modulus >= 0.01 * modulus.max()
         ests.append(float(np.max(ks.est_error[sig] / modulus[sig])))
     return DecayProfile(

@@ -105,7 +105,7 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
 
 
 def gaussian_datum(grid: GridSpec, width: float = 1.0) -> SampledField:
-    """exp(-|x|^2 / (2 width^2)) on open grids, in one array allocated before any work."""
+    """exp(-|x|^2 / (2 width^2)) on open grids, in one float64 array allocated before any work."""
     *head, last = np.ix_(*(grid.axis_points(),) * grid.n)
     r2 = np.empty(grid.shape)
     np.add(sum(c ** 2 for c in head), last ** 2, out=r2)
@@ -127,7 +127,7 @@ def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> Sam
 
 def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
     rng = np.random.default_rng(seed)
-    vals = np.zeros(grid.shape, dtype=complex)
+    vals = np.zeros(grid.shape)
     idx = tuple(rng.integers(0, grid.npts, size=grid.n))
     vals[idx] = 1.0
     return SampledField(grid, vals)

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -97,6 +98,28 @@ class TestUsageErrors:
         assert err.count("\n") == 1 and err.startswith("usage error: Unable to allocate")
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["status"] == "failed" and "MemoryError" in manifest["error"]
+
+    def test_lattice_radii_fail_on_the_whole_array(self, tmp_path):
+        # band-limited data need |k| on the lattice, allocated whole before any square is
+        # added: under a 4 GiB address-space cap it is the (N, N, N) array that cannot be
+        # had, not a 32 GiB (N, N, 1) partial sum.  The cap holds in the child only.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (4 * 2 ** 30, 4 * 2 ** 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "amalgam.cli", "norm", "--kind", "lebesgue",
+             "--gen", "band-limited", "--grid-n", "3", "--grid-npts", "65536",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=_SRC_ENV, preexec_fn=cap)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "(65536, 65536, 65536)" in lines[0]
+
+    def test_non_finite_evolution_names_the_instant(self, tmp_path, capsys):
+        # t |xi|^2 overflows at t = 1e308, so that slice's phase is not finite
+        assert invoke(["evolve", "--times", "0.5,1e308", "--grid-npts", "64"], tmp_path) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "usage error: field contains non-finite entries at t = 1e+308"
 
 
 class TestExponentErrors:

@@ -9,6 +9,7 @@ from amalgam.grid import (
     SpaceTimeField,
     _blocks,
     _dft,
+    _euclidean,
     _lq,
     _phase,
     _shells,
@@ -131,6 +132,14 @@ class TestCachedLattice:
             assert np.array_equal(uniq[inv], radii.ravel())
             assert np.all(np.diff(uniq) > 0)
             assert _shells(GridSpec(g.n, g.length, g.npts), frequency)[1] is inv
+
+    def test_euclidean_matches_the_summed_squares(self, g):
+        # the output is allocated whole and the squares added in axis order, so the
+        # radii equal those of the broadcast sum bit for bit, on unequal axes too
+        for axes in ((g.axis_points(),) * g.n,
+                     [g.axis_frequencies()[:g.npts - k] for k in range(g.n)]):
+            want = np.sqrt(sum(c ** 2 for c in np.ix_(*axes)))
+            assert np.array_equal(_euclidean(*axes), want)
 
     def test_cached_arrays_are_read_only(self, g, rng):
         ph = _phase(g)
@@ -382,6 +391,12 @@ class TestInvariantsAndChecks:
     def test_value_count(self, grid1d):
         with pytest.raises(ValueError):
             SampledField(grid1d, np.zeros(7))
+
+    def test_real_values_stay_real(self, grid1d):
+        vals = np.linspace(0.0, 1.0, grid1d.npts)
+        assert SampledField(grid1d, vals).values is vals  # neither cast nor copied
+        assert SampledField(grid1d, np.arange(grid1d.npts)).values.dtype == np.float64
+        assert SampledField(grid1d, vals + 0j).values.dtype == np.complex128
 
     def test_non_finite_rejected(self, grid1d):
         vals = np.zeros(grid1d.shape)

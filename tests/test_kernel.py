@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, gammaln, hyp1f1
 
-from amalgam.grid import GridSpec, SampledField
+from amalgam.grid import GridSpec, SampledField, _shells
 from amalgam.propagator import (
     KERNEL_RTOL,
     _laguerre,
@@ -341,6 +341,20 @@ class TestKernelAmalgamProfile:
         ks = kernel_eval(n, sigma, t, radii)
         for x, got in zip(radii, ks.values):
             assert abs(got - mp_kernel(n, sigma, t, x)) <= KERNEL_RTOL * envelope(n, sigma, t, x)
+
+    @pytest.mark.parametrize("grid", [GridSpec(1, 16.0, 512), GridSpec(2, 8.0, 64),
+                                      GridSpec(3, 4.0, 16)], ids=lambda g: f"n{g.n}")
+    def test_real_modulus_matches_the_complex_kernel(self, grid):
+        # the profile holds |K_t| as a real field; complex K_t gathered per shell to the
+        # lattice gives the same norms bit for bit
+        sigma, rt, r = 0.3, 6.0, 10.0
+        times = profile_times(0.02, 50.0, 4)
+        uniq, inv = _shells(grid, frequency=False)
+        want = [amalgam_norm(SampledField(grid, kernel_eval(grid.n, sigma, t, uniq)
+                                          .values[inv].reshape(grid.shape)),
+                             rt / 2, r / 2, unit_cube_partition()).value for t in times]
+        prof = kernel_amalgam_profile(sigma, rt, r, times, grid)
+        assert np.array_equal(prof.values, want)
 
     def test_rejects_nonpositive_times(self):
         g = GridSpec(1, 8.0, 256)

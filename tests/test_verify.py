@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from amalgam import cli, verify
 from amalgam.exponents import ExponentTuple, classical_sobolev_line, predicted_kernel_decay
 from amalgam.extreal import to_float
 from amalgam.grid import GridSpec, SampledField, SpaceTimeField, _dft, _lq, lebesgue_norm
-from amalgam.propagator import DecayProfile, evolve_blocks
+from amalgam.propagator import DecayProfile, evolve_blocks, hsigma_norm
 from amalgam.verify import (
     _convolve,
     _power_kernel_ft,
@@ -24,9 +25,16 @@ from amalgam.verify import (
     modulated_gaussian,
     property_suite,
     scaling_sweep,
+    spike_field,
     strichartz_ratio,
 )
-from amalgam.wiener import _amalgam_norms, spacetime_amalgam_norm
+from amalgam.wiener import (
+    WindowSpec,
+    _amalgam_norms,
+    amalgam_norm,
+    spacetime_amalgam_norm,
+    unit_cube_partition,
+)
 
 
 def synthetic_profile(exponent_small, exponent_large, n=1, sigma=0.3,
@@ -336,6 +344,59 @@ def test_data_memory_per_lattice_point(make):
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * f.values.nbytes
+
+
+@pytest.mark.parametrize("make", [gaussian_datum, spike_field])
+def test_real_data_memory_per_lattice_point(make):
+    # a real datum's 8 bytes per point, the check's 1-byte finiteness mask, and
+    # N^2-sized temporaries from the open grids: at 64^3, 9.5 bytes per point in all
+    g = GridSpec(3, 4.0, 64)
+    make(GridSpec(1, 4.0, 8))  # imports and first-call set-up stay out of the trace
+    tracemalloc.start()
+    try:
+        f = make(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.values.dtype == np.float64
+    assert peak <= 9.5 * g.size
+
+
+@pytest.mark.parametrize("make, dtype", [
+    (gaussian_datum, np.float64), (spike_field, np.float64),
+    (modulated_gaussian, np.complex128), (partial(band_limited_field, seed=3), np.complex128),
+], ids=["gaussian", "spike", "modulated", "band-limited"])
+def test_generator_dtype(make, dtype):
+    assert make(GridSpec(2, 4.0, 16)).values.dtype == dtype
+
+
+def _zero_mode_hsigma(f, sigma):
+    # the real data here carry zero-mode mass, which the smoothing weight drops
+    with pytest.warns(UserWarning, match="zero-mode"):
+        return hsigma_norm(f, sigma)
+
+
+_REAL_CAST_NORMS = {
+    "lebesgue": partial(lebesgue_norm, p=3.0),
+    "hsigma0": partial(hsigma_norm, sigma=0.0),
+    "hsigma": partial(_zero_mode_hsigma, sigma=0.3),
+    "amalgam-cube": partial(amalgam_norm, p=2.0, q=4.0, window=unit_cube_partition()),
+    "amalgam-bump": partial(amalgam_norm, p=2.0, q=4.0,
+                            window=WindowSpec("smooth-bump", radius=1.0, step=1.0)),
+    "amalgam-gaussian": partial(amalgam_norm, p=3.0, q=1.5,
+                                window=WindowSpec("gaussian", radius=0.25, step=1.0)),
+}
+
+
+@pytest.mark.parametrize("norm", _REAL_CAST_NORMS.values(), ids=_REAL_CAST_NORMS.keys())
+@pytest.mark.parametrize("make", [gaussian_datum, spike_field])
+@pytest.mark.parametrize("g", [GridSpec(1, 16.0, 512), GridSpec(2, 8.0, 64),
+                               GridSpec(3, 4.0, 16)], ids=lambda g: f"n{g.n}")
+def test_real_datum_norms_match_its_complex_cast(g, make, norm):
+    f = make(g)
+    cast = SampledField(g, f.values.astype(complex))
+    assert f.values.dtype == np.float64 and cast.values.dtype == np.complex128
+    assert norm(f).value == norm(cast).value
 
 
 # one accepted theorem tuple per dimension

@@ -28,6 +28,7 @@ from amalgam.verify import (
     band_limited_field,
     band_limited_stack,
     default_ratio_times,
+    gaussian_datum,
     modulated_gaussian,
     spike_field,
 )
@@ -248,6 +249,24 @@ class TestAmalgamNorm:
         finally:
             tracemalloc.stop()
         assert peak <= 0.75 * f.values.nbytes
+
+    @pytest.mark.parametrize("win", [unit_cube_partition(),
+                                     WindowSpec("smooth-bump", radius=1.0, step=1.0),
+                                     WindowSpec("gaussian", radius=0.25, step=1.0)],
+                             ids=["cube", "bump", "gaussian"])
+    def test_real_memory_per_lattice_point(self, win):
+        # a real datum, built and reduced under one trace: its 8 bytes per point, and
+        # the 12 bytes per point that the complex case allows |f| and the slabs, at 64^3
+        g = GridSpec(3, 4.0, 64)
+        tracemalloc.start()
+        try:
+            f = gaussian_datum(g)
+            amalgam_norm(f, 2, 4, win)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.values.dtype == np.float64
+        assert peak <= 20 * g.size
 
     def test_homogeneity(self, grid1d, rng):
         f = band_limited_field(grid1d, 9)
