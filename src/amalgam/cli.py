@@ -30,10 +30,11 @@ from pathlib import Path
 
 from . import __version__
 from . import exponents as expo
-from .extreal import as_extended, as_rational, fmt, to_float
+from .exponents import as_extended, as_rational, fmt, to_float
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
+MAX_RATIO_INSTANTS = 2 ** 17  # ratio's --t-outer up to 8188; README's largest, 4000, needs 64 064
 
 
 class _UsageError(Exception):
@@ -424,6 +425,12 @@ def _cmd_ratio(args, outdir):
     if not rep.verdict:
         failed = ", ".join(c.name for c in rep.failed())
         raise ValueError(f"tuple outside the admissible region: {failed}")
+    # default_ratio_times' count, per sign 40 in |t| <= 1 and 8 per unit beyond; none built
+    count = 2 * (40 + max(0, math.floor(8 * (Fraction(args.t_outer) - 1))))
+    if count > MAX_RATIO_INSTANTS:
+        from decimal import Decimal  # formats a count beyond the float64 range
+        raise ValueError(f"--t-outer {args.t_outer:g} needs {Decimal(count):.3g} instants, "
+                         f"over the cap of {MAX_RATIO_INSTANTS}")
     fld, _ = _field_from(args)
     times = default_ratio_times(t_outer=args.t_outer)
     res = strichartz_ratio(fld, tup, times=times, weak=args.weak)

@@ -9,6 +9,10 @@ tuple.  A region scan clears denominators, which makes every clause an
 integer affine function of the lattice indices, and finds each scan
 row's accepted indices by floor division.
 
+An exponent is a Fraction or ``INF``.  Floats are converted through ``str``,
+so that human-entered decimals like 0.3 become 3/10 rather than the nearest
+binary double.
+
 Condition sets
 --------------
 classical    : the scale-invariant pair condition for L^q_t L^r_x bounds; at
@@ -30,8 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from .extreal import INF, as_extended, as_rational, from_recip, recip
+from numbers import Rational
 
 __all__ = [
     "CONDITION_SETS",
@@ -50,6 +53,65 @@ __all__ = [
 AXES = ("qt", "rt", "q", "r")
 CONDITION_SETS = ("classical", "cn2", "theorem", "proposition", "corollary")
 GE, GT, EQ = ">=", ">", "="
+INF = math.inf
+
+
+def as_extended(x):
+    """Coerce x to a Fraction or inf.  Accepts 'inf', '10/3', floats, ints."""
+    if isinstance(x, str):
+        s = x.strip().lower()
+        if s in ("inf", "infinity", "oo"):
+            return INF
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"exponent {x!r} has a zero denominator") from None
+        except ValueError:
+            raise ValueError(f"exponent {x!r} is not a rational number or inf") from None
+    if isinstance(x, Rational):
+        return Fraction(x)
+    if isinstance(x, float):
+        if math.isnan(x) or x == -INF:
+            raise ValueError(f"{x} is not a valid exponent")
+        return INF if x == INF else Fraction(str(x))
+    raise TypeError(f"cannot interpret {x!r} as an extended real")
+
+
+def as_rational(x) -> Fraction:
+    """as_extended for a quantity that must be finite (an order, not an exponent)."""
+    val = as_extended(x)
+    if val is INF:
+        raise ValueError(f"expected a finite value, got {x!r}")
+    return val
+
+
+def recip(x) -> Fraction:
+    """1/x with 1/inf = 0, exact."""
+    x = as_extended(x)
+    if x is INF:
+        return Fraction(0)
+    if x == 0:
+        raise ValueError("an exponent of 0 has no reciprocal; exponents lie in [1, inf]")
+    return 1 / x
+
+
+def from_recip(u):
+    """Inverse of recip: 0 -> inf."""
+    u = Fraction(u)
+    return INF if u == 0 else 1 / u
+
+
+def to_float(x) -> float:
+    try:
+        return float(as_extended(x))
+    except OverflowError:
+        raise ValueError("exponent beyond the float64 range; use inf") from None
+
+
+def fmt(x) -> str:
+    """Stable text form: 'inf' or an exact rational ('10' or '10/3')."""
+    x = as_extended(x)
+    return "inf" if x is INF else str(x)
 
 
 @dataclass(frozen=True)

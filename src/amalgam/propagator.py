@@ -115,7 +115,8 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
     of equal |xi| for a block of instants and gathered into the (T, *shape)
     array, T * N^n * 16 bytes, which is inverse-transformed in one batched FFT;
     with weights, their sum over the instants is taken in frequency first.  The
-    weight at xi = 0 is set to zero.
+    weight at xi = 0 is set to zero.  The phase t |xi|^2 is checked finite before any
+    exp: the instants are monotone, so their ends bound it.
     """
     sigma = float(sigma)
     if not (0 <= sigma < g.n / 2.0):
@@ -127,6 +128,10 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
         with np.errstate(divide="ignore"):
             damp = np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
     times = np.asarray(times, dtype=float)
+    top = float(xi2[-1])
+    if not math.isfinite(max(abs(float(times[0])), abs(float(times[-1]))) * top):
+        first = next(t for t in times.tolist() if not math.isfinite(t * top))
+        raise ValueError(f"field contains non-finite entries at t = {first}")
     spec = spec.reshape(-1, g.size)
     out = np.empty((len(times), g.size), dtype=complex)
     for b in _blocks(len(times), g.size):

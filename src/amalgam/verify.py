@@ -20,7 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import exponents as expo
-from .extreal import as_rational, fmt, recip, to_float
+from .exponents import as_rational, fmt, recip, to_float
 from .grid import (
     GridSpec,
     SampledField,

@@ -43,7 +43,6 @@ from .grid import (
 
 __all__ = [
     "WindowSpec",
-    "NormResult",
     "unit_cube_partition",
     "amalgam_norm",
     "weak_lorentz_norm",
@@ -180,7 +179,8 @@ def _offset_major(values: np.ndarray, n: int, K: int, s: int, h: int) -> np.ndar
 def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
                    g: GridSpec) -> tuple:
     """W(L^p, L^q) norms over the trailing grid axes of a (..., *g.shape) array,
-    and the number of window blocks visited."""
+    and the number of window blocks visited.  A partition's cubes are taken mod 2L:
+    the cube at the box edge wraps, [L - a/2, L) u [-L, -L + a/2)."""
     if not (p >= 1 and q >= 1):
         raise ValueError("exponents must lie in [1, inf]")
     s, K = _translate_shape(window, g)

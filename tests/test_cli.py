@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import amalgam
 from amalgam import cli
 from amalgam.cli import run
+from amalgam.grid import GridSpec
 
 
 def invoke(args, out):
@@ -120,6 +121,14 @@ class TestUsageErrors:
         assert invoke(["evolve", "--times", "0.5,1e308", "--grid-npts", "64"], tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
         assert err[-1] == "usage error: field contains non-finite entries at t = 1e+308"
+
+    def test_overflowing_phase_is_refused_before_any_exp(self, tmp_path, capsys):
+        # the phase is checked before exp, so numpy raises no overflow or invalid warning
+        assert invoke(["evolve", "--times", "1e308", "--grid-npts", "64"], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "usage error: field contains non-finite entries at t = 1e+308\n"
+        assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == []
 
 
 class TestExponentErrors:
@@ -491,7 +500,7 @@ class TestCommands:
     @pytest.mark.parametrize("kind", ["lebesgue", "amalgam", "hsigma"])
     def test_norm_of_huge_container_is_finite(self, tmp_path, capsys, kind):
         from amalgam.grid import write_container
-        g = amalgam.GridSpec(1, 4.0, 64)
+        g = GridSpec(1, 4.0, 64)
         path = tmp_path / "big.bin"
         write_container(path, g, [0.0], [np.full((1, 64), 1e300 + 0j)])
         capsys.readouterr()
@@ -507,7 +516,7 @@ class TestCommands:
     def test_norm_past_float64_range_is_usage_error(self, tmp_path, capsys, args):
         # finite samples of modulus 1e308 whose norm, 1e308 * sqrt(8), is not finite
         from amalgam.grid import write_container
-        g = amalgam.GridSpec(1, 4.0, 64)
+        g = GridSpec(1, 4.0, 64)
         path = tmp_path / "big.bin"
         write_container(path, g, [0.0], [np.full((1, 64), 1e308 + 0j)])
         capsys.readouterr()
@@ -524,7 +533,7 @@ class TestCommands:
         # finite samples of modulus 1e307 whose transform overflows
         from amalgam.grid import write_container
         from amalgam.verify import modulated_gaussian
-        g = amalgam.GridSpec(1, 16.0, 1024)
+        g = GridSpec(1, 16.0, 1024)
         path = tmp_path / "huge.bin"
         write_container(path, g, [0.0], [1e307 * modulated_gaussian(g, mode=40).values[None]])
         capsys.readouterr()
@@ -643,7 +652,7 @@ class TestStreaming:
         # three zero-mode-free slices of 2^16 points: one slice per block
         from amalgam.grid import _blocks, write_container
         from amalgam.verify import modulated_gaussian
-        g = amalgam.GridSpec(1, 16.0, 2 ** 16)
+        g = GridSpec(1, 16.0, 2 ** 16)
         assert len(_blocks(3, g.size)) == 3
         values = np.repeat(modulated_gaussian(g, mode=40).values[None], 3, axis=0)
         path = tmp_path / "three.bin"
@@ -697,7 +706,7 @@ class TestStreaming:
         # the container's header is written before the first block: a failure removes it
         from amalgam.grid import write_container
         from amalgam.verify import modulated_gaussian
-        g = amalgam.GridSpec(1, 16.0, 1024)
+        g = GridSpec(1, 16.0, 1024)
         path = tmp_path / "huge.bin"
         write_container(path, g, [0.0], [1e307 * modulated_gaussian(g, mode=40).values[None]])
         out = tmp_path / "out"
@@ -725,7 +734,7 @@ class TestStreaming:
         from amalgam.grid import _blocks, _dft, _lq
         from amalgam.propagator import _propagate
         from amalgam.verify import gaussian_datum
-        g = amalgam.GridSpec(n, 16.0, npts)
+        g = GridSpec(n, 16.0, npts)
         times = [k / 10 - 1 for k in range(37)]
         assert [len(range(37)[b]) for b in _blocks(37, g.size)] == [16, 16, 5]
         assert invoke(["evolve", "--save-field", "--grid-n", str(n), "--grid-npts", str(npts),
@@ -769,6 +778,35 @@ class TestStreaming:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("usage error:") and "t_outer" in err
 
+    @pytest.mark.parametrize("t_outer, count", [("1e300", "1.60e+301"), ("1e8", "1.60e+9"),
+                                                ("8188.125", "1.31e+5")])
+    def test_ratio_instants_over_the_cap_are_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                          t_outer, count):
+        # the count is refused before any instant or datum is built
+        from amalgam import verify
+
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("built before the count was checked")
+
+        monkeypatch.setattr(verify, "default_ratio_times", unbuilt)
+        monkeypatch.setattr(cli, "_field_from", unbuilt)
+        assert invoke(_RATIO + ["--t-outer", t_outer], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"usage error: --t-outer {float(t_outer):g} needs {count} instants, "
+                       f"over the cap of 131072\n")
+
+    def test_ratio_instant_cap_admits_its_own_count(self, tmp_path, capsys, monkeypatch):
+        from amalgam import verify
+        assert len(verify.default_ratio_times(t_outer=8188.0)) == cli.MAX_RATIO_INSTANTS
+
+        def reached(*args, **kwargs):
+            raise ValueError("reached the instants")
+
+        monkeypatch.setattr(verify, "default_ratio_times", reached)
+        assert invoke(_RATIO + ["--grid-npts", "64", "--t-outer", "8188"], tmp_path) == 2
+        assert capsys.readouterr().err == "usage error: reached the instants\n"
+
     def test_ratio_of_zero_mode_datum_is_usage_error(self, tmp_path, capsys):
         assert invoke(["ratio", "--gen", "gaussian", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
                        "--q", "10", "--r", "inf", "--grid-npts", "256"], tmp_path) == 2
@@ -783,7 +821,7 @@ class TestStreaming:
         # admissible at n = 1, rejected by the theorem at n = 2: generated and loaded fields
         from amalgam.grid import write_container
         from amalgam.verify import modulated_gaussian
-        g = amalgam.GridSpec(2, 16.0, 64)
+        g = GridSpec(2, 16.0, 64)
         path = tmp_path / "n2.bin"
         write_container(path, g, [0.0], [modulated_gaussian(g, mode=20).values[None]])
         for field in (["--grid-n", "2", "--grid-npts", "64"], ["--input", str(path)]):
@@ -873,21 +911,18 @@ class TestImportFootprint:
              "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8"],
         ], tmp_path) == ["numpy"]
 
-    def test_numeric_layers_skip_extreal(self):
+    def test_numeric_layers_skip_exponents(self):
         # exact exponent arithmetic stays in the engine and the command line
         code = ("import sys, amalgam.propagator; "
                 "assert {'amalgam.grid', 'amalgam.wiener'} <= set(sys.modules); "
-                "assert 'amalgam.extreal' not in sys.modules")
+                "assert 'amalgam.exponents' not in sys.modules")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=_SRC_ENV)
         assert proc.returncode == 0, proc.stderr
 
-    def test_package_names_resolve_lazily(self):
+    def test_package_import_loads_no_layer(self):
         code = ("import sys, amalgam; assert 'numpy' not in sys.modules; "
-                "from amalgam import GridSpec, kernel_eval; "
-                "assert GridSpec.__module__ == 'amalgam.grid'; "
-                "assert kernel_eval.__module__ == 'amalgam.propagator'; "
-                "assert all(getattr(amalgam, name) for name in amalgam.__all__)")
+                "assert not [m for m in sys.modules if m.startswith('amalgam.')]")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=_SRC_ENV)
         assert proc.returncode == 0, proc.stderr
@@ -924,7 +959,7 @@ class TestFuzz:
         # two zero-mean slices on 8^n points; the header (n, L, N, slices) is 32
         # bytes and the two instants fill bytes 32..47
         from amalgam.grid import SpaceTimeField, read_container, write_container
-        g = amalgam.GridSpec(n, 2.0, 8)
+        g = GridSpec(n, 2.0, 8)
         values = np.cos(np.arange(2 * g.size)).reshape((2,) + g.shape) * (0.5 - 0.25j)
         values -= values.mean(axis=tuple(range(1, n + 1)), keepdims=True)
         with tempfile.TemporaryDirectory() as tmp:

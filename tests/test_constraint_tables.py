@@ -17,12 +17,15 @@ from amalgam.exponents import (
     ConstraintCheck,
     ExponentTuple,
     RegionReport,
+    as_extended,
+    as_rational,
     check,
     constraint_table,
     evaluate,
+    from_recip,
+    recip,
     sample_region,
 )
-from amalgam.extreal import as_extended, as_rational, from_recip, recip
 
 F = Fraction
 

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from amalgam.exponents import (
+    INF,
     ExponentTuple,
     check,
     classical_sobolev_line,
+    from_recip,
     predicted_kernel_decay,
+    recip,
     sample_region,
 )
-from amalgam.extreal import INF, from_recip, recip
 from test_constraint_tables import ref_scan  # the tests' one reference scan
 
 F = Fraction

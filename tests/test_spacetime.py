@@ -7,6 +7,8 @@ multiplier built per |xi| shell is also checked bit for bit against the
 same formula evaluated at every lattice point.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,22 @@ def test_shell_multiplier_is_exact(g, sigma):
     w = trapezoid_weights(times)
     assert np.array_equal(_propagate(stack, -times, sigma, g, weights=w),
                           propagate_reference(stack, -times, sigma, g, weights=w))
+
+
+@pytest.mark.parametrize("route, first", [
+    ("evolve", "1e+308"), ("adjoint", "-1e+308"), ("bilinear", "-1e+308")])
+def test_overflowing_phase_names_the_first_instant(route, first):
+    # t |xi|^2 is finite at 1e300 and overflows from 1e308 on, forward or backward in time
+    g = GRIDS[0]
+    stf = random_stf(g, [0.0, 1e300, 1e308, 1.5e308], 3)
+    run = {"evolve": lambda: list(evolve_blocks(SampledField(g, stf.values[0]), stf.times)),
+           "adjoint": lambda: adjoint_accumulate(stf),
+           "bilinear": lambda: bilinear_form(stf, stf, 0.0)}[route]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError) as exc:
+            run()
+    assert str(exc.value) == f"field contains non-finite entries at t = {first}"
 
 
 def test_inner_product_matches_slice_loop():

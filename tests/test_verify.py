@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 from functools import partial
 
@@ -6,8 +7,12 @@ import numpy as np
 import pytest
 
 from amalgam import cli, verify
-from amalgam.exponents import ExponentTuple, classical_sobolev_line, predicted_kernel_decay
-from amalgam.extreal import to_float
+from amalgam.exponents import (
+    ExponentTuple,
+    classical_sobolev_line,
+    predicted_kernel_decay,
+    to_float,
+)
 from amalgam.grid import GridSpec, SampledField, SpaceTimeField, _dft, _lq, lebesgue_norm
 from amalgam.propagator import DecayProfile, evolve_blocks, hsigma_norm
 from amalgam.verify import (
@@ -259,6 +264,25 @@ class TestHls:
         assert rep.max_ratio > 0
         assert rep.refinement_stable
 
+    # Lieb's sharp constant for the diagonal case p = 2/(2 - alpha) of the 1-D
+    # Hardy-Littlewood-Sobolev inequality, alpha = 1/2 (Lieb, Ann. of Math. 1983)
+    LIEB = math.gamma(0.25) / math.gamma(0.75)
+
+    def test_trials_stay_below_the_sharp_constant(self):
+        assert self.LIEB == pytest.approx(2.9586751, abs=1e-7)
+        rep = hls_check_1d("4/3", "0.5")  # the hls command's trials and seed
+        assert len(rep.ratios) == 200
+        assert max(rep.ratios) < self.LIEB and rep.refined_max < self.LIEB
+
+    def test_extremal_nearly_attains_the_sharp_constant(self):
+        # Lieb's extremal (1 + t^2)^(-3/4), on the hls command's grid
+        tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
+        dt = tgrid[1] - tgrid[0]
+        g = (1.0 + tgrid ** 2) ** -0.75
+        conv = _convolve(g, _power_kernel_ft(tgrid, 0.5), dt)
+        ratio = float(_lq(np.abs(conv), 4.0, None, dt) / _lq(g.copy(), 4 / 3, None, dt))
+        assert (1 - 0.003) * self.LIEB < ratio < self.LIEB
+
     def test_cached_transforms_match_per_trial_convolutions(self):
         # reference: a fresh bump and a fresh kernel transform for every trial
         p, q, alpha = 4 / 3, 4.0, 0.5
@@ -422,6 +446,52 @@ def test_streamed_ratio_is_the_spacetime_norm(g, weak, ntimes):
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
     want = spacetime_amalgam_norm([values], g, times, *exps, weak=weak)
     assert res.numerator == want
+
+
+def slice_norms(f, times, rt, r):
+    """W(L^rt, L^r) unit-cube norm of each slice of f's free evolution."""
+    return np.concatenate([_amalgam_norms(block, rt, r, unit_cube_partition(), f.grid)[0]
+                           for _, block in evolve_blocks(f, times)])
+
+
+def time_norm(spatial, times, qt, q):
+    """The space-time norm's time reduction of a (T,) vector of spatial norms: slices
+    that are constant on a one-cube lattice have exactly those norms."""
+    return spacetime_amalgam_norm([np.multiply.outer(spatial, np.ones(8))],
+                                  GridSpec(1, 0.5, 8), times, qt, q, np.inf, np.inf)
+
+
+class TestTensorProducts:
+    """The modulated datum and its free evolution are tensor products of n = 1 factors,
+    and unit-cube norms of a tensor product are products of the factors' norms."""
+
+    TIMES = np.array([-3.0, -0.5, 0.0, 1.0, 4.0])
+
+    @pytest.mark.parametrize("n, length, npts", [(2, 8.0, 64), (3, 8.0, 32)])
+    @pytest.mark.parametrize("rt, r", [(2.0, 4.0), (3.0, np.inf), (np.inf, 2.0),
+                                       (np.inf, np.inf)])
+    def test_slice_norms_are_products(self, n, length, npts, rt, r):
+        one = slice_norms(modulated_gaussian(GridSpec(1, length, npts)), self.TIMES, rt, r)
+        many = slice_norms(modulated_gaussian(GridSpec(n, length, npts)), self.TIMES, rt, r)
+        np.testing.assert_allclose(many, one ** n, rtol=1e-10, atol=0)
+
+    def test_ratio_numerator_from_factors(self):
+        # the ratio_n2 tuple on a 64^2 lattice of step 1/2
+        tup, times = RATIO_TUPLES[2], default_ratio_times(t_outer=8.0)
+        num = strichartz_ratio(modulated_gaussian(GridSpec(2, 16.0, 64), mode=40), tup,
+                               times=times).numerator
+        one = slice_norms(modulated_gaussian(GridSpec(1, 16.0, 64), mode=40), times,
+                          np.inf, np.inf)
+        assert num == pytest.approx(time_norm(one ** 2, times, 2.0, 20 / 7), rel=1e-10)
+
+    def test_box_free_ratio_n2_numerator(self):
+        # ratio_n2 (n = 2, dx = 1/4, xi_0 = 40 pi / 16 per axis, |t| <= 32) from one factor
+        # on a box of half-length 256, where the packet no longer wraps: the lattice value
+        # without the periodic box, which the 2-D lattice at L = 16 overstates by 6%
+        times = default_ratio_times()
+        one = slice_norms(modulated_gaussian(GridSpec(1, 256.0, 2048), mode=640), times,
+                          np.inf, np.inf)
+        assert time_norm(one ** 2, times, 2.0, 20 / 7) == pytest.approx(1.0075629, abs=1e-6)
 
 
 class TestBilinear:

@@ -11,6 +11,7 @@ from amalgam.grid import (
     SpaceTimeField,
     _lq,
     lebesgue_norm,
+    trapezoid_weights,
 )
 from amalgam.wiener import (
     WindowSpec,
@@ -443,6 +444,16 @@ class TestHolderPairing:
         assert bound > 0
         assert holds
 
+    @pytest.mark.parametrize("g", [GridSpec(1, 4.0, 64), GridSpec(2, 2.0, 16)], ids=["n1", "n2"])
+    @pytest.mark.parametrize("exps", [(2, 4, 2, 6), (3, 5, 1.5, 2.5), (1.5, 1.5, 4, 4)])
+    def test_extremal_attains_constant_one(self, g, exps):
+        times = np.linspace(-2.0, 2.0, 9)
+        rng = np.random.default_rng(g.n)
+        F = SpaceTimeField(g, times, 0.1 + rng.random(times.shape + g.shape))
+        pairing, bound, holds = holder_pairing(F, holder_extremal(F, *exps), *exps)
+        assert holds
+        assert pairing / bound == pytest.approx(1.0, rel=1e-12)
+
     def test_random_pairs_constant_one(self):
         g = GridSpec(1, 4.0, 128)
         times = np.linspace(-2.0, 2.0, 9)
@@ -451,6 +462,26 @@ class TestHolderPairing:
             G = _random_stf(g, times, 7000 + 13 * seed)
             pairing, bound, holds = holder_pairing(F, G, 2, 4, 2, 6)
             assert holds, (seed, pairing, bound)
+
+
+def holder_extremal(F, qt, q, rt, r):
+    """The G with |<F, G>| = ||F|| ||G||' for F >= 0 (Benedek-Panzone): each nested Holder
+    step is an equality when G = F^(rt-1) A^(r-rt) B^(qt-r) C^(q-qt), with A, B and C the
+    partial norms of F over a space cube, over all space, and over a time cube."""
+    g, a = F.grid, F.values.real
+    K = round(2 * g.length)
+    # the space cube of each point, mod K: the edge cube [L - 1/2, L) u [-L, -L + 1/2) wraps
+    axis = np.floor(g.axis_points() + 0.5).astype(int) % K
+    cube = np.ravel_multi_index(np.ix_(*(axis,) * g.n), (K,) * g.n).ravel()
+    flat = a.reshape(len(F.times), -1)
+    A = np.array([np.bincount(cube, row ** rt * g.cell_volume, K ** g.n)
+                  for row in flat]) ** (1 / rt)
+    B = np.sum(A ** r, axis=1) ** (1 / r)
+    k = np.floor(F.times + 0.5).astype(int)  # time cubes [k - 1/2, k + 1/2) do not wrap
+    C = np.bincount(k - k.min(), trapezoid_weights(F.times) * B ** qt) ** (1 / qt)
+    outer = B ** (qt - r) * C[k - k.min()] ** (q - qt)
+    G = flat ** (rt - 1) * A[:, cube] ** (r - rt) * outer[:, None]
+    return SpaceTimeField(g, F.times, G.reshape(a.shape))
 
 
 def inclusion_check(f, p1, q1, p2, q2):
