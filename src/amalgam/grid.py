@@ -33,7 +33,6 @@ __all__ = [
     "NormResult",
     "lebesgue_norm",
     "trapezoid_weights",
-    "boundary_mass_fraction",
     "write_container",
     "read_container",
 ]
@@ -283,17 +282,6 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * dt
     w[1:] += 0.5 * dt
     return w
-
-
-def boundary_mass_fraction(fld: SampledField) -> float:
-    """Fraction of |f|^2 mass within distance L/4 of the torus boundary."""
-    g = fld.grid
-    sup = functools.reduce(np.maximum, np.ix_(*(np.abs(g.axis_points()),) * g.n))
-    near = sup >= 0.75 * g.length
-    total = float(_lq(np.abs(fld.values), 2))
-    if total == 0.0:
-        return 0.0
-    return float((_lq(np.abs(fld.values[near]), 2) / total) ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -108,6 +108,10 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     )
 
 
+# below 2^44 rad, adjacent float64 phases differ by at most 2^-9 rad
+_PHASE_BOUND = 2.0 ** 44
+
+
 def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
                weights=None) -> np.ndarray:
     """Slice k: exp(-i t_k |xi|^2) |xi|^-sigma times spec (one spectrum, or spec[k]
@@ -115,8 +119,8 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
     of equal |xi| for a block of instants and gathered into the (T, *shape)
     array, T * N^n * 16 bytes, which is inverse-transformed in one batched FFT;
     with weights, their sum over the instants is taken in frequency first.  The
-    weight at xi = 0 is set to zero.  The phase t |xi|^2 is checked finite before any
-    exp: the instants are monotone, so their ends bound it.
+    weight at xi = 0 is set to zero.  The phase t |xi|^2 is checked below _PHASE_BOUND
+    before any exp: the instants are monotone, so their ends bound it.
     """
     sigma = float(sigma)
     if not (0 <= sigma < g.n / 2.0):
@@ -129,9 +133,10 @@ def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
             damp = np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
     times = np.asarray(times, dtype=float)
     top = float(xi2[-1])
-    if not math.isfinite(max(abs(float(times[0])), abs(float(times[-1]))) * top):
-        first = next(t for t in times.tolist() if not math.isfinite(t * top))
-        raise ValueError(f"field contains non-finite entries at t = {first}")
+    if not max(abs(float(times[0])), abs(float(times[-1]))) * top < _PHASE_BOUND:
+        first = next(t for t in times.tolist() if not abs(t) * top < _PHASE_BOUND)
+        raise ValueError(f"the phase t |xi|^2 at t = {first} is not below 2^44, "
+                         "so float64 cannot resolve it to 2^-9 rad")
     spec = spec.reshape(-1, g.size)
     out = np.empty((len(times), g.size), dtype=complex)
     for b in _blocks(len(times), g.size):

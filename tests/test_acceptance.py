@@ -13,7 +13,6 @@ import pytest
 from amalgam.exponents import (
     ExponentTuple,
     check,
-    classical_sobolev_line,
     predicted_kernel_decay,
     sample_region,
 )
@@ -34,10 +33,22 @@ from amalgam.verify import (
     hls_check_1d,
     local_window_norms,
     property_suite,
-    scaling_sweep,
 )
 from amalgam.wiener import spacetime_inner_product
 from test_constraint_tables import ref_scan  # the tests' one reference scan
+from test_verify import (  # the dilates' closed forms
+    DILATION_TUPLES,
+    LARGE_CLAUSE,
+    LARGE_LAMBDAS,
+    LARGE_SLOPE_TOL,
+    LATTICE_RTOL,
+    SMALL_CLAUSE,
+    SMALL_LAMBDAS,
+    SMALL_SLOPE_TOL,
+    dilation_slope,
+    lattice_drift,
+    theorem_slack,
+)
 
 SLOPE_TOL = 0.05
 
@@ -260,16 +271,21 @@ def test_criterion_7_window_norm_tail():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_classical_scaling():
-    g = GridSpec(1, 32.0, 1024)
-    datum = lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x)
-    r = classical_sobolev_line(1, "0.3", 10)
-    sweep = scaling_sweep(datum, [1.0, 2.0], ExponentTuple(1, "0.3", 10, r, 10, r), g)
-    invariant_ok = sweep.max_drift <= 0.10
-    control = scaling_sweep(datum, [1.0, 2.0, 4.0], ExponentTuple(1, "0.3", 10, 10, 10, 10), g)
-    control_ok = control.monotone and control.max_drift > sweep.max_drift
-    ok = invariant_ok and control_ok
-    report(f"criterion 8: scaling drift {sweep.max_drift:.3%} (tol 10%), "
-           f"control monotone drift {control.max_drift:.3%}", ok)
+    # the dilates f_lam of test_verify on their exact evolution: on the classical line
+    # qt = q = 10 the ratio's slope in lam is the engine's 0 at both ends, off it (qt = q
+    # = 5) the engine's 1/5; at lam = 1 and 2 the lattice ratio is the closed form
+    slopes, ok = [], True
+    for name in ("qt10-q10", "qt5-q5"):
+        tup = DILATION_TUPLES[name]
+        for lams, clause, tol in ((SMALL_LAMBDAS, SMALL_CLAUSE, SMALL_SLOPE_TOL),
+                                  (LARGE_LAMBDAS, LARGE_CLAUSE, LARGE_SLOPE_TOL)):
+            slope, want = dilation_slope(tup, lams), theorem_slack(tup, clause)
+            ok &= abs(slope - want) <= tol
+            slopes.append(f"{slope:+.5f} vs {want:g}")
+    drift = max(abs(lattice_drift(DILATION_TUPLES["qt10-q10"], lam)[0]) for lam in (1.0, 2.0))
+    ok &= drift <= LATTICE_RTOL
+    report(f"criterion 8: line slopes {', '.join(slopes[:2])}, control slopes "
+           f"{', '.join(slopes[2:])}, lattice drift {drift:.1e} (tol {LATTICE_RTOL:g})", ok)
     assert ok
 
 

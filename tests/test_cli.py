@@ -117,18 +117,49 @@ class TestUsageErrors:
         assert len(lines) == 1 and "(65536, 65536, 65536)" in lines[0]
 
     def test_non_finite_evolution_names_the_instant(self, tmp_path, capsys):
-        # t |xi|^2 overflows at t = 1e308, so that slice's phase is not finite
+        # t |xi|^2 overflows at t = 1e308, so that slice's phase is not below 2^44
         assert invoke(["evolve", "--times", "0.5,1e308", "--grid-npts", "64"], tmp_path) == 2
         err = capsys.readouterr().err.splitlines()
-        assert err[-1] == "usage error: field contains non-finite entries at t = 1e+308"
+        assert err[-1] == ("usage error: the phase t |xi|^2 at t = 1e+308 is not below 2^44, "
+                           "so float64 cannot resolve it to 2^-9 rad")
 
     def test_overflowing_phase_is_refused_before_any_exp(self, tmp_path, capsys):
         # the phase is checked before exp, so numpy raises no overflow or invalid warning
         assert invoke(["evolve", "--times", "1e308", "--grid-npts", "64"], tmp_path) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "usage error: field contains non-finite entries at t = 1e+308\n"
+        assert err == ("usage error: the phase t |xi|^2 at t = 1e+308 is not below 2^44, "
+                       "so float64 cannot resolve it to 2^-9 rad\n")
         assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == []
+
+    def test_unresolved_phase_is_refused(self, tmp_path, capsys):
+        # the phase at t = 1e300 is finite, but float64 spaces phases there about 1e286
+        # rad apart, so the slice would be rounding noise
+        assert invoke(["evolve", "--times", "1e300", "--grid-npts", "64"], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("usage error: the phase t |xi|^2 at t = 1e+300 is not below 2^44, "
+                       "so float64 cannot resolve it to 2^-9 rad\n")
+        assert json.loads((tmp_path / "manifest.json").read_text())["warnings"] == []
+        assert not (tmp_path / "results.csv").exists()
+
+    @pytest.mark.parametrize("argv, code, line", [
+        (["fit-decay", "--sigma", "0.3", "--rt", "1", "--r", "inf"], 2,
+         "usage error: rt and r must lie in [2, inf]"),
+        (["kernel-profile", "--sigma", "0.3", "--rt", "inf", "--r", "inf", "--tmin", "2"], 2,
+         "usage error: need 0 < tmin < 1 < tmax"),
+        (["norm", "--kind", "amalgam", "--grid-npts", "64", "--window-radius", "-1"], 2,
+         "usage error: radius and step must be positive"),
+        (["norm", "--kind", "amalgam", "--grid-npts", "64", "--window-step", "0"], 2,
+         "usage error: radius and step must be positive"),
+        (["hls", "--p", "1/2", "--alpha", "0.9"], 0,
+         "reject: need 1 <= p < q, got p=1/2, q=10/19"),
+    ], ids=["fit-decay-rt", "kernel-profile-tmin", "window-radius", "window-step", "hls-p"])
+    def test_refusal_is_one_line(self, tmp_path, capsys, argv, code, line):
+        # a refused value exits 2 with one stderr line; hls's reject is a verdict, exit 0
+        assert invoke(argv, tmp_path) == code
+        out, err = capsys.readouterr()
+        assert (err if code else out).splitlines() == [line]
 
 
 class TestExponentErrors:
@@ -716,13 +747,13 @@ class TestStreaming:
         assert not (out / "evolved.bin").exists()
 
     def test_failure_in_a_later_block_leaves_no_container(self, tmp_path, capsys):
-        # blocks of 16 slices at 4096 points; the 21st instant, 1e308, overflows the
-        # phase t |xi|^2 and makes the second block non-finite after the first was written
+        # blocks of 16 slices at 4096 points; the 21st instant, 1e308, puts the phase
+        # t |xi|^2 past 2^44 and fails the second block after the first was written
         times = ",".join([f"{k / 10:g}" for k in range(20)] + ["1e308"])
         assert invoke(["evolve", "--save-field", "--grid-npts", "4096", "--times", times],
                       tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.count("usage error:") == 1 and "non-finite" in err
+        assert err.count("usage error:") == 1 and "not below 2^44" in err
         assert not (tmp_path / "evolved.bin").exists()
         assert not (tmp_path / "results.csv").exists()
 

@@ -13,14 +13,13 @@ from amalgam.grid import (
     _lq,
     _phase,
     _shells,
-    boundary_mass_fraction,
     lebesgue_norm,
     read_container,
     trapezoid_weights,
     write_container,
 )
 from amalgam.propagator import hsigma_norm
-from amalgam.verify import band_limited_field, gaussian_datum
+from amalgam.verify import band_limited_field
 from amalgam.wiener import WindowSpec, amalgam_norm, spacetime_amalgam_norm, unit_cube_partition
 
 
@@ -418,16 +417,6 @@ class TestInvariantsAndChecks:
         f = SampledField(GridSpec(1, 4.0, 64), np.full(64, 1e308 + 0j))
         with pytest.raises(ValueError, match="float64 range"):
             lebesgue_norm(f, p)
-
-    def test_boundary_mass_of_wide_field(self):
-        g = GridSpec(1, 8, 256)
-        wide = gaussian_datum(g, width=5.0)
-        assert boundary_mass_fraction(wide) > 1e-6
-
-    def test_boundary_mass_ok_for_narrow(self):
-        g = GridSpec(1, 16, 256)
-        narrow = gaussian_datum(g, width=1.0)
-        assert boundary_mass_fraction(narrow) < 1e-6
 
     def test_band_limited_generator_zero_mode_free(self, grid1d):
         f = band_limited_field(grid1d, 11)

@@ -7,6 +7,7 @@ multiplier built per |xi| shell is also checked bit for bit against the
 same formula evaluated at every lattice point.
 """
 
+import re
 import warnings
 
 import numpy as np
@@ -130,9 +131,10 @@ def test_shell_multiplier_is_exact(g, sigma):
 @pytest.mark.parametrize("route, first", [
     ("evolve", "1e+308"), ("adjoint", "-1e+308"), ("bilinear", "-1e+308")])
 def test_overflowing_phase_names_the_first_instant(route, first):
-    # t |xi|^2 is finite at 1e300 and overflows from 1e308 on, forward or backward in time
+    # the top phase t |xi|^2 = 16 pi^2 t is below 2^44 at 1e11 and overflows from 1e308
+    # on, forward or backward in time
     g = GRIDS[0]
-    stf = random_stf(g, [0.0, 1e300, 1e308, 1.5e308], 3)
+    stf = random_stf(g, [0.0, 1e11, 1e308, 1.5e308], 3)
     run = {"evolve": lambda: list(evolve_blocks(SampledField(g, stf.values[0]), stf.times)),
            "adjoint": lambda: adjoint_accumulate(stf),
            "bilinear": lambda: bilinear_form(stf, stf, 0.0)}[route]
@@ -140,7 +142,23 @@ def test_overflowing_phase_names_the_first_instant(route, first):
         warnings.simplefilter("error")
         with pytest.raises(ValueError) as exc:
             run()
-    assert str(exc.value) == f"field contains non-finite entries at t = {first}"
+    assert str(exc.value) == (f"the phase t |xi|^2 at t = {first} is not below 2^44, "
+                              "so float64 cannot resolve it to 2^-9 rad")
+
+
+@pytest.mark.parametrize("scale, passes", [(0.999, True), (1.001, False)])
+def test_phase_bound_is_2_to_the_44(scale, passes):
+    # t sets the top phase t |xi|^2 to scale * 2^44: below 2^44, float64 spaces
+    # adjacent phases at most 2^-9 rad apart
+    g = GRIDS[0]
+    t = scale * 2.0 ** 44 / float(np.max(np.abs(g.axis_frequencies()))) ** 2
+    fld = SampledField(g, random_stf(g, [0.0], 3).values[0])
+    run = lambda: list(evolve_blocks(fld, [0.0, t]))
+    if passes:
+        run()
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"at t = {t!r} is not below 2^44")):
+            run()
 
 
 def test_inner_product_matches_slice_loop():

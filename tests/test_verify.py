@@ -1,7 +1,7 @@
 import json
 import math
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from amalgam import cli, verify
 from amalgam.exponents import (
     ExponentTuple,
-    classical_sobolev_line,
+    check,
     predicted_kernel_decay,
     to_float,
 )
@@ -29,7 +29,6 @@ from amalgam.verify import (
     local_window_norms,
     modulated_gaussian,
     property_suite,
-    scaling_sweep,
     spike_field,
     strichartz_ratio,
 )
@@ -37,6 +36,7 @@ from amalgam.wiener import (
     WindowSpec,
     _amalgam_norms,
     amalgam_norm,
+    holder_pairing,
     spacetime_amalgam_norm,
     unit_cube_partition,
 )
@@ -212,30 +212,97 @@ class TestStrichartzRatio:
         assert max(ratios) / min(ratios) >= 1.0
 
 
-class TestClassicalScaling:
-    DATUM = staticmethod(lambda x: np.exp(-x ** 2 / 2.0) * np.exp(8j * x))
+# ---------------------------------------------------------------------------
+# dilation on the exact evolution
+# ---------------------------------------------------------------------------
+# At sigma = 0 the dilate f_lam(x) = (x / lam) exp(-x^2 / 2 lam^2) evolves in closed form:
+# sup_x |e^{it Lap} f_lam| = e^{-1/2} (1 + 4 t^2 / lam^4)^{-1/4}, and its data norm is
+# ||f_lam||_{H^sigma} = lam^{1/2 - sigma} Gamma(sigma + 3/2)^{1/2}.  Dilating by lam
+# rescales time by lam^2, so small lam is small time and large lam is large time.
 
-    @staticmethod
-    def classical(q):
-        r = classical_sobolev_line(1, "0.3", q)
-        return ExponentTuple(n=1, sigma="0.3", qt=q, rt=r, q=q, r=r)
+DILATION_TUPLES = {
+    "qt4-q10": ExponentTuple(1, "3/10", 4, "inf", 10, "inf"),    # cn2's endpoint
+    "qt6-q10": ExponentTuple(1, "3/10", 6, "inf", 10, "inf"),    # the theorem alone
+    "qt10-q10": ExponentTuple(1, "3/10", 10, "inf", 10, "inf"),  # the classical line
+    "qt5-q5": ExponentTuple(1, "3/10", 5, "inf", 5, "inf"),      # off the line
+}
+SMALL_LAMBDAS, LARGE_LAMBDAS = (0.005, 0.01), (8.0, 16.0)
+# the slope's clause at small lam and its trade-off form at large lam, in the theorem
+SMALL_CLAUSE = "2/qt + (n-1)/rt > n/2 - sigma"
+LARGE_CLAUSE = "2/q + n/r = n/2 - sigma - (n-1)/rt"
+# tolerances, fixed before the first run: on the log-log slopes at each end, and the
+# lattice ratio's relative distance from the closed form (its denominator's, tighter)
+SMALL_SLOPE_TOL, LARGE_SLOPE_TOL = 1e-3, 5e-3
+LATTICE_RTOL, DENOMINATOR_RTOL = 2e-4, 1e-6
+# 200 log-spaced instants per sign in [1e-7, 1], then steps of 1/2 out to 2048: they
+# resolve the time scale lam^2 at lam = 0.005, and reach 8 lam^2 at lam = 16
+_POSITIVE = np.concatenate([np.geomspace(1e-7, 1.0, 200), np.arange(1.5, 2048.25, 0.5)])
+DILATION_TIMES = np.concatenate([-_POSITIVE[::-1], _POSITIVE])
 
-    def test_invariance_on_line(self):
-        g = GridSpec(1, 32.0, 1024)
-        sweep = scaling_sweep(self.DATUM, [1.0, 2.0], self.classical(10), g)
-        assert sweep.max_drift < 0.10
 
-    def test_control_breaks_monotonically(self):
-        g = GridSpec(1, 32.0, 1024)
-        control = ExponentTuple(n=1, sigma="0.3", qt=10, rt=10, q=10, r=10)
-        sweep = scaling_sweep(self.DATUM, [1.0, 2.0, 4.0], control, g)
-        assert sweep.monotone
-        assert sweep.max_drift > 0.10
+def dilation_ratio(tup, lam, times):
+    """strichartz_ratio of f_lam at rt = r = inf from the closed forms: the package's time
+    reduction of the sup, on slices constant in x, over the data norm."""
+    sup = np.exp(-0.5) * (1.0 + 4.0 * (times / lam ** 2) ** 2) ** -0.25
+    g = GridSpec(1, 0.5, 8)  # one unit cube, so the spatial norm of a constant is itself
+    num = spacetime_amalgam_norm([np.repeat(sup[:, None], g.npts, axis=1)], g, times,
+                                 to_float(tup.qt), to_float(tup.q), math.inf, math.inf)
+    return num / dilation_hsigma(lam, to_float(tup.sigma))
 
-    def test_mass_escape_rejected(self):
-        g = GridSpec(1, 8.0, 256)
-        with pytest.raises(ValueError, match="boundary"):
-            scaling_sweep(self.DATUM, [8.0], self.classical(10), g)
+
+def dilation_hsigma(lam, sigma):
+    return lam ** (0.5 - sigma) * math.gamma(sigma + 1.5) ** 0.5
+
+
+@cache  # criterion 8 reads the same slopes
+def dilation_slope(tup, lams):
+    a, b = (dilation_ratio(tup, lam, DILATION_TIMES) for lam in lams)
+    return math.log(b / a) / math.log(lams[1] / lams[0])
+
+
+def theorem_slack(tup, clause):
+    """The exact slack of one clause of the theorem's table, as a float."""
+    (c,) = [c for c in check("theorem", tup).constraints if c.name == clause]
+    return float(c.slack)
+
+
+@cache  # criterion 8 reads the same drifts
+def lattice_drift(tup, lam):
+    """strichartz_ratio of f_lam on a lattice at default_ratio_times(16, 0.25): the
+    relative distances of its ratio and its denominator from the closed forms."""
+    g, times = GridSpec(1, 128.0, 8192), default_ratio_times(16.0, 0.25)
+    x = g.axis_points() / lam
+    res = strichartz_ratio(SampledField(g, x * np.exp(-x ** 2 / 2.0)), tup, times)
+    return (res.value / dilation_ratio(tup, lam, times) - 1.0,
+            res.denominator / dilation_hsigma(lam, to_float(tup.sigma)) - 1.0)
+
+
+class TestDilation:
+    @pytest.mark.parametrize("name, verdicts", [
+        ("qt4-q10", (True, True, False)), ("qt6-q10", (True, False, False)),
+        ("qt10-q10", (False, False, False)), ("qt5-q5", (False, False, False))])
+    def test_engine_verdicts(self, name, verdicts):
+        # (theorem, cn2, classical): cn2's amalgam region stops at qt = 4
+        tup = DILATION_TUPLES[name]
+        assert tuple(check(s, tup).verdict for s in ("theorem", "cn2", "classical")) == verdicts
+
+    @pytest.mark.parametrize("name", DILATION_TUPLES)
+    def test_small_lambda_slope_is_the_clause_slack(self, name):
+        tup = DILATION_TUPLES[name]
+        assert dilation_slope(tup, SMALL_LAMBDAS) == pytest.approx(
+            theorem_slack(tup, SMALL_CLAUSE), abs=SMALL_SLOPE_TOL)
+
+    @pytest.mark.parametrize("name", DILATION_TUPLES)
+    def test_large_lambda_slope_is_the_trade_off_value(self, name):
+        tup = DILATION_TUPLES[name]
+        assert dilation_slope(tup, LARGE_LAMBDAS) == pytest.approx(
+            theorem_slack(tup, LARGE_CLAUSE), abs=LARGE_SLOPE_TOL)
+
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("name", DILATION_TUPLES)
+    def test_lattice_ratio_is_the_closed_form(self, name, lam):
+        ratio, denominator = lattice_drift(DILATION_TUPLES[name], lam)
+        assert abs(ratio) <= LATTICE_RTOL and abs(denominator) <= DENOMINATOR_RTOL
 
 
 def _random_bump(tgrid, rng):
@@ -587,6 +654,27 @@ class TestPropertySuite:
         rep = property_suite(seed=0, corpus_size=8)
         assert [r.name for r in rep.results if not r.passed] == [
             "inclusion with constant 1 (unit cubes)"]
+
+    def test_corrupted_pairing_is_the_counterexample(self, monkeypatch):
+        # bounds halved below the pairing from the second pair (fields 2 and 3) on: only
+        # the pairing property calls verify.holder_pairing, and it names its first pair
+        calls = []
+
+        def corrupted(F, G, *exps):
+            value, bound, holds = holder_pairing(F, G, *exps)
+            calls.append(holds)
+            if len(calls) >= 2:
+                bound = value / 2
+            return value, bound, value <= bound
+
+        monkeypatch.setattr(verify, "holder_pairing", corrupted)
+        rep = property_suite(seed=0, corpus_size=8)
+        (bad,) = [r for r in rep.results if not r.passed]
+        assert bad.name == "pairing inequality, constant 1"
+        worst = bad.counterexample
+        assert (worst["index"], worst["label"]) == (2, "band-limited[2]")
+        assert worst["detail"].startswith("pair 2: ")
+        assert len(calls) == 4 and all(calls)
 
     def test_only_log_convexity_catches_an_exponent_dependent_factor(self, monkeypatch):
         # exp(-5 (1/p - 1/q)^2) is 1 on the diagonal, and every other property compares
