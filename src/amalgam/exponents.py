@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from numbers import Rational
 
@@ -114,45 +114,41 @@ def fmt(x) -> str:
     return "inf" if x is INF else str(x)
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
+class ExponentTuple(namedtuple("ExponentTuple", ("n", "sigma") + AXES)):
     """(n, sigma, qt, rt, q, r) with extended-real exponent entries."""
 
-    n: int
-    sigma: Fraction
-    qt: object
-    rt: object
-    q: object
-    r: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        object.__setattr__(self, "sigma", as_rational(self.sigma))
-        if self.sigma < 0:
-            raise ValueError(f"smoothing order must be >= 0, got {self.sigma}")
-        for name in AXES:
-            val = as_extended(getattr(self, name))
+    def __new__(cls, n, sigma, qt, rt, q, r):
+        if n < 1:
+            raise ValueError(f"dimension must be >= 1, got {n}")
+        sigma = as_rational(sigma)
+        if sigma < 0:
+            raise ValueError(f"smoothing order must be >= 0, got {sigma}")
+        exps = [as_extended(x) for x in (qt, rt, q, r)]
+        for name, val in zip(AXES, exps):
             if val is not INF and val < 1:
                 raise ValueError(f"{name} must lie in [1, inf], got {val}")
-            object.__setattr__(self, name, val)
+        return super().__new__(cls, n, sigma, *exps)
 
     def reciprocals(self) -> dict:
         return {name: recip(getattr(self, name)) for name in AXES}
 
 
-@dataclass(frozen=True)
-class ConstraintCheck:
-    name: str
-    passed: bool
-    slack: Fraction  # the clause's form at the point: its margin in reciprocal coordinates
+class ConstraintCheck(namedtuple("ConstraintCheck", "name passed slack")):
+    """One clause at a point; slack is the clause's form there, its margin in reciprocal
+    coordinates."""
+
+    __slots__ = ()
 
 
-@dataclass
 class RegionReport:
-    label: str
-    constraints: list = field(default_factory=list)
-    case: str | None = None
+    """A condition set's clause checks at one point, in order, and its proposition case."""
+
+    def __init__(self, label: str):
+        self.label = label
+        self.constraints = []
+        self.case = None
 
     @property
     def verdict(self) -> bool:
@@ -171,15 +167,12 @@ def _row(name: str, kind: str, const=0, **coef) -> tuple:
     return name, kind, _form(const, **coef)
 
 
-@dataclass(frozen=True)
-class ConstraintTable:
-    """A condition set's clauses (name, kind, form); the form's value is the slack."""
+class ConstraintTable(namedtuple("ConstraintTable", "label axes clauses case gate",
+                                 defaults=(None, None))):
+    """A condition set's clauses (name, kind, form) over the reciprocals ``axes``; the form's
+    value is the slack.  ``gate`` leading clauses must all pass before the rest are checked."""
 
-    label: str
-    axes: tuple              # the reciprocals the set constrains
-    clauses: tuple
-    case: str | None = None
-    gate: int | None = None  # leading clauses that must all pass before the rest are checked
+    __slots__ = ()
 
 
 def _trade_off(n: int, sigma: Fraction) -> tuple:
@@ -325,14 +318,12 @@ def classical_sobolev_line(n: int, sigma, q):
     return from_recip(ur)
 
 
-@dataclass
-class RegionScan:
-    """Verdicts over the lattice {0, 1/resolution, ..., 1}^d of the free reciprocals
-    ``axes``, in row-major order of the index tuples."""
+class RegionScan(namedtuple("RegionScan", "axes verdicts edge")):
+    """Verdicts (bool per point) over the lattice {0, 1/resolution, ..., 1}^d of the free
+    reciprocals ``axes``, in row-major order of the index tuples; ``edge`` lists the indices
+    of accepted points with a rejected or missing neighbour."""
 
-    axes: tuple
-    verdicts: list        # bool per point
-    edge: list            # indices of accepted points with a rejected or missing neighbour
+    __slots__ = ()
 
 
 def _interval(rows: list, head: tuple, resolution: int) -> tuple:

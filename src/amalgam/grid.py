@@ -104,15 +104,11 @@ def _euclidean(*axes: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _shells(grid: GridSpec, frequency: bool = True) -> tuple:
-    """Distinct |xi| on the frequency lattice (|x| on the position lattice if not
-    frequency), ascending, and the flat index of each lattice point into them.
-
-    A radial function is then evaluated once per shell and gathered with the
-    index.  Cached per grid; both arrays are read-only.
-    """
-    axis = grid.axis_frequencies() if frequency else grid.axis_points()
-    shells = np.unique(_euclidean(*(axis,) * grid.n).ravel(), return_inverse=True)
+def _shells(grid: GridSpec) -> tuple:
+    """Distinct |x| on the position lattice, ascending, and the flat index of each lattice
+    point into them: the kernel profile evaluates its radial K_t once per shell and
+    gathers it with the index.  Cached per grid; both arrays are read-only."""
+    shells = np.unique(_euclidean(*(grid.axis_points(),) * grid.n).ravel(), return_inverse=True)
     for a in shells:
         a.setflags(write=False)
     return shells
@@ -210,8 +206,9 @@ def _phase(grid: GridSpec) -> np.ndarray:
 def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np.ndarray:
     """The transform over the trailing grid axes of a (..., *g.shape) array, forward onto
     the frequency lattice in FFT order; the phase factor accounts for the position
-    lattice starting at -L.  All leading slices go through one batched FFT; ``out``
-    may be ``values`` itself, and the transform then runs in place."""
+    lattice starting at -L.  All leading slices go through one batched FFT, in one
+    complex buffer; ``out`` may be ``values`` itself, and the transform then runs in
+    place, without a copy."""
     axes = tuple(range(-g.n, 0))
     ph = _phase(g)
     if inverse:
@@ -220,7 +217,11 @@ def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np
         np.fft.ifftn(out, axes=axes, out=out)
         out /= g.cell_volume
     else:
-        out = np.fft.fftn(values, axes=axes, out=out)
+        # numpy's out-of-place fftn allocates one array per axis: a copy (a real input
+        # cast, as fftn casts it) is transformed in place instead
+        if out is not values:
+            out = np.array(values, dtype=complex)
+        np.fft.fftn(out, axes=axes, out=out)
         out *= g.cell_volume * ph
     return out
 

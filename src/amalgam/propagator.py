@@ -40,6 +40,7 @@ from .grid import (
     SpaceTimeField,
     _blocks,
     _dft,
+    _euclidean,
     _instants,
     _lq,
     _shells,
@@ -89,9 +90,8 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     g = fld.grid
     spec = _dft(fld.values, g)
     w = (g.dxi / (2.0 * np.pi)) ** g.n
-    if sigma > 0:
-        xi, inv = _shells(g)
-        w = (np.where(xi > 0, xi ** (2.0 * sigma), 0.0) * w)[inv].reshape(g.shape)
+    if sigma > 0:  # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
+        w = w * _euclidean(*(g.axis_frequencies(),) * g.n) ** (2.0 * sigma)
     value = float(_lq(np.abs(spec), 2, None, w))
     zfrac = _zero_mode_fraction(spec) if sigma > 0 else 0.0
     if sigma > 0 and zfrac >= ZERO_MODE_TOL:
@@ -112,45 +112,55 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
 _PHASE_BOUND = 2.0 ** 44
 
 
-def _propagate(spec: np.ndarray, times, sigma: float, g: GridSpec,
-               weights=None) -> np.ndarray:
-    """Slice k: exp(-i t_k |xi|^2) |xi|^-sigma times spec (one spectrum, or spec[k]
-    of a stack), in position space.  The multiplier is evaluated once per shell
-    of equal |xi| for a block of instants and gathered into the (T, *shape)
-    array, T * N^n * 16 bytes, which is inverse-transformed in one batched FFT;
-    with weights, their sum over the instants is taken in frequency first.  The
-    weight at xi = 0 is set to zero.  The phase t |xi|^2 is checked below _PHASE_BOUND
-    before any exp: the instants are monotone, so their ends bound it.
-    """
+def _spectrum(values: np.ndarray, sigma: float, g: GridSpec) -> np.ndarray:
+    """fftn of values (one field, or a (T, *shape) stack) in one complex buffer, times
+    |xi|^-sigma with 0 at xi = 0: the part of the evolution that every instant shares.
+    The forward transform's dx^n and sign (-1)^j cancel the inverse's (-1)^j / dx^n, so
+    the evolution applies neither."""
     sigma = float(sigma)
     if not (0 <= sigma < g.n / 2.0):
         raise ValueError(
             f"sigma must lie in [0, n/2) = [0, {g.n / 2}), got {sigma}")
-    xi, inv = _shells(g)
-    xi2 = xi ** 2
+    spec = np.array(values, dtype=complex)
+    np.fft.fftn(spec, axes=tuple(range(-g.n, 0)), out=spec)
     if sigma > 0:
-        with np.errstate(divide="ignore"):
-            damp = np.where(xi2 > 0, xi2 ** (-sigma / 2.0), 0.0)
+        xi = _euclidean(*(g.axis_frequencies(),) * g.n)
+        xi[(0,) * g.n] = np.inf  # inf^-sigma = 0: the smoothing weight drops the zero mode
+        spec *= np.power(xi, -sigma, out=xi)
+    return spec
+
+
+def _propagate(spec: np.ndarray, times, g: GridSpec, out=None, weights=None) -> np.ndarray:
+    """Slice k: exp(-i t_k |xi|^2) times a _spectrum (one spectrum, or spec[k] of a
+    stack), in position space, in out: a new (T, *shape) array, or spec itself, which is
+    then overwritten.  The multiplier is the product of one factor exp(-i t_k xi_a^2) per
+    axis, each evaluated on the N/2 + 1 distinct |xi_a| and multiplied in place through
+    views; with weights, their sum over the instants is taken in frequency first.  All
+    slices go through one bare in-place ifftn.  The phase t |xi|^2 is checked below
+    _PHASE_BOUND before any exp: the instants are monotone, so their ends bound it.
+    """
+    half = g.npts // 2
+    xa = np.abs(g.axis_frequencies()[:half + 1])  # |j| = 0 .. N/2, the last from j = -N/2
     times = np.asarray(times, dtype=float)
-    top = float(xi2[-1])
+    top = g.n * float(xa[-1]) ** 2
     if not max(abs(float(times[0])), abs(float(times[-1]))) * top < _PHASE_BOUND:
         first = next(t for t in times.tolist() if not abs(t) * top < _PHASE_BOUND)
         raise ValueError(f"the phase t |xi|^2 at t = {first} is not below 2^44, "
                          "so float64 cannot resolve it to 2^-9 rad")
-    spec = spec.reshape(-1, g.size)
-    out = np.empty((len(times), g.size), dtype=complex)
-    for b in _blocks(len(times), g.size):
-        table = np.multiply.outer(-1j * times[b], xi2)
-        np.exp(table, out=table)
-        if sigma > 0:
-            table *= damp
-        # mode="clip" writes straight into out; the default "raise" buffers a copy
-        block = np.take(table, inv, axis=1, out=out[b], mode="clip")
-        block *= spec if len(spec) == 1 else spec[b]
-    out = out.reshape(times.shape + g.shape)
+    table = np.multiply.outer(-1j * times, xa ** 2)
+    np.exp(table, out=table)
+    if out is None:
+        out = np.empty(times.shape + g.shape, dtype=complex)
+    # in FFT order, positions half + 1 .. N - 1 hold |j| = half - 1 .. 1
+    parts = (slice(None, half + 1), table), (slice(half + 1, None), table[:, half - 1:0:-1])
+    for a in range(g.n):
+        for pos, factor in parts:
+            view = (..., pos) + (slice(None),) * (g.n - 1 - a)
+            factor = factor.reshape(times.shape + (1,) * a + (-1,) + (1,) * (g.n - 1 - a))
+            np.multiply((out if a else spec)[view], factor, out=out[view])
     if weights is not None:
         out = np.tensordot(weights, out, axes=1)
-    return _dft(out, g, inverse=True, out=out)
+    return np.fft.ifftn(out, axes=tuple(range(-g.n, 0)), out=out)
 
 
 def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
@@ -160,9 +170,9 @@ def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
     is set to zero, so data should have negligible zero-mode mass (verify's generators do)."""
     g = fld.grid
     times = _instants(times)
-    spec = _dft(fld.values, g)
+    spec = _spectrum(fld.values, sigma, g)
     for b in _blocks(len(times), g.size):
-        block = _propagate(spec, times[b], sigma, g)
+        block = _propagate(spec, times[b], g)
         finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)
         if not finite.all():
             raise ValueError(f"field contains non-finite entries at t = {times[b][~finite][0]}")
@@ -177,9 +187,8 @@ def adjoint_accumulate(stf: SpaceTimeField, sigma: float = 0.0) -> SampledField:
     evolve_blocks under the discrete space-time pairing.
     """
     g = stf.grid
-    acc = _propagate(_dft(stf.values, g), -stf.times, sigma, g,
-                     weights=trapezoid_weights(stf.times))
-    return SampledField(g, acc)
+    spec = _spectrum(stf.values, sigma, g)
+    return SampledField(g, _propagate(spec, -stf.times, g, spec, trapezoid_weights(stf.times)))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +390,7 @@ def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,
     values, ests = [], []
     window = unit_cube_partition()
     # K_t is radial: one evaluation per shell of equal |x|, gathered to the lattice
-    uniq, inv = _shells(grid, frequency=False)
+    uniq, inv = _shells(grid)
     for t in times:
         ks = kernel_eval(n, sigma, float(t), uniq)
         # the norm reads only |K_t|, so the lattice holds it as a real field

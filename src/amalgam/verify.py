@@ -19,11 +19,12 @@ from functools import partial
 import numpy as np
 
 from . import exponents as expo
-from .exponents import as_rational, fmt, recip, to_float
+from .exponents import as_extended, as_rational, fmt, recip, to_float
 from .grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _blocks,
     _dft,
     _euclidean,
     _lq,
@@ -32,6 +33,7 @@ from .grid import (
 from .propagator import (
     DecayProfile,
     _propagate,
+    _spectrum,
     adjoint_accumulate,
     evolve_blocks,
     hsigma_norm,
@@ -337,7 +339,7 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
     resolution for the first g of largest ratio.  Each grid transforms its
     kernel once; each trial is one rfft/irfft pair.
     """
-    pf = as_rational(p)
+    pf = as_extended(p)  # p = inf is an exponent, rejected below as q = inf
     af = as_rational(alpha)
     if not (0 < af < 1):
         return HlsReport(False, f"alpha must lie in (0,1), got {fmt(af)}")
@@ -385,16 +387,22 @@ def bilinear_form(F: SpaceTimeField, G: SpaceTimeField, sigma: float) -> complex
     """Double time integral of the pairing of backward-evolved slices.
 
     w_F^T (E_F E_G^H) w_G dx^n: the Gram matrix pairs every two slices before
-    the time sums, which factorized_bilinear_form takes first.
+    the time sums, which factorized_bilinear_form takes first.  G is evolved and
+    conjugated in place, once; the Gram is formed one _blocks block of F's instants
+    at a time, and each block is freed before the next is built.
     """
     if F.grid != G.grid:
         raise ValueError("fields must share one grid")
     g = F.grid
-    ef, eg = (_propagate(_dft(H.values, g), -H.times, sigma, g).reshape(len(H.times), -1)
-              for H in (F, G))
-    gram = ef @ eg.conj().T
-    return complex(trapezoid_weights(F.times) @ gram @ trapezoid_weights(G.times)
-                   * g.cell_volume)
+    eg = _spectrum(G.values, sigma, g)
+    eg = np.conjugate(_propagate(eg, -G.times, g, eg), out=eg).reshape(len(G.times), -1)
+    wf, wg = trapezoid_weights(F.times), trapezoid_weights(G.times)
+    total = 0.0
+    for b in _blocks(len(F.times), g.size):
+        ef = _spectrum(F.values[b], sigma, g)
+        total += wf[b] @ (_propagate(ef, -F.times[b], g, ef).reshape(len(ef), -1) @ eg.T) @ wg
+        del ef
+    return complex(total * g.cell_volume)
 
 
 def factorized_bilinear_form(F: SpaceTimeField, G: SpaceTimeField, sigma: float) -> complex:

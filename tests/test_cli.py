@@ -173,13 +173,12 @@ class TestExponentErrors:
         ["norm", "--kind", "lebesgue", "--grid-npts", "64", "--p", "1e400"],
         ["check-tuple", "--set", "proposition", "--n", "1", "--sigma", "inf",
          "--rt", "inf", "--r", "10"],
-        ["hls", "--p", "inf", "--alpha", "0.5"],
         # every set checks the whole tuple, the exponents its clauses do not use included
         ["check-tuple", "--set", "classical", "--n", "2", "--q", "1/2", "--r", "2"],
         ["check-tuple", "--set", "proposition", "--n", "1", "--sigma", "-1",
          "--rt", "inf", "--r", "10"],
     ], ids=["classical-q0", "proposition-r0", "norm-p-1/0", "norm-p-1e400",
-            "proposition-sigma-inf", "hls-p-inf", "classical-q-half", "proposition-sigma-neg"])
+            "proposition-sigma-inf", "classical-q-half", "proposition-sigma-neg"])
     def test_exit_two_with_one_line(self, tmp_path, capsys, argv):
         assert invoke(argv, tmp_path) == 2
         err = capsys.readouterr().err
@@ -615,6 +614,14 @@ class TestCommands:
         assert invoke(["hls", "--p", "4/3", "--alpha", "0.5",
                        "--trials", "20"], tmp_path) == 0
 
+    def test_hls_p_inf_is_a_rejection(self, tmp_path, capsys):
+        # 1/q = 1/p + alpha - 1 = -1/2 at p = inf: a verdict, not a usage error
+        assert invoke(["hls", "--p", "inf", "--alpha", "0.5"], tmp_path) == 0
+        out, err = capsys.readouterr()
+        assert out.splitlines() == ["reject: q = inf excluded (need q < inf)"] and err == ""
+        assert (tmp_path / "results.csv").read_text().splitlines() == [
+            "verdict,reason", "reject,q = inf excluded (need q < inf)"]
+
     def test_bilinear_identity(self, tmp_path):
         code = invoke(["bilinear", "--grid-npts", "32", "--ntimes", "5",
                        "--pairs", "3"], tmp_path)
@@ -762,8 +769,8 @@ class TestStreaming:
     def test_streamed_evolve_is_bit_identical(self, tmp_path, n, npts, sigma):
         # T = 37 instants in blocks of 16, 16 and 5 slices, against one array of all 37
         # evolved by one batched inverse transform, and the container's bytes packed here
-        from amalgam.grid import _blocks, _dft, _lq
-        from amalgam.propagator import _propagate
+        from amalgam.grid import _blocks, _lq
+        from amalgam.propagator import _propagate, _spectrum
         from amalgam.verify import gaussian_datum
         g = GridSpec(n, 16.0, npts)
         times = [k / 10 - 1 for k in range(37)]
@@ -771,7 +778,7 @@ class TestStreaming:
         assert invoke(["evolve", "--save-field", "--grid-n", str(n), "--grid-npts", str(npts),
                        "--sigma", sigma, "--times=" + ",".join(map(repr, times))],
                       tmp_path / "cli") == 0
-        values = _propagate(_dft(gaussian_datum(g).values, g), times, float(sigma), g)
+        values = _propagate(_spectrum(gaussian_datum(g).values, float(sigma), g), times, g)
         (tmp_path / "evolved.bin").write_bytes(
             struct.pack("<qdqq", n, 16.0, npts, 37) + np.array(times, dtype="<f8").tobytes()
             + values.astype("<c16").tobytes())
@@ -918,6 +925,25 @@ class TestImportFootprint:
             ["region", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--fixed", "rt=inf",
              "--free", "qt,q", "--resolution", "128"],
         ], tmp_path) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["check-tuple", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--qt", "2",
+         "--rt", "inf", "--q", "10", "--r", "inf"],
+        ["region", "--set", "theorem", "--n", "1", "--sigma", "0.3", "--fixed", "rt=inf",
+         "--free", "qt,q", "--resolution", "8"],
+    ], ids=["help", "check-tuple", "region"])
+    def test_verdict_commands_skip_dataclasses(self, tmp_path, argv):
+        # the exponent engine's records are namedtuples and one plain class, so these
+        # commands import neither dataclasses nor inspect (numpy imports both)
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "amalgam.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(_SRC_ENV, AMALGAM_OUT=str(tmp_path)))
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "amalgam.exponents" in loaded
+        assert not loaded & {"dataclasses", "inspect"}
 
     def test_field_commands_skip_scipy(self, tmp_path):
         assert _modules_after([

@@ -125,12 +125,11 @@ class TestTransform:
                          ids=lambda g: f"n{g.n}")
 class TestCachedLattice:
     def test_shells_rebuild_the_radii(self, g):
-        for frequency, axis in ((True, g.axis_frequencies()), (False, g.axis_points())):
-            uniq, inv = _shells(g, frequency)
-            radii = np.sqrt(sum(c ** 2 for c in np.ix_(*(axis,) * g.n)))
-            assert np.array_equal(uniq[inv], radii.ravel())
-            assert np.all(np.diff(uniq) > 0)
-            assert _shells(GridSpec(g.n, g.length, g.npts), frequency)[1] is inv
+        uniq, inv = _shells(g)
+        radii = np.sqrt(sum(c ** 2 for c in np.ix_(*(g.axis_points(),) * g.n)))
+        assert np.array_equal(uniq[inv], radii.ravel())
+        assert np.all(np.diff(uniq) > 0)
+        assert _shells(GridSpec(g.n, g.length, g.npts))[1] is inv
 
     def test_euclidean_matches_the_summed_squares(self, g):
         # the output is allocated whole and the squares added in axis order, so the
@@ -142,7 +141,7 @@ class TestCachedLattice:
 
     def test_cached_arrays_are_read_only(self, g, rng):
         ph = _phase(g)
-        for a in (*_shells(g), *_shells(g, False), ph):
+        for a in (*_shells(g), ph):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0

@@ -349,7 +349,7 @@ class TestKernelAmalgamProfile:
         # lattice gives the same norms bit for bit
         sigma, rt, r = 0.3, 6.0, 10.0
         times = profile_times(0.02, 50.0, 4)
-        uniq, inv = _shells(grid, frequency=False)
+        uniq, inv = _shells(grid)
         want = [amalgam_norm(SampledField(grid, kernel_eval(grid.n, sigma, t, uniq)
                                           .values[inv].reshape(grid.shape)),
                              rt / 2, r / 2, unit_cube_partition()).value for t in times]

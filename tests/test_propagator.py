@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -191,3 +193,36 @@ class TestWeights:
     def test_weights_sum_to_span(self):
         t = np.array([0.0, 0.5, 2.0, 3.0])
         assert trapezoid_weights(t).sum() == pytest.approx(3.0)
+
+
+def heap_peak(run) -> int:
+    """Python-heap peak of run(), in bytes, traced from a clean start."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("g", [GridSpec(2, 8.0, 256), GridSpec(3, 4.0, 64)], ids=lambda g: f"n{g.n}")
+class TestMemoryPerLatticePoint:
+    # bounds from the bytes each design holds per lattice point, plus a fixed 2^16 bytes
+    # (hsigma) or 2^19 (evolution): the per-axis tables, the transform's scratch lines and
+    # numpy's ufunc buffers for the strided per-axis multiplies, 8192 elements for each
+    # of three complex operands, 384 KiB
+
+    def test_hsigma_holds_a_spectrum_a_weight_and_a_modulus(self, g):
+        # complex spectrum 16 + weight |xi|^(2 sigma) 8 + modulus 8 = 32 bytes per point
+        f = band_limited_field(g, 3)
+        assert heap_peak(lambda: hsigma_norm(f, 0.3)) <= 32 * g.size + 2 ** 16
+
+    def test_evolve_holds_a_spectrum_and_two_blocks(self, g):
+        # spectrum 16 + the caller's last block 16 + the block being built 16 + its 1-byte
+        # finiteness mask = 49 bytes per point; at these sizes a block is one slice
+        f = band_limited_field(g, 3)
+
+        def run():
+            for _, block in evolve_blocks(f, [0.1, 0.2, 0.3, 0.4], 0.3):
+                assert len(block) == 1
+        assert heap_peak(run) <= 49 * g.size + 2 ** 19

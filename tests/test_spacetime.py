@@ -3,13 +3,15 @@
 The references are the per-slice loops the batched code replaced: one
 forward transform, the multiplier exp(-i t |xi|^2) |xi|^-sigma and one
 inverse transform per slice, and the pairings summed slice by slice.  The
-multiplier built per |xi| shell is also checked bit for bit against the
-same formula evaluated at every lattice point.
+multiplier, a product of one factor per axis, is checked against
+exp(-i t |xi|^2) at 50 digits.
 """
 
 import re
+import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,13 +19,14 @@ from amalgam.grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
+    _blocks,
     _dft,
     read_container,
     trapezoid_weights,
     write_container,
 )
-from amalgam.propagator import _propagate, adjoint_accumulate, evolve_blocks
-from amalgam.verify import band_limited_field, bilinear_form
+from amalgam.propagator import _propagate, _spectrum, adjoint_accumulate, evolve_blocks
+from amalgam.verify import band_limited_field, band_limited_stack, bilinear_form
 from amalgam.wiener import spacetime_inner_product
 
 GRIDS = [GridSpec(1, 8.0, 64), GridSpec(2, 4.0, 16), GridSpec(3, 4.0, 8)]
@@ -111,21 +114,68 @@ class TestBatchedEvolution:
         assert abs(bilinear_form(F, G, sigma) - want) <= 1e-12 * abs(want)
 
 
-# 20 instants span two shell-table blocks at n = 1, 2 and ten at n = 3
+# Each multiplier value lies within _ULPS ulps of its phase t |xi|^2 (ulps of 1 below a
+# phase of 1) of exp(-i t |xi|^2), fixed from the roundings: the float xi_a (3.5u
+# relative, u = 2^-53), squared and times t, gives each per-axis phase within 9u; the
+# old per-point |xi|, a sqrt of summed squares squared again, gives 13u; 9u or 13u of the
+# phase is at most 9 or 13 ulps of it, and the exps and products add a few ulps of 1.
+_ULPS = 16
+
+
+def ulps_off(mult, times, g, points):
+    """max over the flat lattice points and all instants of |mult - exp(-i t |xi|^2)| in
+    ulps of max(|t| |xi|^2, 1): the exact value at 50 digits, from the float t and the
+    exact lattice frequencies xi_a = pi j_a / L."""
+    j = np.fft.fftfreq(g.npts, d=1.0 / g.npts).astype(int)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for p in points:
+            xi2 = sum((mpmath.pi * int(j[i]) / mpmath.mpf(g.length)) ** 2
+                      for i in np.unravel_index(p, g.shape))
+            for k, t in enumerate(times):
+                theta = mpmath.mpf(float(t)) * xi2
+                m = mult[k].flat[p]
+                err = abs(mpmath.mpc(m.real, m.imag) - mpmath.expj(-theta))
+                worst = max(worst, float(err) / np.spacing(max(float(abs(theta)), 1.0)))
+    return worst
+
+
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
 @pytest.mark.parametrize("g", [GridSpec(1, 8.0, 4096), GridSpec(2, 8.0, 64), GridSpec(3, 4.0, 32)],
                          ids=lambda g: f"n{g.n}")
-def test_shell_multiplier_is_exact(g, sigma):
+def test_shell_multiplier_is_exact(g, sigma, monkeypatch):
     rng = np.random.default_rng(g.n)
     times = np.sort(rng.uniform(-3.0, 3.0, 20))
     stack = rng.standard_normal(times.shape + g.shape) + 1j * rng.standard_normal(times.shape + g.shape)
-    assert np.array_equal(_propagate(stack[0], times, sigma, g),
-                          propagate_reference(stack[0], times, sigma, g))
-    assert np.array_equal(_propagate(stack, times, sigma, g),
-                          propagate_reference(stack, times, sigma, g))
+    if sigma == 0:  # the multiplier does not depend on sigma
+        # the top frequency |xi_a| = pi N / 2L on every axis, and 23 lattice points at random
+        points = np.r_[np.ravel_multi_index((g.npts // 2,) * g.n, g.shape),
+                       rng.choice(g.size, 23, replace=False)]
+        with monkeypatch.context() as m:  # what _propagate hands its inverse transform
+            m.setattr(np.fft, "ifftn", lambda a, axes, out: out)
+            mult = _propagate(np.ones(g.shape, dtype=complex), times, g)
+        assert ulps_off(mult, times, g, points) <= _ULPS
+        # the per-point route that the product of per-axis factors replaced meets it too
+        old = np.exp(np.multiply.outer(-1j * times, frequency_radii(g) ** 2))
+        assert ulps_off(old, times, g, points) <= _ULPS
+    # so the two routes differ by at most 2 _ULPS ulps of the top phase at every point,
+    # and the unitary inverse transform keeps that bound on each slice's l2 norm
+    tol = 2 * _ULPS * np.spacing(np.max(np.abs(times)) * float(np.max(frequency_radii(g))) ** 2)
+    axes = tuple(range(-g.n, 0))
+
+    def l2(a):
+        return np.sqrt(np.sum(np.abs(a) ** 2, axis=axes))
+
+    want = propagate_reference(_dft(stack[0], g), times, sigma, g)
+    assert np.all(l2(_propagate(_spectrum(stack[0], sigma, g), times, g) - want) <= tol * l2(want))
+    want = propagate_reference(_dft(stack, g), times, sigma, g)
+    spec = _spectrum(stack, sigma, g)
+    assert np.all(l2(_propagate(spec, times, g, spec) - want) <= tol * l2(want))
     w = trapezoid_weights(times)
-    assert np.array_equal(_propagate(stack, -times, sigma, g, weights=w),
-                          propagate_reference(stack, -times, sigma, g, weights=w))
+    slices = propagate_reference(_dft(stack, g), -times, sigma, g)
+    want = propagate_reference(_dft(stack, g), -times, sigma, g, weights=w)
+    spec = _spectrum(stack, sigma, g)
+    assert l2(_propagate(spec, -times, g, spec, w) - want) <= tol * (w @ l2(slices))
 
 
 @pytest.mark.parametrize("route, first", [
@@ -159,6 +209,23 @@ def test_phase_bound_is_2_to_the_44(scale, passes):
     else:
         with pytest.raises(ValueError, match=re.escape(f"at t = {t!r} is not below 2^44")):
             run()
+
+
+def test_bilinear_memory_is_one_stack_and_one_block():
+    # the benchmark's bilinear_n2: beyond its two input stacks, G's evolution (one stack),
+    # one block of F's evolved instants, temporaries of at most four slices (the smoothing
+    # weight, the per-axis tables, the Gram block and transform scratch) and numpy's
+    # ufunc buffers for the strided per-axis multiplies, 384 KiB whatever the grid
+    g, times = GridSpec(2, 8.0, 64), np.linspace(-2.0, 2.0, 33)
+    F, G = (SpaceTimeField(g, times, band_limited_stack(g, range(s, s + 33))) for s in (0, 100))
+    block = len(range(33)[_blocks(33, g.size)[0]])
+    tracemalloc.start()
+    try:
+        bilinear_form(F, G, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * g.size * (len(times) + block + 4) + 2 ** 19
 
 
 def test_inner_product_matches_slice_loop():

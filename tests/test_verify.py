@@ -536,7 +536,7 @@ class TestTensorProducts:
 
     @pytest.mark.parametrize("n, length, npts", [(2, 8.0, 64), (3, 8.0, 32)])
     @pytest.mark.parametrize("rt, r", [(2.0, 4.0), (3.0, np.inf), (np.inf, 2.0),
-                                       (np.inf, np.inf)])
+                                       (np.inf, np.inf), (4.0, 6.0), (2.0, 2.0)])
     def test_slice_norms_are_products(self, n, length, npts, rt, r):
         one = slice_norms(modulated_gaussian(GridSpec(1, length, npts)), self.TIMES, rt, r)
         many = slice_norms(modulated_gaussian(GridSpec(n, length, npts)), self.TIMES, rt, r)
