@@ -7,7 +7,9 @@ subprocess with `--seed 1`, once with PYTHONPATH=<base src> and once with
 PYTHONPATH=<head src>, command <id> into <out>/<tree>/<workload>/<id>, with "{id}" in
 an argument replaced by that command's directory, as bench/run.py does.  Each
 command's maximum RSS is its own, read from os.wait4 as bench/run.py's _spawn reads
-it.  The table (command, base MB, head MB, and exit codes other than 0) goes to stdout.
+it.  The table (command, base MB, head MB, and exit codes other than 0) goes to stdout,
+with one more row per workload: its largest command on each tree, the command that sets
+the workload's peak_rss_mb in bench/run.py.
 """
 
 import os
@@ -35,11 +37,16 @@ print("| command | base MB | head MB |\n|---|---|---|")
 for workload, commands in WORKLOADS.items():
     # each tree runs the whole workload in order: a command may read an earlier one's output
     rows = {c.id: [] for c in commands}
+    peaks = []
     for tree, src in trees.items():
         dirs = {c.id: out / tree / workload / c.id for c in commands}
+        largest = (0.0, "")
         for cmd in commands:
             argv = [a.format_map({k: str(v) for k, v in dirs.items()}) for a in cmd.argv]
             code, mb = max_rss(argv + ["--out", str(dirs[cmd.id]), "--seed", "1"], src)
             rows[cmd.id].append(f"{mb:.1f}" + ("" if code == 0 else f" (exit {code})"))
+            largest = max(largest, (mb, cmd.id))
+        peaks.append(f"**{largest[0]:.1f}** ({largest[1]})")
     for cid, (base, head) in rows.items():
         print(f"| {workload}/{cid} | {base} | {head} |")
+    print(f"| **{workload} peak** | {peaks[0]} | {peaks[1]} |")

@@ -229,26 +229,33 @@ def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np
 _FMAX = np.finfo(float).max
 
 
-def _lq(a: np.ndarray, q: float, axis=None, weight=1.0) -> np.ndarray:
+def _lq(a: np.ndarray, q: float, axis=None, weight=1.0, starts=None) -> np.ndarray:
     """(sum weight * a^q)^(1/q) over the given axes of a >= 0; the max for q = inf.
 
     a is overwritten: it is divided by its peak before the power, so a^q can
     neither overflow nor underflow; a non-finite peak (an overflowed transform)
     or a norm beyond the float64 range is a ValueError.  weight is a scalar or
     an array that broadcasts along the reduced axes.  One ufunc takes the root,
-    so a batch and one array round alike.
+    so a batch and one array round alike.  With starts, a is 1-D and is reduced
+    over each run a[starts[k]:starts[k + 1]] (the last run to the end) instead.
     """
-    peak = a.max(axis=axis, keepdims=True)
+    if starts is None:
+        peak = a.max(axis=axis, keepdims=True)
+    else:
+        peak = np.maximum.reduceat(a, starts)
     if not np.all(np.isfinite(peak)):
         raise ValueError("non-finite values (overflow?) reached a norm")
     if np.isinf(q):
-        return np.squeeze(peak, axis)
+        return np.squeeze(peak, axis) if starts is None else peak
     peak[peak == 0] = 1.0  # a zero slice stays zero
-    a /= peak
+    a /= peak if starts is None else np.repeat(peak, np.diff(starts, append=len(a)))
     a **= q
     a *= weight
-    peak = np.squeeze(peak, axis)
-    root = np.power(np.sum(a, axis=axis), 1.0 / q)
+    if starts is None:
+        peak, total = np.squeeze(peak, axis), np.sum(a, axis=axis)
+    else:
+        total = np.add.reduceat(a, starts)
+    root = np.power(total, 1.0 / q)
     # peak * root overflows only if root > 1, and then _FMAX / root cannot
     if (peak > _FMAX / np.maximum(root, 1.0)).any():
         raise ValueError("the norm exceeds the float64 range")

@@ -13,6 +13,7 @@ The command line (cli) writes each experiment's run manifest and CSV results.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -73,6 +74,36 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # seeded test-data generators (zero-mode-free where it matters)
 # ---------------------------------------------------------------------------
+# Seeded data come from the standard library's Mersenne Twister, which numpy imports
+# anyway; numpy's own generators would add about 6 MB of resident memory to every
+# command that draws.
+
+def _generator(seed: int) -> random.Random:
+    """random.Random(seed), for seed >= 0: Random folds a negative seed onto its modulus."""
+    if seed < 0:
+        raise ValueError(f"a seed must be >= 0, got {seed}")
+    return random.Random(seed)
+
+
+def _uniform(gen: random.Random, k: int) -> np.ndarray:
+    """k uniform samples in [0, 1): the top 53 bits of k 64-bit words of gen, times 2^-53."""
+    return (np.frombuffer(gen.randbytes(8 * k), dtype="<u8") >> 11) * 2.0 ** -53
+
+
+def _normal(gen: random.Random, k: int) -> np.ndarray:
+    """k complex samples whose real and imaginary parts are independent standard normals.
+
+    Box-Muller on one uniform pair (u, v) per sample: r (cos theta + i sin theta) with
+    r = sqrt(-2 log(1 - u)) and theta = 2 pi v.  Read with .view(float), the k samples
+    are 2k independent real standard normals.
+    """
+    u = _uniform(gen, 2 * k)
+    r, theta = np.sqrt(-2.0 * np.log1p(-u[:k])), 2.0 * np.pi * u[k:]
+    z = np.empty(k, dtype=complex)
+    np.multiply(r, np.cos(theta), out=z.real)
+    np.multiply(r, np.sin(theta), out=z.imag)
+    return z
+
 
 def band_limited_field(grid: GridSpec, seed: int, kmax: int | None = None) -> SampledField:
     """Random band-limited field, zero mode removed, unit L2 norm."""
@@ -83,8 +114,9 @@ def band_limited_field(grid: GridSpec, seed: int, kmax: int | None = None) -> Sa
 def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.ndarray:
     """One (len(seeds), *shape) array whose row k is band_limited_field(grid, seeds[k]).
 
-    Each seed draws from its own generator over the lattice modes 1 <= |k| <=
-    kmax (default N/4); the rows share one batched inverse transform and one
+    Each seed draws from its own generator, random.Random(seed), one complex normal
+    (_normal) per lattice mode 1 <= |k| <= kmax (default N/4), in the order of
+    the flattened lattice; the rows share one batched inverse transform and one
     normalization.
     """
     if kmax is None:
@@ -94,8 +126,7 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
     count = int(band.sum())
     spec = np.zeros((len(seeds),) + grid.shape, dtype=complex)
     for row, seed in zip(spec, seeds):
-        rng = np.random.default_rng(seed)
-        row[band] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+        row[band] = _normal(_generator(seed), count)
     values = _dft(spec, grid, inverse=True, out=spec)
     axes = tuple(range(1, grid.n + 1))
     values /= np.expand_dims(_lq(np.abs(values), 2, axes, grid.cell_volume), axes)
@@ -124,9 +155,10 @@ def modulated_gaussian(grid: GridSpec, width: float = 1.0, mode: int = 8) -> Sam
 
 
 def spike_field(grid: GridSpec, seed: int = 0) -> SampledField:
-    rng = np.random.default_rng(seed)
+    """One unit sample at a lattice point drawn with random.Random(seed).randrange per axis."""
+    gen = _generator(seed)
     vals = np.zeros(grid.shape)
-    idx = tuple(rng.integers(0, grid.npts, size=grid.n))
+    idx = tuple(gen.randrange(grid.npts) for _ in range(grid.n))
     vals[idx] = 1.0
     return SampledField(grid, vals)
 
@@ -365,10 +397,10 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
     envelope = np.where(np.abs(tgrid) < 1.0,
                         np.exp(-1.0 / np.maximum(1.0 - tgrid ** 2, 1e-300)), 0.0)
     cosines = [np.cos(k * np.pi * tgrid) for k in range(1, 5)]
-    rng = np.random.default_rng(seed)
+    gen = _generator(seed)
     ratios, max_ratio = [], -np.inf
     for _ in range(trials):
-        osc = sum(c * cos for c, cos in zip(rng.standard_normal(4), cosines))
+        osc = sum(c * cos for c, cos in zip(_normal(gen, 2).view(float), cosines))
         g = envelope * (1.0 + 0.5 * osc)
         ratios.append(ratio(g, tgrid, kern_ft))
         if ratios[-1] > max_ratio:  # keep only the first extremal g, for the refinement pass
@@ -478,7 +510,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
         return _amalgam_norms(values, p, q, win, grid)[0]
 
     stack, labels = _suite_corpus(grid, seed, corpus_size)
-    rng = np.random.default_rng(seed + 987)
+    gen = _generator(seed + 987)
     results = []
 
     def run(name, checks):
@@ -504,7 +536,7 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
         return holds, lambda i: f"({p1},{q1})->({p2},{q2}): {lhs[i]} > {rhs[i]}"
 
     def homogeneity():
-        lam = 0.5 + 2.0 * rng.random(corpus_size)
+        lam = 0.5 + 2.0 * _uniform(gen, corpus_size)
         a = anorm(lam[:, None] * stack, 2.0, 4.0)
         b = lam * anorm(stack, 2.0, 4.0)
         return _isclose(a, b), lambda i: f"{a[i]} vs {b[i]}"
@@ -536,9 +568,9 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
         value, bound = np.zeros(corpus_size), np.zeros(corpus_size)
         holds = np.ones(corpus_size, dtype=bool)
         for i in range(0, corpus_size - 1, 2):
-            rngi = np.random.default_rng(seed + 31 * i)
+            gen_i = _generator(seed + 31 * i)
             mk = lambda base: SpaceTimeField(
-                grid, times, np.multiply.outer(0.2 + rngi.random(len(times)), base))
+                grid, times, np.multiply.outer(0.2 + _uniform(gen_i, len(times)), base))
             F, G = mk(stack[i]), mk(stack[i + 1])
             value[i], bound[i], holds[i] = holder_pairing(F, G, 2, 4, 2, 6)
         return holds, lambda i: f"pair {i}: {value[i]} > {bound[i]}"
@@ -555,10 +587,10 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
         return lt <= bound, lambda i: (f"(p,q) {pq[0]} to {pq[1]} at theta={theta:.3f}: "
                                        f"log {lt[i]} > {bound[i]}")
 
-    ends = rng.random((6, 2, 2))
+    ends = _uniform(gen, 24).reshape(6, 2, 2)
     ends[:2, 0] = np.round(ends[:2, 0])
     lines = [(np.array([0.0, 1.0]), np.array([1.0, 0.0])), (np.zeros(2), np.ones(2)), *ends]
-    thetas = 0.05 + 0.9 * rng.random(len(lines))
+    thetas = 0.05 + 0.9 * _uniform(gen, len(lines))
     run("log-convexity in (1/p, 1/q) (interpolation)",
         [log_convex(u0, u1, th) for (u0, u1), th in zip(lines, thetas)])
     return SuiteReport(results=results)

@@ -253,14 +253,10 @@ def spacetime_amalgam_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q:
                               for b in blocks])
     if len(spatial) != len(times):
         raise ValueError(f"{len(spatial)} slices for {len(times)} instants")
-    # cube k is [k - 1/2, k + 1/2), and its instants are the run times[lo:hi]; the runs,
-    # zero-padded to the longest, are the rows of one (cubes, longest run) array
-    ks = np.unique(np.floor(times + 0.5).astype(int))
-    lo, hi = np.searchsorted(times, ks - 0.5), np.searchsorted(times, ks + 0.5)
-    idx = lo[:, None] + np.arange((hi - lo).max())
-    inside = idx < hi[:, None]
-    idx[~inside] = 0
-    local = _lq(spatial[idx] * inside, qt, -1, trapezoid_weights(times)[idx])
+    # cube k is [k - 1/2, k + 1/2): the increasing instants fill the cubes in runs, each
+    # starting at the first instant of its cube
+    starts = np.unique(np.floor(times + 0.5), return_index=True)[1]
+    local = _lq(spatial, qt, weight=trapezoid_weights(times), starts=starts)
     if weak:
         return float(weak_lorentz_norm(local, q))
     return float(_lq(local, q, -1))

@@ -903,12 +903,14 @@ import json, sys
 from amalgam.cli import run
 for argv in json.loads(sys.argv[1]):
     assert run(argv + ["--out", sys.argv[2]]) == 0, argv
-print(json.dumps(sorted(m for m in ("numpy", "scipy", "scipy.special") if m in sys.modules)))
+print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "scipy", "scipy.special")
+                        if m in sys.modules)))
 """
 
 
 def _modules_after(commands, out) -> list:
-    """Which of numpy, scipy, scipy.special a fresh interpreter holds after running commands."""
+    """Which of numpy, numpy.random, scipy, scipy.special a fresh interpreter holds after
+    running commands."""
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands), str(out)],
                           capture_output=True, text=True, env=_SRC_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -953,6 +955,16 @@ class TestImportFootprint:
              "--q", "10", "--r", "inf", "--grid-npts", "128", "--t-outer", "2"],
             ["bilinear", "--grid-npts", "16", "--ntimes", "3", "--pairs", "1"],
             ["suite", "--corpus-size", "4"],
+        ], tmp_path) == ["numpy"]
+
+    def test_seeded_commands_skip_numpy_random(self, tmp_path):
+        # seeded data come from the standard library's generator
+        assert _modules_after([
+            ["evolve", "--gen", "band-limited", "--grid-npts", "64", "--times", "0.1,0.2"],
+            ["norm", "--kind", "lebesgue", "--gen", "spike", "--grid-npts", "64"],
+            ["bilinear", "--grid-npts", "16", "--ntimes", "3", "--pairs", "1"],
+            ["suite", "--corpus-size", "4"],
+            ["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "2"],
         ], tmp_path) == ["numpy"]
 
     def test_hls_skips_scipy(self, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import tracemalloc
 from functools import cache, partial
 
@@ -13,7 +14,15 @@ from amalgam.exponents import (
     predicted_kernel_decay,
     to_float,
 )
-from amalgam.grid import GridSpec, SampledField, SpaceTimeField, _dft, _lq, lebesgue_norm
+from amalgam.grid import (
+    GridSpec,
+    SampledField,
+    SpaceTimeField,
+    _dft,
+    _lq,
+    lebesgue_norm,
+    trapezoid_weights,
+)
 from amalgam.propagator import DecayProfile, evolve_blocks, hsigma_norm
 from amalgam.verify import (
     _convolve,
@@ -277,6 +286,41 @@ def lattice_drift(tup, lam):
             res.denominator / dilation_hsigma(lam, to_float(tup.sigma)) - 1.0)
 
 
+def padded_local_norms(spatial, times, qt):
+    """Each unit time cube's L^qt norm as the rows of one (cubes, longest run) array of
+    zero-padded runs: the reduction spacetime_amalgam_norm made before it took runs."""
+    ks = np.unique(np.floor(times + 0.5).astype(int))
+    lo, hi = np.searchsorted(times, ks - 0.5), np.searchsorted(times, ks + 0.5)
+    idx = lo[:, None] + np.arange((hi - lo).max())
+    inside = idx < hi[:, None]
+    idx[~inside] = 0
+    return _lq(spatial[idx] * inside, qt, -1, trapezoid_weights(times)[idx])
+
+
+# the two forms add the same terms in other orders, so a cube's sum may round apart (by
+# at most 2.2e-16 relative where measured); the bound is set from float64's 2^-52, and
+# a max, which does not round, must match exactly
+RUNS_RTOL = 4 * 2.0 ** -52
+
+
+@pytest.mark.parametrize("times", [DILATION_TIMES, default_ratio_times()],
+                         ids=["dilation", "default"])
+@pytest.mark.parametrize("qt,q", [(4, 10), (6, 10), (10, 10), (5, 5), (1, 2),
+                                  (math.inf, 10), (math.inf, math.inf)])
+def test_run_reduction_is_the_padded_reduction(times, qt, q):
+    g = GridSpec(1, 0.5, 8)  # one unit cube, so each slice's spatial norm is its constant
+    profiles = [np.exp(-0.5) * (1.0 + 4.0 * (times / 0.01 ** 2) ** 2) ** -0.25,
+                0.1 + np.random.default_rng(len(times)).random(len(times))]
+    for sup in profiles:
+        got = spacetime_amalgam_norm([np.repeat(sup[:, None], g.npts, axis=1)], g, times,
+                                     qt, q, math.inf, math.inf)
+        want = float(_lq(padded_local_norms(sup.copy(), times, qt), q, -1))
+        if math.isinf(qt):
+            assert got == want
+        else:
+            assert abs(got - want) <= RUNS_RTOL * want
+
+
 class TestDilation:
     @pytest.mark.parametrize("name, verdicts", [
         ("qt4-q10", (True, True, False)), ("qt6-q10", (True, False, False)),
@@ -305,11 +349,19 @@ class TestDilation:
         assert abs(ratio) <= LATTICE_RTOL and abs(denominator) <= DENOMINATOR_RTOL
 
 
-def _random_bump(tgrid, rng):
+def mirror_normals(gen, k):
+    """k complex normals as verify._normal draws them, its uniforms read one 64-bit word
+    at a time: 2k words, then r (cos theta + i sin theta) from each pair (u_j, u_{k+j})."""
+    u = np.array([(gen.getrandbits(64) >> 11) * 2.0 ** -53 for _ in range(2 * k)])
+    theta = 2.0 * np.pi * u[k:]
+    return np.sqrt(-2.0 * np.log1p(-u[:k])) * (np.cos(theta) + 1j * np.sin(theta))
+
+
+def _random_bump(tgrid, gen):
     """Random smooth function supported in |t| <= 1, drawn as hls_check_1d draws it."""
     envelope = np.where(np.abs(tgrid) < 1.0,
                         np.exp(-1.0 / np.maximum(1.0 - tgrid ** 2, 1e-300)), 0.0)
-    coef = rng.standard_normal(4)
+    coef = mirror_normals(gen, 2).view(float)
     osc = sum(c * np.cos((k + 1) * np.pi * tgrid) for k, c in enumerate(coef))
     return envelope * (1.0 + 0.5 * osc)
 
@@ -359,9 +411,9 @@ class TestHls:
             conv = _convolve(g, _power_kernel_ft(tgrid, alpha), dt)
             return float(_lq(np.abs(conv), q, None, dt) / _lq(np.abs(g), p, None, dt))
 
-        rng = np.random.default_rng(0)
+        gen = random.Random(0)
         tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
-        bumps = [_random_bump(tgrid, rng) for _ in range(4)]
+        bumps = [_random_bump(tgrid, gen) for _ in range(4)]
         ratios = [ratio(g, tgrid) for g in bumps]
         worst = bumps[int(np.argmax(ratios))]
         t2 = np.linspace(-200.0, 200.0, 2 ** 15)
@@ -394,9 +446,8 @@ def band_limited_reference(g, seed, kmax):
     j = np.fft.fftfreq(g.npts, d=1.0 / g.npts)
     rad = np.sqrt(sum(c ** 2 for c in np.ix_(*(j,) * g.n)))
     band = (rad >= 1) & (rad <= (g.npts // 4 if kmax is None else kmax))
-    rng = np.random.default_rng(seed)
     spec = np.zeros(g.shape, dtype=complex)
-    spec[band] = rng.standard_normal(band.sum()) + 1j * rng.standard_normal(band.sum())
+    spec[band] = mirror_normals(random.Random(seed), int(band.sum()))
     f = SampledField(g, _dft(spec, g, inverse=True))
     return f.values / lebesgue_norm(f, 2).value
 
@@ -405,13 +456,80 @@ def band_limited_reference(g, seed, kmax):
                                     (GridSpec(2, 8.0, 64), None), (GridSpec(2, 4.0, 16), 7),
                                     (GridSpec(3, 4.0, 32), None), (GridSpec(3, 4.0, 8), 3)])
 def test_band_limited_stack_rows_are_the_single_fields(g, kmax):
-    # seed 136 at N = 4096: a sqrt root of its norm is one ulp off a pow root
-    seeds = [136, 5, 4000, 7]
+    # seed 1495 at N = 4096: a sqrt root of its norm is one ulp off a pow root
+    seeds = [1495, 5, 4000, 7]
     stack = band_limited_stack(g, seeds, kmax=kmax)
     assert stack.shape == (len(seeds),) + g.shape
     for row, seed in zip(stack, seeds):
         assert np.array_equal(row, band_limited_field(g, seed, kmax=kmax).values)
         assert np.array_equal(row, band_limited_reference(g, seed, kmax))
+
+
+# tolerances, fixed before the first run: the vectorised Box-Muller against the same
+# formula in math within 8 units in the last place of the modulus r, and the sample
+# moments of 10^5 normals within 5 standard errors
+BOX_MULLER_ULPS = 8
+MOMENT_SES = 5
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 1000])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 3])
+def test_uniform_is_the_scalar_word_loop(seed, k):
+    gen, ref = random.Random(seed), random.Random(seed)
+    words = [(ref.getrandbits(64) >> 11) * 2 ** -53 for _ in range(k)]
+    got = verify._uniform(gen, k)
+    assert got.dtype == np.float64 and got.tolist() == words
+    assert gen.getrandbits(64) == ref.getrandbits(64)  # k words used, no more
+
+
+@pytest.mark.parametrize("seed", [0, 1, 99])
+def test_box_muller_is_the_math_formula(seed):
+    k = 2000
+    z = verify._normal(random.Random(seed), k)
+    u = verify._uniform(random.Random(seed), 2 * k).tolist()
+    for j in range(k):
+        r, theta = math.sqrt(-2.0 * math.log1p(-u[j])), 2.0 * math.pi * u[k + j]
+        tol = BOX_MULLER_ULPS * math.ulp(r)
+        assert abs(z[j].real - r * math.cos(theta)) <= tol
+        assert abs(z[j].imag - r * math.sin(theta)) <= tol
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_normal_moments(seed):
+    n = 10 ** 5
+    z = verify._normal(random.Random(seed), n // 2)
+    x = z.view(float)
+    assert x.size == n
+    assert abs(x.mean()) <= MOMENT_SES / math.sqrt(n)
+    assert abs(x.var() - 1.0) <= MOMENT_SES * math.sqrt(2.0 / n)
+    # the real and imaginary parts of one sample are independent
+    assert abs(np.mean(z.real * z.imag)) <= MOMENT_SES / math.sqrt(n // 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_spike_indices_lie_on_the_lattice(n):
+    g = GridSpec(n, 4.0, 8)
+    seen = set()
+    for seed in range(200):
+        (idx,) = np.argwhere(spike_field(g, seed).values == 1.0).tolist()
+        gen = random.Random(seed)
+        # the drawn indices themselves, as a negative index would wrap silently
+        assert idx == [gen.randrange(g.npts) for _ in range(n)]
+        assert all(0 <= i < g.npts for i in idx)
+        seen.update(idx)
+    assert seen == set(range(g.npts))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda s: band_limited_field(GridSpec(1, 4.0, 8), s),
+    lambda s: spike_field(GridSpec(1, 4.0, 8), s),
+    lambda s: hls_check_1d("4/3", "0.5", trials=1, seed=s),
+    lambda s: property_suite(seed=s, corpus_size=2),
+], ids=["band-limited", "spike", "hls", "suite"])
+def test_negative_seed_is_an_error(draw):
+    # random.Random would fold -s onto s
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        draw(-1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -523,9 +523,9 @@ class TestInclusion:
                                     WindowSpec("gaussian", radius=0.5, step=1.0)])
 @pytest.mark.parametrize("p,q", [(2, 2), (2, 4), (3, 10 / 3), (math.inf, 2)])
 def test_batched_norms_are_the_single_norms(g, window, p, q):
-    # exactly, not closely: seed 136 at N = 4096 is a case where a sqrt and a pow
+    # exactly, not closely: seed 1495 at N = 4096 is a case where a sqrt and a pow
     # root of the same sum differ by an ulp
-    stack = band_limited_stack(g, [136, 5, 4000])
+    stack = band_limited_stack(g, [1495, 5, 4000])
     batched, _ = _amalgam_norms(stack, p, q, window, g)
     lebesgue = _lq(np.abs(stack), p, tuple(range(1, g.n + 1)), g.cell_volume)
     for k, row in enumerate(stack):
