@@ -1,52 +1,69 @@
-"""Peak memory of every benchmark command on two source trees, as one Markdown table.
+"""Peak memory and wall time of every benchmark command on two source trees, as one
+Markdown table.
 
     python .github/bench_rss.py <base src> <head src> <out>
 
 runs each argv list of this checkout's bench/workloads.py as a `python -m amalgam.cli`
-subprocess with `--seed 1`, once with PYTHONPATH=<base src> and once with
-PYTHONPATH=<head src>, command <id> into <out>/<tree>/<workload>/<id>, with "{id}" in
-an argument replaced by that command's directory, as bench/run.py does.  Each
-command's maximum RSS is its own, read from os.wait4 as bench/run.py's _spawn reads
-it.  The table (command, base MB, head MB, and exit codes other than 0) goes to stdout,
-with one more row per workload: its largest command on each tree, the command that sets
-the workload's peak_rss_mb in bench/run.py.
+subprocess with `--seed 1`, with PYTHONPATH=<base src> and with PYTHONPATH=<head src>,
+command <id> into <out>/<tree>/<workload>/<id>, with "{id}" in an argument replaced by
+that command's directory, as bench/run.py does.  Each command runs RUNS times per tree,
+base and head alternating and taking turns to go first, so that a drift of the machine's
+speed falls on both.  Each run's maximum RSS is its own, read from os.wait4 as
+bench/run.py's _spawn reads it, and its wall time spans the subprocess from start to
+exit.  The table (command, base and head median MB, base and head median ms, and exit
+codes other than 0) goes to stdout, with one more row per workload: its largest command
+on each tree, the command that sets the workload's peak_rss_mb in bench/run.py.
 """
 
 import os
+import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 from workloads import WORKLOADS  # noqa: E402
 
+RUNS = 3
 
-def max_rss(argv: list, src: str) -> tuple:
-    """(exit code, maximum RSS in MB) of one command run on the given source tree."""
+
+def measure(argv: list, src: str) -> tuple:
+    """(exit code, maximum RSS in MB, wall time in ms) of one command run on the given
+    source tree."""
     env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "amalgam.cli", *argv], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
-    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0
+    wall = 1000.0 * (time.perf_counter() - start)
+    return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0, wall
 
 
 trees = {"base": os.path.abspath(sys.argv[1]), "head": os.path.abspath(sys.argv[2])}
 out = Path(sys.argv[3]).resolve()
-print("| command | base MB | head MB |\n|---|---|---|")
+print("| command | base MB | head MB | base ms | head ms |\n|---|---|---|---|---|")
 for workload, commands in WORKLOADS.items():
-    # each tree runs the whole workload in order: a command may read an earlier one's output
-    rows = {c.id: [] for c in commands}
-    peaks = []
-    for tree, src in trees.items():
-        dirs = {c.id: out / tree / workload / c.id for c in commands}
-        largest = (0.0, "")
-        for cmd in commands:
-            argv = [a.format_map({k: str(v) for k, v in dirs.items()}) for a in cmd.argv]
-            code, mb = max_rss(argv + ["--out", str(dirs[cmd.id]), "--seed", "1"], src)
-            rows[cmd.id].append(f"{mb:.1f}" + ("" if code == 0 else f" (exit {code})"))
-            largest = max(largest, (mb, cmd.id))
-        peaks.append(f"**{largest[0]:.1f}** ({largest[1]})")
-    for cid, (base, head) in rows.items():
-        print(f"| {workload}/{cid} | {base} | {head} |")
-    print(f"| **{workload} peak** | {peaks[0]} | {peaks[1]} |")
+    # each tree runs the workload's commands in order: a command may read an earlier
+    # one's output in its own tree
+    dirs = {tree: {c.id: out / tree / workload / c.id for c in commands} for tree in trees}
+    largest = dict.fromkeys(trees, (0.0, ""))
+    for cmd in commands:
+        runs = {tree: [] for tree in trees}
+        for i in range(RUNS):
+            for tree, src in list(trees.items())[::1 if i % 2 == 0 else -1]:
+                paths = {k: str(v) for k, v in dirs[tree].items()}
+                argv = [a.format_map(paths) for a in cmd.argv]
+                runs[tree].append(measure(argv + ["--out", paths[cmd.id], "--seed", "1"], src))
+        mb, ms = {}, {}
+        for tree, results in runs.items():
+            codes = sorted({code for code, _, _ in results} - {0})
+            mb[tree] = statistics.median(r[1] for r in results)
+            ms[tree] = f"{statistics.median(r[2] for r in results):.0f}" + "".join(
+                f" (exit {code})" for code in codes)
+            largest[tree] = max(largest[tree], (mb[tree], cmd.id))
+        print(f"| {workload}/{cmd.id} | {mb['base']:.1f} | {mb['head']:.1f} "
+              f"| {ms['base']} | {ms['head']} |")
+    peaks = [f"**{largest[tree][0]:.1f}** ({largest[tree][1]})" for tree in trees]
+    print(f"| **{workload} peak** | {peaks[0]} | {peaks[1]} | | |")

@@ -383,7 +383,7 @@ def _profile_from(args):
     times = profile_times(args.tmin, args.tmax, args.per_decade)
     prof = kernel_amalgam_profile(to_float(args.sigma), to_float(args.rt), to_float(args.r),
                                   times, grid)
-    return prof, {"max_est_error": float(prof.est_error.max())}
+    return prof, {"max_est_error": float(prof.est_error.max()), "route": prof.meta["route"]}
 
 
 def _cmd_kernel_profile(args, outdir):

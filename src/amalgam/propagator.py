@@ -279,6 +279,15 @@ def _kummer_iy(b: float, sigma: float, y: np.ndarray) -> np.ndarray:
 KERNEL_RTOL = 1e-7
 
 
+def _peak(n: int, sigma: float, t: float) -> float:
+    """|K_t(0)| = (4 pi)^{-b} Gamma(a)/Gamma(b) |t|^{-a}, a = n/2 - sigma, b = n/2, for
+    0 <= 2 sigma < n (checked)."""
+    if not (0.0 <= 2.0 * sigma < n):
+        raise ValueError(f"symbol exponent 2*sigma must lie in [0, n), got {2 * sigma}")
+    a, b = n / 2.0 - sigma, n / 2.0
+    return (4.0 * np.pi) ** -b * math.exp(math.lgamma(a) - math.lgamma(b)) * abs(t) ** -a
+
+
 @dataclass
 class KernelSamples:
     """Kernel values on sample abscissae with their error bounds."""
@@ -306,18 +315,14 @@ def kernel_eval(n: int, sigma: float, t: float, xs) -> KernelSamples:
     n = int(n)
     if n not in (1, 2, 3):
         raise ValueError(f"dimension must be 1, 2 or 3, got {n}")
-    sigma = float(sigma)
-    if not (0.0 <= 2.0 * sigma < n):
-        raise ValueError(f"symbol exponent 2*sigma must lie in [0, n), got {2 * sigma}")
-    t = float(t)
+    sigma, t = float(sigma), float(t)
     if t == 0.0:
         raise ValueError("t must be nonzero (kernel is singular at t = 0)")
     radii = np.abs(np.asarray(xs, dtype=float).ravel())
     a, b = n / 2.0 - sigma, n / 2.0
     y = radii ** 2 / (4.0 * abs(t))
-    # (4 pi)^{-b} Gamma(a)/Gamma(b) (i|t|)^{-a}; t < 0 is the complex conjugate
-    pref = ((4.0 * np.pi) ** -b * math.exp(math.lgamma(a) - math.lgamma(b))
-            * abs(t) ** -a * np.exp(-0.5j * math.pi * a))
+    # |K_t(0)| i^{-a}, and _peak checks sigma; t < 0 is the complex conjugate
+    pref = _peak(n, sigma, t) * np.exp(-0.5j * math.pi * a)
     values = pref * _kummer_iy(b, sigma, y)
     if t < 0:
         values = values.conj()
@@ -376,36 +381,45 @@ def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,
     """h(t) = amalgam norm of K_t on unit cubes with exponents (rt/2, r/2), in the grid's
     dimension n.
 
+    At rt = r = inf, h(t) = |K_t(0)| (_peak) in closed form on any grid: for 0 < a < b,
+    Euler's integral (DLMF 13.4.1) makes M(a; b; iy) a Beta(a, b - a) average of e^{iys},
+    so |M| <= M(a; b; 0) = 1 (at sigma = 0, M = e^{iy}); est_error is its rounding bound,
+    8 + 2 |ln Gamma(a)| + a |ln t| ulps.  Other (rt, r) take the norm of K_t on the
+    lattice, with kernel_eval's error bound relative to |K_t|.
+
     The region conditions are checkable (exponents.check("proposition", ...))
     but deliberately not enforced: probing outside the region is part of
-    the point.  Kernel error bounds propagate into the profile.
+    the point.
     """
-    n = grid.n
     rt, r = float(rt), float(r)
     if not (rt >= 2 and r >= 2):
         raise ValueError("rt and r must lie in [2, inf]")
     times = np.asarray(times, dtype=float)
-    if np.any(times <= 0):
-        raise ValueError("profile times must be positive")
-    values, ests = [], []
+    bad = times[~((times > 0) & (times < np.inf))]
+    if len(bad):
+        raise ValueError(f"profile times must be positive and finite, got t = {bad[0]}")
+    n, sigma = grid.n, float(sigma)
     window = unit_cube_partition()
-    # K_t is radial: one evaluation per shell of equal |x|, gathered to the lattice
-    uniq, inv = _shells(grid)
-    for t in times:
-        ks = kernel_eval(n, sigma, float(t), uniq)
-        # the norm reads only |K_t|, so the lattice holds it as a real field
-        modulus = np.abs(ks.values)
-        fld = SampledField(grid, modulus[inv].reshape(grid.shape))
-        values.append(amalgam_norm(fld, rt / 2, r / 2, window).value)
-        # relative error bound over the samples above 1% of the peak; every
-        # shell occurs on the lattice, so the max over shells is the lattice max
-        sig = modulus >= 0.01 * modulus.max()
-        ests.append(float(np.max(ks.est_error[sig] / modulus[sig])))
-    return DecayProfile(
-        times=times,
-        values=np.asarray(values),
-        est_error=np.asarray(ests),
-        meta={"n": n, "sigma": sigma, "rt": rt, "r": r,
-              "window": window.kind, "window_step": window.step,
-              "grid": (grid.n, grid.length, grid.npts)},
-    )
+    if rt == r == np.inf:
+        a = n / 2.0 - sigma
+        values = np.array([_peak(n, sigma, t) for t in times.tolist()])
+        ests = np.finfo(float).eps * (8.0 + 2.0 * abs(math.lgamma(a)) + a * np.abs(np.log(times)))
+        route = "closed-form"
+    else:
+        values, ests, route = [], [], "lattice"
+        # K_t is radial: one evaluation per shell of equal |x|, gathered to the lattice
+        uniq, inv = _shells(grid)
+        for t in times:
+            ks = kernel_eval(n, sigma, float(t), uniq)
+            # the norm reads only |K_t|, so the lattice holds it as a real field
+            modulus = np.abs(ks.values)
+            fld = SampledField(grid, modulus[inv].reshape(grid.shape))
+            values.append(amalgam_norm(fld, rt / 2, r / 2, window).value)
+            # relative error bound over the samples above 1% of the peak; every
+            # shell occurs on the lattice, so the max over shells is the lattice max
+            sig = modulus >= 0.01 * modulus.max()
+            ests.append(float(np.max(ks.est_error[sig] / modulus[sig])))
+    return DecayProfile(times, np.asarray(values), np.asarray(ests),
+                        {"n": n, "sigma": sigma, "rt": rt, "r": r, "route": route,
+                         "window": window.kind, "window_step": window.step,
+                         "grid": (grid.n, grid.length, grid.npts)})

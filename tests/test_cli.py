@@ -646,6 +646,30 @@ class TestCommands:
             rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}
         assert manifest["r_squared"] == rows
 
+    @pytest.mark.parametrize("r,route", [("inf", "closed-form"), ("10", "lattice")])
+    def test_profile_records_its_route(self, tmp_path, r, route):
+        base = ["--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", r,
+                "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8"]
+        for command in ("kernel-profile", "fit-decay"):
+            # on this small grid, fit-decay's slopes at r = 10 miss their predictions
+            assert invoke([command, *base], tmp_path / command) in (0, 1)
+            manifest = json.loads((tmp_path / command / "manifest.json").read_text())
+            assert manifest["route"] == route
+        profile = json.loads((tmp_path / "kernel-profile" / "profile.json").read_text())
+        assert profile["meta"]["route"] == route
+
+    def test_closed_form_profile_ignores_the_grid(self, tmp_path):
+        # at rt = r = inf the profile is |K_t(0)|, so the grid flags change nothing, but
+        # a bad value is still a usage error
+        base = ["kernel-profile", "--n", "2", "--sigma", "0.3", "--rt", "inf", "--r", "inf"]
+        for name, grid in (("a", ["--grid-l", "8", "--grid-npts", "64"]),
+                           ("b", ["--grid-l", "3", "--grid-npts", "1024"])):
+            assert invoke([*base, *grid], tmp_path / name) == 0
+        assert ((tmp_path / "a" / "results.csv").read_bytes()
+                == (tmp_path / "b" / "results.csv").read_bytes())
+        assert invoke([*base, "--grid-npts", "100"], tmp_path / "c") == 2
+        assert invoke([*base, "--grid-l", "0"], tmp_path / "d") == 2
+
     def test_fit_decay_predicts_from_the_exact_tuple(self, tmp_path):
         # -1/6 rounds to -0.16666666666666666; the float sigma's round trip through str
         # gave -0.16666666666666671

@@ -223,6 +223,49 @@ class TestProfileOnLattice:
             assert est == np.max(ks.est_error[sig] / modulus[sig])
 
 
+# the closed form at rt = r = inf rests on |K_t| peaking at x = 0; the lattice route it
+# replaced is rebuilt here from kernel_eval on the shells
+PEAK_GRIDS = [GridSpec(1, 64.0, 4096), GridSpec(2, 16.0, 256), GridSpec(3, 4.0, 32)]
+PEAK_TIMES = np.array([1e-3, 0.02, 1.0, 100.0])
+EPS = np.finfo(float).eps
+
+
+def peak_sigmas(n):
+    return (0.0, 0.1, n / 4, 0.3, 0.95 * n / 2)
+
+
+class TestOriginPeak:
+    @pytest.mark.parametrize("grid", PEAK_GRIDS, ids=lambda g: f"n{g.n}")
+    def test_closed_form_is_the_lattice_peak(self, grid):
+        uniq, inv = _shells(grid)
+        for sigma in peak_sigmas(grid.n):
+            prof = kernel_amalgam_profile(sigma, "inf", "inf", PEAK_TIMES, grid)
+            assert prof.meta["route"] == "closed-form"
+            for t, peak in zip(PEAK_TIMES, prof.values):
+                modulus = np.abs(kernel_eval(grid.n, sigma, t, uniq).values)
+                # rounding alone may lift a sample over the peak, at sigma = 0 by 2 ulps
+                assert modulus.max() <= peak * (1 + 8 * EPS)
+                fld = SampledField(grid, modulus[inv].reshape(grid.shape))
+                lattice = amalgam_norm(fld, np.inf, np.inf, unit_cube_partition()).value
+                assert abs(lattice - peak) <= 1e-14 * peak
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_closed_form_within_its_rounding_bound(self, n):
+        grid = PEAK_GRIDS[n - 1]
+        for sigma in peak_sigmas(n):
+            prof = kernel_amalgam_profile(sigma, "inf", "inf", PEAK_TIMES, grid)
+            a = n / 2 - sigma
+            # the bound the docstring states, in ulps of 1
+            stated = EPS * (8 + 2 * abs(float(gammaln(a))) + a * np.abs(np.log(PEAK_TIMES)))
+            assert np.allclose(prof.est_error, stated, rtol=1e-12, atol=0)
+            with mp.workdps(30):
+                # K_t(0) = (4 pi)^{-n/2} Gamma(a)/Gamma(b) (it)^{-a}, as M(a; b; 0) = 1
+                a, b = mp.mpf(n) / 2 - mp.mpf(sigma), mp.mpf(n) / 2
+                for t, value, est in zip(PEAK_TIMES, prof.values, prof.est_error):
+                    exact = (4 * mp.pi) ** -b * mp.gamma(a) / mp.gamma(b) * mp.mpf(t) ** -a
+                    assert abs(mp.mpf(value) - exact) <= est * exact
+
+
 class TestKernelBound:
     def test_branch_agreement_at_half(self):
         assert kernel_bound(2, 1.0, 1.0, 0.0) == pytest.approx(1.0)
@@ -360,6 +403,12 @@ class TestKernelAmalgamProfile:
         g = GridSpec(1, 8.0, 256)
         with pytest.raises(ValueError):
             kernel_amalgam_profile(0.3, "inf", "inf", [0.0, 1.0], g)
+
+    @pytest.mark.parametrize("rt,r", [("inf", "inf"), ("inf", 10)], ids=["closed", "lattice"])
+    @pytest.mark.parametrize("times,bad", [([np.nan, 1.0], "nan"), ([1.0, np.inf], "inf")])
+    def test_refuses_non_finite_instants(self, rt, r, times, bad):
+        with pytest.raises(ValueError, match=f"positive and finite, got t = {bad}$"):
+            kernel_amalgam_profile(0.3, rt, r, times, GridSpec(1, 8.0, 64))
 
 
 class TestProfileTimes:
