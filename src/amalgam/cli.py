@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from . import exponents as expo
-from .exponents import as_extended, as_rational, fmt, to_float
+from .exponents import as_extended, as_rational, fmt
 
 USAGE_ERROR = 2
 CHECK_FAILED = 1
@@ -173,7 +173,6 @@ def _build_parser() -> tuple:
     _field_flags(sp)
     sp.set_defaults(gen="modulated")  # ratio needs zero-mode-free data
     _flags(sp, n="1", sigma=None, qt=None, rt=None, q=None, r=None, t_outer="32")
-    sp.add_argument("--weak", action="store_true")
 
     sp = add("suite", "lattice identity / inequality property suite", _cmd_suite)
     _flags(sp, corpus_size="100")
@@ -279,6 +278,16 @@ def _field_from(args) -> tuple:
     return verify.spike_field(grid, args.seed), {}
 
 
+def _float(args, name: str) -> float:
+    """The exact value of --name as a float; beyond the float64 range it is a ValueError
+    that names the flag, and suggests inf only to a flag that takes it."""
+    try:
+        return float(getattr(args, name))
+    except OverflowError:
+        hint = "; use inf" if _TYPES[name] is _exponent else ""
+        raise ValueError(f"argument --{name}: beyond the float64 range{hint}") from None
+
+
 def _tuple_from(args) -> expo.ExponentTuple:
     return expo.ExponentTuple(args.n, args.sigma, args.qt, args.rt, args.q, args.r)
 
@@ -335,11 +344,11 @@ def _cmd_norm(args, outdir):
     from .wiener import amalgam_norm
     fld, source = _field_from(args)
     if args.kind == "lebesgue":
-        res = lebesgue_norm(fld, to_float(args.p))
+        res = lebesgue_norm(fld, _float(args, "p"))
     elif args.kind == "hsigma":
-        res = hsigma_norm(fld, to_float(args.sigma))
+        res = hsigma_norm(fld, _float(args, "sigma"))
     else:
-        res = amalgam_norm(fld, to_float(args.p), to_float(args.q), _window_from(args))
+        res = amalgam_norm(fld, _float(args, "p"), _float(args, "q"), _window_from(args))
     _write_json(outdir / "report.json", {**vars(res), **source})
     write_csv(outdir / "results.csv", ["space", "value"], [(res.space, res.value)])
     print(f"{res.space}: {res.value:.12g}")
@@ -353,13 +362,14 @@ def _cmd_evolve(args, outdir):
 
     from .grid import _lq, write_container
     from .propagator import evolve_blocks
+    sigma = _float(args, "sigma")
     fld, _ = _field_from(args)
     g = fld.grid
     axes = tuple(range(1, g.n + 1))
     rows = []
 
     def slices():
-        for times, block in evolve_blocks(fld, args.times, to_float(args.sigma)):
+        for times, block in evolve_blocks(fld, args.times, sigma):
             a = np.abs(block)
             sup = _lq(a, np.inf, axes)  # leaves a intact; the l2 reduction then overwrites it
             rows.extend(zip(times, _lq(a, 2, axes, g.cell_volume), sup))
@@ -381,8 +391,7 @@ def _profile_from(args):
     from .propagator import kernel_amalgam_profile, profile_times
     grid = GridSpec(args.n, args.grid_l, args.grid_npts)
     times = profile_times(args.tmin, args.tmax, args.per_decade)
-    prof = kernel_amalgam_profile(to_float(args.sigma), to_float(args.rt), to_float(args.r),
-                                  times, grid)
+    prof = kernel_amalgam_profile(*(_float(args, a) for a in ("sigma", "rt", "r")), times, grid)
     return prof, {"max_est_error": float(prof.est_error.max()), "route": prof.meta["route"]}
 
 
@@ -425,6 +434,8 @@ def _cmd_ratio(args, outdir):
     if not rep.verdict:
         failed = ", ".join(c.name for c in rep.failed())
         raise ValueError(f"tuple outside the admissible region: {failed}")
+    for name in expo.AXES:  # strichartz_ratio takes the exponents as floats
+        _float(args, name)
     # default_ratio_times' count, per sign 40 in |t| <= 1 and 8 per unit beyond; none built
     count = 2 * (40 + max(0, math.floor(8 * (Fraction(args.t_outer) - 1))))
     if count > MAX_RATIO_INSTANTS:
@@ -433,7 +444,7 @@ def _cmd_ratio(args, outdir):
                          f"over the cap of {MAX_RATIO_INSTANTS}")
     fld, _ = _field_from(args)
     times = default_ratio_times(t_outer=args.t_outer)
-    res = strichartz_ratio(fld, tup, times=times, weak=args.weak)
+    res = strichartz_ratio(fld, tup, times=times)
     write_csv(outdir / "results.csv", ["ratio", "numerator", "denominator"],
               [(res.value, res.numerator, res.denominator)])
     print(f"ratio = {res.value:.6g}  (numerator {res.numerator:.6g}, "
@@ -477,7 +488,7 @@ def _cmd_bilinear(args, outdir):
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     grid = GridSpec(args.grid_n, args.grid_l, args.grid_npts)
     times = np.linspace(-1.0, 1.0, args.ntimes)
-    sigma = to_float(args.sigma)
+    sigma = _float(args, "sigma")
     worst = 0.0
     rows = []
     for k in range(args.pairs):

@@ -46,7 +46,6 @@ __all__ = [
     "evaluate",
     "check",
     "predicted_kernel_decay",
-    "classical_sobolev_line",
     "sample_region",
 ]
 
@@ -93,12 +92,6 @@ def recip(x) -> Fraction:
     if x == 0:
         raise ValueError("an exponent of 0 has no reciprocal; exponents lie in [1, inf]")
     return 1 / x
-
-
-def from_recip(u):
-    """Inverse of recip: 0 -> inf."""
-    u = Fraction(u)
-    return INF if u == 0 else 1 / u
 
 
 def to_float(x) -> float:
@@ -289,33 +282,6 @@ def predicted_kernel_decay(n: int, sigma, rt, r) -> tuple:
     """
     small = -Fraction(n, 2) + as_rational(sigma) + (n - 1) * recip(rt)
     return small, small + n * recip(r)
-
-
-def _solve(form: tuple, u: dict, name: str) -> Fraction:
-    """The reciprocal ``name`` at which the form vanishes, the others from u."""
-    k = 1 + AXES.index(name)
-    rest = form[0] + sum(c * u.get(a, 0) for a, c in zip(AXES, form[1:]) if a != name)
-    return -rest / form[k]
-
-
-def classical_sobolev_line(n: int, sigma, q):
-    """Solve 2/q + n/r = n/2 - sigma for r (possibly inf).
-
-    Raises when no admissible r >= 2 exists, naming the violated bound.
-    """
-    sigma = as_rational(sigma)
-    if not (0 < sigma < Fraction(n, 2)):
-        raise ValueError(f"sigma must lie in (0, n/2), got {sigma}")
-    uq = recip(q)
-    if uq > Fraction(1, 2):
-        raise ValueError(f"q must be >= 2, got {as_extended(q)}")
-    ur = _solve(_trade_off(n, sigma), {"q": uq}, "r")
-    if ur < 0:
-        raise ValueError(
-            f"no admissible r: 2/q + sigma exceeds n/2 (1/r would be {ur})")
-    if ur > Fraction(1, 2):
-        raise ValueError(f"no admissible r >= 2: 1/r would be {ur} > 1/2")
-    return from_recip(ur)
 
 
 class RegionScan(namedtuple("RegionScan", "axes verdicts edge")):

@@ -1,16 +1,16 @@
 """Periodic lattice discretization of functions on R^n.
 
-Functions live on the torus [-L, L)^n sampled at N points per axis.  The
-discrete Fourier transform is normalized so that it approximates the
-continuum transform
+Functions live on the torus [-L, L)^n sampled at N points per axis.  Every
+transform in the package is numpy's bare fftn or ifftn over the trailing grid
+axes, and a norm that reads a spectrum carries the lattice constants in its
+weight.  Up to the phase (-1)^(j_1 + ... + j_n) of a lattice that starts at
+-L, dx^n times the bare forward transform is the Riemann sum of the
+continuum transform fhat(xi) = INT f(x) exp(-i xi.x) dx, so the continuum
+Parseval weight (dxi / 2 pi)^n of |fhat|^2 becomes
 
-    fhat(xi) = INT f(x) exp(-i xi.x) dx,
-    f(x)     = (2 pi)^{-n} INT fhat(xi) exp(i xi.x) dxi,
+    INT |f|^2 dx  =  (dx^n / N^n) sum |fftn(f)|^2,
 
-i.e. the forward sum carries dx^n and the inverse carries
-(dxi / 2 pi)^n.  With that convention the Riemann-sum L2 norm and the
-spectral l2 norm agree exactly (discrete Parseval), so lattice norms
-approximate continuum norms with no stray factors.
+an identity that is exact on the lattice and has no phase in it.
 
 All operations are pure functions of their inputs; reductions use numpy's
 fixed summation order, so results are reproducible run to run.
@@ -54,7 +54,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        # keeps dx^n, (dxi / 2 pi)^n and |xi|^2 well inside the float64 range
+        # keeps dx^n, the spectral weight dx^n / N^n and |xi|^2 well inside the float64 range
         if not 1e-50 <= self.length <= 1e50:
             raise ValueError(f"box half-length must lie in [1e-50, 1e50], got {self.length}")
         N = self.npts
@@ -88,10 +88,6 @@ class GridSpec:
     def axis_frequencies(self) -> np.ndarray:
         """1-D angular frequency lattice in FFT order."""
         return 2.0 * np.pi * np.fft.fftfreq(self.npts, d=self.dx)
-
-    def meshgrid(self) -> tuple:
-        axes = (self.axis_points(),) * self.n
-        return np.meshgrid(*axes, indexing="ij")
 
 
 def _euclidean(*axes: np.ndarray) -> np.ndarray:
@@ -178,52 +174,11 @@ class SpaceTimeField:
 
 @dataclass
 class NormResult:
-    """The record that the norm command writes: a computed norm and the metadata to reproduce it.
-
-    ``est_error`` is a relative discretization/quadrature estimate when one
-    is available (None otherwise).
-    """
+    """The record that the norm command writes: a computed norm and the metadata to reproduce it."""
 
     value: float
     space: str
-    exponents: dict
     meta: dict = field(default_factory=dict)
-    est_error: float | None = None
-
-
-@functools.lru_cache(maxsize=16)
-def _phase(grid: GridSpec) -> np.ndarray:
-    """(-1)^(j_1+...+j_n) on the frequency lattice, from x_m = -L + m dx; cached, read-only."""
-    j = np.fft.fftfreq(grid.npts, d=1.0 / grid.npts)  # integer indices, FFT order
-    sign = np.where(np.round(j).astype(int) % 2 == 0, 1.0, -1.0)
-    out = sign
-    for _ in range(grid.n - 1):
-        out = np.multiply.outer(out, sign)
-    out.setflags(write=False)
-    return out
-
-
-def _dft(values: np.ndarray, g: GridSpec, inverse: bool = False, out=None) -> np.ndarray:
-    """The transform over the trailing grid axes of a (..., *g.shape) array, forward onto
-    the frequency lattice in FFT order; the phase factor accounts for the position
-    lattice starting at -L.  All leading slices go through one batched FFT, in one
-    complex buffer; ``out`` may be ``values`` itself, and the transform then runs in
-    place, without a copy."""
-    axes = tuple(range(-g.n, 0))
-    ph = _phase(g)
-    if inverse:
-        # (dxi/2pi)^n sum = ifftn * N^n * (dxi/2pi)^n = ifftn / dx^n
-        out = np.multiply(values, ph, out=out)
-        np.fft.ifftn(out, axes=axes, out=out)
-        out /= g.cell_volume
-    else:
-        # numpy's out-of-place fftn allocates one array per axis: a copy (a real input
-        # cast, as fftn casts it) is transformed in place instead
-        if out is not values:
-            out = np.array(values, dtype=complex)
-        np.fft.fftn(out, axes=axes, out=out)
-        out *= g.cell_volume * ph
-    return out
 
 
 _FMAX = np.finfo(float).max
@@ -271,7 +226,6 @@ def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
     return NormResult(
         value=value,
         space="lebesgue",
-        exponents={"p": p},
         meta={"n": fld.grid.n, "L": fld.grid.length, "N": fld.grid.npts},
     )
 

@@ -39,7 +39,6 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _blocks,
-    _dft,
     _euclidean,
     _instants,
     _lq,
@@ -78,7 +77,8 @@ def _zero_mode_fraction(spec: np.ndarray) -> float:
 
 
 def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
-    """Homogeneous Sobolev norm: |xi|^sigma weighted spectral L2 norm.
+    """Homogeneous Sobolev norm: |xi|^sigma weighted spectral L2 norm of the bare transform,
+    with the lattice's Parseval weight dx^n / N^n (see grid).
 
     The zero mode carries weight 1 for sigma = 0 and weight 0 otherwise;
     data with significant zero-mode mass get a warning (the smoothing
@@ -88,8 +88,8 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     g = fld.grid
-    spec = _dft(fld.values, g)
-    w = (g.dxi / (2.0 * np.pi)) ** g.n
+    spec = _spectrum(fld.values, 0.0, g)
+    w = g.cell_volume / g.size
     if sigma > 0:  # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
         w = w * _euclidean(*(g.axis_frequencies(),) * g.n) ** (2.0 * sigma)
     value = float(_lq(np.abs(spec), 2, None, w))
@@ -103,7 +103,6 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     return NormResult(
         value=value,
         space="homogeneous-sobolev",
-        exponents={"sigma": sigma},
         meta={"n": g.n, "L": g.length, "N": g.npts, "zero_mode_fraction": zfrac},
     )
 
@@ -113,10 +112,9 @@ _PHASE_BOUND = 2.0 ** 44
 
 
 def _spectrum(values: np.ndarray, sigma: float, g: GridSpec) -> np.ndarray:
-    """fftn of values (one field, or a (T, *shape) stack) in one complex buffer, times
-    |xi|^-sigma with 0 at xi = 0: the part of the evolution that every instant shares.
-    The forward transform's dx^n and sign (-1)^j cancel the inverse's (-1)^j / dx^n, so
-    the evolution applies neither."""
+    """The bare fftn of values (one field, or a (T, *shape) stack) in one complex buffer,
+    times |xi|^-sigma with 0 at xi = 0: the part of the evolution that every instant
+    shares, and at sigma = 0 the spectrum that hsigma_norm weighs."""
     sigma = float(sigma)
     if not (0 <= sigma < g.n / 2.0):
         raise ValueError(

@@ -26,7 +26,6 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _blocks,
-    _dft,
     _euclidean,
     _lq,
     trapezoid_weights,
@@ -127,8 +126,8 @@ def band_limited_stack(grid: GridSpec, seeds, kmax: int | None = None) -> np.nda
     spec = np.zeros((len(seeds),) + grid.shape, dtype=complex)
     for row, seed in zip(spec, seeds):
         row[band] = _normal(_generator(seed), count)
-    values = _dft(spec, grid, inverse=True, out=spec)
     axes = tuple(range(1, grid.n + 1))
+    values = np.fft.ifftn(spec, axes=axes, out=spec)
     values /= np.expand_dims(_lq(np.abs(values), 2, axes, grid.cell_volume), axes)
     return values
 
@@ -292,7 +291,7 @@ class RatioResult:
 
 
 def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
-                     times=None, weak: bool = False) -> RatioResult:
+                     times=None) -> RatioResult:
     """Space-time amalgam norm (unit cubes) of the free evolution over the data norm; the
     tuple's dimension must be the field's.  At qt = q and rt = r the numerator is the
     classical mixed norm L^q_t L^r_x.  The tuple need not lie in the theorem's region
@@ -310,7 +309,7 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
     # one block of instants at a time is evolved, then reduced to its spatial norms
     blocks = (block for _, block in evolve_blocks(fld, times))
-    num = spacetime_amalgam_norm(blocks, fld.grid, times, *exps, weak)
+    num = spacetime_amalgam_norm(blocks, fld.grid, times, *exps)
     return RatioResult(value=num / denom, numerator=num, denominator=denom)
 
 

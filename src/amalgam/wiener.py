@@ -219,9 +219,7 @@ def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> N
     return NormResult(
         value=float(value),
         space="wiener-amalgam",
-        exponents={"p": p, "q": q},
         meta=meta,
-        est_error=0.0 if window.is_partition else None,
     )
 
 
@@ -236,15 +234,14 @@ def weak_lorentz_norm(a, p: float):
 
 
 def spacetime_amalgam_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q: float,
-                           rt: float, r: float, weak: bool = False) -> float:
+                           rt: float, r: float) -> float:
     """W(L^qt, L^q)_t W(L^rt, L^r)_x norm, on unit cubes in space and in time, of the
     slices at the increasing instants times.
 
     blocks yields the slices in order, a (k, *g.shape) block at a time (a whole
     (T, *g.shape) array is one block); each block is reduced at once to its spatial
-    norms, and the time reduction then runs on the (T,) vector of those norms.  With
-    weak, the outer norm over time translates is the weak Lorentz norm of exponent q.
-    At qt = q and rt = r it is the mixed norm L^q_t L^r_x with trapezoid weights.
+    norms, and the time reduction then runs on the (T,) vector of those norms.  At
+    qt = q and rt = r it is the mixed norm L^q_t L^r_x with trapezoid weights.
     """
     if not (qt >= 1 and q >= 1):
         raise ValueError("exponents must lie in [1, inf]")
@@ -257,8 +254,6 @@ def spacetime_amalgam_norm(blocks, g: GridSpec, times: np.ndarray, qt: float, q:
     # starting at the first instant of its cube
     starts = np.unique(np.floor(times + 0.5), return_index=True)[1]
     local = _lq(spatial, qt, weight=trapezoid_weights(times), starts=starts)
-    if weak:
-        return float(weak_lorentz_norm(local, q))
     return float(_lq(local, q, -1))
 
 

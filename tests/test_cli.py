@@ -188,6 +188,19 @@ class TestExponentErrors:
         assert invoke(["norm", "--kind", "lebesgue", "--p", "1/0"], tmp_path) == 2
         assert "'1/0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag,hint", [
+        (["norm", "--kind", "hsigma", "--sigma", "1e400", "--grid-npts", "64"], "--sigma", ""),
+        (["evolve", "--sigma", "1e400", "--grid-npts", "64"], "--sigma", ""),
+        (["fit-decay", "--sigma", "1e400", "--rt", "inf", "--r", "inf"], "--sigma", ""),
+        (["norm", "--kind", "lebesgue", "--p", "1e400", "--grid-npts", "64"], "--p",
+         "; use inf"),
+    ], ids=["norm-sigma", "evolve-sigma", "fit-decay-sigma", "norm-p"])
+    def test_value_beyond_float_range_names_the_flag(self, tmp_path, capsys, argv, flag, hint):
+        # inf is suggested only to an exponent: --sigma refuses it
+        assert invoke(argv, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err == f"usage error: argument {flag}: beyond the float64 range{hint}\n"
+
     def test_slack_beyond_float_range(self, tmp_path):
         # sigma > 0 and sigma < n/2 hold by about +1e400 and -1e400, exactly; their
         # float forms are "inf" and "-inf"
@@ -316,7 +329,7 @@ class TestStrictJson:
 
     @pytest.mark.parametrize("argv,name,key,want", [
         (["norm", "--kind", "lebesgue", "--p", "inf", "--grid-npts", "64"],
-         "report.json", ("exponents", "p"), "inf"),
+         "manifest.json", ("params", "p"), "inf"),
         (["check-tuple", "--set", "theorem", "--n", "1", "--sigma", "1e400"],
          "report.json", ("constraints", 6, "slack_float"), "-inf"),
         (["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amalgam.exponents import (
+    INF,
     ConstraintCheck,
     ExponentTuple,
     RegionReport,
@@ -22,12 +23,17 @@ from amalgam.exponents import (
     check,
     constraint_table,
     evaluate,
-    from_recip,
     recip,
     sample_region,
 )
 
 F = Fraction
+
+
+def from_recip(u):
+    """Inverse of recip: 0 -> inf."""
+    u = Fraction(u)
+    return INF if u == 0 else 1 / u
 
 
 # ---------------------------------------------------------------------------

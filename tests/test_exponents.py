@@ -7,13 +7,11 @@ from amalgam.exponents import (
     INF,
     ExponentTuple,
     check,
-    classical_sobolev_line,
-    from_recip,
     predicted_kernel_decay,
     recip,
     sample_region,
 )
-from test_constraint_tables import ref_scan  # the tests' one reference scan
+from test_constraint_tables import from_recip, ref_scan  # the tests' one reference scan
 
 F = Fraction
 
@@ -159,16 +157,28 @@ class TestPredictedDecay:
 
 
 class TestClassicalLine:
+    """The classical Sobolev line 2/q + n/r = n/2 - sigma is the theorem's trade-off
+    clause at rt = inf; each case is solved for r by hand."""
+
+    @staticmethod
+    def line(n, sigma, q, r):
+        """The trade-off clause, the theorem's last, at (qt, rt) = (2, inf)."""
+        return check("theorem", ExponentTuple(n, sigma, 2, INF, q, r)).constraints[-1]
+
     @pytest.mark.parametrize("n,sigma,q", [(1, "0.3", 10), (2, "0.5", 4), (1, "0.45", 40)])
     def test_solves_to_infinity(self, n, sigma, q):
-        assert classical_sobolev_line(n, sigma, q) is INF
+        assert self.line(n, sigma, q, INF) == ("2/q + n/r = n/2 - sigma - (n-1)/rt", True, 0)
+        assert not self.line(n, sigma, q, 2).passed
 
     def test_finite_solution(self):
-        assert classical_sobolev_line(1, "0.2", 10) == F(10)
+        assert self.line(1, "0.2", 10, 10).slack == 0
+        assert self.line(1, "0.2", 10, INF).slack == F(-1, 10)
 
     def test_no_admissible_r(self):
-        with pytest.raises(ValueError, match="no admissible r"):
-            classical_sobolev_line(1, "0.45", 4)
+        # 2/q = 1/2 exceeds n/2 - sigma = 1/20, and 1/r >= 0 only adds to it
+        for r in (2, 10, INF):
+            c = self.line(1, "0.45", 4, r)
+            assert not c.passed and c.slack == F(9, 20) + recip(r)
 
 
 class TestContainment:

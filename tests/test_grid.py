@@ -8,17 +8,15 @@ from amalgam.grid import (
     SampledField,
     SpaceTimeField,
     _blocks,
-    _dft,
     _euclidean,
     _lq,
-    _phase,
     _shells,
     lebesgue_norm,
     read_container,
     trapezoid_weights,
     write_container,
 )
-from amalgam.propagator import hsigma_norm
+from amalgam.propagator import _propagate, _spectrum, hsigma_norm
 from amalgam.verify import band_limited_field
 from amalgam.wiener import WindowSpec, amalgam_norm, spacetime_amalgam_norm, unit_cube_partition
 
@@ -29,8 +27,13 @@ def random_field(grid, rng):
 
 
 def transform(fld, direction):
-    """The "forward" or "inverse" transform of one field."""
-    return SampledField(fld.grid, _dft(fld.values, fld.grid, direction == "inverse"))
+    """The package's one transform pair on one field: "forward" is the bare fftn of
+    propagator._spectrum at sigma = 0, "inverse" the bare ifftn of propagator._propagate
+    at t = 0, where every multiplier is exactly 1."""
+    g = fld.grid
+    if direction == "forward":
+        return SampledField(g, _spectrum(fld.values, 0.0, g))
+    return SampledField(g, _propagate(np.array(fld.values, dtype=complex), [0.0], g)[0])
 
 
 def write_spacetime(stf, path):
@@ -76,6 +79,8 @@ class TestMakeGrid:
 
 
 class TestTransform:
+    """The bare transform: no lattice constant and no phase; the norms' weights carry them."""
+
     def test_roundtrip(self, grid1d, rng):
         f = random_field(grid1d, rng)
         back = transform(transform(f, "forward"), "inverse")
@@ -94,18 +99,20 @@ class TestTransform:
         f = SampledField(grid1d, np.exp(1j * xi * grid1d.axis_points()))
         spec = transform(f, "forward").values
         mags = np.abs(spec)
-        assert mags[j] == pytest.approx(2.0 * grid1d.length, rel=1e-12)
+        # N, which the continuum's dx turns into the box length 2L
+        assert mags[j] == pytest.approx(grid1d.npts, rel=1e-12)
         mags[j] = 0.0
-        assert mags.max() < 1e-9 * 2.0 * grid1d.length
+        assert mags.max() < 1e-9 * grid1d.npts
 
-    def test_parseval(self, grid1d, rng):
-        # spectral l2 with the declared weight equals the Riemann L2 norm
-        w = (grid1d.dxi / (2 * np.pi)) ** grid1d.n
-        for _ in range(1000):
-            f = random_field(grid1d, rng)
-            spec = transform(f, "forward").values
-            spectral = np.sqrt(np.sum(np.abs(spec) ** 2) * w)
-            assert spectral == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
+    def test_parseval(self, grid1d, grid2d, rng):
+        # spectral l2 with the grid module's weight dx^n / N^n equals the Riemann L2 norm
+        for g in (grid1d, grid2d):
+            w = g.cell_volume / g.size
+            for _ in range(100):
+                f = random_field(g, rng)
+                spec = transform(f, "forward").values
+                spectral = np.sqrt(np.sum(np.abs(spec) ** 2) * w)
+                assert spectral == pytest.approx(lebesgue_norm(f, 2).value, rel=1e-12)
 
     def test_linear(self, grid1d, rng):
         f, g = random_field(grid1d, rng), random_field(grid1d, rng)
@@ -139,17 +146,11 @@ class TestCachedLattice:
             want = np.sqrt(sum(c ** 2 for c in np.ix_(*axes)))
             assert np.array_equal(_euclidean(*axes), want)
 
-    def test_cached_arrays_are_read_only(self, g, rng):
-        ph = _phase(g)
-        for a in (*_shells(g), ph):
+    def test_cached_arrays_are_read_only(self, g):
+        for a in _shells(g):
             assert not a.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 a[(0,) * a.ndim] = 0
-        f = random_field(g, rng).values
-        _dft(_dft(f, g), g, inverse=True, out=f)
-        j = np.fft.fftfreq(g.npts, d=1.0 / g.npts).astype(int)
-        assert _phase(g) is ph
-        assert np.array_equal(ph, (-1.0) ** sum(np.ix_(*(j,) * g.n)))
 
 
 class TestLebesgueNorm:

@@ -200,7 +200,8 @@ def test_laguerre_rule_is_cached_exact_and_read_only(alpha):
 
 def lattice_radii(grid):
     """|x| at every lattice point, flat, with no shell index."""
-    return np.sqrt(sum(c ** 2 for c in grid.meshgrid())).ravel()
+    mesh = np.meshgrid(*(grid.axis_points(),) * grid.n, indexing="ij")
+    return np.sqrt(sum(c ** 2 for c in mesh)).ravel()
 
 
 class TestProfileOnLattice:

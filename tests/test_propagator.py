@@ -7,7 +7,6 @@ from amalgam.grid import (
     GridSpec,
     SampledField,
     SpaceTimeField,
-    _dft,
     lebesgue_norm,
     trapezoid_weights,
 )
@@ -37,10 +36,16 @@ def evolve_series(f, times, sigma):
 
 
 class TestHsigmaNorm:
-    def test_sigma_zero_is_l2(self, grid1d):
-        f = band_limited_field(grid1d, 0)
-        assert hsigma_norm(f, 0.0).value == pytest.approx(
-            lebesgue_norm(f, 2).value, rel=1e-12)
+    def test_sigma_zero_is_l2(self, grid1d, grid2d, rng):
+        # Parseval with the bare transform's weight dx^n / N^n: a band-limited field, 1000
+        # complex normal fields and a 2-D one
+        fields = [band_limited_field(grid1d, 0)]
+        for g, count in ((grid1d, 1000), (grid2d, 1)):
+            fields += [SampledField(g, rng.standard_normal(g.shape)
+                                    + 1j * rng.standard_normal(g.shape)) for _ in range(count)]
+        for f in fields:
+            assert hsigma_norm(f, 0.0).value == pytest.approx(
+                lebesgue_norm(f, 2).value, rel=1e-12)
 
     def test_pure_mode(self, grid1d):
         j = 12
@@ -52,7 +57,7 @@ class TestHsigmaNorm:
 
     def test_direct_spectral_sum(self, grid1d):
         f = band_limited_field(grid1d, 4)
-        spec = _dft(f.values, grid1d)
+        spec = grid1d.dx * np.fft.fft(f.values)  # the continuum transform, up to a phase
         xi = np.abs(grid1d.axis_frequencies())
         w = grid1d.dxi / (2 * np.pi)
         sigma = 0.3
@@ -100,7 +105,7 @@ class TestEvolve:
         f = gaussian_datum(grid2d, width=1.0)
         u = evolve(f, t, 0.0)
         z = a2 + 2j * t
-        xs, ys = grid2d.meshgrid()
+        xs, ys = np.meshgrid(*(grid2d.axis_points(),) * grid2d.n, indexing="ij")
         oracle = (a2 / z) * np.exp(-(xs ** 2 + ys ** 2) / (2 * z))
         assert np.max(np.abs(u.values - oracle)) < 1e-8
 

@@ -368,22 +368,15 @@ class TestSpacetimeAmalgam:
             got = spacetime_amalgam_norm([stf.values], g, times, qt, q, rt, r)
             assert got == pytest.approx(want, rel=1e-10)
 
-    def test_weak_outer_flag(self):
-        g = GridSpec(1, 4.0, 128)
-        times = np.linspace(-4.0, 4.0, 33)
-        stf = _random_stf(g, times, 5)
-        strong = spacetime_amalgam_norm([stf.values], g, times, 2, 4, 2, 4)
-        weak = spacetime_amalgam_norm([stf.values], g, times, 2, 4, 2, 4, weak=True)
-        assert 0 < weak <= strong * (1 + 1e-12)
-
-    @pytest.mark.parametrize("slices", [3, 7])
-    @pytest.mark.parametrize("weak", [False, True], ids=["spacetime", "weak"])
-    def test_slices_must_match_instants(self, weak, slices):
+    # the ids keep the "spacetime" of the strong outer norm from when a weak one was an
+    # option, so each case keeps its name
+    @pytest.mark.parametrize("slices", [3, 7], ids=["spacetime-3", "spacetime-7"])
+    def test_slices_must_match_instants(self, slices):
         # a slice count other than the instant count is refused, not cut or mis-indexed
         g = GridSpec(1, 4.0, 64)
         with pytest.raises(ValueError, match=f"^{slices} slices for 5 instants$"):
             spacetime_amalgam_norm([np.ones((slices, 64))], g, np.linspace(0.0, 1.0, 5),
-                                   2, 4, 2, 4, weak)
+                                   2, 4, 2, 4)
 
     @pytest.mark.parametrize("times, match", [
         ([0.0, 2.0, 1.0], "strictly increasing"),
