@@ -5,9 +5,7 @@ asserted invariant fails, 2 on usage errors.  Every flag is typed: its
 value is parsed once, and a value it cannot take is a usage error that
 names the flag.  The token ``inf`` denotes infinity in every exponent
 flag; exponents parse as exact rationals (``10``, ``10/3``, ``0.3``).  The
-orders --sigma and --alpha are finite exact rationals.  A config file of
-``key = value`` lines may supply any flag (``key = true`` sets a flag that
-takes no value); explicit command-line flags override it.  A flag with no
+orders --sigma and --alpha are finite exact rationals.  A flag with no
 default is required, except --out, --input and --window-norm, which follows
 --window (partition for cube, l2 for gaussian and bump).  The output
 directory comes from --out, else $AMALGAM_OUT, else ./amalgam-out.  Every
@@ -105,7 +103,7 @@ def _times(text: str) -> list:
             f"expected a comma list of instants, got {text!r}") from None
 
 
-# One type per flag name: a --config file is parsed by every subcommand.
+# One type per flag name, in every subcommand that takes the flag.
 _TYPES = {
     **dict.fromkeys(("seed", "n", "resolution", "grid-n", "grid-npts", "mode", "per-decade",
                      "corpus-size", "trials", "ntimes", "pairs"), int),
@@ -120,17 +118,18 @@ _HELP = {"free": "comma list, e.g. qt,q", "fixed": "comma list name=value",
 
 
 def _flags(sp, **defaults) -> None:
-    """A typed --flag per keyword (``_`` becomes ``-``); a text default parses as a value."""
+    """A typed --flag per keyword (``_`` becomes ``-``); a text default parses as a value,
+    and a flag without one is required."""
     for key, default in defaults.items():
         name = key.replace("_", "-")
-        sp.add_argument(f"--{name}", type=_TYPES[name], default=default, help=_HELP.get(name))
+        sp.add_argument(f"--{name}", type=_TYPES[name], default=default,
+                        required=default is None, help=_HELP.get(name))
 
 
 def _build_parser() -> tuple:
     """(the parser, its subcommand parsers by name)."""
     p = _Parser(prog="amalgam", description=__doc__, allow_abbrev=False,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--config", help="key = value file supplying default flags")
     sub = p.add_subparsers(dest="command", required=True)
 
     def add(name, help_, handler):
@@ -141,15 +140,15 @@ def _build_parser() -> tuple:
         return sp
 
     sp = add("check-tuple", "run an admissibility predicate on one tuple", _cmd_check_tuple)
-    sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS)
+    sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS, required=True)
     _flags(sp, n=None, sigma="0", qt="2", rt="2", q="2", r="2")
 
     sp = add("region", "scan an admissibility region in reciprocal coordinates", _cmd_region)
-    sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS)
+    sp.add_argument("--set", dest="condition_set", choices=expo.CONDITION_SETS, required=True)
     _flags(sp, n=None, sigma="0", free=None, fixed="", resolution="64")
 
     sp = add("norm", "compute a norm of a generated or loaded field", _cmd_norm)
-    sp.add_argument("--kind", choices=["lebesgue", "hsigma", "amalgam"])
+    sp.add_argument("--kind", choices=["lebesgue", "hsigma", "amalgam"], required=True)
     _field_flags(sp)
     _flags(sp, p="2", q="2", sigma="0", window_radius="0.5", window_step="1")
     sp.add_argument("--window", default="cube", choices=["cube", "gaussian", "bump"])
@@ -192,54 +191,11 @@ def _field_flags(sp):
     _flags(sp, width="1", mode="40", grid_n="1", grid_l="16", grid_npts="1024")
 
 
-def _load_config(path, flags) -> dict:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
-    out = {}
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise _UsageError(f"config file {path}: line without '=': {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        key = key.replace("_", "-")
-        if f"--{key}" not in flags:
-            raise _UsageError(f"config file {path}: no command takes --{key}")
-        out[key] = val
-    return out
-
-
 def _parse(argv) -> argparse.Namespace:
-    """Parse argv over the defaults that a --config file (anywhere in argv) supplies.
-
-    Each subcommand parses the config entries it knows as flags, so its own
-    types and choices check them; the results become its defaults, which
-    explicit flags override.  A key that no subcommand knows, help included, is a
-    usage error.
-    """
-    parser, commands = _build_parser()
-    pre = _Parser(add_help=False, allow_abbrev=False)
-    pre.add_argument("--config")
-    known, rest = pre.parse_known_args(argv)
-    if known.config:
-        flags = {opt for sp in commands.values() for a in sp._actions if a.dest != "help"
-                 for opt in a.option_strings}
-        tokens = [f"--{key}" if val == "true" else f"--{key}={val}"
-                  for key, val in _load_config(known.config, flags).items()]
-        for sp in commands.values():
-            try:
-                sp.set_defaults(**vars(sp.parse_known_args(tokens)[0]))
-            except _UsageError as exc:
-                raise _UsageError(f"config file {known.config}: {exc}") from None
-    args = parser.parse_args(rest)
+    """argv's flags; --window-norm, when not given, follows --window."""
+    args = _build_parser()[0].parse_args(argv)
     if args.command == "norm" and args.window_norm is None:  # partition needs cube indicators
         args.window_norm = "partition" if args.window == "cube" else "l2"
-    for action in commands[args.command]._actions:  # a flag with no default is required
-        if action.dest not in ("help", "out", "input") and getattr(args, action.dest) is None:
-            raise _UsageError(f"{action.option_strings[0]} is required for {args.command}")
     return args
 
 

@@ -68,12 +68,19 @@ ZERO_MODE_TOL = 1e-10
 # evolution in frequency space
 # ---------------------------------------------------------------------------
 
-def _zero_mode_fraction(spec: np.ndarray) -> float:
-    """Share of the spectrum's l2 mass in the zero mode (0 for a zero spectrum)."""
-    total = float(_lq(np.abs(spec), 2))
-    if total == 0.0:
-        return 0.0
-    return float((np.abs(spec[(0,) * spec.ndim]) / total) ** 2)
+def _zero_mode_fraction(values: np.ndarray) -> float:
+    """Share of a field's spectral l2 mass in its zero mode, read off the samples by
+    Parseval as |sum f|^2 / (N^n sum |f|^2) (0 for a zero field), with a warning at
+    ZERO_MODE_TOL or above: a smoothing weight of order sigma > 0 drops the zero mode."""
+    total = float(_lq(np.abs(values), 2))
+    zfrac = float((abs(values.sum()) / total) ** 2 / values.size) if total else 0.0
+    if zfrac >= ZERO_MODE_TOL:
+        warnings.warn(
+            f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; "
+            "the smoothing weight drops it, so the norm undercounts this field",
+            stacklevel=3,
+        )
+    return zfrac
 
 
 def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
@@ -93,13 +100,7 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     if sigma > 0:  # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
         w = w * _euclidean(*(g.axis_frequencies(),) * g.n) ** (2.0 * sigma)
     value = float(_lq(np.abs(spec), 2, None, w))
-    zfrac = _zero_mode_fraction(spec) if sigma > 0 else 0.0
-    if sigma > 0 and zfrac >= ZERO_MODE_TOL:
-        warnings.warn(
-            f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; "
-            "the smoothing weight drops it, so the norm undercounts this field",
-            stacklevel=2,
-        )
+    zfrac = _zero_mode_fraction(fld.values) if sigma > 0 else 0.0
     return NormResult(
         value=value,
         space="homogeneous-sobolev",
@@ -165,10 +166,12 @@ def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
     """The free evolution with smoothing order sigma, one _blocks block of instants at a
     time: yields (instants, block) pairs, block the (k, *shape) slices at those instants,
     checked finite.  Unitary on L2 for sigma = 0.  The smoothing weight's zero frequency
-    is set to zero, so data should have negligible zero-mode mass (verify's generators do)."""
+    is set to zero, so data with zero-mode mass draw hsigma_norm's warning."""
     g = fld.grid
     times = _instants(times)
     spec = _spectrum(fld.values, sigma, g)
+    if float(sigma) > 0:
+        _zero_mode_fraction(fld.values)
     for b in _blocks(len(times), g.size):
         block = _propagate(spec, times[b], g)
         finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)

@@ -191,8 +191,9 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
     # over r on contiguous _blocks slabs of offset rows, each rolled back by -j and
     # folded in (local[k]^p = sum_j local_j[k]^p; max of maxes at p = inf).  Partition
     # cube k, [k a - a/2, k a + a/2), is block k of |f| shifted by s//2, reduced in place.
+    # The slabs are sized per slice, so a slice's sums do not depend on its batch.
     F = _offset_major(values, n, K, s, s // 2 if window.is_partition else 0)
-    slabs = _blocks(s ** n, math.prod(lead) * K ** n)
+    slabs = _blocks(s ** n, K ** n)
     blocks = [(np.zeros(n, int), None)] if window.is_partition else _window_blocks(
         window, g, p, q)
     local = None

@@ -631,12 +631,7 @@ def test_streamed_ratio_is_the_spacetime_norm(g, finite, ntimes):
     res = strichartz_ratio(f, tup, times=times)
     values = np.concatenate([block for _, block in evolve_blocks(f, times)])
     exps = (to_float(e) for e in (tup.qt, tup.q, tup.rt, tup.r))
-    want = spacetime_amalgam_norm([values], g, times, *exps)
-    if finite:  # the cube reduction's slabs follow a block's slice count, so a finite
-        # exponent's sums round an ulp or so apart on the whole array
-        assert res.numerator == pytest.approx(want, rel=4 * np.finfo(float).eps)
-    else:
-        assert res.numerator == want
+    assert res.numerator == spacetime_amalgam_norm([values], g, times, *exps)
 
 
 def slice_norms(f, times, rt, r):
