@@ -207,23 +207,20 @@ def _window_from(args):
 
 
 def _field_from(args) -> tuple:
-    """(datum, source fields for report.json).
+    """(datum, source fields for the manifest).
 
-    A container's first slice is the datum; the source fields name its slice
-    count and instant, and a container of several slices draws a warning.  The
-    remaining blocks are read only to be checked finite; none is held.
+    A container's first slice is the datum; the source fields name its grid, slice
+    count and instant, and a container of several slices draws a warning.
     """
     from . import verify
     from .grid import GridSpec, SampledField, read_container
     if args.input:
-        grid, times, blocks = read_container(args.input)
-        datum = SampledField(grid, next(blocks)[0])
-        for _ in blocks:
-            pass
+        grid, times, first = read_container(args.input)
         slices, t0 = len(times), float(times[0])
         if slices > 1:
             warnings.warn(f"{args.input} holds {slices} slices; using the first, t = {t0:g}")
-        return datum, {"input_slices": slices, "input_time": t0}
+        return SampledField(grid, first), {"input_grid": vars(grid), "input_slices": slices,
+                                           "input_time": t0}
     grid = GridSpec(args.grid_n, args.grid_l, args.grid_npts)
     if args.gen == "gaussian":
         return verify.gaussian_datum(grid, width=args.width), {}
@@ -268,8 +265,6 @@ def _cmd_check_tuple(args, outdir):
         "label": rep.label, "verdict": verdict, "case": rep.case,
         "constraints": [{"name": c.name, "passed": c.passed, "slack": c.slack,
                          "slack_float": _approx(c.slack)} for c in rep.constraints]})
-    write_csv(outdir / "results.csv", ["constraint", "passed", "slack"],
-              [(c.name, int(c.passed), fmt(c.slack)) for c in rep.constraints])
     print(f"{args.condition_set}: {verdict}")
     for c in rep.constraints:
         mark = "ok " if c.passed else "VIOLATED"
@@ -305,10 +300,10 @@ def _cmd_norm(args, outdir):
         res = hsigma_norm(fld, _float(args, "sigma"))
     else:
         res = amalgam_norm(fld, _float(args, "p"), _float(args, "q"), _window_from(args))
-    _write_json(outdir / "report.json", {**vars(res), **source})
     write_csv(outdir / "results.csv", ["space", "value"], [(res.space, res.value)])
     print(f"{res.space}: {res.value:.12g}")
-    return 0, {}
+    health = {k: res.meta[k] for k in ("zero_mode_fraction", "window_blocks") if k in res.meta}
+    return 0, {**health, **source}
 
 
 def _cmd_evolve(args, outdir):
@@ -319,7 +314,7 @@ def _cmd_evolve(args, outdir):
     from .grid import _lq, write_container
     from .propagator import evolve_blocks
     sigma = _float(args, "sigma")
-    fld, _ = _field_from(args)
+    fld, source = _field_from(args)
     g = fld.grid
     axes = tuple(range(1, g.n + 1))
     rows = []
@@ -338,7 +333,7 @@ def _cmd_evolve(args, outdir):
             pass
     write_csv(outdir / "results.csv", ["t", "l2", "sup"], rows)
     print(f"evolved {len(rows)} slice(s) -> {outdir / 'results.csv'}")
-    return 0, {}
+    return 0, source
 
 
 def _profile_from(args):
@@ -348,15 +343,13 @@ def _profile_from(args):
     grid = GridSpec(args.n, args.grid_l, args.grid_npts)
     times = profile_times(args.tmin, args.tmax, args.per_decade)
     prof = kernel_amalgam_profile(*(_float(args, a) for a in ("sigma", "rt", "r")), times, grid)
-    return prof, {"max_est_error": float(prof.est_error.max()), "route": prof.meta["route"]}
+    return prof, {"max_est_error": float(prof.est_error.max()), "route": prof.route}
 
 
 def _cmd_kernel_profile(args, outdir):
     prof, health = _profile_from(args)
     write_csv(outdir / "results.csv", ["t", "value", "est_error"],
               list(zip(prof.times, prof.values, prof.est_error)))
-    _write_json(outdir / "profile.json", {"meta": prof.meta, "times": prof.times,
-                                          "values": prof.values, "est_error": prof.est_error})
     print(f"profile over {len(prof.times)} instants -> {outdir / 'results.csv'}")
     return 0, health
 
@@ -398,7 +391,7 @@ def _cmd_ratio(args, outdir):
         from decimal import Decimal  # formats a count beyond the float64 range
         raise ValueError(f"--t-outer {args.t_outer:g} needs {Decimal(count):.3g} instants, "
                          f"over the cap of {MAX_RATIO_INSTANTS}")
-    fld, _ = _field_from(args)
+    fld, source = _field_from(args)
     times = default_ratio_times(t_outer=args.t_outer)
     res = strichartz_ratio(fld, tup, times=times)
     write_csv(outdir / "results.csv", ["ratio", "numerator", "denominator"],
@@ -406,7 +399,7 @@ def _cmd_ratio(args, outdir):
     print(f"ratio = {res.value:.6g}  (numerator {res.numerator:.6g}, "
           f"denominator {res.denominator:.6g})")
     return 0, {"ratio": res.value, "t_span": (float(times[0]), float(times[-1])),
-               "ntimes": len(times)}
+               "ntimes": len(times), **source}
 
 
 def _cmd_suite(args, outdir):
@@ -415,7 +408,8 @@ def _cmd_suite(args, outdir):
     write_csv(outdir / "results.csv", ["property", "passed"],
               [(r.name, int(r.passed)) for r in rep.results])
     print(rep.summary())
-    return (0 if rep.passed else CHECK_FAILED), {"passed": rep.passed}
+    return (0 if rep.passed else CHECK_FAILED), {"passed": rep.passed, "counterexamples": {
+        r.name: r.counterexample for r in rep.results if not r.passed}}
 
 
 def _cmd_hls(args, outdir):

@@ -1,14 +1,16 @@
 """Periodic lattice discretization of functions on R^n.
 
-Functions live on the torus [-L, L)^n sampled at N points per axis.  Every
-transform in the package is numpy's bare fftn or ifftn over the trailing grid
-axes, and a norm that reads a spectrum carries the lattice constants in its
-weight.  Up to the phase (-1)^(j_1 + ... + j_n) of a lattice that starts at
--L, dx^n times the bare forward transform is the Riemann sum of the
-continuum transform fhat(xi) = INT f(x) exp(-i xi.x) dx, so the continuum
-Parseval weight (dxi / 2 pi)^n of |fhat|^2 becomes
+Functions live on the torus [-L, L)^n sampled at N points per axis.  A spectrum
+is a field's Fourier coefficients c = fftn(f) / N^n over the trailing grid axes,
+whose inverse is the bare sum ifftn(c, norm="forward"); a norm that reads a
+spectrum carries the lattice constants in its weight.  N^n is a power of two,
+so the scaling is exact, and |c| <= max |f|: a spectrum is no larger than its
+field.  Up to the phase (-1)^(j_1 + ... + j_n) of a lattice that starts at -L,
+(2L)^n c is the Riemann sum of the continuum transform fhat(xi) =
+INT f(x) exp(-i xi.x) dx, so the continuum Parseval weight (dxi / 2 pi)^n of
+|fhat|^2 becomes
 
-    INT |f|^2 dx  =  (dx^n / N^n) sum |fftn(f)|^2,
+    INT |f|^2 dx  =  dx^n N^n sum |c|^2,
 
 an identity that is exact on the lattice and has no phase in it.
 
@@ -18,7 +20,6 @@ fixed summation order, so results are reproducible run to run.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import os
 import struct
@@ -54,7 +55,7 @@ class GridSpec:
     def __post_init__(self):
         if self.n not in (1, 2, 3):
             raise ValueError(f"dimension must be 1, 2 or 3, got {self.n}")
-        # keeps dx^n, the spectral weight dx^n / N^n and |xi|^2 well inside the float64 range
+        # keeps dx^n, the spectral weight (2L)^n and |xi|^2 well inside the float64 range
         if not 1e-50 <= self.length <= 1e50:
             raise ValueError(f"box half-length must lie in [1e-50, 1e50], got {self.length}")
         N = self.npts
@@ -256,15 +257,6 @@ def trapezoid_weights(times: np.ndarray) -> np.ndarray:
 _HEADER = struct.Struct("<qdqq")
 
 
-@contextlib.contextmanager
-def _naming(path):
-    """Prefix a ValueError raised in the block with the container's path."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"field container {path}: {exc}") from None
-
-
 def write_container(path, g: GridSpec, times, blocks) -> None:
     """Write the header and the instants, checked as SpaceTimeField checks them, then
     each (k, *g.shape) block of the iterable in turn.  A block of another shape, or
@@ -293,29 +285,31 @@ def write_container(path, g: GridSpec, times, blocks) -> None:
 
 
 def read_container(path) -> tuple:
-    """(grid, instants, blocks) of a container whose header, byte count and instants check
-    out; blocks yields its slices one _blocks block at a time, each a (k, *grid.shape)
-    array checked finite.  Any fault is a ValueError that names the file."""
-    with _naming(path), open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        if size < _HEADER.size:
-            raise ValueError(f"{size} bytes, shorter than the {_HEADER.size}-byte header")
-        n, length, npts, nslices = _HEADER.unpack(fh.read(_HEADER.size))
-        if n not in (1, 2, 3) or npts < 1 or nslices < 1:
-            raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
-        want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
-        if size != want:
-            raise ValueError(f"{size} bytes, but its header (n={n}, npts={npts}, "
-                             f"slices={nslices}) needs {want}")
-        grid = GridSpec(n=n, length=length, npts=npts)
-        times = _instants(np.fromfile(fh, dtype="<f8", count=nslices))
-
-    def blocks():
-        for b in _blocks(nslices, grid.size):
-            shape = (len(times[b]),) + grid.shape
-            offset = _HEADER.size + 8 * nslices + 16 * grid.size * b.start
-            with _naming(path):
-                values = np.fromfile(path, dtype="<c16", count=shape[0] * grid.size, offset=offset)
-                yield _checked(values.reshape(shape), shape)
-
-    return grid, times, blocks()
+    """(grid, instants, first slice) of a container whose header, byte count, instants
+    and slices all check out: the slices are read one _blocks block at a time, each
+    checked finite, and only the first is kept.  Any fault is a ValueError that names
+    the file."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < _HEADER.size:
+                raise ValueError(f"{size} bytes, shorter than the {_HEADER.size}-byte header")
+            n, length, npts, nslices = _HEADER.unpack(fh.read(_HEADER.size))
+            if n not in (1, 2, 3) or npts < 1 or nslices < 1:
+                raise ValueError(f"bad header n={n}, npts={npts}, slices={nslices}")
+            want = _HEADER.size + 8 * nslices * (1 + 2 * npts ** n)
+            if size != want:
+                raise ValueError(f"{size} bytes, but its header (n={n}, npts={npts}, "
+                                 f"slices={nslices}) needs {want}")
+            grid = GridSpec(n=n, length=length, npts=npts)
+            times = _instants(np.fromfile(fh, dtype="<f8", count=nslices))
+            first = None
+            for b in _blocks(nslices, grid.size):
+                shape = times[b].shape + grid.shape
+                values = np.fromfile(fh, dtype="<c16", count=shape[0] * grid.size)
+                values = _checked(values.reshape(shape), shape)
+                first = values[0] if first is None else first
+                del values  # not held while the next block is read
+    except ValueError as exc:
+        raise ValueError(f"field container {path}: {exc}") from None
+    return grid, times, first

@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,8 +84,8 @@ def _zero_mode_fraction(values: np.ndarray) -> float:
 
 
 def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
-    """Homogeneous Sobolev norm: |xi|^sigma weighted spectral L2 norm of the bare transform,
-    with the lattice's Parseval weight dx^n / N^n (see grid).
+    """Homogeneous Sobolev norm: |xi|^sigma weighted spectral L2 norm of the Fourier
+    coefficients, with the lattice's Parseval weight dx^n N^n (see grid).
 
     The zero mode carries weight 1 for sigma = 0 and weight 0 otherwise;
     data with significant zero-mode mass get a warning (the smoothing
@@ -96,7 +96,7 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     g = fld.grid
     spec = _spectrum(fld.values, 0.0, g)
-    w = g.cell_volume / g.size
+    w = g.cell_volume * g.size
     if sigma > 0:  # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
         w = w * _euclidean(*(g.axis_frequencies(),) * g.n) ** (2.0 * sigma)
     value = float(_lq(np.abs(spec), 2, None, w))
@@ -113,14 +113,15 @@ _PHASE_BOUND = 2.0 ** 44
 
 
 def _spectrum(values: np.ndarray, sigma: float, g: GridSpec) -> np.ndarray:
-    """The bare fftn of values (one field, or a (T, *shape) stack) in one complex buffer,
-    times |xi|^-sigma with 0 at xi = 0: the part of the evolution that every instant
-    shares, and at sigma = 0 the spectrum that hsigma_norm weighs."""
+    """The Fourier coefficients fftn / N^n of values (one field, or a (T, *shape) stack)
+    in one complex buffer, scaled as they are copied, times |xi|^-sigma with 0 at xi = 0:
+    the part of the evolution that every instant shares, and at sigma = 0 the spectrum
+    that hsigma_norm weighs."""
     sigma = float(sigma)
     if not (0 <= sigma < g.n / 2.0):
         raise ValueError(
             f"sigma must lie in [0, n/2) = [0, {g.n / 2}), got {sigma}")
-    spec = np.array(values, dtype=complex)
+    spec = np.multiply(values, 1.0 / g.size, dtype=complex)
     np.fft.fftn(spec, axes=tuple(range(-g.n, 0)), out=spec)
     if sigma > 0:
         xi = _euclidean(*(g.axis_frequencies(),) * g.n)
@@ -135,8 +136,8 @@ def _propagate(spec: np.ndarray, times, g: GridSpec, out=None, weights=None) -> 
     then overwritten.  The multiplier is the product of one factor exp(-i t_k xi_a^2) per
     axis, each evaluated on the N/2 + 1 distinct |xi_a| and multiplied in place through
     views; with weights, their sum over the instants is taken in frequency first.  All
-    slices go through one bare in-place ifftn.  The phase t |xi|^2 is checked below
-    _PHASE_BOUND before any exp: the instants are monotone, so their ends bound it.
+    slices go through one in-place ifftn, a bare sum.  The phase t |xi|^2 is checked
+    below _PHASE_BOUND before any exp: the instants are monotone, so their ends bound it.
     """
     half = g.npts // 2
     xa = np.abs(g.axis_frequencies()[:half + 1])  # |j| = 0 .. N/2, the last from j = -N/2
@@ -159,7 +160,7 @@ def _propagate(spec: np.ndarray, times, g: GridSpec, out=None, weights=None) -> 
             np.multiply((out if a else spec)[view], factor, out=out[view])
     if weights is not None:
         out = np.tensordot(weights, out, axes=1)
-    return np.fft.ifftn(out, axes=tuple(range(-g.n, 0)), out=out)
+    return np.fft.ifftn(out, axes=tuple(range(-g.n, 0)), norm="forward", out=out)
 
 
 def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
@@ -355,12 +356,12 @@ def kernel_bound(n: int, gamma: float, t, x):
 
 @dataclass
 class DecayProfile:
-    """h(t): windowed amalgam norm of the kernel per time instant."""
+    """h(t): windowed amalgam norm of the kernel per time instant, and its route."""
 
     times: np.ndarray
     values: np.ndarray
     est_error: np.ndarray
-    meta: dict = field(default_factory=dict)
+    route: str
 
 
 def profile_times(tmin: float = 0.02, tmax: float = 50.0,
@@ -400,7 +401,6 @@ def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,
     if len(bad):
         raise ValueError(f"profile times must be positive and finite, got t = {bad[0]}")
     n, sigma = grid.n, float(sigma)
-    window = unit_cube_partition()
     if rt == r == np.inf:
         a = n / 2.0 - sigma
         values = np.array([_peak(n, sigma, t) for t in times.tolist()])
@@ -415,12 +415,9 @@ def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,
             # the norm reads only |K_t|, so the lattice holds it as a real field
             modulus = np.abs(ks.values)
             fld = SampledField(grid, modulus[inv].reshape(grid.shape))
-            values.append(amalgam_norm(fld, rt / 2, r / 2, window).value)
+            values.append(amalgam_norm(fld, rt / 2, r / 2, unit_cube_partition()).value)
             # relative error bound over the samples above 1% of the peak; every
             # shell occurs on the lattice, so the max over shells is the lattice max
             sig = modulus >= 0.01 * modulus.max()
             ests.append(float(np.max(ks.est_error[sig] / modulus[sig])))
-    return DecayProfile(times, np.asarray(values), np.asarray(ests),
-                        {"n": n, "sigma": sigma, "rt": rt, "r": r, "route": route,
-                         "window": window.kind, "window_step": window.step,
-                         "grid": (grid.n, grid.length, grid.npts)})
+    return DecayProfile(times, np.asarray(values), np.asarray(ests), route)

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -28,3 +29,17 @@ def grid2d():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture(scope="session")
+def unpack_container():
+    """A container's (grid, instants, (T, *shape) values), read with struct and
+    np.fromfile alone, independently of grid.read_container."""
+    def unpack(path):
+        with open(path, "rb") as fh:
+            n, length, npts, nslices = struct.unpack("<qdqq", fh.read(32))
+        times = np.fromfile(path, dtype="<f8", count=nslices, offset=32)
+        inter = np.fromfile(path, dtype="<f8", offset=32 + 8 * nslices)
+        values = (inter[0::2] + 1j * inter[1::2]).reshape((nslices,) + (npts,) * n)
+        return GridSpec(n, length, npts), times, values
+    return unpack

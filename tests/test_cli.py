@@ -331,7 +331,7 @@ class TestStrictJson:
          "report.json", ("constraints", 6, "slack_float"), "-inf"),
         (["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
           "--grid-l", "8", "--grid-npts", "64", "--per-decade", "2"],
-         "profile.json", ("meta", "rt"), "inf"),
+         "manifest.json", ("params", "rt"), "inf"),
         (["check-tuple", "--set", "classical", "--n", "2", "--q", "10/3", "--r", "5"],
          "manifest.json", ("params", "q"), "10/3"),
     ], ids=["norm", "check-tuple", "kernel-profile", "manifest"])
@@ -419,6 +419,54 @@ class TestDeterminism:
         assert (a / "mesh.csv").read_bytes() == (b / "mesh.csv").read_bytes()
 
 
+# one small run of every command, and the files it writes: each computed number goes
+# to one of them, with the run's parameters and health fields in manifest.json
+_OUTPUTS = {
+    "check-tuple": (["--set", "theorem", "--n", "1", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
+                     "--q", "10", "--r", "inf"], {"report.json"}),
+    "region": (["--set", "theorem", "--n", "1", "--sigma", "0.3", "--fixed", "rt=inf",
+                "--free", "qt,q", "--resolution", "8"], {"mesh.csv"}),
+    "norm": (["--kind", "hsigma", "--sigma", "0.3", "--gen", "modulated", "--grid-npts", "64"],
+             {"results.csv"}),
+    "evolve": (["--grid-npts", "64", "--save-field"], {"results.csv", "evolved.bin"}),
+    "kernel-profile": (["--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", "inf"],
+                       {"results.csv"}),
+    "fit-decay": (["--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", "inf"], {"results.csv"}),
+    "ratio": (["--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10", "--r", "inf",
+               "--grid-npts", "64", "--t-outer", "2"], {"results.csv"}),
+    "suite": (["--corpus-size", "4"], {"results.csv"}),
+    "hls": (["--p", "4/3", "--alpha", "0.5", "--trials", "2"], {"results.csv"}),
+    "bilinear": (["--grid-npts", "16", "--ntimes", "3", "--pairs", "1"], {"results.csv"}),
+}
+
+
+class TestOutputFiles:
+    def test_every_command_is_listed(self):
+        assert set(_OUTPUTS) == set(cli._build_parser()[1])
+
+    @pytest.mark.parametrize("command", list(_OUTPUTS))
+    def test_files_written(self, tmp_path, command):
+        flags, files = _OUTPUTS[command]
+        assert invoke([command, *flags], tmp_path) == 0
+        assert {p.name for p in tmp_path.iterdir()} == files | {"manifest.json"}
+        assert json.loads((tmp_path / "manifest.json").read_text())["status"] == "complete"
+
+    def test_norm_health_and_source_are_manifest_fields(self, tmp_path):
+        assert invoke(["evolve", "--grid-npts", "64", "--times", "0.5", "--save-field"],
+                      tmp_path / "evolve") == 0
+        assert invoke(["norm", "--kind", "amalgam", "--window", "bump", "--window-radius", "1",
+                       "--input", str(tmp_path / "evolve" / "evolved.bin")], tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["window_blocks"] >= 1
+        assert manifest["input_grid"] == {"n": 1, "length": 16.0, "npts": 64}
+        assert (manifest["input_slices"], manifest["input_time"]) == (1, 0.5)
+        assert invoke(["norm", "--kind", "hsigma", "--sigma", "0.3", "--grid-npts", "64"],
+                      tmp_path) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["zero_mode_fraction"] > 0.1  # the gaussian's, which draws a warning
+        assert len(manifest["warnings"]) == 1 and "input_grid" not in manifest
+
+
 class TestCommands:
     def test_evolve_writes_slices(self, tmp_path):
         code = invoke(["evolve", "--gen", "gaussian", "--grid-npts", "256",
@@ -427,6 +475,28 @@ class TestCommands:
         lines = (tmp_path / "results.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + 3 slices
         assert (tmp_path / "evolved.bin").exists()
+
+    def test_suite_counterexamples_reach_the_manifest(self, tmp_path, monkeypatch):
+        # the suite tests' corruption of row 3 (a spike): three properties fail, and
+        # the manifest names each with its first failing field
+        from amalgam import verify
+        from amalgam.verify import _amalgam_norms
+
+        def corrupted(values, p, q, window, grid):
+            norms, blocks = _amalgam_norms(values, p, q, window, grid)
+            norms[3] = 10.0 * norms[3] + 1.0
+            return norms, blocks
+
+        monkeypatch.setattr(verify, "_amalgam_norms", corrupted)
+        assert invoke(["suite", "--corpus-size", "8"], tmp_path) == 1
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and manifest["passed"] is False
+        found = manifest["counterexamples"]
+        assert set(found) == {"diagonal identity W(p,p) = L^p (unit cubes)",
+                              "homogeneity of the amalgam norm", "triangle inequality"}
+        for worst in found.values():
+            assert (worst["index"], worst["label"]) == (3, "spike[3]")
+            assert worst["detail"]
 
     def test_norm_roundtrip_via_file(self, tmp_path):
         code = invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
@@ -446,9 +516,10 @@ class TestCommands:
         assert code == 0
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "2 slices" in err and "t = 0.2" in err
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["input_slices"] == 2
-        assert report["input_time"] == 0.2
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["input_grid"] == {"n": 1, "length": 16.0, "npts": 128}
+        assert manifest["input_slices"] == 2
+        assert manifest["input_time"] == 0.2
 
     @pytest.mark.parametrize("window,radius", [("bump", "1"), ("gaussian", "0.5")])
     def test_window_norm_default_follows_window(self, tmp_path, window, radius):
@@ -494,19 +565,26 @@ class TestCommands:
     @pytest.mark.parametrize("args", [["norm", "--kind", "hsigma", "--sigma", "0.3"],
                                       ["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf",
                                        "--q", "10", "--r", "inf"]])
-    def test_overflowing_transform_is_usage_error(self, tmp_path, capsys, args):
-        # finite samples of modulus 1e307 whose transform overflows
+    def test_huge_datum_is_homogeneous(self, tmp_path, capsys, args):
+        # samples of modulus 1e307, whose bare forward transform would overflow: the
+        # spectrum is the Fourier coefficients, so every norm is 1e307 times the unit
+        # datum's and the ratio is the unit datum's, bit for bit
         from amalgam.grid import write_container
         from amalgam.verify import modulated_gaussian
         g = GridSpec(1, 16.0, 1024)
-        path = tmp_path / "huge.bin"
-        write_container(path, g, [0.0], [1e307 * modulated_gaussian(g, mode=40).values[None]])
-        capsys.readouterr()
-        assert invoke(args + ["--input", str(path)], tmp_path) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.count("usage error:") == 1 and "non-finite" in err
-        assert "Traceback" not in err
+        rows = {}
+        for scale in (1.0, 1e307):
+            path = tmp_path / f"{scale:g}.bin"
+            write_container(path, g, [0.0], [scale * modulated_gaussian(g, mode=40).values[None]])
+            assert invoke(args + ["--input", str(path)], tmp_path / f"{scale:g}") == 0
+            with open(tmp_path / f"{scale:g}" / "results.csv") as fh:
+                (rows[scale],) = csv.DictReader(fh)
+        assert capsys.readouterr().err == ""
+        unit, huge = ({k: float(v) for k, v in rows[s].items() if k != "space"}
+                      for s in (1.0, 1e307))
+        if "ratio" in unit:
+            assert huge.pop("ratio") == unit.pop("ratio")
+        assert huge == {k: 1e307 * v for k, v in unit.items()}
 
     def test_truncated_container_is_usage_error(self, tmp_path, capsys):
         assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
@@ -590,8 +668,6 @@ class TestCommands:
             assert invoke([command, *base], tmp_path / command) in (0, 1)
             manifest = json.loads((tmp_path / command / "manifest.json").read_text())
             assert manifest["route"] == route
-        profile = json.loads((tmp_path / "kernel-profile" / "profile.json").read_text())
-        assert profile["meta"]["route"] == route
 
     def test_closed_form_profile_ignores_the_grid(self, tmp_path):
         # at rt = r = inf the profile is |K_t(0)|, so the grid flags change nothing, but
@@ -700,17 +776,12 @@ class TestStreaming:
         assert not (tmp_path / "evolved.bin").exists()
 
     def test_failed_evolve_leaves_no_container(self, tmp_path, capsys):
-        # the container's header is written before the first block: a failure removes it
-        from amalgam.grid import write_container
-        from amalgam.verify import modulated_gaussian
-        g = GridSpec(1, 16.0, 1024)
-        path = tmp_path / "huge.bin"
-        write_container(path, g, [0.0], [1e307 * modulated_gaussian(g, mode=40).values[None]])
-        out = tmp_path / "out"
-        assert invoke(["evolve", "--save-field", "--input", str(path)], out) == 2
+        # the container's header is written before the first block: a failure removes it;
+        # the phase t |xi|^2 at t = 1e300 is past 2^44, which fails the first block
+        assert invoke(["evolve", "--save-field", "--times", "1e300"], tmp_path) == 2
         err = capsys.readouterr().err
-        assert err.count("usage error:") == 1 and "non-finite" in err
-        assert not (out / "evolved.bin").exists()
+        assert err.count("usage error:") == 1 and "not below 2^44" in err
+        assert not (tmp_path / "evolved.bin").exists()
 
     def test_failure_in_a_later_block_leaves_no_container(self, tmp_path, capsys):
         # blocks of 16 slices at 4096 points; the 21st instant, 1e308, puts the phase
@@ -983,16 +1054,19 @@ class TestFuzz:
     @settings(max_examples=200, deadline=None)
     # a torus side of 2e-12 rounds to 0 unit cubes, and once made a 4e12-sample window
     @example(n=1, kind="amalgam", cut=None, tail=b"", patch=[], length=1e-12)
-    def test_corrupted_container(self, n, kind, cut, tail, patch, length):
+    def test_corrupted_container(self, n, kind, cut, tail, patch, length, unpack_container):
         # two zero-mean slices on 8^n points; the header (n, L, N, slices) is 32
         # bytes and the two instants fill bytes 32..47
-        from amalgam.grid import SpaceTimeField, read_container, write_container
+        from amalgam.grid import read_container, write_container
         g = GridSpec(n, 2.0, 8)
         values = np.cos(np.arange(2 * g.size)).reshape((2,) + g.shape) * (0.5 - 0.25j)
         values -= values.mean(axis=tuple(range(1, n + 1)), keepdims=True)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "field.bin"
             write_container(path, g, [0.0, 0.5], [values])
+            grid, times, unpacked = unpack_container(path)
+            assert grid == g and times.tolist() == [0.0, 0.5]
+            assert np.array_equal(unpacked, values)
             raw = bytearray(path.read_bytes())
             if length is not None:
                 raw[8:16] = struct.pack("<d", length)
@@ -1000,13 +1074,14 @@ class TestFuzz:
                 raw[pos] = byte
             path.write_bytes(bytes(raw[:cut]) + tail)
             try:
-                grid, times, blocks = read_container(path)
-                stf = SpaceTimeField(grid, times, np.concatenate(list(blocks)))
+                grid, times, first = read_container(path)
             except ValueError as exc:
                 assert path.name in str(exc)
             else:
-                assert isinstance(stf, SpaceTimeField)
-                assert stf.values.shape == stf.times.shape + stf.grid.shape
+                # what the reader accepts, the format's layout reads the same
+                want = unpack_container(path)
+                assert grid == want[0] and np.array_equal(times, want[1])
+                assert np.array_equal(first, want[2][0])
             code, err = _run_quietly(["norm", "--kind", kind, "--sigma", "0.3",
                                       "--input", str(path), "--out", tmp])
         # a container of two slices draws one warning line before the norm runs

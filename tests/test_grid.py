@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,9 +28,9 @@ def random_field(grid, rng):
 
 
 def transform(fld, direction):
-    """The package's one transform pair on one field: "forward" is the bare fftn of
-    propagator._spectrum at sigma = 0, "inverse" the bare ifftn of propagator._propagate
-    at t = 0, where every multiplier is exactly 1."""
+    """The package's one transform pair on one field: "forward" is the Fourier
+    coefficients fftn / N^n of propagator._spectrum at sigma = 0, "inverse" the bare sum
+    of propagator._propagate at t = 0, where every multiplier is exactly 1."""
     g = fld.grid
     if direction == "forward":
         return SampledField(g, _spectrum(fld.values, 0.0, g))
@@ -38,12 +39,6 @@ def transform(fld, direction):
 
 def write_spacetime(stf, path):
     write_container(path, stf.grid, stf.times, [stf.values])
-
-
-def read_spacetime(path):
-    """A container as one field: its blocks, concatenated."""
-    grid, times, blocks = read_container(path)
-    return SpaceTimeField(grid, times, np.concatenate(list(blocks)))
 
 
 class TestMakeGrid:
@@ -99,15 +94,15 @@ class TestTransform:
         f = SampledField(grid1d, np.exp(1j * xi * grid1d.axis_points()))
         spec = transform(f, "forward").values
         mags = np.abs(spec)
-        # N, which the continuum's dx turns into the box length 2L
-        assert mags[j] == pytest.approx(grid1d.npts, rel=1e-12)
+        # a unit-modulus mode is one unit coefficient
+        assert mags[j] == pytest.approx(1.0, rel=1e-12)
         mags[j] = 0.0
-        assert mags.max() < 1e-9 * grid1d.npts
+        assert mags.max() < 1e-9
 
     def test_parseval(self, grid1d, grid2d, rng):
-        # spectral l2 with the grid module's weight dx^n / N^n equals the Riemann L2 norm
+        # spectral l2 with the grid module's weight dx^n N^n equals the Riemann L2 norm
         for g in (grid1d, grid2d):
-            w = g.cell_volume / g.size
+            w = g.cell_volume * g.size
             for _ in range(100):
                 f = random_field(g, rng)
                 spec = transform(f, "forward").values
@@ -271,25 +266,29 @@ class TestMixedNorm:
 
 
 class TestSerialization:
-    def test_spacetime_roundtrip(self, grid1d, rng, tmp_path):
+    def test_spacetime_roundtrip(self, grid1d, rng, tmp_path, unpack_container):
         times = np.array([-1.0, 0.25, 3.0])
         stf = SpaceTimeField(grid1d, times, np.array([random_field(grid1d, rng).values
                                                       for _ in times]))
         path = tmp_path / "field.bin"
         write_spacetime(stf, path)
-        back = read_spacetime(path)
-        assert back.grid == grid1d
-        assert np.array_equal(back.times, times)
-        for k in range(len(times)):
-            assert np.array_equal(back.values[k], stf.values[k])
+        grid, back, values = unpack_container(path)
+        assert grid == grid1d
+        assert np.array_equal(back, times)
+        assert np.array_equal(values, stf.values)
+        grid, back, first = read_container(path)
+        assert grid == grid1d and np.array_equal(back, times)
+        assert np.array_equal(first, stf.values[0])
 
-    def test_single_field_roundtrip(self, grid2d, rng, tmp_path):
+    def test_single_field_roundtrip(self, grid2d, rng, tmp_path, unpack_container):
         f = random_field(grid2d, rng)
         path = tmp_path / "f.bin"
         write_spacetime(SpaceTimeField(grid2d, [0.0], f.values[None]), path)
-        back = read_spacetime(path)
-        assert back.grid == grid2d
-        assert np.array_equal(back.values[0], f.values)
+        grid, _, values = unpack_container(path)
+        assert grid == grid2d
+        assert np.array_equal(values, f.values[None])
+        grid, _, first = read_container(path)
+        assert grid == grid2d and np.array_equal(first, f.values)
 
     def test_layout_is_little_endian_interleaved(self, tmp_path):
         g = GridSpec(1, 1.0, 8)
@@ -315,13 +314,13 @@ class TestSerialization:
         path = self._container(tmp_path, rng)
         path.write_bytes(path.read_bytes() + bytes(16))
         with pytest.raises(ValueError, match=f"{path.name}.*needs"):
-            read_spacetime(path)
+            read_container(path)
 
     def test_truncated_inside_slice_rejected(self, tmp_path, rng):
         path = self._container(tmp_path, rng)
         path.write_bytes(path.read_bytes()[:-20])
         with pytest.raises(ValueError, match=f"{path.name}.*needs"):
-            read_spacetime(path)
+            read_container(path)
 
     @pytest.mark.parametrize("size", [0, 20, 40])
     def test_zero_bytes_rejected(self, tmp_path, size):
@@ -329,28 +328,34 @@ class TestSerialization:
         path = tmp_path / "zero.bin"
         path.write_bytes(bytes(size))
         with pytest.raises(ValueError, match=path.name):
-            read_spacetime(path)
+            read_container(path)
 
-    def test_blocks_are_read_and_checked_one_at_a_time(self, tmp_path):
-        # three slices of 2^16 points: one slice per block, written as three blocks
+    def test_blocks_are_read_and_checked_one_at_a_time(self, tmp_path, unpack_container):
+        # three slices of 2^16 points, 1 MiB each: one slice per block, written as three
+        # blocks; the reader holds the first slice and one block besides, not the file
         g = GridSpec(1, 16.0, 2 ** 16)
         assert len(_blocks(3, g.size)) == 3
         values = np.arange(3 * g.size).reshape((3,) + g.shape) * (1 - 1j)
         path = tmp_path / "three.bin"
         write_container(path, g, [0.0, 0.5, 1.0], iter(values[:, None]))
-        grid, times, blocks = read_container(path)
-        blocks = list(blocks)
+        grid, times, unpacked = unpack_container(path)
         assert grid == g and np.array_equal(times, [0.0, 0.5, 1.0])
-        assert [b.shape for b in blocks] == [(1,) + g.shape] * 3
-        assert np.array_equal(np.concatenate(blocks), values)
+        assert np.array_equal(unpacked, values)
+        del unpacked
+        tracemalloc.start()
+        try:
+            grid, times, first = read_container(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid == g and np.array_equal(times, [0.0, 0.5, 1.0])
+        assert np.array_equal(first, values[0])
+        assert peak < 2.5 * 2 ** 20
         raw = bytearray(path.read_bytes())
         raw[-16:-8] = struct.pack("<d", np.nan)  # the last slice's last sample
         path.write_bytes(bytes(raw))
-        blocks = read_container(path)[2]
-        assert np.array_equal(next(blocks)[0], values[0])
-        assert np.array_equal(next(blocks)[0], values[1])
         with pytest.raises(ValueError, match=f"{path.name}.*non-finite"):
-            next(blocks)
+            read_container(path)
 
     @pytest.mark.parametrize("blocks,match", [
         ([np.ones((1, 8))], "blocks hold 1 slices, the instants 2"),
@@ -372,7 +377,7 @@ class TestSerialization:
         for header in ((4, 1.0, 8, 2), (1, 1.0, 0, 2), (1, 1.0, 8, 0), (1, float("nan"), 8, 2)):
             path.write_bytes(struct.pack("<qdqq", *header) + raw[32:])
             with pytest.raises(ValueError, match=path.name):
-                read_spacetime(path)
+                read_container(path)
 
 
 class TestInvariantsAndChecks:

@@ -241,7 +241,7 @@ class TestOriginPeak:
         uniq, inv = _shells(grid)
         for sigma in peak_sigmas(grid.n):
             prof = kernel_amalgam_profile(sigma, "inf", "inf", PEAK_TIMES, grid)
-            assert prof.meta["route"] == "closed-form"
+            assert prof.route == "closed-form"
             for t, peak in zip(PEAK_TIMES, prof.values):
                 modulus = np.abs(kernel_eval(grid.n, sigma, t, uniq).values)
                 # rounding alone may lift a sample over the peak, at sigma = 0 by 2 ulps

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import tracemalloc
+import warnings
 from functools import cache, partial
 
 import numpy as np
@@ -50,13 +51,11 @@ from amalgam.wiener import (
 )
 
 
-def synthetic_profile(exponent_small, exponent_large, n=1, sigma=0.3,
-                      rt=np.inf, r=np.inf):
+def synthetic_profile(exponent_small, exponent_large):
     times = np.geomspace(0.02, 50.0, 82)
     vals = np.where(times <= 1.0, times ** exponent_small, times ** exponent_large)
-    return DecayProfile(times=times, values=vals,
-                        est_error=np.zeros_like(times),
-                        meta={"n": n, "sigma": sigma, "rt": rt, "r": r})
+    return DecayProfile(times=times, values=vals, est_error=np.zeros_like(times),
+                        route="closed-form")
 
 
 class TestFitDecay:
@@ -86,7 +85,7 @@ class TestFitDecay:
     def test_needs_enough_points(self):
         times = np.geomspace(0.5, 2.0, 10)
         prof = DecayProfile(times=times, values=times ** -0.5,
-                            est_error=np.zeros_like(times), meta={})
+                            est_error=np.zeros_like(times), route="closed-form")
         with pytest.raises(ValueError, match="points per regime"):
             fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
 
@@ -162,12 +161,19 @@ class TestStrichartzRatio:
         with pytest.raises(ValueError, match="increasing"):
             strichartz_ratio(f, self.tuple_accept(), times=[0.1, 0.5, 0.3])
 
-    def test_overflowing_datum_rejected(self):
-        # finite samples of modulus 1e307 whose transform overflows
+    def test_huge_datum_is_homogeneous(self):
+        # samples of modulus 1e307, whose bare forward transform would overflow: the
+        # spectrum is the Fourier coefficients, so both norms scale by 1e307 and the
+        # ratio is the unit datum's, bit for bit, with no warning
         g = GridSpec(1, 16.0, 1024)
-        f = SampledField(g, 1e307 * modulated_gaussian(g, mode=40).values)
-        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="non-finite"):
-            strichartz_ratio(f, self.tuple_accept())
+        m = modulated_gaussian(g, mode=40).values
+        unit = strichartz_ratio(SampledField(g, m), self.tuple_accept())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge = strichartz_ratio(SampledField(g, 1e307 * m), self.tuple_accept())
+        assert huge.value == unit.value
+        assert (huge.numerator, huge.denominator) == (1e307 * unit.numerator,
+                                                      1e307 * unit.denominator)
 
     @pytest.mark.parametrize("t_outer", [0.5, 0.0, -4.0, float("nan")])
     def test_outer_time_below_one_rejected(self, t_outer):
