@@ -3,15 +3,18 @@
     python .github/bench_diff.py <base> <head>
 
 prints "benchmark outputs against the base: identical", or "... these differ" and one
-line per file whose bytes differ.  A CSV file gets its largest relative difference over
-the cells that read as numbers in both trees, or "shape differs" when its rows do not
-line up cell for cell; a text cell that differs is named as well.  Any other file is
-listed by name.  A manifest.json holds wall times and paths and is skipped.  The exit
-status is 0 whatever differs: a change that speeds a computation up may move its
-round-off.
+line per output file whose bytes differ, then the same for the manifests.  A CSV file
+gets its largest relative difference over the cells that read as numbers in both trees,
+or "shape differs" when its rows do not line up cell for cell; a text cell that differs
+is named as well.  Any other output file is listed by name.  A manifest.json is compared
+field by field, with its wall time dropped and each tree's root written as "OUT", as the
+stdout files have it; each field that differs is listed with both values, so a health
+field that moves shows.  The exit status is 0 whatever differs: a change that speeds a
+computation up may move its round-off.
 """
 
 import csv
+import json
 import math
 import sys
 from pathlib import Path
@@ -46,24 +49,43 @@ def csv_difference(a: Path, b: Path) -> str:
     return f"largest relative difference {worst:.3g}" + (", text cells differ" if text else "")
 
 
-def main(base: Path, head: Path) -> list:
-    """One line per differing file, in path order."""
+def _manifest(root: Path, rel: Path) -> dict:
+    """A manifest's fields, its root written as "OUT" and its wall time dropped."""
+    fields = json.loads((root / rel).read_text().replace(str(root.resolve()), "OUT"))
+    fields.pop("wall_time_s", None)
+    return fields
+
+
+def manifest_difference(base: Path, head: Path, rel: Path) -> str:
+    """The fields in which two trees' manifests differ, with both values; "" if none."""
+    a, b = _manifest(base, rel), _manifest(head, rel)
+    return ", ".join(f"{k} {a.get(k)!r} -> {b.get(k)!r}"
+                     for k in sorted(a.keys() | b.keys()) if a.get(k) != b.get(k))
+
+
+def main(base: Path, head: Path) -> tuple:
+    """One line per differing output file and one per differing manifest, in path order."""
     def files(root):
-        return {p.relative_to(root) for p in root.rglob("*")
-                if p.is_file() and p.name != "manifest.json"}
+        return {p.relative_to(root) for p in root.rglob("*") if p.is_file()}
 
     ours, theirs = files(base), files(head)
-    lines = [f"only in {'base' if rel in ours else 'head'}: {rel}"
-             for rel in sorted(ours ^ theirs)]
+    outputs = [f"only in {'base' if rel in ours else 'head'}: {rel}"
+               for rel in sorted(ours ^ theirs)]
+    manifests = []
     for rel in sorted(ours & theirs):
         a, b = base / rel, head / rel
-        if a.read_bytes() != b.read_bytes():
+        if rel.name == "manifest.json":
+            note = manifest_difference(base, head, rel)
+            if note:
+                manifests.append(f"{rel}: {note}")
+        elif a.read_bytes() != b.read_bytes():
             note = f": {csv_difference(a, b)}" if rel.suffix == ".csv" else ""
-            lines.append(f"{rel}{note}")
-    return lines
+            outputs.append(f"{rel}{note}")
+    return outputs, manifests
 
 
 if __name__ == "__main__":
-    lines = main(Path(sys.argv[1]), Path(sys.argv[2]))
-    head = "benchmark outputs against the base: " + ("these differ" if lines else "identical")
-    print("\n".join([head] + lines))
+    for what, lines in zip(("benchmark outputs", "manifests"),
+                           main(Path(sys.argv[1]), Path(sys.argv[2]))):
+        head = f"{what} against the base: " + ("these differ" if lines else "identical")
+        print("\n".join([head] + lines))

@@ -8,7 +8,8 @@ bench/workloads.py, and runs each workload's commands in order through
 "{id}" in an argument replaced by that command's directory, as bench/run.py does.
 Each command's exit code and stdout go to <out>/<workload>/<id>.stdout, with <out>
 written as "OUT".  Two trees made from two source trees compare with
-.github/bench_diff.py, which leaves out the manifests: they hold wall times and paths.
+.github/bench_diff.py, which reads the manifests without their wall times and with
+each tree's root written as "OUT".
 """
 
 import contextlib

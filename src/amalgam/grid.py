@@ -175,7 +175,10 @@ class SpaceTimeField:
 
 @dataclass
 class NormResult:
-    """The record that the norm command writes: a computed norm and the metadata to reproduce it."""
+    """The record that the norm command writes: a computed norm, and in meta the health
+    fields of its computation (hsigma_norm's zero_mode_fraction, amalgam_norm's
+    window_blocks), plus amalgam_norm's n, L and step, which the benchmark's layer trace
+    reads.  The parameters that reproduce it are the command's manifest's."""
 
     value: float
     space: str
@@ -223,12 +226,7 @@ def lebesgue_norm(fld: SampledField, p: float) -> NormResult:
     p = float(p)
     if not p >= 1:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    value = float(_lq(np.abs(fld.values), p, None, fld.grid.cell_volume))
-    return NormResult(
-        value=value,
-        space="lebesgue",
-        meta={"n": fld.grid.n, "L": fld.grid.length, "N": fld.grid.npts},
-    )
+    return NormResult(float(_lq(np.abs(fld.values), p, None, fld.grid.cell_volume)), "lebesgue")
 
 
 def trapezoid_weights(times: np.ndarray) -> np.ndarray:

@@ -68,44 +68,33 @@ ZERO_MODE_TOL = 1e-10
 # evolution in frequency space
 # ---------------------------------------------------------------------------
 
-def _zero_mode_fraction(values: np.ndarray) -> float:
-    """Share of a field's spectral l2 mass in its zero mode, read off the samples by
-    Parseval as |sum f|^2 / (N^n sum |f|^2) (0 for a zero field), with a warning at
-    ZERO_MODE_TOL or above: a smoothing weight of order sigma > 0 drops the zero mode."""
-    total = float(_lq(np.abs(values), 2))
-    zfrac = float((abs(values.sum()) / total) ** 2 / values.size) if total else 0.0
-    if zfrac >= ZERO_MODE_TOL:
-        warnings.warn(
-            f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; "
-            "the smoothing weight drops it, so the norm undercounts this field",
-            stacklevel=3,
-        )
-    return zfrac
-
-
 def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     """Homogeneous Sobolev norm: |xi|^sigma weighted spectral L2 norm of the Fourier
-    coefficients, with the lattice's Parseval weight dx^n N^n (see grid).
+    coefficients c, with the lattice's Parseval weight dx^n N^n (see grid).
 
-    The zero mode carries weight 1 for sigma = 0 and weight 0 otherwise;
-    data with significant zero-mode mass get a warning (the smoothing
-    weight is singular there and the lattice convention matters).
+    The zero mode carries weight 1 for sigma = 0 and weight 0 otherwise.  For
+    sigma > 0, meta's zero_mode_fraction is its share (|c_0| / ||c||_2)^2 of the
+    spectral l2 mass (0 for a zero field; it cannot overflow, as |c_0| <= ||c||_2),
+    and a share of ZERO_MODE_TOL or above draws a warning: the norm undercounts
+    such a field.
     """
     sigma = float(sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     g = fld.grid
-    spec = _spectrum(fld.values, 0.0, g)
-    w = g.cell_volume * g.size
-    if sigma > 0:  # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
+    modulus = np.abs(_spectrum(fld.values, 0.0, g))
+    w, zfrac = g.cell_volume * g.size, 0.0
+    if sigma > 0:
+        total = float(_lq(modulus.copy(), 2))
+        zfrac = float(modulus[(0,) * g.n] / total) ** 2 if total else 0.0
+        if zfrac >= ZERO_MODE_TOL:
+            warnings.warn(f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; the "
+                          "smoothing weight drops it, so the norm undercounts this field",
+                          stacklevel=2)
+        # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
         w = w * _euclidean(*(g.axis_frequencies(),) * g.n) ** (2.0 * sigma)
-    value = float(_lq(np.abs(spec), 2, None, w))
-    zfrac = _zero_mode_fraction(fld.values) if sigma > 0 else 0.0
-    return NormResult(
-        value=value,
-        space="homogeneous-sobolev",
-        meta={"n": g.n, "L": g.length, "N": g.npts, "zero_mode_fraction": zfrac},
-    )
+    return NormResult(float(_lq(modulus, 2, None, w)), "homogeneous-sobolev",
+                      {"zero_mode_fraction": zfrac})
 
 
 # below 2^44 rad, adjacent float64 phases differ by at most 2^-9 rad
@@ -167,12 +156,13 @@ def evolve_blocks(fld: SampledField, times, sigma: float = 0.0):
     """The free evolution with smoothing order sigma, one _blocks block of instants at a
     time: yields (instants, block) pairs, block the (k, *shape) slices at those instants,
     checked finite.  Unitary on L2 for sigma = 0.  The smoothing weight's zero frequency
-    is set to zero, so data with zero-mode mass draw hsigma_norm's warning."""
+    is set to zero, so data with zero-mode mass draw hsigma_norm's warning, once sigma
+    has passed _spectrum's range check."""
     g = fld.grid
     times = _instants(times)
     spec = _spectrum(fld.values, sigma, g)
     if float(sigma) > 0:
-        _zero_mode_fraction(fld.values)
+        hsigma_norm(fld, sigma)
     for b in _blocks(len(times), g.size):
         block = _propagate(spec, times[b], g)
         finite = np.isfinite(block).reshape(len(block), -1).all(axis=1)

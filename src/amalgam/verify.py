@@ -31,6 +31,7 @@ from .grid import (
     trapezoid_weights,
 )
 from .propagator import (
+    ZERO_MODE_TOL,
     DecayProfile,
     _propagate,
     _spectrum,
@@ -295,14 +296,15 @@ def strichartz_ratio(fld: SampledField, tup: expo.ExponentTuple,
     """Space-time amalgam norm (unit cubes) of the free evolution over the data norm; the
     tuple's dimension must be the field's.  At qt = q and rt = r the numerator is the
     classical mixed norm L^q_t L^r_x.  The tuple need not lie in the theorem's region
-    (the ratio command checks that)."""
+    (the ratio command checks that); a datum whose zero-mode share reaches ZERO_MODE_TOL,
+    which the data norm cannot see, is a ValueError."""
     if tup.n != fld.grid.n:
         raise ValueError(f"the tuple's dimension n = {tup.n} is not the field's, {fld.grid.n}")
-    data = hsigma_norm(fld, float(tup.sigma))  # sigma > 0: meta has the zero-mode fraction
+    data = hsigma_norm(fld, float(tup.sigma))  # sigma > 0: it warns of the zero mode
     denom, zfrac = data.value, data.meta["zero_mode_fraction"]
     if denom == 0.0:
         raise ValueError("degenerate datum: zero smoothing norm (f = 0?)")
-    if zfrac > 1e-8:
+    if zfrac >= ZERO_MODE_TOL:
         raise ValueError(f"datum has zero-mode mass fraction {zfrac:.2e}; "
                          "use a zero-mode-free generator")
     times = default_ratio_times() if times is None else times
@@ -453,7 +455,6 @@ def factorized_bilinear_form(F: SpaceTimeField, G: SpaceTimeField, sigma: float)
 class PropertyResult:
     name: str
     passed: bool
-    detail: str = ""
     counterexample: dict | None = None
 
 
@@ -466,10 +467,8 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def summary(self) -> str:
-        lines = []
-        for r in self.results:
-            lines.append(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  {r.detail}")
-        return "\n".join(lines)
+        return "\n".join(f"{'PASS' if r.passed else 'FAIL'}  {r.name}  {r.counterexample or ''}"
+                         for r in self.results)
 
 
 def _suite_corpus(grid: GridSpec, seed: int, size: int):
@@ -520,8 +519,8 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
             return
         i = int(bad[0])
         detail = next(describe(i) for holds, describe in checks if not holds[i])
-        worst = {"index": i, "label": labels[i], "detail": detail}
-        results.append(PropertyResult(name, False, str(worst), worst))
+        results.append(PropertyResult(name, False, {"index": i, "label": labels[i],
+                                                    "detail": detail}))
 
     def diagonal(p):
         a = anorm(stack, p, p)

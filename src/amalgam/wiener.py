@@ -212,16 +212,11 @@ def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> N
     p, q = float(p), float(q)
     g = fld.grid
     value, nblocks = _amalgam_norms(fld.values, p, q, window, g)
-    meta = {"n": g.n, "L": g.length, "N": g.npts, "window": window.kind,
-            "step": window.step, "radius": window.radius,
-            "normalization": window.normalization}
+    # n, L and step give the translate count that the benchmark's layer trace records
+    meta = {"n": g.n, "L": g.length, "step": window.step}
     if not window.is_partition:
         meta["window_blocks"] = nblocks
-    return NormResult(
-        value=float(value),
-        space="wiener-amalgam",
-        meta=meta,
-    )
+    return NormResult(float(value), "wiener-amalgam", meta)
 
 
 def weak_lorentz_norm(a, p: float):

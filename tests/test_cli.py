@@ -158,8 +158,11 @@ class TestUsageErrors:
          "reject: need 1 <= p < q, got p=1/2, q=10/19"),
         (["check-tuple", "--set", "theorem", "--n", "1", "--config", "x"], 2,
          "usage error: unrecognized arguments: --config x"),
+        # the range check comes before any zero-mode read, which would warn of the gaussian
+        (["evolve", "--sigma", "0.5", "--gen", "gaussian", "--grid-npts", "64"], 2,
+         "usage error: sigma must lie in [0, n/2) = [0, 0.5), got 0.5"),
     ], ids=["fit-decay-rt", "kernel-profile-tmin", "window-radius", "window-step", "hls-p",
-            "config"])
+            "config", "evolve-sigma"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, code, line):
         # a refused value exits 2 with one stderr line; hls's reject is a verdict, exit 0
         assert invoke(argv, tmp_path) == code
@@ -586,6 +589,25 @@ class TestCommands:
             assert huge.pop("ratio") == unit.pop("ratio")
         assert huge == {k: 1e307 * v for k, v in unit.items()}
 
+    @pytest.mark.parametrize("args", [["norm", "--kind", "hsigma", "--sigma", "0.3"],
+                                      ["evolve", "--sigma", "0.3"]])
+    def test_zero_mode_share_of_a_huge_datum(self, tmp_path, capsys, args):
+        # 1e307 times the default gaussian, whose plain sum overflows: the one warning is
+        # the zero-mode share's, and the share recorded is the unit datum's, 1.11e-01
+        from amalgam.grid import write_container
+        from amalgam.verify import gaussian_datum
+        g = GridSpec(1, 16.0, 1024)
+        path = tmp_path / "huge.bin"
+        write_container(path, g, [0.0], [1e307 * gaussian_datum(g).values[None]])
+        assert invoke(args + ["--input", str(path)], tmp_path / "out") == 0
+        err = capsys.readouterr().err
+        assert err == ("warning: zero-mode mass fraction 1.11e-01 >= 1e-10; the smoothing "
+                       "weight drops it, so the norm undercounts this field\n")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        if args[0] == "norm":
+            assert manifest["zero_mode_fraction"] == pytest.approx(0.11077836568159476,
+                                                                   rel=1e-12)
+
     def test_truncated_container_is_usage_error(self, tmp_path, capsys):
         assert invoke(["evolve", "--gen", "gaussian", "--grid-npts", "128",
                        "--times", "0.2", "--save-field"], tmp_path) == 0
@@ -883,6 +905,18 @@ class TestStreaming:
         assert err == ("warning: zero-mode mass fraction 1.11e-01 >= 1e-10; the smoothing weight "
                        "drops it, so the norm undercounts this field\n"
                        "usage error: datum has zero-mode mass fraction 1.11e-01; "
+                       "use a zero-mode-free generator\n")
+
+    def test_ratio_refuses_at_the_warning_threshold(self, tmp_path, capsys):
+        # a zero-mode share of 8.72e-10 draws the warning, so the ratio, whose denominator
+        # undercounts the datum, is refused at the same threshold
+        assert invoke(["ratio", "--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10",
+                       "--r", "inf", "--mode", "22", "--t-outer", "2"], tmp_path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == ("warning: zero-mode mass fraction 8.72e-10 >= 1e-10; the smoothing weight "
+                       "drops it, so the norm undercounts this field\n"
+                       "usage error: datum has zero-mode mass fraction 8.72e-10; "
                        "use a zero-mode-free generator\n")
 
     def test_ratio_of_another_dimension_is_usage_error(self, tmp_path, capsys):

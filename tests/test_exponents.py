@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -154,6 +155,46 @@ class TestPredictedDecay:
     def test_small_order(self):
         s, l = predicted_kernel_decay(1, "0.2", "inf", 10)
         assert (s, l) == (F(-3, 10), F(-1, 5))
+
+
+# the theorem's two analytic clauses and the kernel's decay exponents are written in two
+# places; these exact identities tie them together on a rational lattice, no tolerance
+_SIGMAS = (F(1, 10), F(3, 10), F(7, 10), F(6, 5))
+_RECIPS = tuple(F(k, 12) for k in range(7))  # 0, 1/12, .., 1/2
+
+
+class TestDecayExponentIdentities:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_clause_slacks_are_the_decay_exponents(self, n):
+        # 2/qt + (n-1)/rt > n/2 - sigma has slack 2/qt + small; the trade-off form's
+        # value is 2/q + large.  Each clause reads (qt, rt) or (rt, q, r) only, so qt = q
+        # still puts every lattice point of each clause's reciprocals through it
+        for sigma, urt, uq, ur in itertools.product(_SIGMAS, *(_RECIPS,) * 3):
+            uqt = uq
+            t = tup(n, sigma, *map(from_recip, (uqt, urt, uq, ur)))
+            small, large = predicted_kernel_decay(n, sigma, t.rt, t.r)
+            *_, integrable, trade_off = check("theorem", t).constraints
+            assert integrable.name == "2/qt + (n-1)/rt > n/2 - sigma"
+            assert integrable.slack == 2 * uqt + small
+            assert trade_off.slack == 2 * uq + large
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_accepted_tuples_have_a_summable_tail(self, n):
+        # 1/r solved from the trade-off equality: every accepted tuple has
+        # q (n/2 - n/r) = 2 + q (sigma + (n-1)/rt) > 2
+        accepted = 0
+        for sigma, uqt, urt, uq in itertools.product(_SIGMAS, *(_RECIPS,) * 3):
+            ur = (F(n, 2) - sigma - (n - 1) * urt - 2 * uq) / n
+            if not 0 <= ur <= 1:
+                continue
+            t = tup(n, sigma, *map(from_recip, (uqt, urt, uq, ur)))
+            if not check("theorem", t).verdict:
+                continue
+            accepted += 1
+            tail = (F(n, 2) - n * ur) / uq
+            assert tail == 2 + (sigma + (n - 1) * urt) / uq
+            assert tail > 2
+        assert accepted > 0
 
 
 class TestClassicalLine:

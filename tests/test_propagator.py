@@ -70,6 +70,19 @@ class TestHsigmaNorm:
         with pytest.warns(UserWarning, match="zero-mode"):
             hsigma_norm(f, 0.3)
 
+    def test_zero_mode_share_of_a_huge_datum(self):
+        # the share is read off the Fourier coefficients, so samples of modulus 1e307, whose
+        # plain sum overflows, give the unit datum's share; an overflow warning would
+        # fail here (pyproject turns RuntimeWarning into an error)
+        g = GridSpec(1, 16.0, 1024)
+        f = gaussian_datum(g)
+        with pytest.warns(UserWarning, match="zero-mode"):
+            unit = hsigma_norm(f, 0.3).meta["zero_mode_fraction"]
+        with pytest.warns(UserWarning, match="zero-mode"):
+            huge = hsigma_norm(SampledField(g, 1e307 * f.values), 0.3).meta["zero_mode_fraction"]
+        assert unit == pytest.approx(0.11077836568159476, rel=1e-12)
+        assert huge == pytest.approx(unit, rel=1e-12)
+
     def test_rejects_negative_sigma(self, grid1d):
         with pytest.raises(ValueError):
             hsigma_norm(band_limited_field(grid1d, 0), -0.1)
