@@ -215,9 +215,10 @@ def _lq(a: np.ndarray, q: float, axis=None, weight=1.0, starts=None) -> np.ndarr
     else:
         total = np.add.reduceat(a, starts)
     root = np.power(total, 1.0 / q)
-    # peak * root overflows only if root > 1, and then _FMAX / root cannot
-    if (peak > _FMAX / np.maximum(root, 1.0)).any():
-        raise ValueError("the norm exceeds the float64 range")
+    # peak * root overflows only if root > 1, and then _FMAX / root cannot; NaN fails too
+    if not (peak <= _FMAX / np.maximum(root, 1.0)).all():
+        raise ValueError("non-finite values reached a norm" if np.isnan(root).any()
+                         else "the norm exceeds the float64 range")
     return peak * root
 
 

@@ -76,25 +76,29 @@ def hsigma_norm(fld: SampledField, sigma: float) -> NormResult:
     sigma > 0, meta's zero_mode_fraction is its share (|c_0| / ||c||_2)^2 of the
     spectral l2 mass (0 for a zero field; it cannot overflow, as |c_0| <= ||c||_2),
     and a share of ZERO_MODE_TOL or above draws a warning: the norm undercounts
-    such a field.
+    such a field.  A norm beyond the float64 range is a ValueError.
     """
     sigma = float(sigma)
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     g = fld.grid
     modulus = np.abs(_spectrum(fld.values, 0.0, g))
-    w, zfrac = g.cell_volume * g.size, 0.0
+    w, zfrac, unit = g.cell_volume * g.size, 0.0, g.dxi * g.npts / 2 * math.sqrt(g.n)
     if sigma > 0:
-        total = float(_lq(modulus.copy(), 2))
-        zfrac = float(modulus[(0,) * g.n] / total) ** 2 if total else 0.0
+        zfrac = float(modulus[(0,) * g.n] / (_lq(modulus.copy(), 2) or 1.0)) ** 2
         if zfrac >= ZERO_MODE_TOL:
             warnings.warn(f"zero-mode mass fraction {zfrac:.2e} >= {ZERO_MODE_TOL:.0e}; the "
                           "smoothing weight drops it, so the norm undercounts this field",
                           stacklevel=2)
-        # |xi|^(2 sigma) w at every lattice point, 0 at xi = 0
-        w = w * _euclidean(*(g.axis_frequencies(),) * g.n) ** (2.0 * sigma)
-    return NormResult(float(_lq(modulus, 2, None, w)), "homogeneous-sobolev",
-                      {"zero_mode_fraction": zfrac})
+        # w (|xi| / unit)^(2 sigma), 0 at xi = 0, with unit the largest |xi|, cannot overflow;
+        # the norm is unit^sigma times its root, in logs where unit^sigma alone overflows
+        w = w * _euclidean(*(g.axis_frequencies() / unit,) * g.n) ** (2.0 * sigma)
+    value = float(_lq(modulus, 2, None, w))
+    log_norm = math.log(value) + sigma * math.log(unit) if value else -math.inf
+    if not log_norm < math.log(np.finfo(float).max):
+        raise ValueError("the norm exceeds the float64 range")
+    value = value * unit ** sigma if sigma * math.log(unit) < 709.0 else math.exp(log_norm)
+    return NormResult(value, "homogeneous-sobolev", {"zero_mode_fraction": zfrac})
 
 
 # below 2^44 rad, adjacent float64 phases differ by at most 2^-9 rad
@@ -122,31 +126,25 @@ def _spectrum(values: np.ndarray, sigma: float, g: GridSpec) -> np.ndarray:
 def _propagate(spec: np.ndarray, times, g: GridSpec, out=None, weights=None) -> np.ndarray:
     """Slice k: exp(-i t_k |xi|^2) times a _spectrum (one spectrum, or spec[k] of a
     stack), in position space, in out: a new (T, *shape) array, or spec itself, which is
-    then overwritten.  The multiplier is the product of one factor exp(-i t_k xi_a^2) per
-    axis, each evaluated on the N/2 + 1 distinct |xi_a| and multiplied in place through
-    views; with weights, their sum over the instants is taken in frequency first.  All
-    slices go through one in-place ifftn, a bare sum.  The phase t |xi|^2 is checked
-    below _PHASE_BOUND before any exp: the instants are monotone, so their ends bound it.
+    then overwritten.  The multiplier is one factor exp(-i t_k xi_a^2) per axis, evaluated
+    on the N/2 + 1 distinct |xi_a| and laid out in FFT order; with weights, their sum over
+    the instants is taken in frequency first.  All slices go through one in-place ifftn, a
+    bare sum.  The phase t |xi|^2 is checked below _PHASE_BOUND before any exp: the
+    instants are monotone, so their ends bound it.
     """
-    half = g.npts // 2
-    xa = np.abs(g.axis_frequencies()[:half + 1])  # |j| = 0 .. N/2, the last from j = -N/2
+    xa = np.abs(g.axis_frequencies()[:g.npts // 2 + 1])  # |j| = 0 .. N/2, the last from -N/2
     times = np.asarray(times, dtype=float)
     top = g.n * float(xa[-1]) ** 2
     if not max(abs(float(times[0])), abs(float(times[-1]))) * top < _PHASE_BOUND:
         first = next(t for t in times.tolist() if not abs(t) * top < _PHASE_BOUND)
         raise ValueError(f"the phase t |xi|^2 at t = {first} is not below 2^44, "
                          "so float64 cannot resolve it to 2^-9 rad")
-    table = np.multiply.outer(-1j * times, xa ** 2)
-    np.exp(table, out=table)
-    if out is None:
-        out = np.empty(times.shape + g.shape, dtype=complex)
-    # in FFT order, positions half + 1 .. N - 1 hold |j| = half - 1 .. 1
-    parts = (slice(None, half + 1), table), (slice(half + 1, None), table[:, half - 1:0:-1])
+    j = np.arange(g.npts)  # FFT position j holds |j| = min(j, N - j)
+    factor = np.exp(np.multiply.outer(-1j * times, xa ** 2))[:, np.minimum(j, g.npts - j)]
+    out = np.empty(times.shape + g.shape, dtype=complex) if out is None else out
     for a in range(g.n):
-        for pos, factor in parts:
-            view = (..., pos) + (slice(None),) * (g.n - 1 - a)
-            factor = factor.reshape(times.shape + (1,) * a + (-1,) + (1,) * (g.n - 1 - a))
-            np.multiply((out if a else spec)[view], factor, out=out[view])
+        shape = times.shape + (1,) * a + (-1,) + (1,) * (g.n - 1 - a)
+        np.multiply(out if a else spec, factor.reshape(shape), out=out)
     if weights is not None:
         out = np.tensordot(weights, out, axes=1)
     return np.fft.ifftn(out, axes=tuple(range(-g.n, 0)), norm="forward", out=out)
@@ -277,7 +275,10 @@ def _peak(n: int, sigma: float, t: float) -> float:
     if not (0.0 <= 2.0 * sigma < n):
         raise ValueError(f"symbol exponent 2*sigma must lie in [0, n), got {2 * sigma}")
     a, b = n / 2.0 - sigma, n / 2.0
-    return (4.0 * np.pi) ** -b * math.exp(math.lgamma(a) - math.lgamma(b)) * abs(t) ** -a
+    try:
+        return (4.0 * np.pi) ** -b * math.exp(math.lgamma(a) - math.lgamma(b)) * abs(t) ** -a
+    except OverflowError:  # of |t|^-a: the rest exceeds 1 only for a < 0.15, where |t|^-a < e^112
+        raise ValueError(f"|K_t(0)| at t = {t} exceeds the float64 range") from None
 
 
 @dataclass
@@ -361,11 +362,9 @@ def profile_times(tmin: float = 0.02, tmax: float = 50.0,
         raise ValueError("need 0 < tmin < 1 < tmax")
     if per_decade < 1:
         raise ValueError(f"per_decade must be >= 1, got {per_decade}")
-    small = int(np.ceil(np.log10(1.0 / tmin) * per_decade)) + 1
-    large = int(np.ceil(np.log10(tmax) * per_decade)) + 1
-    ts = np.concatenate([np.geomspace(tmin, 1.0, small),
-                         np.geomspace(1.0, tmax, large)])
-    return np.unique(ts)
+    ts = [np.geomspace(lo, hi, int(np.ceil((np.log10(hi) - np.log10(lo)) * per_decade)) + 1)
+          for lo, hi in ((tmin, 1.0), (1.0, tmax))]  # not log10(hi / lo): 1 / tmin may overflow
+    return np.unique(np.concatenate(ts))
 
 
 def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,

@@ -23,7 +23,14 @@ from amalgam.grid import GridSpec
 
 
 def invoke(args, out):
-    return run(list(args) + ["--out", str(out)])
+    """run's exit code; run records warnings instead of raising them, so a numpy
+    floating-point warning in the run's manifest fails the test here."""
+    code = run(list(args) + ["--out", str(out)])
+    manifest = Path(out) / "manifest.json"
+    if manifest.exists():
+        notes = json.loads(manifest.read_text())["warnings"]
+        assert not [w for w in notes if " encountered in " in w], notes
+    return code
 
 
 class TestCheckTuple:
@@ -161,8 +168,18 @@ class TestUsageErrors:
         # the range check comes before any zero-mode read, which would warn of the gaussian
         (["evolve", "--sigma", "0.5", "--gen", "gaussian", "--grid-npts", "64"], 2,
          "usage error: sigma must lie in [0, n/2) = [0, 0.5), got 0.5"),
+        # |xi|^(2 sigma) may overflow where the norm does not; here the norm does, 5e383
+        (["norm", "--kind", "hsigma", "--sigma", "200", "--gen", "band-limited"], 2,
+         "usage error: the norm exceeds the float64 range"),
+        # |K_t(0)| = c t^-1.5 at t = 1e-250, in closed form and as the lattice's kernel
+        (["kernel-profile", "--n", "3", "--sigma", "0", "--rt", "inf", "--r", "inf",
+          "--tmin", "1e-250", "--per-decade", "1"], 2,
+         "usage error: |K_t(0)| at t = 1e-250 exceeds the float64 range"),
+        (["kernel-profile", "--n", "3", "--sigma", "0", "--rt", "4", "--r", "10", "--grid-l",
+          "2", "--grid-npts", "16", "--tmin", "1e-250", "--per-decade", "1"], 2,
+         "usage error: |K_t(0)| at t = 1e-250 exceeds the float64 range"),
     ], ids=["fit-decay-rt", "kernel-profile-tmin", "window-radius", "window-step", "hls-p",
-            "config", "evolve-sigma"])
+            "config", "evolve-sigma", "hsigma-sigma", "peak-closed-form", "peak-lattice"])
     def test_refusal_is_one_line(self, tmp_path, capsys, argv, code, line):
         # a refused value exits 2 with one stderr line; hls's reject is a verdict, exit 0
         assert invoke(argv, tmp_path) == code
@@ -680,6 +697,13 @@ class TestCommands:
         with open(tmp_path / "results.csv") as fh:
             rows = {r["regime"]: float(r["r_squared"]) for r in csv.DictReader(fh)}
         assert manifest["r_squared"] == rows
+
+    def test_fit_decay_at_a_subnormal_tmin(self, tmp_path, capsys):
+        # 1 / tmin overflows to inf at tmin = 1e-310; |K_t(0)| there is about 1e217
+        assert invoke(["fit-decay", "--n", "2", "--sigma", "0.3", "--rt", "inf", "--r", "inf",
+                       "--tmin", "1e-310"], tmp_path) == 0
+        slopes = [line.split()[2] for line in capsys.readouterr().out.splitlines()]
+        assert slopes == ["-0.7000", "-0.7000"]
 
     @pytest.mark.parametrize("r,route", [("inf", "closed-form"), ("10", "lattice")])
     def test_profile_records_its_route(self, tmp_path, r, route):

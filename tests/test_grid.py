@@ -415,6 +415,11 @@ class TestInvariantsAndChecks:
         with pytest.raises(ValueError, match="non-finite"):
             _lq(np.array([[1.0, 2.0], [3.0, bad]]), q, 1)
 
+    def test_lq_names_a_nan_weight_as_non_finite(self):
+        # a NaN sum fails the range guard, but it is not an overflow
+        with pytest.raises(ValueError, match="^non-finite values reached a norm$"):
+            _lq(np.ones(3), 2, None, np.array([1.0, np.nan, 1.0]))
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_norm_past_float64_range_rejected(self, p):
         # every sample is finite, but the norm 1e308 * 8^(1/p) >= 2e308 is not; raised

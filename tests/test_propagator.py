@@ -1,5 +1,7 @@
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from amalgam.grid import (
     trapezoid_weights,
 )
 from amalgam.propagator import (
+    _spectrum,
     adjoint_accumulate,
     evolve_blocks,
     hsigma_norm,
@@ -82,6 +85,30 @@ class TestHsigmaNorm:
             huge = hsigma_norm(SampledField(g, 1e307 * f.values), 0.3).meta["zero_mode_fraction"]
         assert unit == pytest.approx(0.11077836568159476, rel=1e-12)
         assert huge == pytest.approx(unit, rel=1e-12)
+
+    @pytest.mark.parametrize("datum", [lambda g: band_limited_field(g, 0), gaussian_datum],
+                             ids=["band-limited", "gaussian"])
+    def test_large_sigma_matches_an_exact_sum(self, datum):
+        # |xi|^160 overflows float64 on the top 163 of the 1024 frequencies, where a few
+        # coefficients are exact zeros: inf * 0 made the norm NaN.  An arithmetic check
+        # against an mpmath sum over the program's own coefficients: both sums (about 4e143
+        # and 1e144) are carried by transform round-off, not by the data's bands
+        g, sigma = GridSpec(1, 16.0, 1024), 80.0
+        f = datum(g)
+        c, xi = np.abs(_spectrum(f.values, 0.0, g)), np.abs(g.axis_frequencies())
+        with mpmath.workdps(40):
+            want = mpmath.sqrt(g.cell_volume * g.size * mpmath.fsum(
+                mpmath.mpf(float(a)) ** 2 * mpmath.mpf(float(x)) ** (2 * sigma)
+                for a, x in zip(c, xi) if x > 0))
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "zero-mode", UserWarning)
+            got = hsigma_norm(f, sigma).value
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_norm_beyond_float64_is_refused(self):
+        # at sigma = 200 the norm is about 5e383
+        with pytest.raises(ValueError, match="^the norm exceeds the float64 range$"):
+            hsigma_norm(band_limited_field(GridSpec(1, 16.0, 1024), 0), 200.0)
 
     def test_rejects_negative_sigma(self, grid1d):
         with pytest.raises(ValueError):
@@ -226,9 +253,7 @@ def heap_peak(run) -> int:
 @pytest.mark.parametrize("g", [GridSpec(2, 8.0, 256), GridSpec(3, 4.0, 64)], ids=lambda g: f"n{g.n}")
 class TestMemoryPerLatticePoint:
     # bounds from the bytes each design holds per lattice point, plus a fixed 2^16 bytes
-    # (hsigma) or 2^19 (evolution): the per-axis tables, the transform's scratch lines and
-    # numpy's ufunc buffers for the strided per-axis multiplies, 8192 elements for each
-    # of three complex operands, 384 KiB
+    # (hsigma) or 2^17 (evolution): the per-axis tables and the transform's scratch lines
 
     def test_hsigma_holds_a_spectrum_a_weight_and_a_modulus(self, g):
         # complex spectrum 16 + weight |xi|^(2 sigma) 8 + modulus 8 = 32 bytes per point
@@ -243,4 +268,4 @@ class TestMemoryPerLatticePoint:
         def run():
             for _, block in evolve_blocks(f, [0.1, 0.2, 0.3, 0.4], 0.3):
                 assert len(block) == 1
-        assert heap_peak(run) <= 49 * g.size + 2 ** 19
+        assert heap_peak(run) <= 49 * g.size + 2 ** 17

@@ -217,9 +217,8 @@ def test_phase_bound_is_2_to_the_44(scale, passes):
 
 def test_bilinear_memory_is_one_stack_and_one_block():
     # the benchmark's bilinear_n2: beyond its two input stacks, G's evolution (one stack),
-    # one block of F's evolved instants, temporaries of at most four slices (the smoothing
-    # weight, the per-axis tables, the Gram block and transform scratch) and numpy's
-    # ufunc buffers for the strided per-axis multiplies, 384 KiB whatever the grid
+    # one block of F's evolved instants and temporaries of at most four slices (the
+    # smoothing weight, the per-axis tables, the Gram block and transform scratch)
     g, times = GridSpec(2, 8.0, 64), np.linspace(-2.0, 2.0, 33)
     F, G = (SpaceTimeField(g, times, band_limited_stack(g, range(s, s + 33))) for s in (0, 100))
     block = len(range(33)[_blocks(33, g.size)[0]])
@@ -229,7 +228,7 @@ def test_bilinear_memory_is_one_stack_and_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * g.size * (len(times) + block + 4) + 2 ** 19
+    assert peak <= 16 * g.size * (len(times) + block + 4) + 2 ** 16
 
 
 def test_inner_product_matches_slice_loop():
