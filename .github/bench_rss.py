@@ -4,9 +4,12 @@ Markdown table.
     python .github/bench_rss.py <base src> <head src> <out>
 
 runs each argv list of this checkout's bench/workloads.py as a `python -m amalgam.cli`
-subprocess with `--seed 1`, with PYTHONPATH=<base src> and with PYTHONPATH=<head src>,
-command <id> into <out>/<tree>/<workload>/<id>, with "{id}" in an argument replaced by
-that command's directory, as bench/run.py does.  Each command runs RUNS times per tree,
+subprocess with `--seed 1` on a copy of <base src> and on a copy of <head src>, command
+<id> into <out>/<tree>/<workload>/<id>, with "{id}" in an argument replaced by that
+command's directory, as bench/run.py does.  The benchmark's commands run with no bytecode
+cache, so each compiles the amalgam modules it imports: each tree is copied to a temporary
+directory without its __pycache__ folders and runs with PYTHONDONTWRITEBYTECODE=1, where
+a tree that pytest has run would read lower.  Each command runs RUNS times per tree,
 base and head alternating and taking turns to go first, so that a drift of the machine's
 speed falls on both.  Each run's maximum RSS is its own, read from os.wait4 as
 bench/run.py's _spawn reads it, and its wall time spans the subprocess from start to
@@ -16,9 +19,11 @@ on each tree, the command that sets the workload's peak_rss_mb in bench/run.py.
 """
 
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,7 +37,7 @@ RUNS = 3
 def measure(argv: list, src: str) -> tuple:
     """(exit code, maximum RSS in MB, wall time in ms) of one command run on the given
     source tree."""
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
     start = time.perf_counter()
     proc = subprocess.Popen([sys.executable, "-m", "amalgam.cli", *argv], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -41,7 +46,10 @@ def measure(argv: list, src: str) -> tuple:
     return os.waitstatus_to_exitcode(status), usage.ru_maxrss / 1024.0, wall
 
 
-trees = {"base": os.path.abspath(sys.argv[1]), "head": os.path.abspath(sys.argv[2])}
+copies = Path(tempfile.mkdtemp())
+trees = {tree: str(shutil.copytree(src, copies / tree,
+                                   ignore=shutil.ignore_patterns("__pycache__")))
+         for tree, src in (("base", sys.argv[1]), ("head", sys.argv[2]))}
 out = Path(sys.argv[3]).resolve()
 print("| command | base MB | head MB | base ms | head ms |\n|---|---|---|---|---|")
 for workload, commands in WORKLOADS.items():
@@ -67,3 +75,4 @@ for workload, commands in WORKLOADS.items():
               f"| {ms['base']} | {ms['head']} |")
     peaks = [f"**{largest[tree][0]:.1f}** ({largest[tree][1]})" for tree in trees]
     print(f"| **{workload} peak** | {peaks[0]} | {peaks[1]} | | |")
+shutil.rmtree(copies)

@@ -377,7 +377,7 @@ def _cmd_fit_decay(args, outdir):
 
 
 def _cmd_ratio(args, outdir):
-    from .verify import default_ratio_times, strichartz_ratio
+    from .verify import default_ratio_times, ratio_instant_count, strichartz_ratio
     tup = _tuple_from(args)
     rep = expo.check("theorem", tup)
     if not rep.verdict:
@@ -385,9 +385,7 @@ def _cmd_ratio(args, outdir):
         raise ValueError(f"tuple outside the admissible region: {failed}")
     for name in expo.AXES:  # strichartz_ratio takes the exponents as floats
         _float(args, name)
-    # default_ratio_times' count, per sign 40 in |t| <= 1 and 8 per unit beyond; none built
-    count = 2 * (40 + max(0, math.floor(8 * (Fraction(args.t_outer) - 1))))
-    if count > MAX_RATIO_INSTANTS:
+    if (count := ratio_instant_count(args.t_outer)) > MAX_RATIO_INSTANTS:
         from decimal import Decimal  # formats a count beyond the float64 range
         raise ValueError(f"--t-outer {args.t_outer:g} needs {Decimal(count):.3g} instants, "
                          f"over the cap of {MAX_RATIO_INSTANTS}")
@@ -413,16 +411,15 @@ def _cmd_suite(args, outdir):
 
 
 def _cmd_hls(args, outdir):
-    import numpy as np
-
     from .verify import hls_check_1d
     rep = hls_check_1d(args.p, args.alpha, trials=args.trials, seed=args.seed)
     if not rep.accepted:
         print(f"reject: {rep.reason}")
         write_csv(outdir / "results.csv", ["verdict", "reason"], [("reject", rep.reason)])
         return 0, {"verdict": "reject"}
+    r = sorted(rep.ratios)  # the median is the mean of the middle one or two
     write_csv(outdir / "results.csv", ["max_ratio", "median_ratio", "refined_max"],
-              [(rep.max_ratio, float(np.median(rep.ratios)), rep.refined_max)])
+              [(rep.max_ratio, (r[(len(r) - 1) // 2] + r[len(r) // 2]) / 2, rep.refined_max)])
     stable = rep.refinement_stable
     print(f"q = {fmt(rep.q)}; max ratio {rep.max_ratio:.6g}, refined {rep.refined_max:.6g}, "
           f"stable within x1.5: {stable}")

@@ -357,14 +357,14 @@ class DecayProfile:
 
 def profile_times(tmin: float = 0.02, tmax: float = 50.0,
                   per_decade: int = 24) -> np.ndarray:
-    """Log-spaced instants, per_decade points per decade, split at t = 1."""
+    """Log-spaced instants, per_decade points per decade, two runs joined at their shared 1."""
     if not (0 < tmin < 1 < tmax):
         raise ValueError("need 0 < tmin < 1 < tmax")
     if per_decade < 1:
         raise ValueError(f"per_decade must be >= 1, got {per_decade}")
     ts = [np.geomspace(lo, hi, int(np.ceil((np.log10(hi) - np.log10(lo)) * per_decade)) + 1)
           for lo, hi in ((tmin, 1.0), (1.0, tmax))]  # not log10(hi / lo): 1 / tmin may overflow
-    return np.unique(np.concatenate(ts))
+    return np.concatenate([ts[0], ts[1][1:]])
 
 
 def kernel_amalgam_profile(sigma: float, rt: float, r: float, times,

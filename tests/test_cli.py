@@ -991,14 +991,14 @@ import json, sys
 from amalgam.cli import run
 for argv in json.loads(sys.argv[1]):
     assert run(argv + ["--out", sys.argv[2]]) == 0, argv
-print(json.dumps(sorted(m for m in ("numpy", "numpy.random", "scipy", "scipy.special")
-                        if m in sys.modules)))
+print(json.dumps(sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy",
+                                    "scipy.special") if m in sys.modules)))
 """
 
 
 def _modules_after(commands, out) -> list:
-    """Which of numpy, numpy.random, scipy, scipy.special a fresh interpreter holds after
-    running commands."""
+    """Which of numpy, numpy.ma, numpy.random, scipy, scipy.special a fresh interpreter holds
+    after running commands."""
     proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands), str(out)],
                           capture_output=True, text=True, env=_SRC_ENV)
     assert proc.returncode == 0, proc.stderr
@@ -1067,6 +1067,18 @@ class TestImportFootprint:
             ["fit-decay", "--n", "1", "--sigma", "0.3", "--rt", "inf", "--r", "inf",
              "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8"],
         ], tmp_path) == ["numpy"]
+
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "--n", "1", "--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10",
+         "--r", "inf", "--grid-npts", "128"],
+        ["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",
+         "--grid-l", "8", "--grid-npts", "64", "--per-decade", "8"],
+        ["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "4"],
+    ], ids=["ratio", "kernel-profile", "hls"])
+    def test_commands_skip_numpy_ma(self, tmp_path, argv):
+        # instant lists are built increasing and medians read sorted data, so nothing calls
+        # np.unique without indices or np.median, which import numpy.ma
+        assert _modules_after([argv], tmp_path) == ["numpy"]
 
     def test_numeric_layers_skip_exponents(self):
         # exact exponent arithmetic stays in the engine and the command line

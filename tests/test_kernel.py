@@ -1,3 +1,5 @@
+import itertools
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -419,3 +421,15 @@ class TestProfileTimes:
         assert ts[-1] == pytest.approx(50.0)
         assert np.any(ts == 1.0)
         assert np.sum(ts <= 1.0) >= 12 and np.sum(ts >= 1.0) >= 12
+
+    def test_runs_joined_at_one_are_the_sorted_unique_instants(self):
+        # the two geomspace runs share their exact endpoint 1, so dropping it from the
+        # second run gives np.unique of their concatenation, bit for bit
+        for tmin, tmax, per_decade in itertools.product(
+                [1e-3, 0.01, 0.02, 0.3, 0.999], [1.001, 1.5, 50.0, 66.0], [1, 8, 24]):
+            runs = [np.geomspace(lo, hi, int(np.ceil((np.log10(hi) - np.log10(lo))
+                                                     * per_decade)) + 1)
+                    for lo, hi in ((tmin, 1.0), (1.0, tmax))]
+            want = np.unique(np.concatenate(runs))
+            got = profile_times(tmin, tmax, per_decade)
+            assert got.tobytes() == want.tobytes(), (tmin, tmax, per_decade)

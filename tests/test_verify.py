@@ -1,8 +1,10 @@
+import itertools
 import json
 import math
 import random
 import tracemalloc
 import warnings
+from fractions import Fraction
 from functools import cache, partial
 
 import numpy as np
@@ -38,6 +40,7 @@ from amalgam.verify import (
     local_window_norms,
     modulated_gaussian,
     property_suite,
+    ratio_instant_count,
     spike_field,
     strichartz_ratio,
 )
@@ -58,7 +61,35 @@ def synthetic_profile(exponent_small, exponent_large):
                         route="closed-form")
 
 
+def exact_fit(x, y) -> tuple:
+    """Least-squares slope and r^2 of y on x, in Fractions over the given floats."""
+    x, y = [Fraction(float(v)) for v in x], [Fraction(float(v)) for v in y]
+    mx, my = sum(x) / len(x), sum(y) / len(y)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(x, y))
+    sxx, syy = sum((a - mx) ** 2 for a in x), sum((b - my) ** 2 for b in y)
+    slope = sxy / sxx
+    return slope, 1 - (syy - slope * sxy) / syy
+
+
 class TestFitDecay:
+    @pytest.mark.parametrize("profile", ["readme", "noisy"])
+    def test_matches_exact_least_squares(self, profile):
+        # the centered-moment slope and r^2 against the same fit in exact arithmetic
+        from amalgam.propagator import kernel_amalgam_profile, profile_times
+        if profile == "readme":  # fit-decay --n 1 --sigma 0.3 --rt inf --r inf
+            prof = kernel_amalgam_profile(0.3, np.inf, np.inf, profile_times(),
+                                          GridSpec(1, 32.0, 1024))
+        else:
+            prof = synthetic_profile(-0.3, -0.1)
+            gen = random.Random(7)
+            prof.values *= np.exp([0.2 * gen.gauss(0.0, 1.0) for _ in prof.values])
+        fits = fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
+        for fit, regime in zip(fits, (prof.times <= 1.0, prof.times >= 1.0)):
+            slope, r2 = exact_fit(np.log(prof.times[regime]), np.log(prof.values[regime]))
+            assert fit.slope == pytest.approx(float(slope), rel=1e-13, abs=0)
+            assert fit.r_squared == pytest.approx(float(r2), rel=1e-13, abs=0)
+            assert profile == "readme" or fit.r_squared < 0.99
+
     def test_exact_power_law(self):
         prof = synthetic_profile(-0.2, -0.2)
         small, large = fit_decay(prof, predicted_kernel_decay(1, 0.3, np.inf, np.inf))
@@ -175,11 +206,30 @@ class TestStrichartzRatio:
         assert (huge.numerator, huge.denominator) == (1e307 * unit.numerator,
                                                       1e307 * unit.denominator)
 
-    @pytest.mark.parametrize("t_outer", [0.5, 0.0, -4.0, float("nan")])
+    @pytest.mark.parametrize("t_outer", [0.5, 0.0, -4.0, float("nan"), float("inf")])
     def test_outer_time_below_one_rejected(self, t_outer):
         # below 1 there are no outer instants, and |t| <= 1 would be integrated instead
         with pytest.raises(ValueError, match="t_outer"):
             default_ratio_times(t_outer=t_outer)
+
+    def test_mirrored_runs_are_the_sorted_unique_instants(self):
+        # the mirrored runs are increasing as built: np.unique of the concatenation of the
+        # inner geomspace and an arange of the outer instants gives them bit for bit
+        for t_outer, step in itertools.product([1.0, 1.125, 2.0, 4.1, 32.0, 1000.0],
+                                               [0.125, 0.25, 0.5]):
+            pos = np.concatenate([np.geomspace(0.01, 1.0, 40),
+                                  np.arange(1.0 + step, t_outer + 1e-9, step)])
+            want = np.unique(np.concatenate([-pos[::-1], pos]))
+            got = default_ratio_times(t_outer, step)
+            assert got.tobytes() == want.tobytes(), (t_outer, step)
+
+    @pytest.mark.parametrize("t_outer", [1.1249999999, 31.9999999999, 8188.1249999999])
+    def test_count_is_the_instants_built(self, t_outer):
+        # m = floor((t_outer - 1) / step) is taken once and exactly, so ratio's cap counts
+        # the instants default_ratio_times builds, and none lies past t_outer
+        times = default_ratio_times(t_outer)
+        assert ratio_instant_count(t_outer) == len(times) <= cli.MAX_RATIO_INSTANTS
+        assert times[-1] <= t_outer
 
     def test_memory_is_one_block_of_instants(self):
         # the ratio_n2 benchmark size: 576 slices of 128^2 would take 151 MB at once
