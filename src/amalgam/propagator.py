@@ -16,10 +16,10 @@ At sigma = 0 it reduces to the free kernel (4 pi i t)^{-n/2} exp(i|x|^2/4t).
 M is evaluated in numpy (_kummer_iy): its Maclaurin series below
 |x|^2/4t = 8, and above it the connection formula DLMF 13.2.41 with both U
 functions as Laplace integrals (DLMF 13.4.4) taken by a 16-node generalized
-Gauss-Laguerre rule.  Every sample is exact to KERNEL_RTOL times the
-kernel's envelope (see kernel_eval); compared with mpmath, the worst
-deviation found for n = 1..3, all sigma and |x|^2/4t up to 2e6 is 1.2e-13
-of the envelope, at the top of the series' range.
+Gauss-Laguerre rule from its recurrence, with no linear algebra.  Every sample
+is exact to KERNEL_RTOL times the kernel's envelope (see kernel_eval); compared
+with mpmath, the worst deviation found for n = 1..3, all sigma and |x|^2/4t up
+to 2e6 is 1.2e-13 of the envelope, at the top of the series' range.
 
 Everything is pure; batch loops run in a fixed order.
 """
@@ -193,16 +193,26 @@ _SWITCH, _TERMS, _NODES = 8.0, 50, 16
 
 @functools.lru_cache(maxsize=16)
 def _laguerre(alpha: float) -> tuple:
-    """Nodes and weights (cached, read-only) of the _NODES-point Gauss rule for u^alpha e^-u:
-    the Jacobi matrix's eigenvalues and squared first eigenvector parts (Golub-Welsch)."""
+    """Nodes and weights (cached, read-only) of the _NODES-point Gauss rule for the Gamma(alpha
+    + 1) law by the monic recurrence P_{k+1} = (u - 2k - alpha - 1) P_k - k (k + alpha) P_{k-1}:
+    P_16's zeros in [0, 4 _NODES + 2 alpha + 2) (Gershgorin), each bisected on the float64 bit
+    patterns by its Sturm count (above the i-th, P_0 .. P_16 agree in sign more than i times),
+    and Christoffel weights 1 / sum_k P_k^2 / (k! (alpha + 1)_k), all at u = 0 if alpha = -1."""
     k = np.arange(_NODES)
-    off = np.sqrt(k[1:] * (k[1:] + alpha))
-    # eigh reads the lower triangle only
-    u, v = np.linalg.eigh(np.diag(2.0 * k + alpha + 1.0) + np.diag(off, -1))
-    rule = u, v[0] ** 2
-    for a in rule:
+    lo, hi = (np.full(_NODES, x).view(np.int64) for x in (0.0, 4.0 * _NODES + 2.0 * alpha + 2.0))
+    for _ in range(64):  # 63 halvings close a bit gap under 2^63; the 64th takes P_k at u = lo
+        u = (mid := lo + (hi - lo) // 2).view(float)
+        p = [0.0, np.ones(_NODES)]
+        for d, e in zip(2.0 * k + alpha + 1.0, k * (k + alpha)):
+            p.append((u - d) * p[-1] - e * p[-2])
+        p = np.array(p[1:])
+        above = (p[:-1] * p[1:] > 0).sum(axis=0) > k
+        lo, hi = np.where(above, lo, mid), np.where(above, mid, hi)
+    norms = np.cumprod(np.r_[1.0, k[1:] * (k[1:] + alpha)])
+    w = 1.0 / (p[:-1] ** 2 / norms[:, None]).sum(axis=0) if alpha > -1.0 else (k == 0) * 1.0
+    for a in (u, w):
         a.setflags(write=False)
-    return rule
+    return u, w
 
 
 def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarray:
@@ -210,20 +220,20 @@ def _gamma_mean(c: float, alpha: float, sign: float, y: np.ndarray) -> np.ndarra
     _laguerre rule."""
     u, w = _laguerre(alpha)
     out = np.empty(len(y), dtype=complex)
-    # in place, in pieces: these passes are most of the kernel's time, and their
-    # memory stays fixed however many abscissae there are
+    # in place, in pieces, nodes-major: these passes are most of the kernel's time, their
+    # memory stays fixed however many abscissae there are, and the node sums add whole rows
     for b in _blocks(len(y), _NODES):
-        r = np.multiply.outer(1.0 / y[b], u)
+        r = np.multiply.outer(u, 1.0 / y[b])
         phase = np.arctan(r)
         phase *= sign * c
         r *= r
         r += 1.0
-        modulus = np.power(r, c / 2.0, out=r)
+        modulus = np.multiply(np.power(r, c / 2.0, out=r), w[:, None], out=r)
         re = np.cos(phase)
         re *= modulus
         im = np.sin(phase, out=phase)
         im *= modulus
-        out[b] = re @ w + 1j * (im @ w)
+        out[b] = re.sum(axis=0) + 1j * im.sum(axis=0)
     return out
 
 

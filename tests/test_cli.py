@@ -1069,6 +1069,27 @@ class TestImportFootprint:
         ], tmp_path) == ["numpy"]
 
     @pytest.mark.parametrize("argv", [
+        ["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10"],
+        ["fit-decay", "--n", "2", "--sigma", "0.3", "--rt", "4", "--r", "inf", "--grid-l", "16",
+         "--grid-npts", "64"],
+    ], ids=["kernel-profile", "fit-decay"])
+    def test_kernel_commands_call_no_lapack(self, tmp_path, argv):
+        # the Gauss-Laguerre rule comes from its recurrence: with numpy's LAPACK entry points
+        # raising, the kernel's quadrature still runs (this fit-decay misses its slopes, exit 1)
+        code = ("import sys, numpy.linalg\n"
+                "def refuse(*args, **kwargs):\n"
+                "    raise RuntimeError('LAPACK called')\n"
+                "for name in ('eigh', 'eigvalsh', 'eig', 'solve', 'lstsq', 'inv'):\n"
+                "    setattr(numpy.linalg, name, refuse)\n"
+                "from amalgam.cli import run\n"
+                "sys.exit(run(sys.argv[1:]))")
+        proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(tmp_path)],
+                              capture_output=True, text=True, env=_SRC_ENV)
+        assert proc.returncode in (0, 1) and "Traceback" not in proc.stderr, proc.stderr
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and manifest["route"] == "lattice"
+
+    @pytest.mark.parametrize("argv", [
         ["ratio", "--n", "1", "--sigma", "0.3", "--qt", "2", "--rt", "inf", "--q", "10",
          "--r", "inf", "--grid-npts", "128"],
         ["kernel-profile", "--n", "1", "--sigma", "0.2", "--rt", "inf", "--r", "10",

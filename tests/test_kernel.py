@@ -186,18 +186,61 @@ class TestKernelEval:
             assert np.all(err <= 1e-9 * envelope(n, sigma, 0.25, xs)), frac
 
 
-@pytest.mark.parametrize("alpha", [-0.7, -0.2, 0.3, 0.5])
+@pytest.mark.parametrize("alpha", [-0.8, -0.7, -0.2, 0.3, 0.5])
 def test_laguerre_rule_is_cached_exact_and_read_only(alpha):
     # the 16-node rule for u^alpha e^-u, weights summing to 1, integrates u^k exactly
-    # for k <= 31: E[u^k] = Gamma(alpha + 1 + k) / Gamma(alpha + 1) for u ~ Gamma(alpha + 1)
+    # for k <= 31: E[u^k] = Gamma(alpha + 1 + k) / Gamma(alpha + 1) for u ~ Gamma(alpha + 1),
+    # here with the rule's sum taken in mpmath
     u, w = _laguerre(alpha)
     assert _laguerre(alpha)[0] is u
-    for k in range(9):
-        want = mp.gamma(alpha + 1 + k) / mp.gamma(alpha + 1)
-        assert float(np.sum(w * u ** k)) == pytest.approx(float(want), rel=1e-12)
+    with mp.workdps(40):
+        for k in range(32):
+            want = mp.gamma(alpha + 1 + k) / mp.gamma(alpha + 1)
+            got = mp.fsum(mp.mpf(wi) * mp.mpf(ui) ** k for ui, wi in zip(u.tolist(), w.tolist()))
+            assert abs(got / want - 1) <= 2e-14, k
     for a in (u, w):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def mp_laguerre_rule(alpha, n=16):
+    """Nodes and weights of the n-point Gauss rule for the Gamma(alpha + 1) law at 40 digits
+    (test oracle): the roots of L_n^(alpha) from its coefficients, and the weights
+    Gamma(n + alpha + 1) / (Gamma(alpha + 1) n! u L_n^(alpha)'(u)^2), L_n^(alpha)' =
+    -L_{n-1}^(alpha + 1)."""
+    with mp.workdps(40):
+        a = mp.mpf(alpha)
+        coef = [(-1) ** j * mp.binomial(n + a, n - j) / mp.factorial(j) for j in range(n, -1, -1)]
+        nodes = sorted(mp.re(z) for z in mp.polyroots(coef, maxsteps=200, extraprec=100))
+        scale = mp.gamma(n + a + 1) / (mp.gamma(a + 1) * mp.factorial(n))
+        return nodes, [scale / (u * mp.laguerre(n - 1, a + 1, u) ** 2) for u in nodes]
+
+
+@pytest.mark.parametrize("alpha", [-0.999999, -0.8, -0.7, -0.2, 0.3, 0.5])
+def test_laguerre_rule_matches_mpmath(alpha):
+    u, w = _laguerre(alpha)
+    nodes, weights = mp_laguerre_rule(alpha)
+    assert u == pytest.approx(np.array(nodes, dtype=float), rel=1e-13, abs=0.0)
+    assert w == pytest.approx(np.array(weights, dtype=float), rel=1e-13, abs=0.0)
+
+
+def test_laguerre_rule_at_minus_one_is_the_point_mass_at_zero():
+    # the Gamma(0) law: weight 1 on node 0 = 0 and 0 on every other node
+    u, w = _laguerre(-1.0)
+    assert u[0] == 0.0 and np.all(u[1:] > 0.0)
+    assert w.tolist() == [1.0] + [0.0] * 15
+
+
+@pytest.mark.parametrize("n,sigma", [
+    (1, 5e-324),          # the ridge's law, Gamma(sigma), has alpha = sigma - 1 = -1.0
+    (1, 0.5 - 2 ** -54),  # the tail's, Gamma(n/2 - sigma), has alpha = 2^-54 - 1 = -1.0
+    (3, 1.5 - 2 ** -52),  # and here alpha = 2^-52 - 1, just above -1
+], ids=["subnormal-sigma", "ulp-below-half", "ulp-below-three-halves"])
+def test_kernel_at_the_point_mass_edge(n, sigma):
+    xs = np.array([10.0, 40.0])
+    ks = kernel_eval(n, sigma, 1.0, xs)
+    assert np.all(np.isfinite(ks.values))
+    assert np.all(mp_errors(ks, n, sigma, 1.0, xs)[0] <= KERNEL_RTOL * envelope(n, sigma, 1.0, xs))
 
 
 def lattice_radii(grid):
