@@ -4,20 +4,26 @@ Markdown table.
     python .github/bench_rss.py <base src> <head src> <out>
 
 runs each argv list of this checkout's bench/workloads.py as a `python -m amalgam.cli`
-subprocess with `--seed 1` on a copy of <base src> and on a copy of <head src>, command
-<id> into <out>/<tree>/<workload>/<id>, with "{id}" in an argument replaced by that
-command's directory, as bench/run.py does.  The benchmark's commands run with no bytecode
-cache, so each compiles the amalgam modules it imports: each tree is copied to a temporary
+subprocess with `--seed 1` on copies of <base src> and of <head src>, command <id> into
+<out>/<copy>/<workload>/<id>, with "{id}" in an argument replaced by that command's
+directory, as bench/run.py does.  The benchmark's commands run with no bytecode cache, so
+each compiles the amalgam modules it imports: each tree is copied to a temporary
 directory without its __pycache__ folders and runs with PYTHONDONTWRITEBYTECODE=1, where
-a tree that pytest has run would read lower.  Each command runs RUNS times per tree,
-base and head alternating and taking turns to go first, so that a drift of the machine's
-speed falls on both.  Each run's maximum RSS is its own, read from os.wait4 as
-bench/run.py's _spawn reads it, and its wall time spans the subprocess from start to
-exit.  The table (command, base and head median MB, base and head median ms, and exit
-codes other than 0) goes to stdout, with one more row per workload: its largest command
-on each tree, the command that sets the workload's peak_rss_mb in bench/run.py.
+a tree that pytest has run would read lower.  What the compiler leaves behind moves a
+command's maximum RSS by a few tenths of a MB with edits to code the command never runs,
+so each tree has a second copy, compiled with compileall before the runs and run with
+PYTHONDONTWRITEBYTECODE=1 as well: a change that moves both columns changed the working
+set, one that moves only the first moved the compile's leftovers.  Each command runs
+RUNS times per copy, base and head alternating and taking turns to go first, so that a
+drift of the machine's speed falls on both.  Each run's maximum RSS is its own, read from
+os.wait4 as bench/run.py's _spawn reads it, and its wall time spans the subprocess from
+start to exit.  The table (command; base and head median MB, without and with bytecode;
+base and head median ms without bytecode; exit codes other than 0) goes to stdout, with
+one more row per workload: its largest command on each copy, the command that sets the
+workload's peak_rss_mb in bench/run.py.
 """
 
+import compileall
 import os
 import shutil
 import statistics
@@ -47,32 +53,38 @@ def measure(argv: list, src: str) -> tuple:
 
 
 copies = Path(tempfile.mkdtemp())
-trees = {tree: str(shutil.copytree(src, copies / tree,
-                                   ignore=shutil.ignore_patterns("__pycache__")))
-         for tree, src in (("base", sys.argv[1]), ("head", sys.argv[2]))}
+trees = {}
+for tree, src in (("base", sys.argv[1]), ("head", sys.argv[2])):
+    for copy in (tree, f"{tree} pyc"):
+        trees[copy] = str(shutil.copytree(src, copies / copy.replace(" ", "-"),
+                                          ignore=shutil.ignore_patterns("__pycache__")))
+    compileall.compile_dir(trees[f"{tree} pyc"], quiet=1)
 out = Path(sys.argv[3]).resolve()
-print("| command | base MB | head MB | base ms | head ms |\n|---|---|---|---|---|")
+print("| command | base MB | head MB | base MB (pyc) | head MB (pyc) | base ms | head ms |\n"
+      "|---|---|---|---|---|---|---|")
 for workload, commands in WORKLOADS.items():
-    # each tree runs the workload's commands in order: a command may read an earlier
-    # one's output in its own tree
-    dirs = {tree: {c.id: out / tree / workload / c.id for c in commands} for tree in trees}
+    # each copy runs the workload's commands in order: a command may read an earlier
+    # one's output in its own copy
+    dirs = {copy: {c.id: out / copy.replace(" ", "-") / workload / c.id for c in commands}
+            for copy in trees}
     largest = dict.fromkeys(trees, (0.0, ""))
     for cmd in commands:
-        runs = {tree: [] for tree in trees}
+        runs = {copy: [] for copy in trees}
         for i in range(RUNS):
-            for tree, src in list(trees.items())[::1 if i % 2 == 0 else -1]:
-                paths = {k: str(v) for k, v in dirs[tree].items()}
+            for copy, src in list(trees.items())[::1 if i % 2 == 0 else -1]:
+                paths = {k: str(v) for k, v in dirs[copy].items()}
                 argv = [a.format_map(paths) for a in cmd.argv]
-                runs[tree].append(measure(argv + ["--out", paths[cmd.id], "--seed", "1"], src))
+                runs[copy].append(measure(argv + ["--out", paths[cmd.id], "--seed", "1"], src))
         mb, ms = {}, {}
-        for tree, results in runs.items():
+        for copy, results in runs.items():
             codes = sorted({code for code, _, _ in results} - {0})
-            mb[tree] = statistics.median(r[1] for r in results)
-            ms[tree] = f"{statistics.median(r[2] for r in results):.0f}" + "".join(
+            mb[copy] = statistics.median(r[1] for r in results)
+            ms[copy] = f"{statistics.median(r[2] for r in results):.0f}" + "".join(
                 f" (exit {code})" for code in codes)
-            largest[tree] = max(largest[tree], (mb[tree], cmd.id))
+            largest[copy] = max(largest[copy], (mb[copy], cmd.id))
         print(f"| {workload}/{cmd.id} | {mb['base']:.1f} | {mb['head']:.1f} "
-              f"| {ms['base']} | {ms['head']} |")
-    peaks = [f"**{largest[tree][0]:.1f}** ({largest[tree][1]})" for tree in trees]
-    print(f"| **{workload} peak** | {peaks[0]} | {peaks[1]} | | |")
+              f"| {mb['base pyc']:.1f} | {mb['head pyc']:.1f} | {ms['base']} | {ms['head']} |")
+    peaks = [f"**{largest[copy][0]:.1f}** ({largest[copy][1]})"
+             for copy in ("base", "head", "base pyc", "head pyc")]
+    print(f"| **{workload} peak** | {' | '.join(peaks)} | | |")
 shutil.rmtree(copies)

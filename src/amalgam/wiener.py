@@ -35,7 +35,6 @@ from .grid import (
     SampledField,
     SpaceTimeField,
     _blocks,
-    _euclidean,
     _instants,
     _lq,
     trapezoid_weights,
@@ -137,43 +136,58 @@ def _translate_shape(win: WindowSpec, grid: GridSpec) -> tuple[int, int]:
 
 
 def _window_blocks(win: WindowSpec, g: GridSpec, p: float, q: float):
-    """Yield (j, phi_j) in order for the blocks j in range(K)^n that count in the window
-    centered at 0, phi_j its L2-normalized (s,)*n values.  Dropping block j moves the norm
-    by at most s^(n/p) K^(n/q) top_j / bottom of it, top_j its value nearest 0 and bottom
-    the largest block minimum: the lowest blocks go while these sum to _NEGLIGIBLE."""
+    """(kept, phi): the (J, n) blocks j in range(K)^n that count in the window centered at
+    0, in order, and phi(r), their L2-normalized windows at the first-axis offsets r as
+    one (J, len(r)) + (s,)*(n-1) array.  Dropping block j moves the norm by at most
+    s^(n/p) K^(n/q) top_j / bottom of it, top_j its value nearest 0 and bottom the largest
+    block minimum: the lowest blocks go while these sum to _NEGLIGIBLE."""
     if 2.0 * win.radius > 2.0 * g.length + 1e-12:
         raise ValueError("window support exceeds the torus; translates would self-overlap")
     s, K = _translate_shape(win, g)
     x = np.abs(g.axis_points()).reshape(K, s)  # |x| on each axis, one row per block
-    dist = _euclidean if win.kind != "cube-indicator" else (
-        lambda *axes: functools.reduce(np.maximum, np.ix_(*axes)))
-    top = win.profile(dist(*(x.min(axis=1),) * g.n)).reshape(-1)
-    bottom = win.profile(dist(*(x.max(axis=1),) * g.n)).max()
+
+    def evaluate(*axes):  # the window over per-axis rows (J, m_i) of |x|: (J, m_1, .., m_n)
+        grids = [a.reshape((len(a),) + (1,) * i + (-1,) + (1,) * (g.n - 1 - i))
+                 for i, a in enumerate(axes)]
+        if win.kind == "cube-indicator":
+            return win.profile(functools.reduce(np.maximum, grids))
+        dist = functools.reduce(np.add, (c ** 2 for c in grids))  # as grid._euclidean sums
+        return win.profile(np.sqrt(dist, out=dist))
+
+    top = evaluate(*(x.min(axis=1)[None],) * g.n).reshape(-1)
+    bottom = evaluate(*(x.max(axis=1)[None],) * g.n).max()
     order = np.argsort(top)
     bound = np.cumsum(top[order]) * (s ** (g.n / p) * K ** (g.n / q))
     top[order[bound <= _NEGLIGIBLE * bottom]] = 0.0
     kept = np.argwhere(top.reshape((K,) * g.n) > 0)
-    mass = math.sqrt(g.cell_volume * sum(np.sum(win.profile(dist(*x[j])) ** 2) for j in kept))
-    for j in kept:
-        yield j, win.profile(dist(*x[j])) / mass
+    mass = math.sqrt(g.cell_volume * sum(np.sum(evaluate(*x[j, None]) ** 2) for j in kept))
+    return kept, lambda r: evaluate(x[kept[:, 0], r], *x[kept[:, 1:]].transpose(1, 0, 2)) / mass
 
 
-def _offset_major(values: np.ndarray, n: int, K: int, s: int, h: int) -> np.ndarray:
-    """|values| over (..., N,)*n as one (..., s^n, K^n) array, offset r in a block and
-    then block k, holding the lattice point k s + r - h (mod N) on each axis."""
+def _offset_slabs(values: np.ndarray, n: int, K: int, s: int, h: int):
+    """Yield (r, F) per _blocks slab r of first-axis offsets: F is |values| at those offsets
+    as (..., len(r) s^(n-1), K^n), offset in a block and then block k, holding the lattice
+    point k s + r - h (mod N) on each axis.  One buffer holds every slab in turn."""
     m = values.ndim - n
-    out = np.empty(values.shape[:m] + (s,) * n + (K,) * n)
     order = (*range(m), *range(m + 1, m + 2 * n, 2), *range(m, m + 2 * n, 2))
     src = values.reshape(values.shape[:m] + (K, s) * n).transpose(order)
     # per axis: offsets r >= h are block k's r - h, offsets r < h block k - 1's r + s - h
-    cuts = [(slice(h, None), slice(None), slice(None, s - h), slice(None))]
-    if h:
-        cuts += [(slice(None, h), slice(1, None), slice(s - h, None), slice(None, -1)),
-                 (slice(None, h), slice(None, 1), slice(s - h, None), slice(-1, None))]
-    for cut in itertools.product(cuts, repeat=n):
-        r, k, r0, k0 = zip(*cut)
-        np.abs(src[(..., *r0, *k0)], out=out[(..., *r, *k)])
-    return out.reshape(values.shape[:m] + (s ** n, K ** n))
+    whole = [(h, s, -h, slice(None), slice(None)), (0, h, s - h, slice(1, None), slice(-1)),
+             (0, h, s - h, slice(1), slice(-1, None))]
+
+    def cuts(a, b):  # (offsets, blocks, source offsets, source blocks) for offsets a..b-1
+        return [(slice(max(lo, a) - a, min(hi, b) - a), k,
+                 slice(max(lo, a) + d, min(hi, b) + d), k0)
+                for lo, hi, d, k, k0 in whole if max(lo, a) < min(hi, b)]
+
+    slabs = [slice(r.start, min(r.stop, s)) for r in _blocks(s, s ** (n - 1) * K ** n)]
+    buf = np.empty(values.shape[:m] + (slabs[0].stop,) + (s,) * (n - 1) + (K,) * n)
+    for r in slabs:
+        out = buf[(slice(None),) * m + (slice(r.stop - r.start),)]
+        for cut in itertools.product(cuts(r.start, r.stop), *[cuts(0, s)] * (n - 1)):
+            o, k, o0, k0 = zip(*cut)
+            np.abs(src[(..., *o0, *k0)], out=out[(..., *o, *k)])
+        yield r, out.reshape(values.shape[:m] + (-1, K ** n))
 
 
 def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
@@ -187,24 +201,20 @@ def _amalgam_norms(values: np.ndarray, p: float, q: float, window: WindowSpec,
     n = g.n
     lead = values.shape[:-n]
     # with x = (k + j) a + r (block k + j, offset r), translate k's local norm is the L^p
-    # norm over (j, r) of |f|[k + j, r] phi[j, r]: per block j that counts, L^p reductions
-    # over r on contiguous _blocks slabs of offset rows, each rolled back by -j and
-    # folded in (local[k]^p = sum_j local_j[k]^p; max of maxes at p = inf).  Partition
-    # cube k, [k a - a/2, k a + a/2), is block k of |f| shifted by s//2, reduced in place.
-    # The slabs are sized per slice, so a slice's sums do not depend on its batch.
-    F = _offset_major(values, n, K, s, s // 2 if window.is_partition else 0)
-    slabs = _blocks(s ** n, K ** n)
-    blocks = [(np.zeros(n, int), None)] if window.is_partition else _window_blocks(
-        window, g, p, q)
+    # norm over (j, r) of |f|[k + j, r] phi[j, r]: per _blocks slab of |f|'s first-axis
+    # offsets and per block j that counts, one L^p reduction over the slab's offsets,
+    # rolled back by -j and folded in (local[k]^p = sum of the parts' p-th powers; max of
+    # maxes at p = inf).  Partition cube k, [k a - a/2, k a + a/2), is block k of |f|
+    # shifted by s//2, reduced in place.  Slabs are sized per slice, not per batch.
+    kept, phi = ([np.zeros(n, int)], lambda r: [None]) if window.is_partition else (
+        _window_blocks(window, g, p, q))
     local = None
-    for count, (j, phi) in enumerate(blocks, 1):
-        for r in slabs:
-            a = F[..., r, :]
-            part = _lq(a if phi is None else a * phi.reshape(-1, 1)[r], p, -2,
-                       g.cell_volume)
+    for r, F in _offset_slabs(values, n, K, s, s // 2 if window.is_partition else 0):
+        for j, w in zip(kept, phi(r)):
+            part = _lq(F if w is None else F * w.reshape(-1, 1), p, -2, g.cell_volume)
             part = np.roll(part.reshape(lead + (K,) * n), tuple(-j), axis=tuple(range(-n, 0)))
             local = part if local is None else _lq(np.stack((local, part)), p, 0)
-    return _lq(local.reshape(lead + (K ** n,)), q, -1, window.step ** n), count
+    return _lq(local.reshape(lead + (K ** n,)), q, -1, window.step ** n), len(kept)
 
 
 def amalgam_norm(fld: SampledField, p: float, q: float, window: WindowSpec) -> NormResult:

@@ -16,6 +16,7 @@ from amalgam.grid import (
 from amalgam.wiener import (
     WindowSpec,
     _amalgam_norms,
+    _offset_slabs,
     _translate_shape,
     _window_blocks,
     amalgam_norm,
@@ -84,8 +85,9 @@ def block_built_window(window, g, p=2.0, q=2.0):
     s, K = _translate_shape(window, g)
     out = np.zeros(g.shape)
     blocks = out.reshape((K, s) * g.n)
-    for j, phi in _window_blocks(window, g, p, q):
-        blocks[tuple(x for k in j for x in (k, slice(None)))] = phi
+    kept, phi = _window_blocks(window, g, p, q)
+    for j, w in zip(kept, phi(slice(None))):
+        blocks[tuple(x for k in j for x in (k, slice(None)))] = w
     return out
 
 
@@ -172,6 +174,22 @@ class TestAmalgamNorm:
         if kind == "smooth-bump":
             assert got.meta["window_blocks"] >= 3 ** n
 
+    @pytest.mark.parametrize("p", [1, 2, np.inf])
+    @pytest.mark.parametrize("kind", sorted(SMOOTH_WINDOWS))
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_item_slabs_match_brute_force(self, monkeypatch, n, kind, p):
+        # each of these grids fits in one slab; with one item per slab, every slice spans
+        # many slabs, and the parts of every slab and window block fold into one norm
+        monkeypatch.setattr(wiener, "_blocks",
+                            lambda count, size: [slice(i, i + 1) for i in range(count)])
+        g = self.SMALL_GRIDS[n]
+        win = self.SMOOTH_WINDOWS[kind]
+        rng = np.random.default_rng(n)
+        f = SampledField(g, rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape))
+        for q in (4, np.inf):
+            got = amalgam_norm(f, p, q, win).value
+            assert got == pytest.approx(brute_force_amalgam(f, p, q, win), rel=1e-12)
+
     @pytest.mark.parametrize("p", [2, np.inf])
     @pytest.mark.parametrize("kind", ["gaussian", "smooth-bump"])
     def test_single_translate_matches_brute_force(self, kind, p):
@@ -219,8 +237,9 @@ class TestAmalgamNorm:
 
     def test_many_blocks_memory_stays_bounded(self):
         # s = 2 and K^2 = 4096 blocks, about 800 of them under the bump: keeping one
-        # K^2-sized result per block would take about 26 MB.  At this size the fixed
-        # 2^16-sample slab and the K^2-sized results, not |f|, set the peak.
+        # K^2-sized result per block would take about 26 MB.  Here the whole slice is one
+        # slab: |f| in it, its product with one window block, the window on its rows for
+        # every block that counts and the K^2-sized results set the peak.
         g = GridSpec(2, 32.0, 128)
         f = band_limited_field(g, 5)
         win = WindowSpec("smooth-bump", radius=16.0, step=1.0)
@@ -239,8 +258,11 @@ class TestAmalgamNorm:
                                      WindowSpec("gaussian", radius=0.25, step=1.0)],
                              ids=["cube", "bump", "gaussian"])
     def test_memory_per_lattice_point(self, win):
-        # beyond the field's 16 bytes per point, |f| takes 8 and a few slabs of 2^16
-        # samples the rest: at 64^3, at most 12 bytes per point beyond the field
+        # |f| is never held whole: beyond the field's 16 bytes per point, one slab of 2^16
+        # samples of |f| (2 of the 8 first-axis offsets at 64^3, 0.5 MiB), its product
+        # with one window block, the window on the slab's rows for every block that
+        # counts, and the ufunc buffers: 0.18 (cube), 0.27 (bump) and 0.32 (gaussian, 160
+        # blocks) of the field, where |f| alone would be 0.5
         g = GridSpec(3, 4.0, 64)
         f = band_limited_field(g, 5)
         tracemalloc.start()
@@ -249,15 +271,16 @@ class TestAmalgamNorm:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 0.75 * f.values.nbytes
+        assert peak <= 0.35 * f.values.nbytes
 
     @pytest.mark.parametrize("win", [unit_cube_partition(),
                                      WindowSpec("smooth-bump", radius=1.0, step=1.0),
                                      WindowSpec("gaussian", radius=0.25, step=1.0)],
                              ids=["cube", "bump", "gaussian"])
     def test_real_memory_per_lattice_point(self, win):
-        # a real datum, built and reduced under one trace: its 8 bytes per point, and
-        # the 12 bytes per point that the complex case allows |f| and the slabs, at 64^3
+        # a real datum, built and reduced under one trace: its 8 bytes per point, and the
+        # slabs of the complex case, 2.5 to 5 bytes per point at 64^3; a whole |f| would
+        # add 8
         g = GridSpec(3, 4.0, 64)
         tracemalloc.start()
         try:
@@ -267,7 +290,7 @@ class TestAmalgamNorm:
         finally:
             tracemalloc.stop()
         assert f.values.dtype == np.float64
-        assert peak <= 20 * g.size
+        assert peak <= 14 * g.size
 
     def test_homogeneity(self, grid1d, rng):
         f = band_limited_field(grid1d, 9)
@@ -542,3 +565,28 @@ def test_large_batch_equals_single_field_calls(g, k, window):
             single = [_amalgam_norms(row, p, q, window, g)[0] for row in stack]
             assert batched.shape == (k,)
             assert np.array_equal(batched, single), (p, q)
+
+
+@pytest.mark.parametrize("n,K,s", [(1, 5, 4), (2, 3, 5), (3, 2, 3), (2, 1, 4), (1, 4, 1)])
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["single", "batch"])
+def test_offset_slabs_are_rows_of_the_offset_major_array(monkeypatch, n, K, s, lead):
+    # |values| at lattice point k s + r - h (mod N) on each axis, offsets first and blocks
+    # last, built whole with np.roll, reshape and transpose; each slab the builder
+    # writes must be exactly its rows, for every slab size, dividing s or not
+    m, N = len(lead), K * s
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal(lead + (N,) * n) + 1j * rng.standard_normal(lead + (N,) * n)
+    # axis m + 2i is axis i's block and m + 2i + 1 its offset in the block
+    order = list(range(m)) + [m + 2 * i + 1 for i in range(n)] + [m + 2 * i for i in range(n)]
+    for h in sorted({0, s // 2}):
+        rolled = np.roll(np.abs(values), h, axis=tuple(range(m, m + n)))
+        want = rolled.reshape(lead + (K, s) * n).transpose(order).reshape(
+            lead + (s, s ** (n - 1), K ** n))
+        for step in range(1, s + 2):
+            monkeypatch.setattr(wiener, "_blocks", lambda count, size: [
+                slice(i, i + step) for i in range(0, count, step)])
+            offsets = []
+            for r, F in _offset_slabs(values, n, K, s, h):
+                assert np.array_equal(F, want[..., r, :, :].reshape(lead + (-1, K ** n)))
+                offsets += range(s)[r]
+            assert offsets == list(range(s)), (h, step)
