@@ -346,29 +346,22 @@ class HlsReport:
         return hi <= 1.5 * lo
 
 
-def _power_kernel_ft(tgrid: np.ndarray, alpha: float) -> np.ndarray:
-    """rfft, at length L (the least power of two >= 2 nk - 1), of the exact cell
-    averages of |t|^-alpha, singular cell included, on the 2 nk - 1 lags of the
-    uniform tgrid."""
-    dt = tgrid[1] - tgrid[0]
-    nk = len(tgrid)
-    lags = (np.arange(2 * nk - 1) - (nk - 1)) * dt
-
-    def prim(u):
-        return np.sign(u) * np.abs(u) ** (1.0 - alpha) / (1.0 - alpha)
-
-    kern = (prim(lags + 0.5 * dt) - prim(lags - 0.5 * dt)) / dt
-    return np.fft.rfft(kern, 1 << (2 * nk - 2).bit_length())
+def _power_kernel_cells(nk: int, dt: float, alpha: float) -> np.ndarray:
+    """The exact averages of |t|^-alpha over the cells [(l - 1/2) dt, (l + 1/2) dt] of
+    the 2 nk - 1 lags l = 1 - nk .. nk - 1, singular cell included: differences of the
+    odd primitive sign(u) |u|^(1 - alpha) / (1 - alpha) at the cell edges, evaluated on
+    the nk edges (l + 1/2) dt >= 0 and mirrored."""
+    prim = (np.arange(nk) * dt + 0.5 * dt) ** (1.0 - alpha) / (1.0 - alpha)
+    half = np.diff(prim, prepend=-prim[0]) / dt
+    return np.concatenate((half[:0:-1], half))
 
 
-def _convolve(gvals: np.ndarray, kern_ft: np.ndarray, dt: float) -> np.ndarray:
-    """(|t|^-alpha * g) on a uniform grid of step dt, with the kernel transform from
-    _power_kernel_ft.  Output samples nk - 1 .. 2 nk - 2 of the real FFT product pair g
-    only with kernel lags inside its 2 nk - 1 samples, so the circular wrap-around
-    never reaches them."""
-    nk, L = len(gvals), 2 * (len(kern_ft) - 1)
-    full = np.fft.irfft(np.fft.rfft(gvals, L) * kern_ft, L)
-    return full[nk - 1:2 * nk - 1] * dt
+def _convolve(g: np.ndarray, cells: np.ndarray, dt: float, lo: int = 0) -> np.ndarray:
+    """(|t|^-alpha * g) at the nk samples of a uniform grid of step dt, with the cells of
+    _power_kernel_cells, as a direct sum over g's support: g holds samples lo .. hi - 1,
+    and the function is zero at the others.  A zero g gives zeros."""
+    nk, hi = (len(cells) + 1) // 2, lo + len(g)
+    return np.convolve(cells[nk - hi:2 * nk - 1 - lo], g, "valid") * dt
 
 
 def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
@@ -379,8 +372,9 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
     a rejection, not an exception.  For admissible exponents the ratio
     ||kernel * g||_q / ||g||_p is collected over random smooth g supported
     in |t| <= 1 on 2^14 uniform points of [-200, 200], and at double
-    resolution for the first g of largest ratio.  Each grid transforms its
-    kernel once; each trial is one rfft/irfft pair.
+    resolution for the first g of largest ratio.  The bumps and their
+    L^p norms live on the samples with |t| < 1 only; each grid builds its
+    kernel cells once, and each convolution is a direct sum over the bump.
     """
     pf = as_extended(p)  # p = inf is an exponent, rejected below as q = inf
     af = as_rational(alpha)
@@ -396,30 +390,35 @@ def hls_check_1d(p, alpha, trials: int = 200, seed: int = 0) -> HlsReport:
         raise ValueError(f"trials must be >= 1, got {trials}")
     pflt, qflt, aflt = float(pf), float(qf), float(af)
 
-    def ratio(g, tgrid, kern_ft):
-        """||kernel * g||_q / ||g||_p by Riemann sums on the uniform tgrid."""
-        dt = tgrid[1] - tgrid[0]
-        conv = _convolve(g, kern_ft, dt)
+    def ratio(g, lo, dt, cells):
+        """||kernel * g||_q / ||g||_p by Riemann sums on a uniform grid, g from sample lo."""
+        conv = _convolve(g, cells, dt, lo)
         return float(_lq(np.abs(conv), qflt, None, dt) / _lq(np.abs(g), pflt, None, dt))
 
     tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
-    kern_ft = _power_kernel_ft(tgrid, aflt)
+    dt = tgrid[1] - tgrid[0]
+    cells = _power_kernel_cells(len(tgrid), dt, aflt)
+    inside = np.flatnonzero(np.abs(tgrid) < 1.0)
+    lo, hi = inside[0], inside[-1] + 1
+    t = tgrid[lo:hi]
     # bump g = envelope * (1 + osc / 2), osc a random combination of cos(k pi t), k = 1..4
-    envelope = np.where(np.abs(tgrid) < 1.0,
-                        np.exp(-1.0 / np.maximum(1.0 - tgrid ** 2, 1e-300)), 0.0)
-    cosines = [np.cos(k * np.pi * tgrid) for k in range(1, 5)]
+    envelope = np.exp(-1.0 / (1.0 - t ** 2))
+    cosines = [np.cos(k * np.pi * t) for k in range(1, 5)]
     gen = _generator(seed)
     ratios, max_ratio = [], -np.inf
     for _ in range(trials):
         osc = sum(c * cos for c, cos in zip(_normal(gen, 2).view(float), cosines))
         g = envelope * (1.0 + 0.5 * osc)
-        ratios.append(ratio(g, tgrid, kern_ft))
+        ratios.append(ratio(g, lo, dt, cells))
         if ratios[-1] > max_ratio:  # keep only the first extremal g, for the refinement pass
             max_ratio, worst = ratios[-1], g
+    # the refined bump is nonzero strictly between the zero samples lo - 1 and hi
     t2 = np.linspace(-200.0, 200.0, 2 ** 15)
+    lo2, hi2 = np.searchsorted(t2, tgrid[lo - 1], "right"), np.searchsorted(t2, tgrid[hi])
+    g2 = np.interp(t2[lo2:hi2], tgrid[lo - 1:hi + 1], np.pad(worst, 1))
+    dt2 = t2[1] - t2[0]
     return HlsReport(True, "admissible", q=qf, ratios=ratios, max_ratio=max_ratio,
-                     refined_max=ratio(np.interp(t2, tgrid, worst), t2,
-                                       _power_kernel_ft(t2, aflt)))
+                     refined_max=ratio(g2, lo2, dt2, _power_kernel_cells(len(t2), dt2, aflt)))
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +483,9 @@ class SuiteReport:
 def _suite_corpus(grid: GridSpec, seed: int, size: int):
     """Mixed corpus as one (size, *shape) stack and its labels: field i is
     spike_field(grid, seed + i) at every fourth index, else
-    band_limited_field(grid, seed + i)."""
-    band = [i for i in range(size) if i % 4 != 3]
-    stack = np.empty((size,) + grid.shape, dtype=complex)
-    stack[band] = band_limited_stack(grid, [seed + i for i in band])
+    band_limited_field(grid, seed + i).  One band_limited_stack call draws every
+    row, and the spikes overwrite theirs."""
+    stack = band_limited_stack(grid, range(seed, seed + size))
     for i in range(3, size, 4):
         stack[i] = spike_field(grid, seed + i).values
     labels = [f"{'spike' if i % 4 == 3 else 'band-limited'}[{seed + i}]" for i in range(size)]
@@ -551,7 +549,9 @@ def property_suite(seed: int = 0, corpus_size: int = 100) -> SuiteReport:
 
     def triangle(p, q):
         # field i pairs with field i + 1, the last with the first
-        a = anorm(stack + np.roll(stack, -1, axis=0), p, q)
+        pair = np.roll(stack, -1, axis=0)
+        pair += stack
+        a = anorm(pair, p, q)
         single = anorm(stack, p, q)
         b = single + np.roll(single, -1)
         return ~(a > b * (1 + 1e-12) + 1e-15), lambda i: f"(p,q)=({p},{q}): {a[i]} > {b[i]}"

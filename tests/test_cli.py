@@ -991,16 +991,16 @@ import json, sys
 from amalgam.cli import run
 for argv in json.loads(sys.argv[1]):
     assert run(argv + ["--out", sys.argv[2]]) == 0, argv
-print(json.dumps(sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy",
-                                    "scipy.special") if m in sys.modules)))
+print(json.dumps(sorted(m for m in json.loads(sys.argv[3]) if m in sys.modules)))
 """
 
 
-def _modules_after(commands, out) -> list:
-    """Which of numpy, numpy.ma, numpy.random, scipy, scipy.special a fresh interpreter holds
-    after running commands."""
-    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands), str(out)],
-                          capture_output=True, text=True, env=_SRC_ENV)
+def _modules_after(commands, out,
+                   names=("numpy", "numpy.ma", "numpy.random", "scipy", "scipy.special")) -> list:
+    """Which of names (by default numpy, numpy.ma, numpy.random, scipy, scipy.special) a
+    fresh interpreter holds after running commands."""
+    proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, json.dumps(commands), str(out),
+                           json.dumps(names)], capture_output=True, text=True, env=_SRC_ENV)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -1059,6 +1059,12 @@ class TestImportFootprint:
         assert _modules_after([
             ["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "2"],
         ], tmp_path) == ["numpy"]
+
+    def test_hls_skips_numpy_fft(self, tmp_path):
+        # each trial is a direct sum over its bump's support
+        assert _modules_after([
+            ["hls", "--p", "4/3", "--alpha", "0.5", "--trials", "2"],
+        ], tmp_path, ("numpy", "numpy.fft")) == ["numpy"]
 
     def test_kernel_commands_skip_scipy(self, tmp_path):
         assert _modules_after([

@@ -28,7 +28,8 @@ from amalgam.grid import (
 from amalgam.propagator import DecayProfile, evolve_blocks, hsigma_norm
 from amalgam.verify import (
     _convolve,
-    _power_kernel_ft,
+    _power_kernel_cells,
+    _suite_corpus,
     band_limited_field,
     band_limited_stack,
     bilinear_form,
@@ -453,18 +454,20 @@ class TestHls:
         tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
         dt = tgrid[1] - tgrid[0]
         g = (1.0 + tgrid ** 2) ** -0.75
-        conv = _convolve(g, _power_kernel_ft(tgrid, 0.5), dt)
+        conv = _convolve(g, _power_kernel_cells(len(tgrid), dt, 0.5), dt)
         ratio = float(_lq(np.abs(conv), 4.0, None, dt) / _lq(g.copy(), 4 / 3, None, dt))
         assert (1 - 0.003) * self.LIEB < ratio < self.LIEB
 
     def test_cached_transforms_match_per_trial_convolutions(self):
-        # reference: a fresh bump and a fresh kernel transform for every trial
+        # reference: a fresh bump on the whole grid and fresh kernel cells for every trial
         p, q, alpha = 4 / 3, 4.0, 0.5
 
         def ratio(g, tgrid):
             dt = tgrid[1] - tgrid[0]
-            conv = _convolve(g, _power_kernel_ft(tgrid, alpha), dt)
-            return float(_lq(np.abs(conv), q, None, dt) / _lq(np.abs(g), p, None, dt))
+            (nonzero,) = np.nonzero(g)
+            lo, hi = nonzero[0], nonzero[-1] + 1
+            conv = _convolve(g[lo:hi], _power_kernel_cells(len(tgrid), dt, alpha), dt, lo)
+            return float(_lq(np.abs(conv), q, None, dt) / _lq(np.abs(g[lo:hi]), p, None, dt))
 
         gen = random.Random(0)
         tgrid = np.linspace(-200.0, 200.0, 2 ** 14)
@@ -484,16 +487,84 @@ class TestHls:
         w = 0.25
         tgrid = np.linspace(-40.0, 40.0, 2 ** 15)
         dt = tgrid[1] - tgrid[0]
-        g = ((tgrid >= -w) & (tgrid <= w)).astype(float)
-        conv = _convolve(g, _power_kernel_ft(tgrid, 0.5), dt)
+        (inside,) = np.nonzero((tgrid >= -w) & (tgrid <= w))
+        lo, hi = inside[0], inside[-1] + 1
+        conv = _convolve(np.ones(hi - lo), _power_kernel_cells(len(tgrid), dt, 0.5), dt, lo)
 
         def prim(u):
             return 2.0 * np.sign(u) * np.sqrt(np.abs(u))
 
-        included = tgrid[g > 0]
-        lo, hi = included[0] - 0.5 * dt, included[-1] + 0.5 * dt
-        exact = prim(tgrid - lo) - prim(tgrid - hi)
-        assert np.max(np.abs(conv - exact)) < 1e-3
+        lo_edge, hi_edge = tgrid[lo] - 0.5 * dt, tgrid[hi - 1] + 0.5 * dt
+        exact = prim(tgrid - lo_edge) - prim(tgrid - hi_edge)
+        assert np.max(np.abs(conv - exact)) < 1e-12
+
+    @pytest.mark.parametrize("nk,lo,hi", [(1, 0, 1), (7, 0, 7), (7, 0, 3), (7, 4, 7), (7, 3, 4),
+                                          (9, 0, 1), (9, 8, 9), (12, 2, 10)])
+    def test_convolve_is_the_double_loop(self, nk, lo, hi):
+        # out[k] = dt * sum_i g[i] cells[nk - 1 + k - i] over the support lo <= i < hi
+        gen = random.Random(nk * 100 + lo * 10 + hi)
+        cells = np.array([gen.uniform(-1.0, 1.0) for _ in range(2 * nk - 1)])
+        g = np.array([gen.uniform(-1.0, 1.0) for _ in range(hi - lo)])
+        dt = 0.3
+        want = [dt * sum(g[i - lo] * cells[nk - 1 + k - i] for i in range(lo, hi))
+                for k in range(nk)]
+        got = _convolve(g, cells, dt, lo)
+        assert got.shape == (nk,)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+    def test_convolve_of_zero_is_zero(self):
+        # a zero g on its support gives nk zeros; there is no empty support
+        cells = _power_kernel_cells(9, 0.5, 0.5)
+        assert np.array_equal(_convolve(np.zeros(3), cells, 0.5, 2), np.zeros(9))
+        with pytest.raises(ValueError):
+            _convolve(np.zeros(0), cells, 0.5, 2)
+
+    @pytest.mark.parametrize("nk,length", [(9, 3.0), (513, 16.0), (4097, 10.0),
+                                           (2 ** 14, 400.0), (2 ** 15, 400.0), (2 ** 15, 80.0)])
+    @pytest.mark.parametrize("alpha", [0.1, 1 / 3, 0.5, 0.9])
+    def test_cells_are_the_two_sided_formula(self, nk, length, alpha):
+        # each lag's cell from its own two edges, prim(u + dt/2) - prim(u - dt/2), on
+        # grids built as hls builds them: there every edge l dt +- dt/2 is exact in
+        # float64, so both formulas difference the same primitive values
+        tgrid = np.linspace(-length / 2, length / 2, nk)
+        dt = tgrid[1] - tgrid[0]
+        lags = (np.arange(2 * nk - 1) - (nk - 1)) * dt
+
+        def prim(u):
+            return np.sign(u) * np.abs(u) ** (1.0 - alpha) / (1.0 - alpha)
+
+        want = (prim(lags + 0.5 * dt) - prim(lags - 0.5 * dt)) / dt
+        got = _power_kernel_cells(nk, dt, alpha)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want) / want) <= 1e-15
+
+    @pytest.mark.parametrize("nk,dt", [(1000, 7.3 / 999), (2 ** 15, 400.0 / (2 ** 15 - 1))])
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_cells_match_mpmath(self, nk, dt, alpha):
+        # on any step: a cell differences two primitive values about l times its size, so
+        # it keeps about l ulps of relative accuracy (tolerance 4 (l + 1) eps / (1 - alpha))
+        mpmath = pytest.importorskip("mpmath")
+        got = _power_kernel_cells(nk, dt, alpha)
+        assert np.array_equal(got, got[::-1])
+        with mpmath.workdps(40):
+            d, e = mpmath.mpf(dt), 1 - mpmath.mpf(alpha)
+            for lag in (0, 1, 2, 10, 100, nk // 2, nk - 1):
+                lower, upper = (mpmath.sign(u) * abs(u) ** e / e
+                                for u in ((lag - 0.5) * d, (lag + 0.5) * d))
+                exact = (upper - lower) / d
+                tol = 4 * (lag + 1) * np.finfo(float).eps / (1 - alpha)
+                assert abs(got[nk - 1 + lag] - exact) <= tol * exact, lag
+
+    def test_memory_is_the_bumps_support(self):
+        # the cells of the 2^15-point refinement grid and its time axis; no transform
+        hls_check_1d("4/3", "0.5", trials=1, seed=1)  # first-call set-up stays out
+        tracemalloc.start()
+        try:
+            hls_check_1d("4/3", "0.5", trials=50, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2 ** 20
 
 
 def band_limited_reference(g, seed, kmax):
@@ -518,6 +589,30 @@ def test_band_limited_stack_rows_are_the_single_fields(g, kmax):
     for row, seed in zip(stack, seeds):
         assert np.array_equal(row, band_limited_field(g, seed, kmax=kmax).values)
         assert np.array_equal(row, band_limited_reference(g, seed, kmax))
+
+
+@pytest.mark.parametrize("size", [2, 4, 9, 100])
+def test_suite_corpus_rows_are_the_single_fields(size):
+    g = GridSpec(1, 16.0, 512)
+    stack, labels = _suite_corpus(g, 5, size)
+    assert stack.shape == (size,) + g.shape
+    for i, (row, label) in enumerate(zip(stack, labels)):
+        kind, make = ("spike", spike_field) if i % 4 == 3 else ("band-limited", band_limited_field)
+        assert np.array_equal(row, make(g, 5 + i).values)
+        assert label == f"{kind}[{5 + i}]"
+
+
+def test_suite_corpus_memory_is_one_stack():
+    # the (100, 512) complex stack and band_limited_stack's real modulus of it, half its size
+    g = GridSpec(1, 16.0, 512)
+    _suite_corpus(g, 0, 4)  # first-call set-up stays out of the trace
+    tracemalloc.start()
+    try:
+        stack, _ = _suite_corpus(g, 0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * stack.nbytes
 
 
 # tolerances, fixed before the first run: the vectorised Box-Muller against the same
